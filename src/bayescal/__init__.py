@@ -26,7 +26,9 @@ from .experiment import (
     ConfidencePoint,
     ErrorCurve,
     ExperimentConfig,
+    LrDistributionReport,
     confidence_curve,
+    lr_distribution_demo,
     run_experiment,
     weighted_error_rate,
 )
@@ -34,7 +36,6 @@ from .lr import (
     Decision,
     DecisionPolicy,
     LogLR,
-    LrDistributionReport,
     LrMethod,
     TrialPrior,
     bayes_log_lr,
@@ -42,7 +43,6 @@ from .lr import (
     class_predictives,
     decide,
     decomposition_residual,
-    lr_distribution_demo,
     plugin_log_lr,
     plugin_log_lr_array,
     posterior_log_odds,
@@ -59,7 +59,7 @@ from .scores import (
     load_background_csv,
     parse_label,
 )
-from .synthetic import GeneratorConfig, generate_scores
+from .synthetic import GeneratorConfig, generate_scores, resample_backgrounds
 from .verification import (
     PitfallReport,
     QuadratureSpec,
@@ -112,6 +112,7 @@ __all__ = [
     "LrDistributionReport",
     "GeneratorConfig",
     "generate_scores",
+    "resample_backgrounds",
     "ExperimentConfig",
     "ErrorCurve",
     "ConfidencePoint",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -20,13 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .conjugate import NONINFORMATIVE_WEIGHT, NormalGammaParams
+from .conjugate import NormalGammaParams, default_noninformative_prior
 from .errors import ScoreFileError, ValidationError
 from .experiment import (
     DEFAULT_PRIOR_GRID,
     ExperimentConfig,
-    GeneratorConfig,
     confidence_curve,
+    lr_distribution_demo,
     run_experiment,
 )
 from .lr import (
@@ -34,30 +35,18 @@ from .lr import (
     TrialPrior,
     bayes_log_lr,
     decide,
-    lr_distribution_demo,
     plugin_log_lr,
     posterior_log_odds,
 )
 from .scores import DEFAULT_VARIANCE_FLOOR, fit_plugin, load_background_csv
+from .synthetic import GeneratorConfig
 from .verification import QuadratureSpec, run_verification_suite
 
 _LOG10 = math.log(10.0)
 
-_PRIOR_DEFAULTS = {
-    "mu0": 0.0,
-    "beta": NONINFORMATIVE_WEIGHT,
-    "a": NONINFORMATIVE_WEIGHT,
-    "b": NONINFORMATIVE_WEIGHT,
-}
+_PRIOR_DEFAULTS = dataclasses.asdict(default_noninformative_prior())
 
-_GENERATOR_DEFAULTS = {
-    "mu1_true": 2.0,
-    "mu2_true": -2.0,
-    "sigma1_true": 1.0,
-    "sigma2_true": 1.0,
-    "shift_location": 0.0,
-    "shift_scale": 1.0,
-}
+_GENERATOR_DEFAULTS = dataclasses.asdict(GeneratorConfig())
 
 _EXPERIMENT_DEFAULTS = {
     "n1": 9,

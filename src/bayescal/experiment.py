@@ -1,10 +1,12 @@
-"""Resampling experiments: error-rate curves and confidence-vs-data-size tables.
+"""Resampling experiments: error-rate curves, confidence-vs-data-size tables,
+and the spread-summary demo.
 
 Each trial draws a fresh small background database, calibrates both ways,
 scores a large fresh test set, and sweeps a grid of prior log-odds recording
-the cost-weighted error rate of the induced decisions. Trials are seeded
-independently (trial t uses ``seed ^ t``), so runs are reproducible and
-trials could be evaluated in any order.
+the cost-weighted error rate of the induced decisions. Trials come from
+``synthetic.resample_backgrounds``: trial t of stream k draws from a NumPy
+generator seeded with ``[seed, k, t]``, so runs are reproducible, trials could
+be evaluated in any order, and different seeds share no trials.
 """
 
 from __future__ import annotations
@@ -18,23 +20,18 @@ from scipy.special import expit
 from .conjugate import NormalGammaParams, default_noninformative_prior
 from .errors import ValidationError
 from .lr import LrMethod, bayes_log_lr_array, class_predictives, plugin_log_lr_array
-from .scores import (
-    DEFAULT_VARIANCE_FLOOR,
-    BackgroundData,
-    Hypothesis,
-    fit_plugin,
-)
-from .synthetic import GeneratorConfig, generate_scores
+from .scores import DEFAULT_VARIANCE_FLOOR, Hypothesis, fit_plugin
+from .synthetic import GeneratorConfig, generate_scores, resample_backgrounds
 
 __all__ = [
-    "GeneratorConfig",
-    "generate_scores",
     "ExperimentConfig",
     "ErrorCurve",
     "ConfidencePoint",
     "weighted_error_rate",
     "run_experiment",
     "confidence_curve",
+    "LrDistributionReport",
+    "lr_distribution_demo",
     "DEFAULT_PRIOR_GRID",
 ]
 
@@ -109,22 +106,16 @@ def weighted_error_rate(llrs_h1, llrs_h2, prior_log_odds: float) -> float:
     (ties acquit). Returns pi1 * P(miss) + pi2 * P(false alarm) with
     pi1 = logistic(prior_log_odds).
     """
-    h1 = np.asarray(llrs_h1, dtype=float)
-    h2 = np.asarray(llrs_h2, dtype=float)
-    if h1.size == 0 or h2.size == 0:
-        raise ValidationError("both llr lists must be nonempty")
-    threshold = -prior_log_odds
-    p_miss = float(np.mean(h1 <= threshold))
-    p_fa = float(np.mean(h2 > threshold))
-    pi1 = float(expit(prior_log_odds))
-    return pi1 * p_miss + (1.0 - pi1) * p_fa
+    return float(_errors_over_grid(llrs_h1, llrs_h2, np.array([prior_log_odds], dtype=float))[0])
 
 
 def _errors_over_grid(llrs_h1, llrs_h2, grid: np.ndarray) -> np.ndarray:
-    """Vectorized weighted_error_rate over a whole prior grid."""
+    """weighted_error_rate at every prior log-odds point of ``grid``."""
     thresholds = -grid
     sorted_h1 = np.sort(llrs_h1)
     sorted_h2 = np.sort(llrs_h2)
+    if sorted_h1.size == 0 or sorted_h2.size == 0:
+        raise ValidationError("both llr lists must be nonempty")
     p_miss = np.searchsorted(sorted_h1, thresholds, side="right") / sorted_h1.size
     p_fa = 1.0 - np.searchsorted(sorted_h2, thresholds, side="right") / sorted_h2.size
     pi1 = expit(grid)
@@ -147,12 +138,7 @@ def run_experiment(
     per_trial_plugin: list[np.ndarray] = []
     per_trial_bayes: list[np.ndarray] = []
     degenerate = 0
-    for t in range(exp.trials):
-        rng = np.random.default_rng(exp.seed ^ t)
-        data = BackgroundData(
-            generate_scores(gen, Hypothesis.H1, exp.n1, rng),
-            generate_scores(gen, Hypothesis.H2, exp.n2, rng),
-        )
+    for data, rng in resample_backgrounds(gen, exp.n1, exp.n2, exp.trials, exp.seed, stream=0):
         try:
             theta = fit_plugin(data, variance_floor)
         except ValidationError:
@@ -221,8 +207,6 @@ def confidence_curve(
         raise ValidationError("sizes must not be empty")
     if trials < 2:
         raise ValidationError("trials must be >= 2")
-    if seed < 0:
-        raise ValidationError("seed must be a non-negative integer")
     if prior is None:
         prior = default_noninformative_prior()
 
@@ -235,12 +219,7 @@ def confidence_curve(
             for method in LrMethod
             for hyp in Hypothesis
         }
-        for t in range(trials):
-            rng = np.random.default_rng([seed, k, t])
-            data = BackgroundData(
-                generate_scores(gen, Hypothesis.H1, n1, rng),
-                generate_scores(gen, Hypothesis.H2, n2, rng),
-            )
+        for t, (data, rng) in enumerate(resample_backgrounds(gen, n1, n2, trials, seed, stream=k)):
             theta = fit_plugin(data, variance_floor)
             pred1, pred2 = class_predictives(data, prior)
             test = {
@@ -264,3 +243,58 @@ def confidence_curve(
                     )
                 )
     return tuple(points)
+
+
+@dataclass(frozen=True)
+class LrDistributionReport:
+    """Summary of plugin log-LRs over resampled background databases.
+
+    ``mu`` and ``sigma`` are the mean and sample standard deviation of the
+    per-database plugin log-LRs, i.e. the "log(LR) = mu +/- sigma" summary a
+    practitioner might report. The per-database Bayesian log-LRs are kept
+    alongside so the two summaries can be compared.
+    """
+
+    mu: float
+    sigma: float
+    plugin_log_lr_per_trial: np.ndarray
+    bayes_log_lr_per_trial: np.ndarray
+
+
+def lr_distribution_demo(
+    e: float,
+    world: GeneratorConfig,
+    n1: int,
+    n2: int,
+    trials: int,
+    seed: int,
+    prior: NormalGammaParams | None = None,
+    variance_floor: float = DEFAULT_VARIANCE_FLOOR,
+) -> LrDistributionReport:
+    """Resample background databases and tabulate both log-LRs at a fixed score.
+
+    Shows that the spread summary (mu, sigma) of plugin log-LRs is not a
+    substitute for the Bayesian log-LR: mu ignores the correction term that
+    relates the two, so the summaries disagree in general.
+    """
+    if trials < 2:
+        raise ValidationError(f"trials must be >= 2, got {trials}")
+    if n1 < 2 or n2 < 2:
+        raise ValidationError("n1 and n2 must be >= 2 so each database supports a plugin fit")
+    if prior is None:
+        prior = default_noninformative_prior()
+
+    plugin_vals = np.empty(trials)
+    bayes_vals = np.empty(trials)
+    for t, (data, _) in enumerate(resample_backgrounds(world, n1, n2, trials, seed, stream=0)):
+        theta = fit_plugin(data, variance_floor)
+        plugin_vals[t] = plugin_log_lr_array(e, theta)
+        pred1, pred2 = class_predictives(data, prior)
+        bayes_vals[t] = bayes_log_lr_array(e, pred1, pred2)
+
+    return LrDistributionReport(
+        mu=float(plugin_vals.mean()),
+        sigma=float(plugin_vals.std(ddof=1)),
+        plugin_log_lr_per_trial=plugin_vals,
+        bayes_log_lr_per_trial=bayes_vals,
+    )

@@ -13,8 +13,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .conjugate import (
     NormalGammaParams,
     StudentT,
@@ -25,16 +23,7 @@ from .conjugate import (
     student_t_log_density,
 )
 from .errors import ValidationError
-from .scores import (
-    DEFAULT_VARIANCE_FLOOR,
-    BackgroundData,
-    GaussianParams,
-    Hypothesis,
-    collect_stats,
-    fit_plugin,
-    gaussian_log_density,
-)
-from .synthetic import GeneratorConfig, generate_scores
+from .scores import BackgroundData, GaussianParams, collect_stats, gaussian_log_density
 
 
 class LrMethod(enum.Enum):
@@ -188,65 +177,3 @@ def decomposition_residual(
         - normal_gamma_log_density(theta_sample.mu2, theta_sample.lambda2, post2)
     )
     return log_rb - (log_rplug + float(augmented_log_ratio))
-
-
-@dataclass(frozen=True)
-class LrDistributionReport:
-    """Summary of plugin log-LRs over resampled background databases.
-
-    ``mu`` and ``sigma`` are the mean and sample standard deviation of the
-    per-database plugin log-LRs, i.e. the "log(LR) = mu +/- sigma" summary a
-    practitioner might report. The per-database Bayesian log-LRs are kept
-    alongside so the two summaries can be compared.
-    """
-
-    mu: float
-    sigma: float
-    plugin_log_lr_per_trial: np.ndarray
-    bayes_log_lr_per_trial: np.ndarray
-
-
-def lr_distribution_demo(
-    e: float,
-    world: GeneratorConfig,
-    n1: int,
-    n2: int,
-    trials: int,
-    seed: int,
-    prior: NormalGammaParams | None = None,
-    variance_floor: float = DEFAULT_VARIANCE_FLOOR,
-) -> LrDistributionReport:
-    """Resample background databases and tabulate both log-LRs at a fixed score.
-
-    Shows that the spread summary (mu, sigma) of plugin log-LRs is not a
-    substitute for the Bayesian log-LR: mu ignores the correction term that
-    relates the two, so the summaries disagree in general.
-    """
-    if trials < 2:
-        raise ValidationError(f"trials must be >= 2, got {trials}")
-    if n1 < 2 or n2 < 2:
-        raise ValidationError("n1 and n2 must be >= 2 so each database supports a plugin fit")
-    if seed < 0:
-        raise ValidationError("seed must be a non-negative integer")
-    if prior is None:
-        prior = default_noninformative_prior()
-
-    plugin_vals = np.empty(trials)
-    bayes_vals = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng(seed ^ t)
-        data = BackgroundData(
-            generate_scores(world, Hypothesis.H1, n1, rng),
-            generate_scores(world, Hypothesis.H2, n2, rng),
-        )
-        theta = fit_plugin(data, variance_floor)
-        plugin_vals[t] = plugin_log_lr_array(e, theta)
-        pred1, pred2 = class_predictives(data, prior)
-        bayes_vals[t] = bayes_log_lr_array(e, pred1, pred2)
-
-    return LrDistributionReport(
-        mu=float(plugin_vals.mean()),
-        sigma=float(plugin_vals.std(ddof=1)),
-        plugin_log_lr_per_trial=plugin_vals,
-        bayes_log_lr_per_trial=bayes_vals,
-    )

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .scores import Hypothesis
+from .scores import BackgroundData, Hypothesis
 
 
 @dataclass(frozen=True)
@@ -64,3 +65,25 @@ def generate_scores(
     if test_set:
         draws = config.shift_scale * draws + config.shift_location
     return draws
+
+
+def resample_backgrounds(
+    config: GeneratorConfig, n1: int, n2: int, trials: int, seed: int, stream: int
+) -> Iterator[tuple[BackgroundData, np.random.Generator]]:
+    """Yield ``(BackgroundData, rng)`` for each of ``trials`` resampled backgrounds.
+
+    Trial ``t`` draws its H1 and then its H2 scores from a NumPy generator
+    seeded with ``[seed, stream, t]`` and hands that generator on for the
+    caller's further draws (test sets). Every (seed, stream, t) key gets its
+    own independent stream, so adjacent seeds share no trials and one seed
+    can drive several experiments through distinct ``stream`` values.
+    """
+    if seed < 0:
+        raise ValidationError("seed must be a non-negative integer")
+    for t in range(trials):
+        rng = np.random.default_rng([seed, stream, t])
+        data = BackgroundData(
+            generate_scores(config, Hypothesis.H1, n1, rng),
+            generate_scores(config, Hypothesis.H2, n2, rng),
+        )
+        yield data, rng

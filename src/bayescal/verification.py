@@ -55,12 +55,11 @@ from .lr import (
 from .scores import (
     BackgroundData,
     GaussianParams,
-    Hypothesis,
     _LOG_2PI,
     collect_stats,
     gaussian_log_density,
 )
-from .synthetic import GeneratorConfig, generate_scores
+from .synthetic import GeneratorConfig, resample_backgrounds
 
 
 @dataclass(frozen=True)
@@ -461,15 +460,10 @@ def pitfall_divergence(
     e_tail = world.mu1_true + 4.0 * world.sigma1_true
     medians = []
     for k, (n1, n2) in enumerate(sizes):
-        divs = np.empty(n_trials)
-        for t in range(n_trials):
-            rng = np.random.default_rng([seed, k, t])
-            data = BackgroundData(
-                generate_scores(world, Hypothesis.H1, n1, rng),
-                generate_scores(world, Hypothesis.H2, n2, rng),
-            )
-            report = approximate_posterior_pitfall(data, prior, [e_tail])
-            divs[t] = report.abs_divergence[0]
+        divs = [
+            approximate_posterior_pitfall(data, prior, [e_tail]).abs_divergence[0]
+            for data, _ in resample_backgrounds(world, n1, n2, n_trials, seed, stream=k)
+        ]
         medians.append(float(np.median(divs)))
     return tuple(medians)
 

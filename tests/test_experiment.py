@@ -15,6 +15,7 @@ from bayescal import (
     ValidationError,
     confidence_curve,
     generate_scores,
+    resample_backgrounds,
     run_experiment,
     weighted_error_rate,
 )
@@ -54,6 +55,21 @@ class TestGenerateScores:
         np.testing.assert_array_equal(a, b)
 
 
+class TestResampleBackgrounds:
+    def test_trial_t_draws_from_seed_stream_t(self):
+        cfg = GeneratorConfig()
+        trials = list(resample_backgrounds(cfg, 3, 4, trials=3, seed=7, stream=2))
+        assert len(trials) == 3
+        for t, (data, _) in enumerate(trials):
+            rng = np.random.default_rng([7, 2, t])
+            np.testing.assert_array_equal(data.h1_scores, rng.normal(2.0, 1.0, 3))
+            np.testing.assert_array_equal(data.h2_scores, rng.normal(-2.0, 1.0, 4))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError):
+            next(resample_backgrounds(GeneratorConfig(), 3, 3, trials=1, seed=-1, stream=0))
+
+
 class TestWeightedErrorRate:
     def test_perfect_separation(self):
         assert weighted_error_rate([5.0, 8.0], [-6.0, -9.0], 0.0) == 0.0
@@ -88,8 +104,10 @@ class TestWeightedErrorRate:
         llr1, llr2 = rng.normal(2, 3, 500), rng.normal(-2, 3, 500)
         grid = np.asarray(DEFAULT_PRIOR_GRID)
         vectorized = _errors_over_grid(llr1, llr2, grid)
-        scalar = [weighted_error_rate(llr1, llr2, g) for g in grid]
-        np.testing.assert_allclose(vectorized, scalar, rtol=1e-12)
+        direct = [
+            expit(g) * np.mean(llr1 <= -g) + (1 - expit(g)) * np.mean(llr2 > -g) for g in grid
+        ]
+        np.testing.assert_allclose(vectorized, direct, rtol=1e-12)
 
 
 class TestExperimentConfig:
@@ -117,6 +135,17 @@ class TestRunExperiment:
         b = run_experiment(gen, exp)
         np.testing.assert_array_equal(a.error_plugin, b.error_plugin)
         np.testing.assert_array_equal(a.error_bayes, b.error_bayes)
+
+    def test_adjacent_seeds_draw_different_backgrounds(self):
+        # seeds differing only in bits below `trials` must not share trials
+        a, b = (
+            run_experiment(
+                GeneratorConfig(),
+                ExperimentConfig(n1=9, n2=27, trials=64, n_test_per_class=200, seed=s),
+            )
+            for s in (100, 101)
+        )
+        assert np.max(np.abs(a.error_bayes - b.error_bayes)) > 1e-6
 
     def test_single_trial_reruns_bit_identical(self):
         gen = GeneratorConfig()

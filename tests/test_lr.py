@@ -234,3 +234,12 @@ class TestLrDistributionDemo:
         b = lr_distribution_demo(4.0, GeneratorConfig(), 9, 27, trials=5, seed=8)
         np.testing.assert_array_equal(a.plugin_log_lr_per_trial, b.plugin_log_lr_per_trial)
         np.testing.assert_array_equal(a.bayes_log_lr_per_trial, b.bayes_log_lr_per_trial)
+
+    def test_adjacent_seeds_draw_different_backgrounds(self):
+        # seeds differing only in bits below `trials` must not share trials
+        a, b = (
+            lr_distribution_demo(4.0, GeneratorConfig(), 9, 27, trials=16, seed=s) for s in (0, 1)
+        )
+        assert not np.array_equal(
+            np.sort(a.plugin_log_lr_per_trial), np.sort(b.plugin_log_lr_per_trial)
+        )
