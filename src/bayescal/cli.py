@@ -21,10 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .conjugate import NormalGammaParams, default_noninformative_prior
+from .conjugate import NONINFORMATIVE_PRIOR, NormalGammaParams
 from .errors import ScoreFileError, ValidationError
 from .experiment import (
-    DEFAULT_PRIOR_GRID,
     ExperimentConfig,
     confidence_curve,
     lr_distribution_demo,
@@ -44,18 +43,11 @@ from .verification import QuadratureSpec, run_verification_suite
 
 _LOG10 = math.log(10.0)
 
-_PRIOR_DEFAULTS = dataclasses.asdict(default_noninformative_prior())
+_PRIOR_DEFAULTS = dataclasses.asdict(NONINFORMATIVE_PRIOR)
 
 _GENERATOR_DEFAULTS = dataclasses.asdict(GeneratorConfig())
 
-_EXPERIMENT_DEFAULTS = {
-    "n1": 9,
-    "n2": 27,
-    "trials": 1000,
-    "n_test_per_class": 10000,
-    "seed": 0,
-    "prior_grid": [float(g) for g in DEFAULT_PRIOR_GRID],
-}
+_EXPERIMENT_DEFAULTS = dataclasses.asdict(ExperimentConfig(n1=9, n2=27))
 
 _CONFIDENCE_DEFAULTS = {
     "sizes": [[9, 27], [30, 405], [300, 4050]],
@@ -194,26 +186,16 @@ def cmd_decide(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = QuadratureSpec(
-        mu_halfwidth_sds=args.mu_halfwidth,
-        lambda_quantile_eps=args.lambda_quantile_eps,
-        grid_mu=args.grid_mu,
-        grid_lambda=args.grid_lambda,
-    )
-    report = run_verification_suite(
-        seed=args.seed,
-        n_posteriors=args.posteriors,
-        n_e=args.e_points,
-        n_joint_cases=args.joint_cases,
-        n_theta_samples=args.theta_samples,
-        n_theta_datasets=args.theta_datasets,
-        n_pitfall_trials=args.pitfall_trials,
-        spec=spec,
-    )
+    # only the flags given are in ``args``; the rest keep the library defaults
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    report_path = options.pop("report", None)
+    spec_fields = {f.name for f in dataclasses.fields(QuadratureSpec)}
+    spec = QuadratureSpec(**{k: options.pop(k) for k in spec_fields & options.keys()})
+    report = run_verification_suite(spec=spec, **options)
     payload = report.to_dict()
     _print_json(payload)
-    if args.report is not None:
-        with open(args.report, "w") as fh:
+    if report_path is not None:
+        with open(report_path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0 if report.ok else 5
@@ -362,19 +344,22 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_prior_flags(p)
     p.set_defaults(func=cmd_decide)
 
-    p = sub.add_parser("verify", help="run the quadrature oracle suite")
-    p.add_argument("--report", default=None, help="write the JSON report here too")
-    p.add_argument("--seed", type=int, default=20260810)
-    p.add_argument("--posteriors", type=int, default=50)
-    p.add_argument("--e-points", type=int, default=17)
-    p.add_argument("--joint-cases", type=int, default=20)
-    p.add_argument("--theta-samples", type=int, default=10_000)
-    p.add_argument("--theta-datasets", type=int, default=5)
-    p.add_argument("--pitfall-trials", type=int, default=200)
-    p.add_argument("--mu-halfwidth", type=float, default=12.0)
-    p.add_argument("--lambda-quantile-eps", type=float, default=1e-8)
-    p.add_argument("--grid-mu", type=int, default=2001)
-    p.add_argument("--grid-lambda", type=int, default=2001)
+    # dests are the keyword names of run_verification_suite and QuadratureSpec
+    p = sub.add_parser(
+        "verify", help="run the quadrature oracle suite", argument_default=argparse.SUPPRESS
+    )
+    p.add_argument("--report", help="write the JSON report here too")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--posteriors", type=int, dest="n_posteriors")
+    p.add_argument("--e-points", type=int, dest="n_e")
+    p.add_argument("--joint-cases", type=int, dest="n_joint_cases")
+    p.add_argument("--theta-samples", type=int, dest="n_theta_samples")
+    p.add_argument("--theta-datasets", type=int, dest="n_theta_datasets")
+    p.add_argument("--pitfall-trials", type=int, dest="n_pitfall_trials")
+    p.add_argument("--mu-halfwidth", type=float, dest="mu_halfwidth_sds")
+    p.add_argument("--lambda-quantile-eps", type=float)
+    p.add_argument("--grid-mu", type=int)
+    p.add_argument("--grid-lambda", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="error-rate and confidence experiments")

@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from .conjugate import NormalGammaParams, default_noninformative_prior
+from .conjugate import NONINFORMATIVE_PRIOR, NormalGammaParams
 from .errors import ValidationError
 from .lr import LrMethod, bayes_log_lr_array, class_predictives, plugin_log_lr_array
 from .scores import DEFAULT_VARIANCE_FLOOR, Hypothesis, fit_plugin
@@ -109,6 +108,16 @@ def weighted_error_rate(llrs_h1, llrs_h2, prior_log_odds: float) -> float:
     return float(_errors_over_grid(llrs_h1, llrs_h2, np.array([prior_log_odds], dtype=float))[0])
 
 
+def _logistic(grid: np.ndarray) -> np.ndarray:
+    """pi1 = 1 / (1 + exp(-g)) at each prior log-odds point.
+
+    Per element through ``math.exp``, the C library's exp: ``np.exp`` has its
+    own vectorized routine, which differs by an ulp at some points of
+    ``DEFAULT_PRIOR_GRID`` and would move the error curves' last digits.
+    """
+    return np.array([1.0 / (1.0 + math.exp(-g)) for g in grid])
+
+
 def _errors_over_grid(llrs_h1, llrs_h2, grid: np.ndarray) -> np.ndarray:
     """weighted_error_rate at every prior log-odds point of ``grid``."""
     thresholds = -grid
@@ -118,21 +127,19 @@ def _errors_over_grid(llrs_h1, llrs_h2, grid: np.ndarray) -> np.ndarray:
         raise ValidationError("both llr lists must be nonempty")
     p_miss = np.searchsorted(sorted_h1, thresholds, side="right") / sorted_h1.size
     p_fa = 1.0 - np.searchsorted(sorted_h2, thresholds, side="right") / sorted_h2.size
-    pi1 = expit(grid)
+    pi1 = _logistic(grid)
     return pi1 * p_miss + (1.0 - pi1) * p_fa
 
 
 def run_experiment(
     gen: GeneratorConfig,
     exp: ExperimentConfig,
-    prior: NormalGammaParams | None = None,
+    prior: NormalGammaParams = NONINFORMATIVE_PRIOR,
     variance_floor: float = DEFAULT_VARIANCE_FLOOR,
 ) -> ErrorCurve:
     """Average both methods' error-rate curves over resampled backgrounds."""
-    if prior is None:
-        prior = default_noninformative_prior()
     grid = np.asarray(exp.prior_grid, dtype=float)
-    pi1 = expit(grid)
+    pi1 = _logistic(grid)
     baseline = np.minimum(pi1, 1.0 - pi1)
 
     per_trial_plugin: list[np.ndarray] = []
@@ -194,7 +201,7 @@ def confidence_curve(
     trials: int,
     seed: int,
     n_test_per_class: int = 2000,
-    prior: NormalGammaParams | None = None,
+    prior: NormalGammaParams = NONINFORMATIVE_PRIOR,
     variance_floor: float = DEFAULT_VARIANCE_FLOOR,
 ) -> tuple[ConfidencePoint, ...]:
     """Mean hypothesis-conditional log-LRs per method across background sizes.
@@ -207,8 +214,6 @@ def confidence_curve(
         raise ValidationError("sizes must not be empty")
     if trials < 2:
         raise ValidationError("trials must be >= 2")
-    if prior is None:
-        prior = default_noninformative_prior()
 
     points: list[ConfidencePoint] = []
     for k, (n1, n2) in enumerate(sizes):
@@ -268,7 +273,7 @@ def lr_distribution_demo(
     n2: int,
     trials: int,
     seed: int,
-    prior: NormalGammaParams | None = None,
+    prior: NormalGammaParams = NONINFORMATIVE_PRIOR,
     variance_floor: float = DEFAULT_VARIANCE_FLOOR,
 ) -> LrDistributionReport:
     """Resample background databases and tabulate both log-LRs at a fixed score.
@@ -281,8 +286,6 @@ def lr_distribution_demo(
         raise ValidationError(f"trials must be >= 2, got {trials}")
     if n1 < 2 or n2 < 2:
         raise ValidationError("n1 and n2 must be >= 2 so each database supports a plugin fit")
-    if prior is None:
-        prior = default_noninformative_prior()
 
     plugin_vals = np.empty(trials)
     bayes_vals = np.empty(trials)

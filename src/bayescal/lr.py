@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 from .conjugate import (
+    NONINFORMATIVE_PRIOR,
     NormalGammaParams,
     StudentT,
-    default_noninformative_prior,
     normal_gamma_log_density,
     posterior_update,
     predictive,
@@ -119,14 +119,12 @@ def bayes_log_lr_array(e, pred1: StudentT, pred2: StudentT):
 
 
 def bayes_log_lr(
-    e: float, data: BackgroundData, prior: NormalGammaParams | None = None
+    e: float, data: BackgroundData, prior: NormalGammaParams = NONINFORMATIVE_PRIOR
 ) -> LogLR:
     """Bayesian log-LR: ratio of the class posterior-predictive densities.
 
     Either class may be empty, in which case its prior predictive is used.
     """
-    if prior is None:
-        prior = default_noninformative_prior()
     pred1, pred2 = class_predictives(data, prior)
     return LogLR(float(bayes_log_lr_array(e, pred1, pred2)), LrMethod.BAYESIAN)
 

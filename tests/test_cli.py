@@ -2,11 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bayescal
+import bayescal.cli
 from bayescal.cli import main
+from bayescal.verification import QuadratureSpec, VerificationReport
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -160,6 +166,34 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, *self.QUICK, "--report", str(blocker / "r.json"))
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            ([], {"spec": QuadratureSpec()}),
+            (["--seed", "5", "--grid-mu", "301"], {"seed": 5, "spec": QuadratureSpec(grid_mu=301)}),
+            (
+                ["--posteriors", "2", "--e-points", "3", "--joint-cases", "4",
+                 "--theta-samples", "5", "--theta-datasets", "6", "--pitfall-trials", "7",
+                 "--mu-halfwidth", "8", "--lambda-quantile-eps", "1e-9",
+                 "--grid-lambda", "303"],
+                {"n_posteriors": 2, "n_e": 3, "n_joint_cases": 4, "n_theta_samples": 5,
+                 "n_theta_datasets": 6, "n_pitfall_trials": 7,
+                 "spec": QuadratureSpec(8.0, 1e-9, 2001, 303)},
+            ),
+        ],
+    )
+    def test_flags_not_given_keep_library_defaults(self, flags, expected, monkeypatch, capsys):
+        calls = []
+
+        def fake_suite(**kwargs):
+            calls.append(kwargs)
+            return VerificationReport(checks=(), config={})
+
+        monkeypatch.setattr(bayescal.cli, "run_verification_suite", fake_suite)
+        code, _, _ = run_cli(capsys, "verify", *flags)
+        assert code == 0
+        assert calls == [expected]
+
 
 class TestSimulateCommand:
     SMALL_CONFIG = {
@@ -273,3 +307,30 @@ class TestTopLevel:
             "--config", str(cfg),
         )
         assert code == 2
+
+
+def test_scoring_commands_load_no_scipy(tmp_path, background):
+    """Only the quadrature oracles need scipy; scoring runs without loading it."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TestSimulateCommand.SMALL_CONFIG))
+    runs = [
+        ["llr", "--background", background, "--score", "1.0"],
+        ["decide", "--background", background, "--score", "1.0", "--pi1", "0.5"],
+        ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")],
+        ["lr-distribution", "--score", "1.0", "--trials", "5"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import bayescal.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [bayescal.cli.main(argv) for argv in {runs!r}]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(bayescal.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    codes, scipy_modules = json.loads(done.stdout)
+    assert codes == [0, 0, 0, 0]
+    assert scipy_modules == []

@@ -145,6 +145,19 @@ class TestStudentTLogDensity:
         expected = scipy.stats.t.logpdf(e, df=t.dof, loc=t.location, scale=t.scale)
         np.testing.assert_allclose(student_t_log_density(t, e), expected, rtol=1e-12)
 
+    def test_matches_scipy_up_to_huge_dof(self):
+        # the normalizer log Gamma((nu+1)/2) - log Gamma(nu/2) must not come from
+        # subtracting two log-gammas: that is 3 nats off at nu = 1e15. The
+        # bound is 1e-10 because scipy's own value is off by up to 1.5e-11
+        # near nu = 1.6e4.
+        z = np.linspace(-30.0, 30.0, 61)
+        for nu in np.geomspace(0.02, 1e15, 80):
+            t = StudentT(0.3, 1.7, float(nu))
+            e = t.location + z * t.scale
+            ref = scipy.stats.t.logpdf(e, df=t.dof, loc=t.location, scale=t.scale)
+            err = np.abs(student_t_log_density(t, e) - ref)
+            assert np.all(err <= 1e-10 * np.maximum(1.0, np.abs(ref))), (nu, err.max())
+
     def test_invalid_parameters(self):
         with pytest.raises(ValidationError):
             StudentT(0.0, 0.0, 1.0)
