@@ -363,7 +363,13 @@ def empty_evidence_normalization(
     return abs(quadrature_joint_evidence(prior, [], None, spec))
 
 
-def _spec_shift(n_posteriors, seed, spec, other, offsets) -> float:
+def _spec_shift(
+    n_posteriors: int,
+    seed: int,
+    spec: QuadratureSpec,
+    other: QuadratureSpec,
+    offsets: tuple[float, ...],
+) -> float:
     """Max |quadrature_predictive under ``spec`` minus under ``other``|.
 
     Probed at e = location + k * scale of each random posterior's predictive,
