@@ -5,7 +5,8 @@ echoes its fully resolved configuration so outputs are regenerable. Config
 precedence is flags > config file > built-in defaults.
 
 Exit codes: 0 success, 2 input parsing, 3 validation or precondition,
-4 output I/O, 5 verification tolerance breach.
+4 file I/O (an input that cannot be read or an output that cannot be
+written), 5 verification tolerance breach.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ from .verification import QuadratureSpec, run_verification_suite
 
 _LOG10 = math.log(10.0)
 
-_PRIOR_DEFAULTS = dataclasses.asdict(NONINFORMATIVE_PRIOR)
-
-_GENERATOR_DEFAULTS = dataclasses.asdict(GeneratorConfig())
-
 _EXPERIMENT_DEFAULTS = dataclasses.asdict(ExperimentConfig(n1=9, n2=27))
 
 _CONFIDENCE_DEFAULTS = {
@@ -55,6 +52,16 @@ _CONFIDENCE_DEFAULTS = {
     "n_test_per_class": 2000,
     "seed": 1,
 }
+
+_SECTIONS = {
+    "prior": dataclasses.asdict(NONINFORMATIVE_PRIOR),
+    "generator": dataclasses.asdict(GeneratorConfig()),
+    "experiment": _EXPERIMENT_DEFAULTS,
+    "confidence": _CONFIDENCE_DEFAULTS,
+}
+
+# the top level of a config file: one object per section, and the floor
+_CONFIG_DEFAULTS = {**_SECTIONS, "variance_floor": DEFAULT_VARIANCE_FLOOR}
 
 
 def _print_json(payload: dict) -> None:
@@ -74,71 +81,93 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _merge(defaults: dict, *layers: dict) -> dict:
+def _coerce(default, value):
+    """``value`` as the type of ``default``: a section stays an object, a
+    sequence is coerced element by element (inner lists keep the default's
+    length), a number is converted. Raises TypeError, ValueError or
+    OverflowError."""
+    if isinstance(default, dict) and isinstance(value, dict):
+        return value
+    if isinstance(default, (list, tuple)) and isinstance(value, (list, tuple)):
+        items = [_coerce(default[0], v) for v in value]
+        if all(len(v) == len(default[0]) for v in items if isinstance(v, list)):
+            return type(default)(items)
+    if isinstance(default, (int, float)):
+        return type(default)(value)
+    raise TypeError(value)
+
+
+def _resolve(defaults: dict, given: dict, flags: dict, where: str) -> dict:
+    """``defaults``, overridden by the config-file object ``given``, then by
+    the ``flags`` that are not None; each value coerced to its default's type.
+
+    ``where`` prefixes error messages (the file and the section).
+    """
+    unknown = sorted(given.keys() - defaults.keys())
+    if unknown:
+        raise ValidationError(
+            f"{where}{unknown[0]}: unknown key; expected one of {', '.join(sorted(defaults))}"
+        )
     out = dict(defaults)
-    for layer in layers:
-        out.update({k: v for k, v in layer.items() if v is not None})
+    for key, value in [*given.items(), *((k, flags.get(k)) for k in defaults)]:
+        if value is None:
+            continue
+        try:
+            out[key] = _coerce(defaults[key], value)
+        except (TypeError, ValueError, OverflowError):
+            kind = {dict: "a JSON object", list: "a list of [n1, n2] pairs",
+                    tuple: "a list of numbers", int: "an integer"}
+            raise ValidationError(
+                f"{where}{key}: expected {kind.get(type(defaults[key]), 'a number')}, "
+                f"got {json.dumps(value)}"
+            ) from None
     return out
 
 
-def _resolve_prior(args, file_cfg: dict) -> dict:
-    flags = {k: getattr(args, k) for k in ("mu0", "beta", "a", "b")}
-    return _merge(_PRIOR_DEFAULTS, file_cfg.get("prior", {}), flags)
+def _configure(args) -> dict:
+    """Every section and the variance floor: defaults < config file < flags.
 
-
-def _resolve_variance_floor(args, file_cfg: dict) -> float:
-    if args.variance_floor is not None:
-        return args.variance_floor
-    return float(file_cfg.get("variance_floor", DEFAULT_VARIANCE_FLOOR))
-
-
-def _prior_from(resolved: dict) -> NormalGammaParams:
-    return NormalGammaParams(
-        float(resolved["mu0"]), float(resolved["beta"]), float(resolved["a"]), float(resolved["b"])
-    )
+    The whole file is checked, whichever sections the command reads. Flag
+    dests are the keys they set; no flag sets ``confidence`` (simulate's
+    --seed, --trials and --n-test are the experiment's).
+    """
+    where = f"{args.config}: "
+    flags = vars(args)
+    cfg = _resolve(_CONFIG_DEFAULTS, _load_config(args.config), flags, where)
+    for name, defaults in _SECTIONS.items():
+        section_flags = {} if name == "confidence" else flags
+        cfg[name] = _resolve(defaults, cfg[name], section_flags, f"{where}{name}.")
+    return cfg
 
 
 def _add_prior_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mu0", type=float, default=None, help="prior location")
-    p.add_argument("--beta", type=float, default=None, help="prior location-precision scaling")
-    p.add_argument("--a", type=float, default=None, help="prior gamma shape")
-    p.add_argument("--b", type=float, default=None, help="prior gamma rate")
-    p.add_argument("--variance-floor", type=float, default=None, help="plugin ML variance floor")
-    p.add_argument("--config", default=None, help="JSON config file")
+    p.add_argument("--mu0", type=float, help="prior location")
+    p.add_argument("--beta", type=float, help="prior location-precision scaling")
+    p.add_argument("--a", type=float, help="prior gamma shape")
+    p.add_argument("--b", type=float, help="prior gamma rate")
+    p.add_argument("--variance-floor", type=float, help="plugin ML variance floor")
+    p.add_argument("--config", help="JSON config file")
 
 
 def _add_generator_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gen-mu1", type=float, default=None, help="true H1 score mean")
-    p.add_argument("--gen-mu2", type=float, default=None, help="true H2 score mean")
-    p.add_argument("--gen-sigma1", type=float, default=None, help="true H1 score std")
-    p.add_argument("--gen-sigma2", type=float, default=None, help="true H2 score std")
-    p.add_argument("--shift-location", type=float, default=None, help="test-set shift offset")
-    p.add_argument("--shift-scale", type=float, default=None, help="test-set shift scale")
-
-
-def _resolve_generator(args, file_cfg: dict) -> dict:
-    flags = {
-        "mu1_true": args.gen_mu1,
-        "mu2_true": args.gen_mu2,
-        "sigma1_true": args.gen_sigma1,
-        "sigma2_true": args.gen_sigma2,
-        "shift_location": args.shift_location,
-        "shift_scale": args.shift_scale,
-    }
-    return _merge(_GENERATOR_DEFAULTS, file_cfg.get("generator", {}), flags)
+    p.add_argument("--gen-mu1", type=float, dest="mu1_true", help="true H1 score mean")
+    p.add_argument("--gen-mu2", type=float, dest="mu2_true", help="true H2 score mean")
+    p.add_argument("--gen-sigma1", type=float, dest="sigma1_true", help="true H1 score std")
+    p.add_argument("--gen-sigma2", type=float, dest="sigma2_true", help="true H2 score std")
+    p.add_argument("--shift-location", type=float, help="test-set shift offset")
+    p.add_argument("--shift-scale", type=float, help="test-set shift scale")
 
 
 def cmd_llr(args) -> int:
-    file_cfg = _load_config(args.config)
-    prior_cfg = _resolve_prior(args, file_cfg)
-    floor = _resolve_variance_floor(args, file_cfg)
+    cfg = _configure(args)
+    floor = cfg["variance_floor"]
     data = load_background_csv(args.background)
     payload: dict = {
         "score": float(args.score),
         "method": args.method,
         "n1": data.n1,
         "n2": data.n2,
-        "prior": prior_cfg,
+        "prior": cfg["prior"],
         "variance_floor": floor,
     }
     if args.method in ("plugin", "both"):
@@ -146,7 +175,7 @@ def cmd_llr(args) -> int:
         payload["log_lr_plugin"] = llr_p.value
         payload["log10_lr_plugin"] = llr_p.log10
     if args.method in ("bayes", "both"):
-        llr_b = bayes_log_lr(args.score, data, _prior_from(prior_cfg))
+        llr_b = bayes_log_lr(args.score, data, NormalGammaParams(**cfg["prior"]))
         payload["log_lr_bayes"] = llr_b.value
         payload["log10_lr_bayes"] = llr_b.log10
     _print_json(payload)
@@ -154,16 +183,15 @@ def cmd_llr(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    file_cfg = _load_config(args.config)
-    prior_cfg = _resolve_prior(args, file_cfg)
-    floor = _resolve_variance_floor(args, file_cfg)
+    cfg = _configure(args)
+    floor = cfg["variance_floor"]
     trial_prior = TrialPrior(args.pi1)
-    policy = DecisionPolicy(args.cost_false_convict, args.cost_false_acquit)
+    policy = DecisionPolicy(**_resolve(dataclasses.asdict(DecisionPolicy()), {}, vars(args), ""))
     data = load_background_csv(args.background)
     if args.method == "plugin":
         llr = plugin_log_lr(args.score, fit_plugin(data, floor))
     else:
-        llr = bayes_log_lr(args.score, data, _prior_from(prior_cfg))
+        llr = bayes_log_lr(args.score, data, NormalGammaParams(**cfg["prior"]))
     post = posterior_log_odds(llr, trial_prior)
     verdict = decide(post, policy)
     _print_json(
@@ -173,7 +201,7 @@ def cmd_decide(args) -> int:
             "pi1": trial_prior.pi1,
             "cost_false_convict": policy.cost_false_convict,
             "cost_false_acquit": policy.cost_false_acquit,
-            "prior": prior_cfg,
+            "prior": cfg["prior"],
             "variance_floor": floor,
             "log_lr": llr.value,
             "log10_lr": llr.log10,
@@ -209,39 +237,14 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def cmd_simulate(args) -> int:
-    file_cfg = _load_config(args.config)
-    prior_cfg = _resolve_prior(args, file_cfg)
-    floor = _resolve_variance_floor(args, file_cfg)
-    gen_cfg = _resolve_generator(args, file_cfg)
-    exp_cfg = _merge(
-        _EXPERIMENT_DEFAULTS,
-        file_cfg.get("experiment", {}),
-        {"n1": args.n1, "n2": args.n2, "trials": args.trials,
-         "n_test_per_class": args.n_test, "seed": args.seed},
-    )
-    conf_cfg = _merge(_CONFIDENCE_DEFAULTS, file_cfg.get("confidence", {}))
-
-    gen = GeneratorConfig(**{k: float(v) for k, v in gen_cfg.items()})
-    exp = ExperimentConfig(
-        n1=int(exp_cfg["n1"]),
-        n2=int(exp_cfg["n2"]),
-        trials=int(exp_cfg["trials"]),
-        prior_grid=tuple(float(g) for g in exp_cfg["prior_grid"]),
-        n_test_per_class=int(exp_cfg["n_test_per_class"]),
-        seed=int(exp_cfg["seed"]),
-    )
-    prior = _prior_from(prior_cfg)
+    cfg = _configure(args)
+    floor = cfg["variance_floor"]
+    gen = GeneratorConfig(**cfg["generator"])
+    exp = ExperimentConfig(**cfg["experiment"])
+    prior = NormalGammaParams(**cfg["prior"])
 
     curve = run_experiment(gen, exp, prior, floor)
-    points = confidence_curve(
-        gen,
-        [(int(n1), int(n2)) for n1, n2 in conf_cfg["sizes"]],
-        trials=int(conf_cfg["trials"]),
-        seed=int(conf_cfg["seed"]),
-        n_test_per_class=int(conf_cfg["n_test_per_class"]),
-        prior=prior,
-        variance_floor=floor,
-    )
+    points = confidence_curve(gen, **cfg["confidence"], prior=prior, variance_floor=floor)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -269,11 +272,7 @@ def cmd_simulate(args) -> int:
     )
     meta = {
         "version": __version__,
-        "generator": gen_cfg,
-        "experiment": exp_cfg,
-        "confidence": conf_cfg,
-        "prior": prior_cfg,
-        "variance_floor": floor,
+        **cfg,
         "trials_used": curve.trials_used,
         "degenerate_trials": curve.degenerate_trials,
     }
@@ -284,32 +283,26 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_lr_distribution(args) -> int:
-    file_cfg = _load_config(args.config)
-    prior_cfg = _resolve_prior(args, file_cfg)
-    floor = _resolve_variance_floor(args, file_cfg)
-    gen_cfg = _resolve_generator(args, file_cfg)
-    world = GeneratorConfig(**{k: float(v) for k, v in gen_cfg.items()})
+    cfg = _configure(args)
+    # simulate's experiment defaults, then flags; the file's experiment
+    # section belongs to simulate alone
+    exp = _resolve(_EXPERIMENT_DEFAULTS, {}, vars(args), "")
+    runs = {k: exp[k] for k in ("n1", "n2", "trials", "seed")}
     report = lr_distribution_demo(
         e=args.score,
-        world=world,
-        n1=args.n1,
-        n2=args.n2,
-        trials=args.trials,
-        seed=args.seed,
-        prior=_prior_from(prior_cfg),
-        variance_floor=floor,
+        world=GeneratorConfig(**cfg["generator"]),
+        **runs,
+        prior=NormalGammaParams(**cfg["prior"]),
+        variance_floor=cfg["variance_floor"],
     )
     bayes_vals = [float(v) for v in report.bayes_log_lr_per_trial]
     _print_json(
         {
             "score": float(args.score),
-            "generator": gen_cfg,
-            "prior": prior_cfg,
-            "variance_floor": floor,
-            "n1": args.n1,
-            "n2": args.n2,
-            "trials": args.trials,
-            "seed": args.seed,
+            "generator": cfg["generator"],
+            "prior": cfg["prior"],
+            "variance_floor": cfg["variance_floor"],
+            **runs,
             "mu": report.mu,
             "sigma": report.sigma,
             "mean_bayes_log_lr": float(np.mean(bayes_vals)),
@@ -339,8 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--score", type=float, required=True)
     p.add_argument("--method", choices=["plugin", "bayes"], default="bayes")
     p.add_argument("--pi1", type=float, required=True, help="prior P(H1), in (0,1)")
-    p.add_argument("--cost-false-convict", type=float, default=1.0)
-    p.add_argument("--cost-false-acquit", type=float, default=1.0)
+    p.add_argument("--cost-false-convict", type=float)
+    p.add_argument("--cost-false-acquit", type=float)
     _add_prior_flags(p)
     p.set_defaults(func=cmd_decide)
 
@@ -364,11 +357,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="error-rate and confidence experiments")
     p.add_argument("--out-dir", required=True, help="directory for curve.csv etc.")
-    p.add_argument("--n1", type=int, default=None)
-    p.add_argument("--n2", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--n-test", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n1", type=int)
+    p.add_argument("--n2", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--n-test", type=int, dest="n_test_per_class")
+    p.add_argument("--seed", type=int)
     _add_generator_flags(p)
     _add_prior_flags(p)
     p.set_defaults(func=cmd_simulate)
@@ -378,10 +371,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="plugin log-LR spread over resampled backgrounds vs Bayesian log-LR",
     )
     p.add_argument("--score", type=float, required=True)
-    p.add_argument("--n1", type=int, default=9)
-    p.add_argument("--n2", type=int, default=27)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n1", type=int)
+    p.add_argument("--n2", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
     _add_generator_flags(p)
     _add_prior_flags(p)
     p.set_defaults(func=cmd_lr_distribution)

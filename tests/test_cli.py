@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: outputs, exit codes, and reproducibility."""
 
+import inspect
 import json
 import math
 import os
@@ -7,11 +8,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bayescal
 import bayescal.cli
+from bayescal import GeneratorConfig, LrDistributionReport, NormalGammaParams
 from bayescal.cli import main
+from bayescal.conjugate import NONINFORMATIVE_PRIOR
+from bayescal.scores import DEFAULT_VARIANCE_FLOOR
 from bayescal.verification import QuadratureSpec, VerificationReport
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -295,6 +300,114 @@ class TestLrDistributionCommand:
         assert code == 3
 
 
+class TestFlagsReachLibrary:
+    """Each flag's dest is the config key it sets; the library is called with
+    the resolved values, and a flag not given leaves the default in place."""
+
+    @staticmethod
+    def _record(monkeypatch, name, result=None):
+        """Replace ``bayescal.cli.<name>`` by a recorder of its bound arguments
+        that returns ``result``, or the real function's result if None."""
+        real = getattr(bayescal.cli, name)
+        calls = []
+
+        def recorder(*args, **kwargs):
+            calls.append(inspect.signature(real).bind(*args, **kwargs).arguments)
+            return real(*args, **kwargs) if result is None else result
+
+        monkeypatch.setattr(bayescal.cli, name, recorder)
+        return calls
+
+    def test_simulate_flags_reach_experiment_not_confidence(self, tmp_path, monkeypatch, capsys):
+        experiments = self._record(monkeypatch, "run_experiment")
+        confidences = self._record(monkeypatch, "confidence_curve")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(TestSimulateCommand.SMALL_CONFIG))
+        code, _, _ = run_cli(
+            capsys, "simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+            "--n-test", "50", "--gen-mu2", "-1", "--variance-floor", "1e-4", "--beta", "0.5",
+            "--seed", "11",
+        )
+        assert code == 0
+        [run], [conf] = experiments, confidences
+        prior = NormalGammaParams(0.0, 0.5, 0.01, 0.01)
+        assert run["exp"].n_test_per_class == 50 and run["exp"].seed == 11
+        assert run["gen"] == GeneratorConfig(mu2_true=-1.0)
+        assert (run["prior"], run["variance_floor"]) == (prior, 1e-4)
+        assert conf["gen"] == GeneratorConfig(mu2_true=-1.0)
+        assert (conf["prior"], conf["variance_floor"]) == (prior, 1e-4)
+        # --seed and --n-test set the experiment's; the confidence section keeps its own
+        assert (conf["seed"], conf["n_test_per_class"], conf["trials"]) == (3, 100, 2)
+
+    def test_lr_distribution_sizes_default_to_simulate_experiment(self, monkeypatch, capsys):
+        report = LrDistributionReport(0.0, 0.0, np.zeros(1), np.zeros(1))
+        calls = self._record(monkeypatch, "lr_distribution_demo", report)
+        code, out, _ = run_cli(capsys, "lr-distribution", "--score", "1.0")
+        assert code == 0
+        assert calls == [
+            {"e": 1.0, "world": GeneratorConfig(), "n1": 9, "n2": 27, "trials": 1000, "seed": 0,
+             "prior": NONINFORMATIVE_PRIOR, "variance_floor": DEFAULT_VARIANCE_FLOOR}
+        ]
+        payload = json.loads(out)
+        assert [payload[k] for k in ("n1", "n2", "trials", "seed")] == [9, 27, 1000, 0]
+        # the defaults are simulate's experiment defaults, not parser literals
+        monkeypatch.setitem(bayescal.cli._EXPERIMENT_DEFAULTS, "trials", 7)
+        assert run_cli(capsys, "lr-distribution", "--score", "1.0", "--n2", "5")[0] == 0
+        assert (calls[-1]["n2"], calls[-1]["trials"]) == (5, 7)
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "cfg, named",
+        [
+            ({"generator": {"mu1_tru": 2.0}}, "generator.mu1_tru"),
+            ({"prior": {"alpha": 1.0}}, "prior.alpha"),
+            ({"experiment": {"n_test": 5}}, "experiment.n_test"),
+            ({"priors": {"a": 1.0}}, "priors"),
+            ({"prior": 5}, "prior"),
+            ({"confidence": [1, 2]}, "confidence"),
+            ({"generator": {"mu1_true": "abc"}}, "generator.mu1_true"),
+            ({"variance_floor": "x"}, "variance_floor"),
+            ({"experiment": {"prior_grid": 0.0}}, "experiment.prior_grid"),
+            ({"confidence": {"sizes": [[9, 27, 3]]}}, "confidence.sizes"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["llr", "lr-distribution"])
+    def test_malformed_config_exits_3_naming_the_key(
+        self, cfg, named, command, tmp_path, background, capsys
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = {"llr": ["llr", "--background", background], "lr-distribution":
+                ["lr-distribution", "--trials", "5"]}[command]
+        code, out, err = run_cli(capsys, *argv, "--score", "1.0", "--config", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {path}: {named}:")
+
+    def test_integer_literals_echo_as_floats(self, tmp_path, background, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"prior": {"a": 5}, "variance_floor": 1}))
+        code, out, _ = run_cli(
+            capsys, "llr", "--background", background, "--score", "1.0", "--config", str(path)
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert isinstance(payload["prior"]["a"], float) and payload["prior"]["a"] == 5.0
+        assert isinstance(payload["variance_floor"], float)
+
+    def test_null_values_keep_defaults(self, tmp_path, background, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"prior": {"a": None}, "variance_floor": None}))
+        code, out, _ = run_cli(
+            capsys, "llr", "--background", background, "--score", "1.0", "--config", str(path)
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["prior"]["a"] == 0.01
+        assert payload["variance_floor"] == DEFAULT_VARIANCE_FLOOR
+
+
 class TestTopLevel:
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == 2
@@ -307,6 +420,13 @@ class TestTopLevel:
             "--config", str(cfg),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--background", "--config"])
+    def test_unreadable_input_exits_4(self, flag, tmp_path, background, capsys):
+        argv = {"--background": background, "--score": "1.0", flag: str(tmp_path / "missing")}
+        code, _, err = run_cli(capsys, "llr", *[x for kv in argv.items() for x in kv])
+        assert code == 4
+        assert "missing" in err
 
 
 def test_scoring_commands_load_no_scipy(tmp_path, background):

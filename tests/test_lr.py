@@ -91,6 +91,21 @@ class TestBayesLogLr:
         backward = bayes_log_lr(e, data.swapped()).value
         assert abs(forward + backward) < 1e-10
 
+    @given(
+        st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=10),
+        st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=10),
+        st.floats(min_value=-1e6, max_value=1e6),
+    )
+    @settings(max_examples=100)
+    def test_class_swap_negates_both_log_lrs_exactly(self, h1, h2, e):
+        """Each log-LR is a difference of two per-class terms, and IEEE
+        subtraction is antisymmetric: a - b == -(b - a) bit for bit."""
+        data = BackgroundData(tuple(h1), tuple(h2))
+        swapped = data.swapped()
+        assert bayes_log_lr(e, swapped).value == -bayes_log_lr(e, data).value
+        plugin = plugin_log_lr(e, fit_plugin(data)).value
+        assert plugin_log_lr(e, fit_plugin(swapped)).value == -plugin
+
     def test_monotone_where_curvatures_allow(self):
         """With equal dof and scale, the log-LR rises in e near the locations.
 
