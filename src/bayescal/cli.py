@@ -38,7 +38,12 @@ from .lr import (
     plugin_log_lr,
     posterior_log_odds,
 )
-from .scores import DEFAULT_VARIANCE_FLOOR, fit_plugin, load_background_csv
+from .scores import (
+    DEFAULT_VARIANCE_FLOOR,
+    check_variance_floor,
+    fit_plugin,
+    load_background_csv,
+)
 from .synthetic import GeneratorConfig
 from .verification import QuadratureSpec, run_verification_suite
 
@@ -84,8 +89,8 @@ def _load_config(path: str | None) -> dict:
 def _coerce(default, value):
     """``value`` as the type of ``default``: a section stays an object, a
     sequence is coerced element by element (inner lists keep the default's
-    length), a number is converted. Raises TypeError, ValueError or
-    OverflowError."""
+    length), a number is converted; an integer must be integral (9.0, not
+    9.5). Raises TypeError, ValueError or OverflowError."""
     if isinstance(default, dict) and isinstance(value, dict):
         return value
     if isinstance(default, (list, tuple)) and isinstance(value, (list, tuple)):
@@ -93,7 +98,10 @@ def _coerce(default, value):
         if all(len(v) == len(default[0]) for v in items if isinstance(v, list)):
             return type(default)(items)
     if isinstance(default, (int, float)):
-        return type(default)(value)
+        number = type(default)(value)
+        if isinstance(default, int) and isinstance(value, float) and number != value:
+            raise ValueError(value)  # a fraction in an integer field
+        return number
     raise TypeError(value)
 
 
@@ -127,9 +135,10 @@ def _resolve(defaults: dict, given: dict, flags: dict, where: str) -> dict:
 def _configure(args) -> dict:
     """Every section and the variance floor: defaults < config file < flags.
 
-    The whole file is checked, whichever sections the command reads. Flag
-    dests are the keys they set; no flag sets ``confidence`` (simulate's
-    --seed, --trials and --n-test are the experiment's).
+    The whole file is checked, whichever sections the command reads, and
+    so are the prior and the floor, which every command echoes. Flag dests
+    are the keys they set; no flag sets ``confidence`` (simulate's --seed,
+    --trials and --n-test are the experiment's).
     """
     where = f"{args.config}: "
     flags = vars(args)
@@ -137,6 +146,8 @@ def _configure(args) -> dict:
     for name, defaults in _SECTIONS.items():
         section_flags = {} if name == "confidence" else flags
         cfg[name] = _resolve(defaults, cfg[name], section_flags, f"{where}{name}.")
+    NormalGammaParams(**cfg["prior"])
+    check_variance_floor(cfg["variance_floor"])
     return cfg
 
 

@@ -149,7 +149,7 @@ def decomposition_residual(
     data: BackgroundData,
     prior: NormalGammaParams,
     theta_sample: GaussianParams,
-) -> float:
+):
     """Pointwise check that the Bayesian log-LR splits into plugin + correction.
 
     For any parameter value theta, the Bayesian log-LR equals the plugin
@@ -159,6 +159,9 @@ def decomposition_residual(
     independent code paths (predictive densities on one side, Normal-Gamma
     densities at theta on the other) and returns the difference, which must
     vanish to float precision for every theta with positive precisions.
+
+    A ``theta_sample`` of equal-length arrays gives one residual per element,
+    each equal to the scalar call's bit for bit; scalars give a float.
     """
     stats_e = collect_stats([e])
     post1 = posterior_update(prior, collect_stats(data.h1_scores))
@@ -167,11 +170,11 @@ def decomposition_residual(
     post2_aug = posterior_update(post2, stats_e)
 
     log_rb = float(bayes_log_lr_array(e, predictive(post1), predictive(post2)))
-    log_rplug = float(plugin_log_lr_array(e, theta_sample))
+    log_rplug = plugin_log_lr_array(e, theta_sample)
     augmented_log_ratio = (
         normal_gamma_log_density(theta_sample.mu1, theta_sample.lambda1, post1)
         + normal_gamma_log_density(theta_sample.mu2, theta_sample.lambda2, post2_aug)
         - normal_gamma_log_density(theta_sample.mu1, theta_sample.lambda1, post1_aug)
         - normal_gamma_log_density(theta_sample.mu2, theta_sample.lambda2, post2)
     )
-    return log_rb - (log_rplug + float(augmented_log_ratio))
+    return log_rb - (log_rplug + augmented_log_ratio)

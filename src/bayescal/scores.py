@@ -112,22 +112,34 @@ class SufficientStats:
 
 @dataclass(frozen=True)
 class GaussianParams:
-    """Point-estimate Gaussian score model: a (mean, precision) pair per class."""
+    """Point-estimate Gaussian score model: a (mean, precision) pair per class.
 
-    mu1: float
-    mu2: float
-    lambda1: float
-    lambda2: float
+    The four fields may instead be equal-length arrays, one parameter value
+    per element; each element is checked as a scalar would be.
+    """
+
+    mu1: float | np.ndarray
+    mu2: float | np.ndarray
+    lambda1: float | np.ndarray
+    lambda2: float | np.ndarray
 
     def __post_init__(self):
+        fields = {
+            name: np.asarray(getattr(self, name), dtype=float)
+            for name in ("mu1", "mu2", "lambda1", "lambda2")
+        }
+        if len({v.shape for v in fields.values()}) > 1:
+            raise ValidationError("mu1, mu2, lambda1 and lambda2 must have the same shape")
         for name in ("mu1", "mu2"):
-            if not math.isfinite(getattr(self, name)):
+            if not np.isfinite(fields[name]).all():
                 raise ValidationError(f"{name} must be finite")
         for name in ("lambda1", "lambda2"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
+            v = fields[name]
+            bad = ~(np.isfinite(v) & (v > 0.0))
+            if bad.any():
+                shown = getattr(self, name) if v.ndim == 0 else v.flat[int(np.argmax(bad))].item()
                 raise ValidationError(
-                    f"{name} must be a finite, strictly positive precision, got {v!r}"
+                    f"{name} must be a finite, strictly positive precision, got {shown!r}"
                 )
 
 
@@ -150,6 +162,12 @@ def collect_stats(scores) -> SufficientStats:
     return SufficientStats(n, mean, ssd)
 
 
+def check_variance_floor(variance_floor: float) -> None:
+    """Raise ValidationError unless ``variance_floor`` is finite and > 0."""
+    if not (math.isfinite(variance_floor) and variance_floor > 0.0):
+        raise ValidationError(f"variance_floor must be > 0, got {variance_floor!r}")
+
+
 def fit_plugin(
     data: BackgroundData, variance_floor: float = DEFAULT_VARIANCE_FLOOR
 ) -> GaussianParams:
@@ -159,8 +177,7 @@ def fit_plugin(
     The ML (1/n) variance convention is used, not the bias-corrected 1/(n-1).
     Requires at least two scores per class.
     """
-    if not (math.isfinite(variance_floor) and variance_floor > 0.0):
-        raise ValidationError(f"variance_floor must be > 0, got {variance_floor!r}")
+    check_variance_floor(variance_floor)
     s1 = collect_stats(data.h1_scores)
     s2 = collect_stats(data.h2_scores)
     for name, s in (("H1", s1), ("H2", s2)):

@@ -26,6 +26,18 @@ Integrand values are always computed from the model's own log-densities, so
 the warping only places nodes; it cannot inject the closed-form answer.
 Accuracy is established by the grid-convergence and quantile-eps-convergence
 checks in the suite rather than asserted.
+
+Reduction. The grid is never held whole. It is evaluated in blocks of
+precision rows, about ``_BLOCK_NODES`` nodes each, so that a block's
+temporaries stay in cache. Each block is shifted by its own peak,
+exponentiated and summed pairwise with ``np.sum``; the block sums are
+combined by a log-sum-exp over the block peaks with ``math.fsum``. The
+result is bit-reproducible for a given grid and within a few ulps of a
+single-block evaluation.
+
+Sweeps. Each sweep reports its largest absolute discrepancy. A NaN
+discrepancy is not dropped: it makes the sweep's result NaN, which fails
+its check.
 """
 
 from __future__ import annotations
@@ -98,13 +110,21 @@ def _trapezoid_weights(step: float, count: int) -> np.ndarray:
     return w
 
 
+#: Quadrature nodes evaluated at a time. The integrand is computed over a
+#: block of whole precision rows, ``max(1, _BLOCK_NODES // grid_mu)`` of them.
+#: At 128 KiB per float64 temporary, a block's temporaries stay in a 1-2 MiB
+#: L2 cache instead of streaming a grid-sized array through memory once per
+#: arithmetic step. 8k to 32k measured alike; 4k and 48k were slower.
+_BLOCK_NODES = 16_384
+
+
 def _profile_nodes(profile: NormalGammaParams, spec: QuadratureSpec):
     """Quadrature nodes, Jacobians and weights laid out against a profile.
 
-    Returns the mean-node matrix, the precision-node column, the per-row log
-    scale (inverse-CDF and standardization Jacobians plus the precision-axis
-    trapezoid weights, all independent of the mean direction), and the
-    mean-axis trapezoid weights kept linear for the final reduction.
+    Returns the precision nodes, the per-row log scale (inverse-CDF and
+    standardization Jacobians plus the precision-axis trapezoid weights, all
+    independent of the mean direction), the standardized mean offsets u, and
+    the mean-axis trapezoid weights kept linear for the final reduction.
     """
     # the one use of scipy: imported here so that only the oracles load it
     from scipy.special import gammaincinv
@@ -118,26 +138,41 @@ def _profile_nodes(profile: NormalGammaParams, spec: QuadratureSpec):
             "is too small for quadrature (need roughly >= 0.5)"
         )
     u = np.linspace(-spec.mu_halfwidth_sds, spec.mu_halfwidth_sds, spec.grid_mu)
-    root = np.sqrt(profile.beta * lam)[:, None]
-    mu = profile.mu0 + u[None, :] / root
     log_row_scale = (
         -_gamma_log_pdf(lam, profile.a, profile.b)
         - 0.5 * np.log(profile.beta * lam)
         + np.log(_trapezoid_weights(v[1] - v[0], v.size))
     )
-    return mu, lam[:, None], log_row_scale[:, None], _trapezoid_weights(u[1] - u[0], u.size)
+    return lam, log_row_scale, u, _trapezoid_weights(u[1] - u[0], u.size)
 
 
-def _reduce_log_integral(log_f: np.ndarray, log_row_scale: np.ndarray, w_u: np.ndarray) -> float:
-    """log of sum_ij exp(log_f + log_row_scale)_ij * w_u_j, computed stably.
+def _log_integral(profile: NormalGammaParams, spec: QuadratureSpec, log_integrand) -> float:
+    """log of the integral of exp(log_integrand(mean, precision)), computed stably.
 
-    Plain shift-and-exp followed by an elementwise weighted pairwise sum;
-    no BLAS reductions, so the result is bit-reproducible for a given grid.
+    The grid is laid out against ``profile``. It is reduced in blocks of
+    precision rows: each block builds its own mean nodes, evaluates
+    ``log_integrand`` on them, shifts by its own peak, exponentiates and
+    takes a weighted pairwise ``np.sum``. The blocks are then combined by a
+    log-sum-exp over their peaks with ``math.fsum``. No BLAS reduction is
+    involved, so the result is bit-reproducible for a given grid. A NaN
+    anywhere in the integrand makes the result NaN.
     """
-    log_f += log_row_scale
-    peak = float(log_f.max())
-    np.exp(log_f - peak, out=log_f)
-    return peak + math.log(float(np.sum(log_f * w_u[None, :])))
+    lam, log_row_scale, u, w_u = _profile_nodes(profile, spec)
+    rows = max(1, _BLOCK_NODES // spec.grid_mu)
+    peaks, sums = [], []
+    for start in range(0, lam.size, rows):
+        lam_block = lam[start : start + rows, None]
+        mu_block = profile.mu0 + u / np.sqrt(profile.beta * lam_block)
+        log_f = log_integrand(mu_block, lam_block)
+        log_f += log_row_scale[start : start + rows, None]
+        peak = float(log_f.max())
+        log_f -= peak
+        np.exp(log_f, out=log_f)
+        log_f *= w_u
+        peaks.append(peak)
+        sums.append(float(np.sum(log_f)))
+    top = max(peaks)
+    return top + math.log(math.fsum(s * math.exp(p - top) for p, s in zip(peaks, sums)))
 
 
 def quadrature_predictive(
@@ -150,11 +185,11 @@ def quadrature_predictive(
     The closed-form counterpart is ``student_t_log_density(predictive(p), e)``.
     """
     profile = posterior_update(posterior, collect_stats([e]))
-    mu, lam, log_row_scale, w_u = _profile_nodes(profile, spec)
-    log_f = gaussian_log_density(e, mu, lam) + normal_gamma_log_density(
-        mu, lam, posterior
-    )
-    return _reduce_log_integral(log_f, log_row_scale, w_u)
+
+    def log_f(mu, lam):
+        return gaussian_log_density(e, mu, lam) + normal_gamma_log_density(mu, lam, posterior)
+
+    return _log_integral(profile, spec, log_f)
 
 
 def quadrature_joint_evidence(
@@ -175,18 +210,20 @@ def quadrature_joint_evidence(
     if e is not None:
         points.append(float(e))
     profile = posterior_update(prior, collect_stats(points))
-    mu, lam, log_row_scale, w_u = _profile_nodes(profile, spec)
 
-    log_f = normal_gamma_log_density(mu, lam, prior)
-    if stats.n > 0:
-        # product of the class likelihoods via sufficient statistics:
-        # sum_t log N(s_t | mu, 1/lam) for fixed (mu, lam)
-        log_f = log_f + stats.n * 0.5 * (np.log(lam) - _LOG_2PI) - 0.5 * lam * (
-            stats.sum_sq_dev + stats.n * np.square(stats.mean - mu)
-        )
-    if e is not None:
-        log_f = log_f + gaussian_log_density(e, mu, lam)
-    return _reduce_log_integral(log_f, log_row_scale, w_u)
+    def log_f(mu, lam):
+        out = normal_gamma_log_density(mu, lam, prior)
+        if stats.n > 0:
+            # product of the class likelihoods via sufficient statistics:
+            # sum_t log N(s_t | mu, 1/lam) for fixed (mu, lam)
+            out = out + stats.n * 0.5 * (np.log(lam) - _LOG_2PI) - 0.5 * lam * (
+                stats.sum_sq_dev + stats.n * np.square(stats.mean - mu)
+            )
+        if e is not None:
+            out = out + gaussian_log_density(e, mu, lam)
+        return out
+
+    return _log_integral(profile, spec, log_f)
 
 
 def joint_evidence_log_lr(
@@ -291,6 +328,11 @@ def _random_dataset(rng: np.random.Generator) -> BackgroundData:
     )
 
 
+def _max_abs(gaps) -> float:
+    """Largest |gap|; NaN if any gap is NaN, so a broken evaluation fails its check."""
+    return float(np.max(np.abs(gaps), initial=0.0))
+
+
 def predictive_oracle_sweep(
     n_posteriors: int = 50,
     n_e: int = 17,
@@ -303,7 +345,7 @@ def predictive_oracle_sweep(
     side of the predictive location.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    gaps = []
     for post in _random_posteriors(rng, n_posteriors):
         pred = predictive(post)
         e_grid = np.linspace(
@@ -311,9 +353,8 @@ def predictive_oracle_sweep(
         )
         for e in e_grid:
             closed = student_t_log_density(pred, float(e))
-            quad = quadrature_predictive(post, float(e), spec)
-            worst = max(worst, abs(closed - quad))
-    return worst
+            gaps.append(closed - quadrature_predictive(post, float(e), spec))
+    return _max_abs(gaps)
 
 
 def joint_evidence_sweep(
@@ -324,15 +365,15 @@ def joint_evidence_sweep(
 ) -> float:
     """Max |predictive-ratio route - joint-evidence route| log-LR discrepancy."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    gaps = []
     for _ in range(n_cases):
         data = _random_dataset(rng)
         pred1 = predictive(posterior_update(prior, collect_stats(data.h1_scores)))
         e = float(rng.uniform(pred1.location - 8.0 * pred1.scale, pred1.location + 8.0 * pred1.scale))
         via_joint = joint_evidence_log_lr(data, prior, e, spec)
         via_predictive = bayes_log_lr(e, data, prior).value
-        worst = max(worst, abs(via_joint - via_predictive))
-    return worst
+        gaps.append(via_joint - via_predictive)
+    return _max_abs(gaps)
 
 
 def single_score_consistency(
@@ -342,13 +383,12 @@ def single_score_consistency(
 ) -> float:
     """Max gap between one-score evidence and the prior predictive density."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    gaps = []
     for post in _random_posteriors(rng, n_cases):
         s = float(rng.uniform(post.mu0 - 4.0, post.mu0 + 4.0))
         joint = quadrature_joint_evidence(post, [s], None, spec)
-        pred = quadrature_predictive(post, s, spec)
-        worst = max(worst, abs(joint - pred))
-    return worst
+        gaps.append(joint - quadrature_predictive(post, s, spec))
+    return _max_abs(gaps)
 
 
 def empty_evidence_normalization(
@@ -376,16 +416,13 @@ def _spec_shift(
     for k in ``offsets``.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    gaps = []
     for post in _random_posteriors(rng, n_posteriors):
         pred = predictive(post)
         for k in offsets:
             e = pred.location + k * pred.scale
-            worst = max(
-                worst,
-                abs(quadrature_predictive(post, e, spec) - quadrature_predictive(post, e, other)),
-            )
-    return worst
+            gaps.append(quadrature_predictive(post, e, spec) - quadrature_predictive(post, e, other))
+    return _max_abs(gaps)
 
 
 def grid_convergence(
@@ -413,10 +450,13 @@ def decomposition_sweep(
     seed: int = SUITE_SEED,
     prior: NormalGammaParams = NONINFORMATIVE_PRIOR,
 ) -> float:
-    """Max |plugin-plus-correction minus Bayesian| residual over sampled thetas."""
+    """Max |plugin-plus-correction minus Bayesian| residual over sampled thetas.
+
+    Each dataset's thetas go to ``decomposition_residual`` in one array call.
+    """
     rng = np.random.default_rng(seed)
     per_dataset = max(1, n_samples // n_datasets)
-    worst = 0.0
+    per_dataset_worst = []
     for _ in range(n_datasets):
         data = _random_dataset(rng)
         post1 = posterior_update(prior, collect_stats(data.h1_scores))
@@ -424,10 +464,9 @@ def decomposition_sweep(
         e = float(rng.uniform(-8.0, 8.0))
         draws1 = sample_params(post1, int(rng.integers(2**31)), per_dataset)
         draws2 = sample_params(post2, int(rng.integers(2**31)), per_dataset)
-        for (m1, l1), (m2, l2) in zip(draws1, draws2):
-            theta = GaussianParams(m1, m2, l1, l2)
-            worst = max(worst, abs(decomposition_residual(e, data, prior, theta)))
-    return worst
+        theta = GaussianParams(draws1[:, 0], draws2[:, 0], draws1[:, 1], draws2[:, 1])
+        per_dataset_worst.append(_max_abs(decomposition_residual(e, data, prior, theta)))
+    return _max_abs(per_dataset_worst)
 
 
 def pitfall_divergence(

@@ -148,6 +148,26 @@ class TestDecideCommand:
         assert "pi1" in err
 
 
+@pytest.mark.parametrize(
+    "command, method",
+    [("llr", "plugin"), ("llr", "bayes"), ("llr", "both"), ("decide", "plugin"), ("decide", "bayes")],
+)
+@pytest.mark.parametrize(
+    "bad, named",
+    [(("--a", "-1"), "a must be"), (("--b", "0"), "b must be"),
+     (("--beta", "nan"), "beta must be"), (("--variance-floor", "-1"), "variance_floor must be")],
+)
+def test_prior_and_floor_checked_whatever_the_method(background, capsys, command, method, bad, named):
+    extra = ["--pi1", "0.5"] if command == "decide" else []
+    code, out, err = run_cli(
+        capsys, command, "--background", background, "--score", "1.0", "--method", method,
+        *extra, *bad,
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {named}")
+
+
 class TestVerifyCommand:
     QUICK = [
         "verify", "--posteriors", "2", "--e-points", "3", "--joint-cases", "1",
@@ -384,6 +404,44 @@ class TestConfigFile:
         assert code == 3
         assert out == ""
         assert err.startswith(f"error: {path}: {named}:")
+
+    @pytest.mark.parametrize(
+        "cfg, named, shown",
+        [
+            ({"experiment": {"trials": 2.5}}, "experiment.trials", "2.5"),
+            ({"experiment": {"n1": 9.7}}, "experiment.n1", "9.7"),
+            ({"confidence": {"seed": 1.5}}, "confidence.seed", "1.5"),
+            ({"confidence": {"sizes": [[9, 27.5]]}}, "confidence.sizes", "[[9, 27.5]]"),
+        ],
+    )
+    def test_fraction_in_integer_field_exits_3(
+        self, cfg, named, shown, tmp_path, background, capsys
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(
+            capsys, "llr", "--background", background, "--score", "1.0", "--config", str(path)
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {path}: {named}: expected ")
+        assert err.rstrip().endswith(f"got {shown}")
+
+    def test_integral_float_in_integer_field_runs(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(TestSimulateCommand.SMALL_CONFIG))
+        cfg["experiment"]["trials"] = 4.0
+        cfg["confidence"]["sizes"] = [[9.0, 27]]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--config", str(path), "--out-dir", str(out_dir)
+        )
+        assert code == 0
+        meta = json.loads((out_dir / "run_meta.json").read_text())
+        assert meta["experiment"]["trials"] == 4 and isinstance(meta["experiment"]["trials"], int)
+        assert meta["confidence"]["sizes"] == [[9, 27]]
+        assert meta["trials_used"] + meta["degenerate_trials"] == 4
 
     def test_integer_literals_echo_as_floats(self, tmp_path, background, capsys):
         path = tmp_path / "cfg.json"

@@ -223,6 +223,23 @@ class TestDecompositionResidual:
         ]
         assert abs(np.mean(reconstructed) - log_rb) < 1e-9
 
+    @pytest.mark.parametrize("e", [-7.5, 0.0, 2.0, 6.0])
+    def test_array_thetas_equal_scalar_calls_bit_for_bit(self, e):
+        prior = default_noninformative_prior()
+        post1 = posterior_update(prior, collect_stats(MIRROR_DATA.h1_scores))
+        post2 = posterior_update(prior, collect_stats(MIRROR_DATA.h2_scores))
+        draws1 = sample_params(post1, rng_seed=31, count=300)
+        draws2 = sample_params(post2, rng_seed=32, count=300)
+        theta = GaussianParams(draws1[:, 0], draws2[:, 0], draws1[:, 1], draws2[:, 1])
+        together = decomposition_residual(e, MIRROR_DATA, prior, theta)
+        one_by_one = [
+            decomposition_residual(e, MIRROR_DATA, prior, GaussianParams(m1, m2, l1, l2))
+            for (m1, l1), (m2, l2) in zip(draws1, draws2)
+        ]
+        assert together.shape == (300,)
+        assert together.tolist() == one_by_one
+        assert all(isinstance(r, float) for r in one_by_one)
+
 
 class TestLrDistributionDemo:
     def test_requires_at_least_two_trials(self):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bayescal import (
     BackgroundData,
+    GaussianParams,
     Hypothesis,
     ScoreFileError,
     ValidationError,
@@ -117,6 +118,37 @@ class TestFitPlugin:
             assert total_ll(theta.mu1, theta.mu2 + delta, theta.lambda1, theta.lambda2) < base
             assert total_ll(theta.mu1, theta.mu2, theta.lambda1 + delta, theta.lambda2) < base
             assert total_ll(theta.mu1, theta.mu2, theta.lambda1, theta.lambda2 + delta) < base
+
+
+class TestGaussianParams:
+    def test_scalar_precision_message(self):
+        with pytest.raises(ValidationError, match=r"^lambda2 must be a finite, strictly positive precision, got -0.5$"):
+            GaussianParams(0.0, 0.0, 1.0, -0.5)
+
+    def test_arrays_of_valid_elements_are_accepted(self):
+        theta = GaussianParams(np.zeros(3), np.ones(3), np.full(3, 2.0), np.full(3, 0.5))
+        assert theta.lambda1.shape == (3,)
+
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            ("mu1", math.nan, r"^mu1 must be finite$"),
+            ("mu2", -math.inf, r"^mu2 must be finite$"),
+            ("lambda1", 0.0, r"^lambda1 must be a finite, strictly positive precision, got 0.0$"),
+            ("lambda1", -2.0, r"^lambda1 must be a finite, strictly positive precision, got -2.0$"),
+            ("lambda2", math.inf, r"^lambda2 must be a finite, strictly positive precision, got inf$"),
+            ("lambda2", math.nan, r"^lambda2 must be a finite, strictly positive precision, got nan$"),
+        ],
+    )
+    def test_one_bad_array_element_raises(self, field, bad, message):
+        fields = {"mu1": np.zeros(4), "mu2": np.ones(4), "lambda1": np.ones(4), "lambda2": np.ones(4)}
+        fields[field][2] = bad
+        with pytest.raises(ValidationError, match=message):
+            GaussianParams(**fields)
+
+    def test_fields_must_share_a_shape(self):
+        with pytest.raises(ValidationError, match="same shape"):
+            GaussianParams(np.zeros(3), np.zeros(3), np.ones(2), np.ones(3))
 
 
 class TestGaussianLogDensity:

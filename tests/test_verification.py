@@ -1,10 +1,14 @@
 """Quadrature oracles versus the closed forms, and the peak-only pitfall."""
 
+import json
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bayescal import cli, conjugate, verification
 from bayescal import (
     BackgroundData,
     GeneratorConfig,
@@ -22,8 +26,12 @@ from bayescal import (
     quadrature_predictive,
     student_t_log_density,
 )
+from bayescal.conjugate import StudentT, posterior_update
 from bayescal.verification import (
+    decomposition_sweep,
     grid_convergence,
+    joint_evidence_sweep,
+    predictive_oracle_sweep,
     quantile_eps_convergence,
     run_verification_suite,
     single_score_consistency,
@@ -216,3 +224,161 @@ class TestSuiteRunner:
         payload = report.to_dict()
         assert payload["ok"] is True
         assert payload["config"]["n_posteriors"] == 2
+
+
+class TestBlockedQuadrature:
+    """The row-blocked reduction equals a single-block evaluation."""
+
+    @pytest.fixture(params=[(101, 1201), (1201, 101)], ids=["101x1201", "1201x101"])
+    def spec(self, request):
+        grid_mu, grid_lambda = request.param
+        spec = QuadratureSpec(grid_mu=grid_mu, grid_lambda=grid_lambda)
+        rows = verification._BLOCK_NODES // spec.grid_mu
+        # several blocks, the last one short
+        assert 1 <= rows < spec.grid_lambda and spec.grid_lambda % rows
+        return spec
+
+    def _blocked_and_single(self, monkeypatch, evaluate):
+        blocked = evaluate()
+        monkeypatch.setattr(verification, "_BLOCK_NODES", 10**9)
+        return blocked, evaluate()
+
+    @pytest.mark.parametrize("k", [-8.0, 0.0, 3.0])
+    def test_predictive(self, monkeypatch, spec, k):
+        post = NormalGammaParams(-1.2, 12.0, 6.5, 9.0)
+        pred = predictive(post)
+        e = pred.location + k * pred.scale
+        blocked, single = self._blocked_and_single(
+            monkeypatch, lambda: quadrature_predictive(post, e, spec)
+        )
+        assert abs(blocked - single) <= 1e-13
+
+    @pytest.mark.parametrize("e", [None, -4.0, 2.5])
+    def test_joint_evidence(self, monkeypatch, spec, e):
+        prior = default_noninformative_prior()
+        scores = MIRROR_DATA.h1_scores
+        blocked, single = self._blocked_and_single(
+            monkeypatch, lambda: quadrature_joint_evidence(prior, scores, e, spec)
+        )
+        assert abs(blocked - single) <= 1e-13
+
+
+# A grid small enough for many sweeps in a test, and the suite's smallest sizes.
+SMALL = QuadratureSpec(grid_mu=101, grid_lambda=101)
+SMALL_SUITE = dict(
+    n_posteriors=2, n_e=3, n_joint_cases=2, n_theta_samples=100, n_theta_datasets=2,
+    n_pitfall_trials=10,
+)
+
+
+def _poison_one_value(monkeypatch, name):
+    """Make ``verification.<name>`` return NaN in place of its second value.
+
+    Counts values, not calls, so one NaN lands in an array result too.
+    """
+    original = getattr(verification, name)
+    seen = [0]
+
+    def poisoned(*args, **kwargs):
+        out = np.array(original(*args, **kwargs), dtype=float)
+        if seen[0] <= 1 < seen[0] + out.size:
+            out.flat[1 - seen[0]] = np.nan
+        seen[0] += out.size
+        return out if out.ndim else float(out)
+
+    monkeypatch.setattr(verification, name, poisoned)
+
+
+class TestNonFiniteDiscrepancies:
+    """One NaN in a sweep makes its result NaN and its check fail."""
+
+    @pytest.mark.parametrize(
+        "poisoned, sweep",
+        [
+            ("quadrature_predictive", lambda: predictive_oracle_sweep(2, 3, spec=SMALL)),
+            ("quadrature_joint_evidence", lambda: joint_evidence_sweep(2, spec=SMALL)),
+            ("quadrature_predictive", lambda: single_score_consistency(2, spec=SMALL)),
+            ("quadrature_predictive", lambda: grid_convergence(1, spec=SMALL)),
+            ("quadrature_predictive", lambda: quantile_eps_convergence(1, spec=SMALL)),
+            ("decomposition_residual", lambda: decomposition_sweep(100, 2)),
+        ],
+        ids=["predictive", "joint", "single_score", "grid", "quantile_eps", "decomposition"],
+    )
+    def test_sweep_propagates_nan(self, monkeypatch, poisoned, sweep):
+        _poison_one_value(monkeypatch, poisoned)
+        assert math.isnan(sweep())
+
+    @pytest.mark.parametrize(
+        "poisoned, check",
+        [
+            ("quadrature_predictive", "predictive_closed_form_vs_quadrature"),
+            ("quadrature_joint_evidence", "joint_evidence_route_vs_predictive_route"),
+            ("decomposition_residual", "plugin_plus_correction_identity"),
+        ],
+    )
+    def test_verify_exits_5(self, monkeypatch, capsys, poisoned, check):
+        _poison_one_value(monkeypatch, poisoned)
+        argv = ["verify", "--grid-mu", "101", "--grid-lambda", "101", "--posteriors", "2",
+                "--e-points", "3", "--joint-cases", "2", "--theta-samples", "100",
+                "--theta-datasets", "2", "--pitfall-trials", "10"]
+        assert cli.main(argv) == 5
+        payload = json.loads(capsys.readouterr().out)
+        result = next(c for c in payload["checks"] if c["name"] == check)
+        assert math.isnan(result["value"]) and result["passed"] is False
+
+
+def _everywhere(monkeypatch, original, replacement):
+    """Rebind ``original`` to ``replacement`` in every bayescal module holding it."""
+    for name, module in list(sys.modules.items()):
+        if name == "bayescal" or name.startswith("bayescal."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
+
+
+# each mutant calls the unpatched function imported above, never the rebinding
+def _scale_as_variance(posterior):
+    good = predictive(posterior)
+    return StudentT(good.location, good.scale**2, good.dof)
+
+
+def _dof_a(posterior):
+    good = predictive(posterior)
+    return StudentT(good.location, good.scale, posterior.a)
+
+
+def _update_without_mean_shift(prior, stats):
+    if stats.n == 0:
+        return prior
+    good = posterior_update(prior, stats)
+    return replace(good, b=prior.b + 0.5 * stats.sum_sq_dev)
+
+
+def _gamma_rate_as_scale(lam, a, b):
+    return -a * math.log(b) - math.lgamma(a) + (a - 1.0) * np.log(lam) - lam / b
+
+
+class TestMutations:
+    """Plausible bugs in the closed forms turn the oracle checks red at 401^2."""
+
+    @pytest.mark.parametrize(
+        "name, mutant",
+        [
+            ("predictive", _scale_as_variance),
+            ("predictive", _dof_a),
+            ("posterior_update", _update_without_mean_shift),
+            ("_gamma_log_pdf", _gamma_rate_as_scale),
+            (None, None),  # control: the unmutated code passes at the same sizes
+        ],
+        ids=["scale_as_variance", "dof_a", "no_mean_shift_term", "gamma_rate_as_scale", "none"],
+    )
+    def test_predictive_and_decomposition_checks_fail(self, monkeypatch, name, mutant):
+        if name is not None:
+            _everywhere(monkeypatch, getattr(conjugate, name), mutant)
+        report = run_verification_suite(
+            spec=QuadratureSpec(grid_mu=401, grid_lambda=401), **SMALL_SUITE
+        )
+        passed = {c.name: c.passed for c in report.checks}
+        expected = name is None
+        assert passed["predictive_closed_form_vs_quadrature"] is expected
+        assert passed["plugin_plus_correction_identity"] is expected
