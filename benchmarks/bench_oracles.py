@@ -1,18 +1,79 @@
-"""Timings of the quadrature oracle and the decomposition sweep.
+"""Per-layer timings: CSV ingestion, background summary and fit, one resampling
+trial, the quadrature oracle and the decomposition sweep.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_oracles.py \
         --benchmark-json BENCH_oracles.json
 
+Cases:
+
+- ``load_background_csv`` on a 55 000-row file (5 000 H1, 50 000 H2 scores);
+- ``BackgroundData`` + ``fit_plugin`` + ``class_predictives`` on fresh draws
+  at 9/27 and at 300/4 050 scores per class, the smallest and largest
+  background of the fig1 confidence experiment;
+- one fig1 ``run_experiment`` trial (9/27 background, 2 x 10 000 test scores);
+- one ``quadrature_predictive`` at 401^2 and 1201^2;
+- ``decomposition_sweep()`` at its defaults.
+
 Outside ``testpaths``, so the test suite never runs it. Uses pytest-benchmark.
 """
 
+import numpy as np
 import pytest
 
-from bayescal import NormalGammaParams, QuadratureSpec, quadrature_predictive
+from bayescal import (
+    BackgroundData,
+    ExperimentConfig,
+    GeneratorConfig,
+    Hypothesis,
+    NormalGammaParams,
+    QuadratureSpec,
+    class_predictives,
+    fit_plugin,
+    generate_scores,
+    load_background_csv,
+    quadrature_predictive,
+    run_experiment,
+)
+from bayescal.conjugate import NONINFORMATIVE_PRIOR
 from bayescal.verification import decomposition_sweep
 
 # a small-n posterior like the oracle sweep draws, probed two scales out
 POSTERIOR = NormalGammaParams(-1.2, 12.0, 6.5, 9.0)
+
+
+@pytest.fixture(scope="module")
+def csv_55k(tmp_path_factory):
+    rng = np.random.default_rng(55_000)
+    path = tmp_path_factory.mktemp("csv") / "background.csv"
+    with open(path, "w") as fh:
+        fh.write("label,score\n")
+        fh.writelines(f"H1,{v!r}\n" for v in rng.normal(2.0, 1.0, 5_000).tolist())
+        fh.writelines(f"H2,{v!r}\n" for v in rng.normal(-2.0, 1.0, 50_000).tolist())
+    return path
+
+
+def test_load_background_csv_55k(benchmark, csv_55k):
+    data = benchmark(load_background_csv, csv_55k)
+    assert (data.n1, data.n2) == (5_000, 50_000)
+
+
+def _summarize_and_fit(h1, h2):
+    data = BackgroundData(h1, h2)
+    return fit_plugin(data), class_predictives(data, NONINFORMATIVE_PRIOR)
+
+
+@pytest.mark.parametrize("n1, n2", [(9, 27), (300, 4050)], ids=["9x27", "300x4050"])
+def test_background_fit_predictives(benchmark, n1, n2):
+    world = GeneratorConfig()
+    rng = np.random.default_rng([n1, n2])
+    h1 = generate_scores(world, Hypothesis.H1, n1, rng)
+    h2 = generate_scores(world, Hypothesis.H2, n2, rng)
+    benchmark(_summarize_and_fit, h1, h2)
+
+
+def test_run_experiment_one_fig1_trial(benchmark):
+    exp = ExperimentConfig(n1=9, n2=27, trials=1, seed=101)
+    benchmark(run_experiment, GeneratorConfig(), exp)
 
 
 @pytest.mark.parametrize("grid", [401, 1201])

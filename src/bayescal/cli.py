@@ -231,12 +231,12 @@ def cmd_verify(args) -> int:
     spec_fields = {f.name for f in dataclasses.fields(QuadratureSpec)}
     spec = QuadratureSpec(**{k: options.pop(k) for k in spec_fields & options.keys()})
     report = run_verification_suite(spec=spec, **options)
-    payload = report.to_dict()
-    _print_json(payload)
+    # strict JSON: a failed check's non-finite value is null, never a bare NaN
+    text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    sys.stdout.write(text)
     if report_path is not None:
         with open(report_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     return 0 if report.ok else 5
 
 

@@ -164,7 +164,7 @@ def normal_gamma_log_density(mean, precision, params: NormalGammaParams):
     law has no mass at or below zero.
     """
     lam = np.asarray(precision, dtype=float)
-    if not (np.all(np.isfinite(lam)) and np.all(lam > 0.0)):
+    if not (np.isfinite(lam) & (lam > 0.0)).all():
         raise ValidationError("precision must be finite and > 0")
     mu = np.asarray(mean, dtype=float)
     log_normal_part = (

@@ -105,7 +105,8 @@ def weighted_error_rate(llrs_h1, llrs_h2, prior_log_odds: float) -> float:
     (ties acquit). Returns pi1 * P(miss) + pi2 * P(false alarm) with
     pi1 = logistic(prior_log_odds).
     """
-    return float(_errors_over_grid(llrs_h1, llrs_h2, np.array([prior_log_odds], dtype=float))[0])
+    grid = np.array([prior_log_odds], dtype=float)
+    return float(_errors_over_grid(llrs_h1, llrs_h2, grid, _logistic(grid))[0])
 
 
 def _logistic(grid: np.ndarray) -> np.ndarray:
@@ -118,8 +119,8 @@ def _logistic(grid: np.ndarray) -> np.ndarray:
     return np.array([1.0 / (1.0 + math.exp(-g)) for g in grid])
 
 
-def _errors_over_grid(llrs_h1, llrs_h2, grid: np.ndarray) -> np.ndarray:
-    """weighted_error_rate at every prior log-odds point of ``grid``."""
+def _errors_over_grid(llrs_h1, llrs_h2, grid: np.ndarray, pi1: np.ndarray) -> np.ndarray:
+    """weighted_error_rate at every point of ``grid``; ``pi1`` is ``_logistic(grid)``."""
     thresholds = -grid
     sorted_h1 = np.sort(llrs_h1)
     sorted_h2 = np.sort(llrs_h2)
@@ -127,7 +128,6 @@ def _errors_over_grid(llrs_h1, llrs_h2, grid: np.ndarray) -> np.ndarray:
         raise ValidationError("both llr lists must be nonempty")
     p_miss = np.searchsorted(sorted_h1, thresholds, side="right") / sorted_h1.size
     p_fa = 1.0 - np.searchsorted(sorted_h2, thresholds, side="right") / sorted_h2.size
-    pi1 = _logistic(grid)
     return pi1 * p_miss + (1.0 - pi1) * p_fa
 
 
@@ -160,6 +160,7 @@ def run_experiment(
                 plugin_log_lr_array(test_h1, theta),
                 plugin_log_lr_array(test_h2, theta),
                 grid,
+                pi1,
             )
         )
         per_trial_bayes.append(
@@ -167,6 +168,7 @@ def run_experiment(
                 bayes_log_lr_array(test_h1, pred1, pred2),
                 bayes_log_lr_array(test_h2, pred1, pred2),
                 grid,
+                pi1,
             )
         )
 

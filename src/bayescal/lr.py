@@ -108,8 +108,8 @@ def class_predictives(
     data: BackgroundData, prior: NormalGammaParams
 ) -> tuple[StudentT, StudentT]:
     """Posterior-predictive Student-t for each class given shared prior."""
-    post1 = posterior_update(prior, collect_stats(data.h1_scores))
-    post2 = posterior_update(prior, collect_stats(data.h2_scores))
+    post1 = posterior_update(prior, data.h1_stats)
+    post2 = posterior_update(prior, data.h2_stats)
     return predictive(post1), predictive(post2)
 
 
@@ -164,8 +164,8 @@ def decomposition_residual(
     each equal to the scalar call's bit for bit; scalars give a float.
     """
     stats_e = collect_stats([e])
-    post1 = posterior_update(prior, collect_stats(data.h1_scores))
-    post2 = posterior_update(prior, collect_stats(data.h2_scores))
+    post1 = posterior_update(prior, data.h1_stats)
+    post2 = posterior_update(prior, data.h2_stats)
     post1_aug = posterior_update(post1, stats_e)
     post2_aug = posterior_update(post2, stats_e)
 

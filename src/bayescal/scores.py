@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import csv
 import enum
+from array import array
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -66,19 +67,28 @@ class BackgroundData:
     """Labeled background scores, one sequence per hypothesis class.
 
     Either class may be empty (the Bayesian path tolerates n=0); every score
-    must be finite.
+    must be finite. Construction validates each class once and summarizes it
+    once into ``h1_stats``/``h2_stats``, which every consumer reads instead of
+    recomputing them.
     """
 
     h1_scores: tuple[float, ...]
     h2_scores: tuple[float, ...]
+    h1_stats: SufficientStats = field(init=False, compare=False, repr=False)
+    h2_stats: SufficientStats = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for name in ("h1_scores", "h2_scores"):
-            values = tuple(float(v) for v in getattr(self, name))
-            for i, v in enumerate(values):
-                if not math.isfinite(v):
-                    raise ValidationError(f"{name}[{i}] is not finite: {v!r}")
-            object.__setattr__(self, name, values)
+        for cls in ("h1", "h2"):
+            name = f"{cls}_scores"
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.ndim != 1:
+                raise TypeError(f"{name} must be a flat sequence of numbers, got shape {arr.shape}")
+            finite = np.isfinite(arr)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise ValidationError(f"{name}[{i}] is not finite: {arr[i].item()!r}")
+            object.__setattr__(self, name, tuple(arr.tolist()))
+            object.__setattr__(self, f"{cls}_stats", collect_stats(arr))
 
     @property
     def n1(self) -> int:
@@ -135,9 +145,9 @@ class GaussianParams:
                 raise ValidationError(f"{name} must be finite")
         for name in ("lambda1", "lambda2"):
             v = fields[name]
-            bad = ~(np.isfinite(v) & (v > 0.0))
-            if bad.any():
-                shown = getattr(self, name) if v.ndim == 0 else v.flat[int(np.argmax(bad))].item()
+            good = np.isfinite(v) & (v > 0.0)
+            if not good.all():
+                shown = getattr(self, name) if v.ndim == 0 else v.flat[int(np.argmin(good))].item()
                 raise ValidationError(
                     f"{name} must be a finite, strictly positive precision, got {shown!r}"
                 )
@@ -178,8 +188,7 @@ def fit_plugin(
     Requires at least two scores per class.
     """
     check_variance_floor(variance_floor)
-    s1 = collect_stats(data.h1_scores)
-    s2 = collect_stats(data.h2_scores)
+    s1, s2 = data.h1_stats, data.h2_stats
     for name, s in (("H1", s1), ("H2", s2)):
         if s.n < 2:
             raise ValidationError(
@@ -197,7 +206,7 @@ def gaussian_log_density(e, mean, precision):
     internally, so extreme tail arguments stay representable.
     """
     prec = np.asarray(precision, dtype=float)
-    if not (np.all(np.isfinite(prec)) and np.all(prec > 0.0)):
+    if not (np.isfinite(prec) & (prec > 0.0)).all():
         raise ValidationError(f"precision must be finite and > 0, got {precision!r}")
     z = np.asarray(e, dtype=float) - np.asarray(mean, dtype=float)
     out = 0.5 * (np.log(prec) - _LOG_2PI) - 0.5 * prec * np.square(z)
@@ -208,12 +217,14 @@ def load_background_csv(path) -> BackgroundData:
     """Read labeled scores from a CSV file with header ``label,score``.
 
     Labels follow :func:`parse_label`. Any malformed row aborts the load with
-    a :class:`ScoreFileError` carrying the 1-based line number.
+    a :class:`ScoreFileError` carrying the 1-based line number. A UTF-8
+    byte-order mark before the header is skipped.
     """
     path = Path(path)
-    h1: list[float] = []
-    h2: list[float] = []
-    with open(path, newline="") as fh:
+    # packed doubles, not lists of float objects: BackgroundData makes its own
+    h1 = array("d")
+    h2 = array("d")
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -239,4 +250,4 @@ def load_background_csv(path) -> BackgroundData:
             if not math.isfinite(value):
                 raise ScoreFileError(path, line, f"non-finite score {row[1]!r}")
             (h1 if label is Hypothesis.H1 else h2).append(value)
-    return BackgroundData(tuple(h1), tuple(h2))
+    return BackgroundData(h1, h2)

@@ -63,7 +63,8 @@ def generate_scores(
         mu, sigma = config.mu2_true, config.sigma2_true
     draws = rng.normal(mu, sigma, size=count)
     if test_set:
-        draws = config.shift_scale * draws + config.shift_location
+        draws *= config.shift_scale
+        draws += config.shift_location
     return draws
 
 

@@ -278,8 +278,7 @@ def approximate_posterior_pitfall(
     from the exact ratio grows in the tails and shrinks with more data.
     """
     e_grid = np.asarray(e_grid, dtype=float)
-    stats1 = collect_stats(data.h1_scores)
-    stats2 = collect_stats(data.h2_scores)
+    stats1, stats2 = data.h1_stats, data.h2_stats
     if stats1.n < 2 or stats2.n < 2:
         raise ValidationError("needs at least two scores per class")
     post1 = posterior_update(prior, stats1)
@@ -368,7 +367,7 @@ def joint_evidence_sweep(
     gaps = []
     for _ in range(n_cases):
         data = _random_dataset(rng)
-        pred1 = predictive(posterior_update(prior, collect_stats(data.h1_scores)))
+        pred1 = predictive(posterior_update(prior, data.h1_stats))
         e = float(rng.uniform(pred1.location - 8.0 * pred1.scale, pred1.location + 8.0 * pred1.scale))
         via_joint = joint_evidence_log_lr(data, prior, e, spec)
         via_predictive = bayes_log_lr(e, data, prior).value
@@ -459,8 +458,8 @@ def decomposition_sweep(
     per_dataset_worst = []
     for _ in range(n_datasets):
         data = _random_dataset(rng)
-        post1 = posterior_update(prior, collect_stats(data.h1_scores))
-        post2 = posterior_update(prior, collect_stats(data.h2_scores))
+        post1 = posterior_update(prior, data.h1_stats)
+        post2 = posterior_update(prior, data.h2_stats)
         e = float(rng.uniform(-8.0, 8.0))
         draws1 = sample_params(post1, int(rng.integers(2**31)), per_dataset)
         draws2 = sample_params(post2, int(rng.integers(2**31)), per_dataset)
@@ -512,11 +511,12 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [asdict(c) for c in self.checks],
-            "config": self.config,
-        }
+        """The report as strict JSON data: a non-finite check value becomes None."""
+        checks = [asdict(c) for c in self.checks]
+        for c in checks:
+            if not math.isfinite(c["value"]):
+                c["value"] = None
+        return {"ok": self.ok, "checks": checks, "config": self.config}
 
 
 def _check(name: str, value: float, threshold: float, comparison: str) -> CheckResult:

@@ -19,7 +19,7 @@ from bayescal import (
     run_experiment,
     weighted_error_rate,
 )
-from bayescal.experiment import DEFAULT_PRIOR_GRID, _errors_over_grid
+from bayescal.experiment import DEFAULT_PRIOR_GRID, _errors_over_grid, _logistic
 
 
 class TestGenerateScores:
@@ -103,7 +103,7 @@ class TestWeightedErrorRate:
         rng = np.random.default_rng(0)
         llr1, llr2 = rng.normal(2, 3, 500), rng.normal(-2, 3, 500)
         grid = np.asarray(DEFAULT_PRIOR_GRID)
-        vectorized = _errors_over_grid(llr1, llr2, grid)
+        vectorized = _errors_over_grid(llr1, llr2, grid, _logistic(grid))
         direct = [
             expit(g) * np.mean(llr1 <= -g) + (1 - expit(g)) * np.mean(llr2 > -g) for g in grid
         ]

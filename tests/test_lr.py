@@ -1,6 +1,7 @@
 """Likelihood-ratio operations, decisions, and the decomposition identity."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -136,6 +137,24 @@ class TestBayesLogLr:
             np.abs(bayes_log_lr_array(e, pred1, pred2))
             < np.abs(plugin_log_lr_array(e, theta))
         )
+
+
+def test_each_background_is_summarized_once(monkeypatch):
+    """Construction computes both classes' stats; fitting and scoring reuse them."""
+    calls = []
+
+    def recording(scores):
+        calls.append(len(scores))
+        return collect_stats(scores)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bayescal") and vars(module).get("collect_stats") is collect_stats:
+            monkeypatch.setattr(module, "collect_stats", recording)
+    data = BackgroundData((1.0, 2.5, 3.0), (-3.0, -2.0, -1.0, 0.5))
+    fit_plugin(data)
+    class_predictives(data, default_noninformative_prior())
+    bayes_log_lr(0.5, data)
+    assert calls == [3, 4]
 
 
 class TestPosteriorOddsAndDecision:

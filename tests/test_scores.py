@@ -1,12 +1,14 @@
 """Score types, sufficient statistics, plugin fit, and CSV ingestion."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from bayescal import cli
 from bayescal import (
     BackgroundData,
     GaussianParams,
@@ -199,6 +201,44 @@ class TestBackgroundData:
         data = BackgroundData((1.0,), (2.0, 3.0))
         assert data.swapped() == BackgroundData((2.0, 3.0), (1.0,))
 
+    @pytest.mark.parametrize(
+        "h1", [1.0, np.array(1.0), [[1.0, 2.0]], np.ones((2, 1))],
+        ids=["scalar", "0d_array", "nested_list", "2d_array"],
+    )
+    def test_rejects_scalar_and_nested(self, h1):
+        with pytest.raises(TypeError):
+            BackgroundData(h1, ())
+
+    def test_rejects_non_number(self):
+        with pytest.raises(ValueError, match="could not convert"):
+            BackgroundData((1.0,), ("abc",))
+
+    def test_stats_are_derived_not_settable(self):
+        with pytest.raises(TypeError):
+            BackgroundData((1.0,), (), h1_stats=collect_stats([2.0]))
+        assert "stats" not in repr(BackgroundData((1.0,), ()))
+
+
+def _bits(s):
+    """A SufficientStats as exact bytes, so equal means equal bit for bit."""
+    return s.n, struct.pack("<dd", s.mean, s.sum_sq_dev)
+
+
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64, min_value=-1e150,
+                       max_value=1e150), max_size=200),
+    finite_scores,
+)
+@example([], [])
+@example([3.5], [-1.25])
+def test_background_stats_are_collect_stats_of_each_class(h1, h2):
+    data = BackgroundData(h1, h2)
+    assert _bits(data.h1_stats) == _bits(collect_stats(h1))
+    assert _bits(data.h2_stats) == _bits(collect_stats(h2))
+    swapped = data.swapped()
+    assert _bits(swapped.h1_stats) == _bits(data.h2_stats)
+    assert _bits(swapped.h2_stats) == _bits(data.h1_stats)
+
 
 class TestLabelParsing:
     @pytest.mark.parametrize(
@@ -257,6 +297,31 @@ class TestCsvIngestion:
         f.write_text("score,label\nH1,1.0\n")
         with pytest.raises(ScoreFileError, match="header"):
             load_background_csv(f)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"\xef\xbb\xbflabel,score\nH1,1.0\nH2,-2.5\n",
+            b"label,score\r\nH1,1.0\r\nH2,-2.5\r\n",
+            b"\xef\xbb\xbflabel,score\r\nH1,1.0\r\nH2,-2.5\r\n",
+            b" label , score \n H1 , 1.0 \nH2, -2.5\n",
+        ],
+        ids=["bom", "crlf", "bom_crlf", "padded"],
+    )
+    def test_edge_formats_parse(self, tmp_path, raw):
+        f = tmp_path / "scores.csv"
+        f.write_bytes(raw)
+        data = load_background_csv(f)
+        assert data.h1_scores == (1.0,) and data.h2_scores == (-2.5,)
+
+    @pytest.mark.parametrize("score", ["1e400", "nan", "-inf"])
+    def test_nonfinite_rejected_with_line_and_exit_2(self, tmp_path, capsys, score):
+        f = tmp_path / "scores.csv"
+        f.write_text(f"label,score\nH1,1.0\nH2,{score}\n")
+        with pytest.raises(ScoreFileError, match=":3: non-finite"):
+            load_background_csv(f)
+        assert cli.main(["llr", "--background", str(f), "--score", "0"]) == 2
+        assert f":3: non-finite score '{score}'" in capsys.readouterr().err
 
     def test_empty_file(self, tmp_path):
         f = tmp_path / "scores.csv"

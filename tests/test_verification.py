@@ -316,15 +316,24 @@ class TestNonFiniteDiscrepancies:
             ("decomposition_residual", "plugin_plus_correction_identity"),
         ],
     )
-    def test_verify_exits_5(self, monkeypatch, capsys, poisoned, check):
+    def test_verify_exits_5(self, monkeypatch, capsys, tmp_path, poisoned, check):
         _poison_one_value(monkeypatch, poisoned)
+        report = tmp_path / "report.json"
         argv = ["verify", "--grid-mu", "101", "--grid-lambda", "101", "--posteriors", "2",
                 "--e-points", "3", "--joint-cases", "2", "--theta-samples", "100",
-                "--theta-datasets", "2", "--pitfall-trials", "10"]
+                "--theta-datasets", "2", "--pitfall-trials", "10", "--report", str(report)]
         assert cli.main(argv) == 5
-        payload = json.loads(capsys.readouterr().out)
+        stdout = capsys.readouterr().out
+        assert report.read_text() == stdout
+        payload = json.loads(stdout, parse_constant=_reject_constant)
         result = next(c for c in payload["checks"] if c["name"] == check)
-        assert math.isnan(result["value"]) and result["passed"] is False
+        assert result["value"] is None and result["passed"] is False
+        assert payload["ok"] is False
+
+
+def _reject_constant(name):
+    """``parse_constant`` hook of a strict parser: NaN and Infinity are not JSON."""
+    raise ValueError(f"not JSON: {name}")
 
 
 def _everywhere(monkeypatch, original, replacement):
