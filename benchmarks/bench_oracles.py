@@ -1,5 +1,5 @@
-"""Per-layer timings: CSV ingestion, background summary and fit, one resampling
-trial, the quadrature oracle and the decomposition sweep.
+"""Per-layer timings: CSV ingestion, background summary and fit, resampling
+trials, the quadrature oracle and the decomposition sweep.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_oracles.py \
         --benchmark-json BENCH_oracles.json
@@ -11,6 +11,9 @@ Cases:
   at 9/27 and at 300/4 050 scores per class, the smallest and largest
   background of the fig1 confidence experiment;
 - one fig1 ``run_experiment`` trial (9/27 background, 2 x 10 000 test scores);
+- fig1 ``confidence_curve`` trials at its largest size (300/4 050 background,
+  2 x 2 000 test scores); ``confidence_curve`` needs two trials for a
+  standard error, so the case runs two and one trial takes half its time;
 - one ``quadrature_predictive`` at 401^2 and 1201^2;
 - ``decomposition_sweep()`` at its defaults.
 
@@ -28,6 +31,7 @@ from bayescal import (
     NormalGammaParams,
     QuadratureSpec,
     class_predictives,
+    confidence_curve,
     fit_plugin,
     generate_scores,
     load_background_csv,
@@ -74,6 +78,10 @@ def test_background_fit_predictives(benchmark, n1, n2):
 def test_run_experiment_one_fig1_trial(benchmark):
     exp = ExperimentConfig(n1=9, n2=27, trials=1, seed=101)
     benchmark(run_experiment, GeneratorConfig(), exp)
+
+
+def test_confidence_curve_two_fig1_trials_300x4050(benchmark):
+    benchmark(confidence_curve, GeneratorConfig(), [(300, 4050)], trials=2, seed=42)
 
 
 @pytest.mark.parametrize("grid", [401, 1201])

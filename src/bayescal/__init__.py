@@ -30,7 +30,6 @@ from .experiment import (
     confidence_curve,
     lr_distribution_demo,
     run_experiment,
-    weighted_error_rate,
 )
 from .lr import (
     Decision,
@@ -116,7 +115,6 @@ __all__ = [
     "ExperimentConfig",
     "ErrorCurve",
     "ConfidencePoint",
-    "weighted_error_rate",
     "run_experiment",
     "confidence_curve",
     "DEFAULT_PRIOR_GRID",

@@ -1,32 +1,35 @@
 """Resampling experiments: error-rate curves, confidence-vs-data-size tables,
 and the spread-summary demo.
 
-Each trial draws a fresh small background database, calibrates both ways,
-scores a large fresh test set, and sweeps a grid of prior log-odds recording
-the cost-weighted error rate of the induced decisions. Trials come from
-``synthetic.resample_backgrounds``: trial t of stream k draws from a NumPy
-generator seeded with ``[seed, k, t]``, so runs are reproducible, trials could
-be evaluated in any order, and different seeds share no trials.
+Each trial draws a fresh small background database and calibrates it both
+ways (``_calibrations``). The curves then score a large fresh test set with
+both (``_scored_trials``) and either record the cost-weighted error rate of
+the induced decisions over a grid of prior log-odds or average the log-LRs.
+Trials come from ``synthetic.resample_backgrounds``: trial t of stream k
+draws from a NumPy generator seeded with ``[seed, k, t]``, so runs are
+reproducible, trials could be evaluated in any order, and different seeds
+share no trials.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 
 import numpy as np
 
 from .conjugate import NONINFORMATIVE_PRIOR, NormalGammaParams
 from .errors import ValidationError
 from .lr import LrMethod, bayes_log_lr_array, class_predictives, plugin_log_lr_array
-from .scores import DEFAULT_VARIANCE_FLOOR, Hypothesis, fit_plugin
+from .scores import DEFAULT_VARIANCE_FLOOR, Hypothesis, check_variance_floor, fit_plugin
 from .synthetic import GeneratorConfig, generate_scores, resample_backgrounds
 
 __all__ = [
     "ExperimentConfig",
     "ErrorCurve",
     "ConfidencePoint",
-    "weighted_error_rate",
     "run_experiment",
     "confidence_curve",
     "LrDistributionReport",
@@ -72,8 +75,9 @@ class ErrorCurve:
 
     ``error_prior_only`` is the exact min(pi1, pi2) baseline of deciding from
     the prior alone; it involves no simulation. Standard errors are over
-    trials. Trials whose background could not support a plugin fit are
-    counted in ``degenerate_trials`` and excluded from the means.
+    trials. A size too small for a plugin fit is rejected before any draw,
+    so every trial is used: ``trials_used`` is the trial count and
+    ``degenerate_trials`` is 0.
     """
 
     prior_log_odds: np.ndarray
@@ -98,17 +102,6 @@ class ConfidencePoint:
     stderr: float
 
 
-def weighted_error_rate(llrs_h1, llrs_h2, prior_log_odds: float) -> float:
-    """Cost-weighted error of unit-cost Bayes decisions at one prior point.
-
-    Decisions compare each log-LR against the threshold -prior_log_odds
-    (ties acquit). Returns pi1 * P(miss) + pi2 * P(false alarm) with
-    pi1 = logistic(prior_log_odds).
-    """
-    grid = np.array([prior_log_odds], dtype=float)
-    return float(_errors_over_grid(llrs_h1, llrs_h2, grid, _logistic(grid))[0])
-
-
 def _logistic(grid: np.ndarray) -> np.ndarray:
     """pi1 = 1 / (1 + exp(-g)) at each prior log-odds point.
 
@@ -120,7 +113,12 @@ def _logistic(grid: np.ndarray) -> np.ndarray:
 
 
 def _errors_over_grid(llrs_h1, llrs_h2, grid: np.ndarray, pi1: np.ndarray) -> np.ndarray:
-    """weighted_error_rate at every point of ``grid``; ``pi1`` is ``_logistic(grid)``."""
+    """Cost-weighted error of unit-cost Bayes decisions at every point of ``grid``.
+
+    Decisions compare each log-LR against the threshold -prior_log_odds
+    (ties acquit). Returns pi1 * P(miss) + pi2 * P(false alarm), where
+    ``pi1`` is ``_logistic(grid)``.
+    """
     thresholds = -grid
     sorted_h1 = np.sort(llrs_h1)
     sorted_h2 = np.sort(llrs_h2)
@@ -129,6 +127,48 @@ def _errors_over_grid(llrs_h1, llrs_h2, grid: np.ndarray, pi1: np.ndarray) -> np
     p_miss = np.searchsorted(sorted_h1, thresholds, side="right") / sorted_h1.size
     p_fa = 1.0 - np.searchsorted(sorted_h2, thresholds, side="right") / sorted_h2.size
     return pi1 * p_miss + (1.0 - pi1) * p_fa
+
+
+def _calibrations(gen, n1, n2, trials, seed, stream, prior, variance_floor):
+    """Each resampled background of ``stream`` calibrated both ways: an
+    iterator of ``(plugin fit, (pred1, pred2), rng)``, one per trial.
+
+    The size and the floor are checked here, before any draw: every trial at
+    one size has the same class counts, so a plugin fit fails for all of them
+    or for none. ``rng`` is the trial's generator, for its test sets.
+    """
+    if n1 < 2 or n2 < 2:
+        raise ValidationError(
+            f"every trial at size ({n1}, {n2}) is degenerate "
+            "(plugin fit needs n1 >= 2 and n2 >= 2)"
+        )
+    check_variance_floor(variance_floor)
+    return (
+        (fit_plugin(data, variance_floor), class_predictives(data, prior), rng)
+        for data, rng in resample_backgrounds(gen, n1, n2, trials, seed, stream)
+    )
+
+
+def _scored_trials(gen, n_test_per_class, reduce, calibrations):
+    """For each calibrated trial, draw the H1 and then the H2 test set from its
+    ``rng``, score both with each method and yield ``{method: reduce(log-LRs
+    on H1, log-LRs on H2)}``, plugin first. One method's log-LRs are reduced
+    before the next method's are made, so a trial holds two such arrays at a
+    time, not four."""
+    for theta, preds, rng in calibrations:
+        h1 = generate_scores(gen, Hypothesis.H1, n_test_per_class, rng, test_set=True)
+        h2 = generate_scores(gen, Hypothesis.H2, n_test_per_class, rng, test_set=True)
+        yield {
+            LrMethod.PLUGIN: reduce(plugin_log_lr_array(h1, theta), plugin_log_lr_array(h2, theta)),
+            LrMethod.BAYESIAN: reduce(
+                bayes_log_lr_array(h1, *preds), bayes_log_lr_array(h2, *preds)
+            ),
+        }
+
+
+def _means(*log_lrs) -> list[float]:
+    """The mean of each array: how ``confidence_curve`` reduces test log-LRs."""
+    return [llrs.mean() for llrs in log_lrs]
 
 
 def run_experiment(
@@ -140,60 +180,27 @@ def run_experiment(
     """Average both methods' error-rate curves over resampled backgrounds."""
     grid = np.asarray(exp.prior_grid, dtype=float)
     pi1 = _logistic(grid)
-    baseline = np.minimum(pi1, 1.0 - pi1)
-
-    per_trial_plugin: list[np.ndarray] = []
-    per_trial_bayes: list[np.ndarray] = []
-    degenerate = 0
-    for data, rng in resample_backgrounds(gen, exp.n1, exp.n2, exp.trials, exp.seed, stream=0):
-        try:
-            theta = fit_plugin(data, variance_floor)
-        except ValidationError:
-            degenerate += 1
-            continue
-        pred1, pred2 = class_predictives(data, prior)
-        test_h1 = generate_scores(gen, Hypothesis.H1, exp.n_test_per_class, rng, test_set=True)
-        test_h2 = generate_scores(gen, Hypothesis.H2, exp.n_test_per_class, rng, test_set=True)
-
-        per_trial_plugin.append(
-            _errors_over_grid(
-                plugin_log_lr_array(test_h1, theta),
-                plugin_log_lr_array(test_h2, theta),
-                grid,
-                pi1,
-            )
-        )
-        per_trial_bayes.append(
-            _errors_over_grid(
-                bayes_log_lr_array(test_h1, pred1, pred2),
-                bayes_log_lr_array(test_h2, pred1, pred2),
-                grid,
-                pi1,
-            )
-        )
-
-    if not per_trial_plugin:
-        raise ValidationError(
-            "every trial was degenerate (plugin fit needs n1 >= 2 and n2 >= 2)"
-        )
-    plugin_mat = np.vstack(per_trial_plugin)
-    bayes_mat = np.vstack(per_trial_bayes)
-    used = plugin_mat.shape[0]
-    if used > 1:
-        se_plugin = plugin_mat.std(axis=0, ddof=1) / math.sqrt(used)
-        se_bayes = bayes_mat.std(axis=0, ddof=1) / math.sqrt(used)
-    else:
-        se_plugin = np.zeros_like(grid)
-        se_bayes = np.zeros_like(grid)
+    errors = partial(_errors_over_grid, grid=grid, pi1=pi1)
+    calibrations = _calibrations(
+        gen, exp.n1, exp.n2, exp.trials, exp.seed, 0, prior, variance_floor
+    )
+    per_trial = list(_scored_trials(gen, exp.n_test_per_class, errors, calibrations))
+    plugin_mat, bayes_mat = (
+        np.vstack([trial[method] for trial in per_trial]) for method in LrMethod
+    )
+    se_plugin, se_bayes = (
+        mat.std(axis=0, ddof=1) / math.sqrt(exp.trials) if exp.trials > 1 else np.zeros_like(grid)
+        for mat in (plugin_mat, bayes_mat)
+    )
     return ErrorCurve(
         prior_log_odds=grid,
         error_plugin=plugin_mat.mean(axis=0),
         error_bayes=bayes_mat.mean(axis=0),
-        error_prior_only=baseline,
+        error_prior_only=np.minimum(pi1, 1.0 - pi1),
         stderr_plugin=se_plugin,
         stderr_bayes=se_bayes,
-        trials_used=used,
-        degenerate_trials=degenerate,
+        trials_used=exp.trials,
+        degenerate_trials=0,
     )
 
 
@@ -210,45 +217,28 @@ def confidence_curve(
 
     For each (n1, n2) size, averages E[log LR | H1] and E[log LR | H2] over
     ``trials`` resampled backgrounds, each evaluated on a fresh test set.
+    Every size is checked before the first draw.
     """
     sizes = [(int(n1), int(n2)) for n1, n2 in sizes]
     if not sizes:
         raise ValidationError("sizes must not be empty")
     if trials < 2:
         raise ValidationError("trials must be >= 2")
+    runs = [
+        _calibrations(gen, n1, n2, trials, seed, k, prior, variance_floor)
+        for k, (n1, n2) in enumerate(sizes)
+    ]
 
     points: list[ConfidencePoint] = []
-    for k, (n1, n2) in enumerate(sizes):
-        if n1 < 2 or n2 < 2:
-            raise ValidationError(f"size ({n1}, {n2}) cannot support a plugin fit")
-        trial_means = {
-            (method, hyp): np.empty(trials)
-            for method in LrMethod
-            for hyp in Hypothesis
-        }
-        for t, (data, rng) in enumerate(resample_backgrounds(gen, n1, n2, trials, seed, stream=k)):
-            theta = fit_plugin(data, variance_floor)
-            pred1, pred2 = class_predictives(data, prior)
-            test = {
-                Hypothesis.H1: generate_scores(gen, Hypothesis.H1, n_test_per_class, rng, test_set=True),
-                Hypothesis.H2: generate_scores(gen, Hypothesis.H2, n_test_per_class, rng, test_set=True),
-            }
-            for hyp, scores in test.items():
-                trial_means[(LrMethod.PLUGIN, hyp)][t] = plugin_log_lr_array(scores, theta).mean()
-                trial_means[(LrMethod.BAYESIAN, hyp)][t] = bayes_log_lr_array(scores, pred1, pred2).mean()
-        for method in (LrMethod.PLUGIN, LrMethod.BAYESIAN):
-            for hyp in (Hypothesis.H1, Hypothesis.H2):
-                vals = trial_means[(method, hyp)]
-                points.append(
-                    ConfidencePoint(
-                        n1=n1,
-                        n2=n2,
-                        method=method,
-                        hypothesis=hyp,
-                        mean_log_lr=float(vals.mean()),
-                        stderr=float(vals.std(ddof=1) / math.sqrt(trials)),
-                    )
-                )
+    for (n1, n2), calibrations in zip(sizes, runs):
+        # one row per trial, one column per (method, hypothesis)
+        trial_means = np.array([
+            [*means[LrMethod.PLUGIN], *means[LrMethod.BAYESIAN]]
+            for means in _scored_trials(gen, n_test_per_class, _means, calibrations)
+        ])
+        for (method, hyp), vals in zip(product(LrMethod, Hypothesis), trial_means.T):
+            mean, stderr = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
+            points.append(ConfidencePoint(n1, n2, method, hyp, mean, stderr))
     return tuple(points)
 
 
@@ -282,24 +272,25 @@ def lr_distribution_demo(
 
     Shows that the spread summary (mu, sigma) of plugin log-LRs is not a
     substitute for the Bayesian log-LR: mu ignores the correction term that
-    relates the two, so the summaries disagree in general.
+    relates the two, so the summaries disagree in general. Raises
+    ValidationError when a log-LR, mu, sigma or the mean Bayesian log-LR is
+    not finite, as an extreme score makes them.
     """
     if trials < 2:
         raise ValidationError(f"trials must be >= 2, got {trials}")
-    if n1 < 2 or n2 < 2:
-        raise ValidationError("n1 and n2 must be >= 2 so each database supports a plugin fit")
-
-    plugin_vals = np.empty(trials)
-    bayes_vals = np.empty(trials)
-    for t, (data, _) in enumerate(resample_backgrounds(world, n1, n2, trials, seed, stream=0)):
-        theta = fit_plugin(data, variance_floor)
-        plugin_vals[t] = plugin_log_lr_array(e, theta)
-        pred1, pred2 = class_predictives(data, prior)
-        bayes_vals[t] = bayes_log_lr_array(e, pred1, pred2)
-
+    calibrations = _calibrations(world, n1, n2, trials, seed, 0, prior, variance_floor)
+    pairs = [
+        (plugin_log_lr_array(e, theta), bayes_log_lr_array(e, *preds))
+        for theta, preds, _ in calibrations
+    ]
+    plugin_vals, bayes_vals = (np.array(vals) for vals in zip(*pairs))
+    mu, sigma = float(plugin_vals.mean()), float(plugin_vals.std(ddof=1))
+    summary = np.concatenate([plugin_vals, bayes_vals, [mu, sigma, bayes_vals.mean()]])
+    if not np.isfinite(summary).all():
+        raise ValidationError(f"log-LRs at score {e!r} are not finite: mu={mu!r}, sigma={sigma!r}")
     return LrDistributionReport(
-        mu=float(plugin_vals.mean()),
-        sigma=float(plugin_vals.std(ddof=1)),
+        mu=mu,
+        sigma=sigma,
         plugin_log_lr_per_trial=plugin_vals,
         bayes_log_lr_per_trial=bayes_vals,
     )

@@ -163,7 +163,7 @@ def collect_stats(scores) -> SufficientStats:
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
         i = int(bad[0])
-        raise ValidationError(f"score [{i}] is not finite: {arr[i]!r}")
+        raise ValidationError(f"score [{i}] is not finite: {arr[i].item()!r}")
     n = int(arr.size)
     if n == 0:
         return SufficientStats(0, 0.0, 0.0)

@@ -319,6 +319,18 @@ class TestLrDistributionCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("score", ["1e150", "1e200"])
+    def test_non_finite_result_exits_3(self, score, capsys):
+        # as llr does: a log-LR or summary that overflows is an error, never
+        # a bare NaN or Infinity in the JSON
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(
+                capsys, "lr-distribution", "--score", score, "--trials", "5", "--seed", "0"
+            )
+        assert code == 3
+        assert out == ""
+        assert "not finite" in err
+
 
 class TestFlagsReachLibrary:
     """Each flag's dest is the config key it sets; the library is called with

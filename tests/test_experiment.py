@@ -1,4 +1,4 @@
-"""Synthetic generator, weighted error rates, and the resampling experiments."""
+"""Synthetic generator, the error-rate grid, and the resampling experiments."""
 
 import math
 
@@ -7,6 +7,8 @@ import pytest
 import scipy.stats
 from scipy.special import expit
 
+import bayescal.experiment
+import bayescal.synthetic
 from bayescal import (
     ExperimentConfig,
     GeneratorConfig,
@@ -15,11 +17,17 @@ from bayescal import (
     ValidationError,
     confidence_curve,
     generate_scores,
+    lr_distribution_demo,
     resample_backgrounds,
     run_experiment,
-    weighted_error_rate,
 )
 from bayescal.experiment import DEFAULT_PRIOR_GRID, _errors_over_grid, _logistic
+
+
+def _error_at(llrs_h1, llrs_h2, prior_log_odds):
+    """The cost-weighted error of unit-cost decisions at one prior point."""
+    grid = np.array([prior_log_odds])
+    return float(_errors_over_grid(llrs_h1, llrs_h2, grid, _logistic(grid))[0])
 
 
 class TestGenerateScores:
@@ -71,15 +79,17 @@ class TestResampleBackgrounds:
 
 
 class TestWeightedErrorRate:
+    """``_errors_over_grid`` at one prior point, and over the default grid."""
+
     def test_perfect_separation(self):
-        assert weighted_error_rate([5.0, 8.0], [-6.0, -9.0], 0.0) == 0.0
+        assert _error_at([5.0, 8.0], [-6.0, -9.0], 0.0) == 0.0
 
     @pytest.mark.parametrize("plo", [-6.0, -1.0, 1.0, 6.0])
     def test_uninformative_llrs_give_prior_only_error(self, plo):
         llrs = [0.0] * 100
         pi1 = expit(plo)
         assert math.isclose(
-            weighted_error_rate(llrs, llrs, plo), min(pi1, 1 - pi1), rel_tol=1e-12
+            _error_at(llrs, llrs, plo), min(pi1, 1 - pi1), rel_tol=1e-12
         )
 
     def test_true_model_llrs_reach_bayes_error(self):
@@ -92,12 +102,12 @@ class TestWeightedErrorRate:
         llr_h2 = 4.0 * h2
         expected = scipy.stats.norm.cdf(-2.0)
         se = math.sqrt(expected * (1 - expected) / n)
-        got = weighted_error_rate(llr_h1, llr_h2, 0.0)
+        got = _error_at(llr_h1, llr_h2, 0.0)
         assert abs(got - expected) < 3 * se
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            weighted_error_rate([], [1.0], 0.0)
+            _error_at([], [1.0], 0.0)
 
     def test_vectorized_grid_matches_scalar_op(self):
         rng = np.random.default_rng(0)
@@ -224,3 +234,119 @@ class TestConfidenceCurve:
             confidence_curve(GeneratorConfig(), [], trials=3, seed=0)
         with pytest.raises(ValidationError):
             confidence_curve(GeneratorConfig(), [(1, 9)], trials=3, seed=0)
+
+
+class TestGoldenValues:
+    """Outputs pinned at rtol 1e-12: a change in the draw order (background H1,
+    background H2, test H1, test H2) or in the order of the methods and
+    hypotheses moves these values by about 1e-2."""
+
+    def test_run_experiment(self):
+        curve = run_experiment(
+            GeneratorConfig(),
+            ExperimentConfig(
+                n1=9, n2=27, trials=5, n_test_per_class=200, seed=3,
+                prior_grid=(-4.0, -1.0, 0.0, 0.5, 3.0),
+            ),
+        )
+        expected = {
+            "error_plugin": [0.0036979314943137347, 0.026992476955619883, 0.031000000000000017,
+                             0.025438516719953647, 0.009208732722990129],
+            "error_bayes": [0.0046512006223045875, 0.027261418376989876, 0.031000000000000017,
+                            0.024948679395146233, 0.01314508019672816],
+            "stderr_plugin": [0.0011602333947643086, 0.0019664174851385845, 0.0035881750236018326,
+                              0.002703133928490896, 0.0026854841375179277],
+            "stderr_bayes": [0.0011190896673689509, 0.0020650931965811078, 0.003758324094593229,
+                             0.003284167374020396, 0.0032956395930673114],
+        }
+        for field, values in expected.items():
+            np.testing.assert_allclose(getattr(curve, field), values, rtol=1e-12, err_msg=field)
+        assert (curve.trials_used, curve.degenerate_trials) == (5, 0)
+
+    def test_confidence_curve(self):
+        pts = confidence_curve(
+            GeneratorConfig(), [(4, 6), (12, 30)], trials=3, seed=8, n_test_per_class=150
+        )
+        expected = [
+            (4, 6, "plugin", "H1", 3.5507035316269424, 1.5225070448584939),
+            (4, 6, "plugin", "H2", -26.757844481269718, 5.758716672730875),
+            (4, 6, "bayes", "H1", 2.4989941011112884, 0.46233626248352117),
+            (4, 6, "bayes", "H2", -4.661407606781654, 0.623507248537613),
+            (12, 30, "plugin", "H1", 11.513474360386809, 1.2653087385933048),
+            (12, 30, "plugin", "H2", -7.358586744130612, 1.3196491712098712),
+            (12, 30, "bayes", "H1", 7.894207337248403, 0.6254643543939454),
+            (12, 30, "bayes", "H2", -4.365338636579441, 0.6058089496703902),
+        ]
+        assert [(p.n1, p.n2, p.method.value, p.hypothesis.value) for p in pts] == [
+            row[:4] for row in expected
+        ]
+        np.testing.assert_allclose(
+            [(p.mean_log_lr, p.stderr) for p in pts], [row[4:] for row in expected], rtol=1e-12
+        )
+
+    def test_lr_distribution_demo(self):
+        report = lr_distribution_demo(
+            1.25, GeneratorConfig(mu2_true=-1.0), 6, 11, trials=5, seed=21
+        )
+        np.testing.assert_allclose(
+            [report.mu, report.sigma], [3.162940606791318, 1.7381484506519989], rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            report.plugin_log_lr_per_trial,
+            [1.226964903921961, 3.620560968795038, 4.160500822337598, 1.5303040709508267,
+             5.276372267951167],
+            rtol=1e-12,
+        )
+        np.testing.assert_allclose(
+            report.bayes_log_lr_per_trial,
+            [1.0252283856632318, 2.460457674059337, 2.8889452923100305, 1.2494178377306824,
+             3.543068056525783],
+            rtol=1e-12,
+        )
+
+
+# each experiment called at one (n1, n2) size with ``variance_floor``
+EXPERIMENTS = {
+    "run_experiment": lambda n1, n2, floor: run_experiment(
+        GeneratorConfig(), ExperimentConfig(n1=n1, n2=n2, trials=4, n_test_per_class=100),
+        variance_floor=floor,
+    ),
+    "confidence_curve": lambda n1, n2, floor: confidence_curve(
+        GeneratorConfig(), [(9, 27), (n1, n2)], trials=3, seed=0, n_test_per_class=100,
+        variance_floor=floor,
+    ),
+    "lr_distribution_demo": lambda n1, n2, floor: lr_distribution_demo(
+        1.0, GeneratorConfig(), n1, n2, trials=3, seed=0, variance_floor=floor
+    ),
+}
+
+
+class TestOneSizeCheck:
+    """Every experiment rejects a size or a floor no plugin fit accepts before
+    it draws a single score."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+        real = bayescal.synthetic.generate_scores
+
+        def recorder(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (bayescal.synthetic, bayescal.experiment):
+            monkeypatch.setattr(module, "generate_scores", recorder)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_size_below_two_rejected_before_drawing(self, name, draws):
+        with pytest.raises(ValidationError, match=r"every trial at size \(1, 5\) is degenerate"):
+            EXPERIMENTS[name](1, 5, 1e-12)
+        assert draws == []
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_bad_variance_floor_rejected_before_drawing(self, name, draws):
+        with pytest.raises(ValidationError, match="variance_floor must be > 0"):
+            EXPERIMENTS[name](9, 27, -1.0)
+        assert draws == []
+

@@ -51,6 +51,13 @@ class TestCollectStats:
         with pytest.raises(ValidationError, match=r"\[2\]"):
             collect_stats([0.0, 1.0, bad, 3.0])
 
+    @pytest.mark.parametrize("bad, shown", [(float("nan"), "nan"), (-float("inf"), "-inf")])
+    def test_nonfinite_value_shown_as_background_data_shows_it(self, bad, shown):
+        with pytest.raises(ValidationError, match=rf"^score \[1\] is not finite: {shown}$"):
+            collect_stats([0.0, bad])
+        with pytest.raises(ValidationError, match=rf"^h1_scores\[1\] is not finite: {shown}$"):
+            BackgroundData([0.0, bad], [])
+
 
 @given(finite_scores)
 def test_collect_stats_permutation_invariant(scores):
