@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .conjugate import NONINFORMATIVE_PRIOR, NormalGammaParams
-from .errors import ScoreFileError, ValidationError
+from .errors import ScoreFileError, ValidationError, check_positive
 from .experiment import (
     ExperimentConfig,
     confidence_curve,
@@ -38,12 +38,7 @@ from .lr import (
     plugin_log_lr,
     posterior_log_odds,
 )
-from .scores import (
-    DEFAULT_VARIANCE_FLOOR,
-    check_variance_floor,
-    fit_plugin,
-    load_background_csv,
-)
+from .scores import DEFAULT_VARIANCE_FLOOR, fit_plugin, load_background_csv
 from .synthetic import GeneratorConfig
 from .verification import QuadratureSpec, run_verification_suite
 
@@ -147,7 +142,7 @@ def _configure(args) -> dict:
         section_flags = {} if name == "confidence" else flags
         cfg[name] = _resolve(defaults, cfg[name], section_flags, f"{where}{name}.")
     NormalGammaParams(**cfg["prior"])
-    check_variance_floor(cfg["variance_floor"])
+    check_positive(variance_floor=cfg["variance_floor"])
     return cfg
 
 
@@ -399,8 +394,11 @@ def main(argv=None) -> int:
     if not hasattr(args, "func"):
         parser.print_help(sys.stderr)
         return 2
+    # these reject a non-finite log-LR anyway: numpy's warnings would precede the error line
+    quiet = args.func in (cmd_llr, cmd_decide, cmd_lr_distribution)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore" if quiet else None):
+            return args.func(args)
     except ScoreFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import check_at_least, check_finite, check_positive
 from .scores import SufficientStats, _LOG_2PI, _scalar_like
 
 #: The "much smaller than one" default used for beta, a and b in the
@@ -38,14 +38,8 @@ class NormalGammaParams:
     b: float
 
     def __post_init__(self):
-        if not math.isfinite(self.mu0):
-            raise ValidationError(f"mu0 must be finite, got {self.mu0!r}")
-        for name in ("beta", "a", "b"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValidationError(
-                    f"{name} must be finite and strictly positive, got {v!r}"
-                )
+        check_finite(mu0=self.mu0)
+        check_positive(beta=self.beta, a=self.a, b=self.b)
 
 
 @dataclass(frozen=True)
@@ -57,12 +51,8 @@ class StudentT:
     dof: float
 
     def __post_init__(self):
-        if not math.isfinite(self.location):
-            raise ValidationError("location must be finite")
-        for name in ("scale", "dof"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValidationError(f"{name} must be finite and > 0, got {v!r}")
+        check_finite(location=self.location)
+        check_positive(scale=self.scale, dof=self.dof)
 
 
 #: Weak shared prior: zero location, NONINFORMATIVE_WEIGHT for each of beta,
@@ -163,9 +153,8 @@ def normal_gamma_log_density(mean, precision, params: NormalGammaParams):
     Arguments broadcast together. Precisions must be strictly positive; the
     law has no mass at or below zero.
     """
+    check_positive(precision=precision)
     lam = np.asarray(precision, dtype=float)
-    if not (np.isfinite(lam) & (lam > 0.0)).all():
-        raise ValidationError("precision must be finite and > 0")
     mu = np.asarray(mean, dtype=float)
     log_normal_part = (
         0.5 * (math.log(params.beta) + np.log(lam) - _LOG_2PI)
@@ -185,8 +174,7 @@ def sample_params(
     Returns an array of shape (count, 2): column 0 means, column 1 precisions.
     Deterministic for a given seed.
     """
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count}")
+    check_at_least(1, count=count)
     rng = np.random.default_rng(rng_seed)
     tiny = np.finfo(float).tiny
     lam = rng.gamma(shape=posterior.a, scale=1.0 / posterior.b, size=count)

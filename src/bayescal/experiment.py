@@ -21,9 +21,9 @@ from itertools import product
 import numpy as np
 
 from .conjugate import NONINFORMATIVE_PRIOR, NormalGammaParams
-from .errors import ValidationError
+from .errors import ValidationError, check_at_least, check_finite, check_positive
 from .lr import LrMethod, bayes_log_lr_array, class_predictives, plugin_log_lr_array
-from .scores import DEFAULT_VARIANCE_FLOOR, Hypothesis, check_variance_floor, fit_plugin
+from .scores import DEFAULT_VARIANCE_FLOOR, Hypothesis, fit_plugin
 from .synthetic import GeneratorConfig, generate_scores, resample_backgrounds
 
 __all__ = [
@@ -53,19 +53,12 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n1 < 0 or self.n2 < 0:
-            raise ValidationError("n1 and n2 must be >= 0")
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if self.n_test_per_class < 1:
-            raise ValidationError("n_test_per_class must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("seed must be a non-negative integer")
+        check_at_least(0, n1=self.n1, n2=self.n2, seed=self.seed)
+        check_at_least(1, trials=self.trials, n_test_per_class=self.n_test_per_class)
         grid = tuple(float(g) for g in self.prior_grid)
         if not grid:
             raise ValidationError("prior_grid must not be empty")
-        if not all(math.isfinite(g) for g in grid):
-            raise ValidationError("prior_grid values must be finite")
+        check_finite(prior_grid=grid)
         object.__setattr__(self, "prior_grid", grid)
 
 
@@ -142,7 +135,7 @@ def _calibrations(gen, n1, n2, trials, seed, stream, prior, variance_floor):
             f"every trial at size ({n1}, {n2}) is degenerate "
             "(plugin fit needs n1 >= 2 and n2 >= 2)"
         )
-    check_variance_floor(variance_floor)
+    check_positive(variance_floor=variance_floor)
     return (
         (fit_plugin(data, variance_floor), class_predictives(data, prior), rng)
         for data, rng in resample_backgrounds(gen, n1, n2, trials, seed, stream)
@@ -222,8 +215,8 @@ def confidence_curve(
     sizes = [(int(n1), int(n2)) for n1, n2 in sizes]
     if not sizes:
         raise ValidationError("sizes must not be empty")
-    if trials < 2:
-        raise ValidationError("trials must be >= 2")
+    check_at_least(2, trials=trials)
+    check_at_least(1, n_test_per_class=n_test_per_class)
     runs = [
         _calibrations(gen, n1, n2, trials, seed, k, prior, variance_floor)
         for k, (n1, n2) in enumerate(sizes)
@@ -276,8 +269,7 @@ def lr_distribution_demo(
     ValidationError when a log-LR, mu, sigma or the mean Bayesian log-LR is
     not finite, as an extreme score makes them.
     """
-    if trials < 2:
-        raise ValidationError(f"trials must be >= 2, got {trials}")
+    check_at_least(2, trials=trials)
     calibrations = _calibrations(world, n1, n2, trials, seed, 0, prior, variance_floor)
     pairs = [
         (plugin_log_lr_array(e, theta), bayes_log_lr_array(e, *preds))

@@ -22,7 +22,7 @@ from .conjugate import (
     predictive,
     student_t_log_density,
 )
-from .errors import ValidationError
+from .errors import ValidationError, check_finite, check_positive
 from .scores import BackgroundData, GaussianParams, collect_stats, gaussian_log_density
 
 
@@ -44,8 +44,7 @@ class LogLR:
     method: LrMethod
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValidationError(f"log-LR must be finite, got {self.value!r}")
+        check_finite(**{"log-LR": self.value})
 
     @property
     def log10(self) -> float:
@@ -59,10 +58,8 @@ class TrialPrior:
     pi1: float
 
     def __post_init__(self):
-        if not (0.0 < self.pi1 < 1.0) or not math.isfinite(self.pi1):
+        if not 0.0 < self.pi1 < 1.0:
             raise ValidationError(f"pi1 must lie strictly inside (0, 1), got {self.pi1!r}")
-        if not math.isfinite(self.log_odds):
-            raise ValidationError(f"prior log-odds must be finite for pi1={self.pi1!r}")
 
     @property
     def pi2(self) -> float:
@@ -81,10 +78,9 @@ class DecisionPolicy:
     cost_false_acquit: float = 1.0
 
     def __post_init__(self):
-        for name in ("cost_false_convict", "cost_false_acquit"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValidationError(f"{name} must be finite and > 0, got {v!r}")
+        check_positive(
+            cost_false_convict=self.cost_false_convict, cost_false_acquit=self.cost_false_acquit
+        )
 
     @property
     def log_threshold(self) -> float:

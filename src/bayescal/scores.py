@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ScoreFileError, ValidationError
+from .errors import ScoreFileError, ValidationError, check_at_least, check_finite, check_positive
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -112,12 +112,8 @@ class SufficientStats:
     sum_sq_dev: float
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValidationError(f"n must be >= 0, got {self.n}")
-        if not (math.isfinite(self.mean) and math.isfinite(self.sum_sq_dev)):
-            raise ValidationError("mean and sum_sq_dev must be finite")
-        if self.sum_sq_dev < 0.0:
-            raise ValidationError(f"sum_sq_dev must be >= 0, got {self.sum_sq_dev}")
+        check_finite(mean=self.mean, sum_sq_dev=self.sum_sq_dev)
+        check_at_least(0, n=self.n, sum_sq_dev=self.sum_sq_dev)
 
 
 @dataclass(frozen=True)
@@ -134,23 +130,10 @@ class GaussianParams:
     lambda2: float | np.ndarray
 
     def __post_init__(self):
-        fields = {
-            name: np.asarray(getattr(self, name), dtype=float)
-            for name in ("mu1", "mu2", "lambda1", "lambda2")
-        }
-        if len({v.shape for v in fields.values()}) > 1:
+        if len({np.shape(v) for v in (self.mu1, self.mu2, self.lambda1, self.lambda2)}) > 1:
             raise ValidationError("mu1, mu2, lambda1 and lambda2 must have the same shape")
-        for name in ("mu1", "mu2"):
-            if not np.isfinite(fields[name]).all():
-                raise ValidationError(f"{name} must be finite")
-        for name in ("lambda1", "lambda2"):
-            v = fields[name]
-            good = np.isfinite(v) & (v > 0.0)
-            if not good.all():
-                shown = getattr(self, name) if v.ndim == 0 else v.flat[int(np.argmin(good))].item()
-                raise ValidationError(
-                    f"{name} must be a finite, strictly positive precision, got {shown!r}"
-                )
+        check_finite(mu1=self.mu1, mu2=self.mu2)
+        check_positive(lambda1=self.lambda1, lambda2=self.lambda2)
 
 
 def collect_stats(scores) -> SufficientStats:
@@ -172,12 +155,6 @@ def collect_stats(scores) -> SufficientStats:
     return SufficientStats(n, mean, ssd)
 
 
-def check_variance_floor(variance_floor: float) -> None:
-    """Raise ValidationError unless ``variance_floor`` is finite and > 0."""
-    if not (math.isfinite(variance_floor) and variance_floor > 0.0):
-        raise ValidationError(f"variance_floor must be > 0, got {variance_floor!r}")
-
-
 def fit_plugin(
     data: BackgroundData, variance_floor: float = DEFAULT_VARIANCE_FLOOR
 ) -> GaussianParams:
@@ -187,7 +164,7 @@ def fit_plugin(
     The ML (1/n) variance convention is used, not the bias-corrected 1/(n-1).
     Requires at least two scores per class.
     """
-    check_variance_floor(variance_floor)
+    check_positive(variance_floor=variance_floor)
     s1, s2 = data.h1_stats, data.h2_stats
     for name, s in (("H1", s1), ("H2", s2)):
         if s.n < 2:
@@ -205,9 +182,8 @@ def gaussian_log_density(e, mean, precision):
     Arguments broadcast together; scalars in, scalar out. Never exponentiated
     internally, so extreme tail arguments stay representable.
     """
+    check_positive(precision=precision)
     prec = np.asarray(precision, dtype=float)
-    if not (np.isfinite(prec) & (prec > 0.0)).all():
-        raise ValidationError(f"precision must be finite and > 0, got {precision!r}")
     z = np.asarray(e, dtype=float) - np.asarray(mean, dtype=float)
     out = 0.5 * (np.log(prec) - _LOG_2PI) - 0.5 * prec * np.square(z)
     return _scalar_like(out, e, mean, precision)

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import check_at_least, check_finite, check_positive
 from .scores import BackgroundData, Hypothesis
 
 
@@ -31,13 +30,12 @@ class GeneratorConfig:
     shift_scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("mu1_true", "mu2_true", "shift_location"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
-        for name in ("sigma1_true", "sigma2_true", "shift_scale"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValidationError(f"{name} must be finite and > 0, got {v!r}")
+        check_finite(
+            mu1_true=self.mu1_true, mu2_true=self.mu2_true, shift_location=self.shift_location
+        )
+        check_positive(
+            sigma1_true=self.sigma1_true, sigma2_true=self.sigma2_true, shift_scale=self.shift_scale
+        )
 
 
 def generate_scores(
@@ -54,8 +52,7 @@ def generate_scores(
     (callers running several draws per trial pass one generator through).
     Only test-set draws receive the shift transform.
     """
-    if count < 0:
-        raise ValidationError(f"count must be >= 0, got {count}")
+    check_at_least(0, count=count)
     rng = np.random.default_rng(seed)
     if hypothesis is Hypothesis.H1:
         mu, sigma = config.mu1_true, config.sigma1_true
@@ -79,8 +76,7 @@ def resample_backgrounds(
     own independent stream, so adjacent seeds share no trials and one seed
     can drive several experiments through distinct ``stream`` values.
     """
-    if seed < 0:
-        raise ValidationError("seed must be a non-negative integer")
+    check_at_least(0, seed=seed)
     for t in range(trials):
         rng = np.random.default_rng([seed, stream, t])
         data = BackgroundData(

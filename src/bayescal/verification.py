@@ -57,7 +57,7 @@ from .conjugate import (
     sample_params,
     student_t_log_density,
 )
-from .errors import ValidationError
+from .errors import ValidationError, check_at_least, check_positive
 from .lr import (
     bayes_log_lr,
     bayes_log_lr_array,
@@ -87,8 +87,7 @@ class QuadratureSpec:
     grid_lambda: int = 2001
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu_halfwidth_sds) and self.mu_halfwidth_sds > 0.0):
-            raise ValidationError("mu_halfwidth_sds must be > 0")
+        check_positive(mu_halfwidth_sds=self.mu_halfwidth_sds)
         eps = self.lambda_quantile_eps
         if not (0.0 < eps < 0.5):
             raise ValidationError(f"lambda_quantile_eps must lie in (0, 0.5), got {eps!r}")
@@ -181,15 +180,11 @@ def quadrature_predictive(
     """Log predictive density of ``e`` by direct integration.
 
     Integrates Normal(e | mean, 1/precision) against the Normal-Gamma
-    ``posterior`` over (mean, precision), accumulating in the log domain.
-    The closed-form counterpart is ``student_t_log_density(predictive(p), e)``.
+    ``posterior`` over (mean, precision), accumulating in the log domain:
+    the joint evidence of ``e`` alone under ``posterior``. The closed-form
+    counterpart is ``student_t_log_density(predictive(p), e)``.
     """
-    profile = posterior_update(posterior, collect_stats([e]))
-
-    def log_f(mu, lam):
-        return gaussian_log_density(e, mu, lam) + normal_gamma_log_density(mu, lam, posterior)
-
-    return _log_integral(profile, spec, log_f)
+    return _log_evidence(posterior, (), e, spec)
 
 
 def quadrature_joint_evidence(
@@ -205,6 +200,14 @@ def quadrature_joint_evidence(
     density. These are the normalizers that an exact Bayesian log-LR can be
     assembled from without ever forming a parameter posterior.
     """
+    return _log_evidence(prior, class_scores, e, spec)
+
+
+def _log_evidence(prior, class_scores, e, spec) -> float:
+    """The log integral behind both oracles above: the prior density times
+    the class scores' likelihood (through their sufficient statistics) and,
+    unless ``e`` is None, ``gaussian_log_density`` at ``e``. Neither oracle
+    calls the other, so each can be replaced on its own."""
     stats = collect_stats(class_scores)
     points = list(np.asarray(class_scores, dtype=float).ravel())
     if e is not None:
@@ -212,6 +215,8 @@ def quadrature_joint_evidence(
     profile = posterior_update(prior, collect_stats(points))
 
     def log_f(mu, lam):
+        # e's term first: after the prior's, it re-faulted freed heap pages every block
+        g = None if e is None else gaussian_log_density(e, mu, lam)
         out = normal_gamma_log_density(mu, lam, prior)
         if stats.n > 0:
             # product of the class likelihoods via sufficient statistics:
@@ -219,8 +224,8 @@ def quadrature_joint_evidence(
             out = out + stats.n * 0.5 * (np.log(lam) - _LOG_2PI) - 0.5 * lam * (
                 stats.sum_sq_dev + stats.n * np.square(stats.mean - mu)
             )
-        if e is not None:
-            out = out + gaussian_log_density(e, mu, lam)
+        if g is not None:
+            out = out + g
         return out
 
     return _log_integral(profile, spec, log_f)
@@ -279,8 +284,7 @@ def approximate_posterior_pitfall(
     """
     e_grid = np.asarray(e_grid, dtype=float)
     stats1, stats2 = data.h1_stats, data.h2_stats
-    if stats1.n < 2 or stats2.n < 2:
-        raise ValidationError("needs at least two scores per class")
+    check_at_least(2, n1=stats1.n, n2=stats2.n)
     post1 = posterior_update(prior, stats1)
     post2 = posterior_update(prior, stats2)
     # Joint mode of a Normal-Gamma: mean at mu0, precision at (a - 1/2) / b.
@@ -534,7 +538,13 @@ def run_verification_suite(
     n_pitfall_trials: int = 200,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> VerificationReport:
-    """Run every oracle check at its stated tolerance and collect the results."""
+    """Check every sweep count (each must be >= 1) before any sweep runs, then
+    run every oracle check at its stated tolerance and collect the results."""
+    check_at_least(
+        1, n_posteriors=n_posteriors, n_e=n_e, n_joint_cases=n_joint_cases,
+        n_theta_samples=n_theta_samples, n_theta_datasets=n_theta_datasets,
+        n_pitfall_trials=n_pitfall_trials,
+    )
     pitfall_small, pitfall_large = pitfall_divergence(n_pitfall_trials, seed)
     checks = (
         _check(

@@ -168,6 +168,48 @@ def test_prior_and_floor_checked_whatever_the_method(background, capsys, command
     assert err.startswith(f"error: {named}")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["llr", "--mu0", "nan"], "mu0 must be finite, got nan"),
+        (["llr", "--b", "-1"], "b must be finite and > 0, got -1.0"),
+        (["decide", "--pi1", "0.5", "--cost-false-acquit", "inf"],
+         "cost_false_acquit must be finite and > 0, got inf"),
+        (["lr-distribution", "--score", "1", "--shift-location", "inf"],
+         "shift_location must be finite, got inf"),
+        (["lr-distribution", "--score", "1", "--trials", "1"], "trials must be >= 2, got 1"),
+        (["simulate", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["verify", "--mu-halfwidth", "0"], "mu_halfwidth_sds must be finite and > 0, got 0.0"),
+    ],
+)
+def test_each_rule_exits_3_with_its_one_line(argv, message, background, tmp_path, capsys):
+    if argv[0] in ("llr", "decide"):
+        argv = [*argv, "--background", background, "--score", "1.0"]
+    if argv[0] == "simulate":
+        argv = [*argv, "--out-dir", str(tmp_path / "out")]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["llr"], ["decide", "--pi1", "0.5"], ["lr-distribution", "--trials", "5"]]
+)
+def test_overflowing_score_prints_only_the_error_line(argv, background):
+    """The non-finite log-LR is rejected with exit 3, and numpy's overflow
+    warnings, which would only precede that line, are not printed."""
+    if argv[0] != "lr-distribution":
+        argv = [*argv, "--background", background]
+    env = dict(os.environ, PYTHONPATH=str(Path(bayescal.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "bayescal.cli", *argv, "--score", "1e200"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("error: ")
+    assert done.stderr.count("\n") == 1
+
+
 class TestVerifyCommand:
     QUICK = [
         "verify", "--posteriors", "2", "--e-points", "3", "--joint-cases", "1",
@@ -190,6 +232,23 @@ class TestVerifyCommand:
         blocker.write_text("file, not a directory")
         code, _, err = run_cli(capsys, *self.QUICK, "--report", str(blocker / "r.json"))
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "flag, name, value",
+        [
+            ("--posteriors", "n_posteriors", "0"),
+            ("--posteriors", "n_posteriors", "-3"),
+            ("--e-points", "n_e", "0"),
+            ("--joint-cases", "n_joint_cases", "0"),
+            ("--theta-samples", "n_theta_samples", "0"),
+            ("--theta-datasets", "n_theta_datasets", "0"),
+            ("--pitfall-trials", "n_pitfall_trials", "0"),
+        ],
+    )
+    def test_sweep_size_below_one_exits_3(self, flag, name, value, capsys):
+        code, out, err = run_cli(capsys, *self.QUICK, flag, value)
+        assert (code, out) == (3, "")
+        assert err == f"error: {name} must be >= 1, got {value}\n"
 
     @pytest.mark.parametrize(
         "flags, expected",
@@ -283,6 +342,16 @@ class TestSimulateCommand:
         assert code == 0
         curve = (out_dir / "curve.csv").read_text().splitlines()
         assert len(curve) == 1 + 41
+
+    def test_confidence_test_set_below_one_exits_3(self, tmp_path, capsys):
+        confidence = {**self.SMALL_CONFIG["confidence"], "n_test_per_class": 0}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.SMALL_CONFIG, "confidence": confidence}))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out-dir", str(out_dir))
+        assert (code, out) == (3, "")
+        assert err == "error: n_test_per_class must be >= 1, got 0\n"
+        assert not out_dir.exists()
 
     def test_unwritable_out_dir_exits_4(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -346,7 +346,7 @@ class TestOneSizeCheck:
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_bad_variance_floor_rejected_before_drawing(self, name, draws):
-        with pytest.raises(ValidationError, match="variance_floor must be > 0"):
+        with pytest.raises(ValidationError, match=r"^variance_floor must be finite and > 0, got -1.0$"):
             EXPERIMENTS[name](9, 27, -1.0)
         assert draws == []
 

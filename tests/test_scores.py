@@ -131,7 +131,7 @@ class TestFitPlugin:
 
 class TestGaussianParams:
     def test_scalar_precision_message(self):
-        with pytest.raises(ValidationError, match=r"^lambda2 must be a finite, strictly positive precision, got -0.5$"):
+        with pytest.raises(ValidationError, match=r"^lambda2 must be finite and > 0, got -0.5$"):
             GaussianParams(0.0, 0.0, 1.0, -0.5)
 
     def test_arrays_of_valid_elements_are_accepted(self):
@@ -141,12 +141,12 @@ class TestGaussianParams:
     @pytest.mark.parametrize(
         "field, bad, message",
         [
-            ("mu1", math.nan, r"^mu1 must be finite$"),
-            ("mu2", -math.inf, r"^mu2 must be finite$"),
-            ("lambda1", 0.0, r"^lambda1 must be a finite, strictly positive precision, got 0.0$"),
-            ("lambda1", -2.0, r"^lambda1 must be a finite, strictly positive precision, got -2.0$"),
-            ("lambda2", math.inf, r"^lambda2 must be a finite, strictly positive precision, got inf$"),
-            ("lambda2", math.nan, r"^lambda2 must be a finite, strictly positive precision, got nan$"),
+            ("mu1", math.nan, r"^mu1 must be finite, got nan$"),
+            ("mu2", -math.inf, r"^mu2 must be finite, got -inf$"),
+            ("lambda1", 0.0, r"^lambda1 must be finite and > 0, got 0.0$"),
+            ("lambda1", -2.0, r"^lambda1 must be finite and > 0, got -2.0$"),
+            ("lambda2", math.inf, r"^lambda2 must be finite and > 0, got inf$"),
+            ("lambda2", math.nan, r"^lambda2 must be finite and > 0, got nan$"),
         ],
     )
     def test_one_bad_array_element_raises(self, field, bad, message):
