@@ -10,10 +10,10 @@ Cases:
 - ``BackgroundData`` + ``fit_plugin`` + ``class_predictives`` on fresh draws
   at 9/27 and at 300/4 050 scores per class, the smallest and largest
   background of the fig1 confidence experiment;
-- one fig1 ``run_experiment`` trial (9/27 background, 2 x 10 000 test scores);
-- fig1 ``confidence_curve`` trials at its largest size (300/4 050 background,
-  2 x 2 000 test scores); ``confidence_curve`` needs two trials for a
-  standard error, so the case runs two and one trial takes half its time;
+- the full fig1 ``run_experiment`` (1 000 trials of a 9/27 background, exact
+  error rates at 41 prior log-odds points);
+- the full fig1 ``confidence_curve`` (200 trials at each of 9/27, 30/405 and
+  300/4 050, exact mean log-LRs);
 - one ``quadrature_predictive`` at 401^2 and 1201^2;
 - ``decomposition_sweep()`` at its defaults.
 
@@ -75,13 +75,14 @@ def test_background_fit_predictives(benchmark, n1, n2):
     benchmark(_summarize_and_fit, h1, h2)
 
 
-def test_run_experiment_one_fig1_trial(benchmark):
-    exp = ExperimentConfig(n1=9, n2=27, trials=1, seed=101)
+def test_run_experiment_fig1(benchmark):
+    exp = ExperimentConfig(n1=9, n2=27, trials=1000, seed=101)
     benchmark(run_experiment, GeneratorConfig(), exp)
 
 
-def test_confidence_curve_two_fig1_trials_300x4050(benchmark):
-    benchmark(confidence_curve, GeneratorConfig(), [(300, 4050)], trials=2, seed=42)
+def test_confidence_curve_fig1(benchmark):
+    sizes = [(9, 27), (30, 405), (300, 4050)]
+    benchmark(confidence_curve, GeneratorConfig(), sizes, trials=200, seed=42)
 
 
 @pytest.mark.parametrize("grid", [401, 1201])

@@ -23,9 +23,10 @@ import numpy as np
 
 from . import __version__
 from .conjugate import NONINFORMATIVE_PRIOR, NormalGammaParams
-from .errors import ScoreFileError, ValidationError, check_positive
+from .errors import ScoreFileError, ValidationError, check_at_least, check_positive
 from .experiment import (
     ExperimentConfig,
+    check_confidence,
     confidence_curve,
     lr_distribution_demo,
     run_experiment,
@@ -49,9 +50,13 @@ _EXPERIMENT_DEFAULTS = dataclasses.asdict(ExperimentConfig(n1=9, n2=27))
 _CONFIDENCE_DEFAULTS = {
     "sizes": [[9, 27], [30, 405], [300, 4050]],
     "trials": 200,
-    "n_test_per_class": 2000,
     "seed": 1,
 }
+
+#: The test-set size the experiment and confidence sections once took. The
+#: rates and means are now exact, so no test set is drawn; a config file
+#: that still sets it must give an integer >= 1, which is then ignored.
+_IGNORED_KEY = "n_test_per_class"
 
 _SECTIONS = {
     "prior": dataclasses.asdict(NONINFORMATIVE_PRIOR),
@@ -127,20 +132,32 @@ def _resolve(defaults: dict, given: dict, flags: dict, where: str) -> dict:
     return out
 
 
+def _without_ignored_key(name: str, given: dict, where: str) -> dict:
+    """Section ``name`` of a config file without ``_IGNORED_KEY``, which the
+    experiment and confidence sections may carry as an integer >= 1."""
+    if name not in ("experiment", "confidence") or _IGNORED_KEY not in given:
+        return given
+    given = dict(given)
+    ignored = _resolve({_IGNORED_KEY: 1}, {_IGNORED_KEY: given.pop(_IGNORED_KEY)}, {}, where)
+    check_at_least(1, **ignored)
+    return given
+
+
 def _configure(args) -> dict:
     """Every section and the variance floor: defaults < config file < flags.
 
     The whole file is checked, whichever sections the command reads, and
     so are the prior and the floor, which every command echoes. Flag dests
-    are the keys they set; no flag sets ``confidence`` (simulate's --seed,
-    --trials and --n-test are the experiment's).
+    are the keys they set; no flag sets ``confidence`` (simulate's --seed
+    and --trials are the experiment's).
     """
     where = f"{args.config}: "
     flags = vars(args)
     cfg = _resolve(_CONFIG_DEFAULTS, _load_config(args.config), flags, where)
     for name, defaults in _SECTIONS.items():
         section_flags = {} if name == "confidence" else flags
-        cfg[name] = _resolve(defaults, cfg[name], section_flags, f"{where}{name}.")
+        given = _without_ignored_key(name, cfg[name], f"{where}{name}.")
+        cfg[name] = _resolve(defaults, given, section_flags, f"{where}{name}.")
     NormalGammaParams(**cfg["prior"])
     check_positive(variance_floor=cfg["variance_floor"])
     return cfg
@@ -248,6 +265,8 @@ def cmd_simulate(args) -> int:
     gen = GeneratorConfig(**cfg["generator"])
     exp = ExperimentConfig(**cfg["experiment"])
     prior = NormalGammaParams(**cfg["prior"])
+    # the whole confidence section is checked before the curve's trials run
+    check_confidence(**cfg["confidence"])
 
     curve = run_experiment(gen, exp, prior, floor)
     points = confidence_curve(gen, **cfg["confidence"], prior=prior, variance_floor=floor)
@@ -366,7 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n1", type=int)
     p.add_argument("--n2", type=int)
     p.add_argument("--trials", type=int)
-    p.add_argument("--n-test", type=int, dest="n_test_per_class")
     p.add_argument("--seed", type=int)
     _add_generator_flags(p)
     _add_prior_flags(p)
@@ -394,8 +412,9 @@ def main(argv=None) -> int:
     if not hasattr(args, "func"):
         parser.print_help(sys.stderr)
         return 2
-    # these reject a non-finite log-LR anyway: numpy's warnings would precede the error line
-    quiet = args.func in (cmd_llr, cmd_decide, cmd_lr_distribution)
+    # these reject a non-finite log-LR, rate or mean anyway: numpy's warnings
+    # would precede the error line
+    quiet = args.func in (cmd_llr, cmd_decide, cmd_lr_distribution, cmd_simulate)
     try:
         with np.errstate(all="ignore" if quiet else None):
             return args.func(args)

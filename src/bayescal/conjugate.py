@@ -30,7 +30,11 @@ NONINFORMATIVE_WEIGHT = 0.01
 
 @dataclass(frozen=True)
 class NormalGammaParams:
-    """Normal-Gamma hyperparameters (gamma in shape/rate form)."""
+    """Normal-Gamma hyperparameters (gamma in shape/rate form).
+
+    ``mu0`` and ``b`` may be arrays, one posterior per background of a
+    block; ``beta`` and ``a`` depend only on the count, which a block shares.
+    """
 
     mu0: float
     beta: float
@@ -44,7 +48,11 @@ class NormalGammaParams:
 
 @dataclass(frozen=True)
 class StudentT:
-    """Location / scale / degrees-of-freedom triple (scale, not variance)."""
+    """Location / scale / degrees-of-freedom triple (scale, not variance).
+
+    ``location`` and ``scale`` may be arrays, one predictive per background
+    of a block; the dof is shared.
+    """
 
     location: float
     scale: float
@@ -81,7 +89,9 @@ def posterior_update(
         a'    = a + n/2
         b'    = b + S/2 + beta*n*(m - mu0)^2 / (2*beta')
 
-    For n = 0 the prior is returned unchanged.
+    For n = 0 the prior is returned unchanged. Array-valued stats (a block
+    of backgrounds) give an array-valued posterior, each element equal to
+    the scalar update bit for bit.
     """
     if stats.n == 0:
         return prior
@@ -102,11 +112,11 @@ def predictive(posterior: NormalGammaParams) -> StudentT:
 
     Student-t with location mu0', scale sqrt(b'(beta'+1) / (a' beta')) and
     2a' degrees of freedom. Returned as a distribution object so callers can
-    evaluate it at many points cheaply.
+    evaluate it at many points cheaply. An array-valued posterior gives an
+    array-valued predictive.
     """
-    scale = math.sqrt(
-        posterior.b * (posterior.beta + 1.0) / (posterior.a * posterior.beta)
-    )
+    var = posterior.b * (posterior.beta + 1.0) / (posterior.a * posterior.beta)
+    scale = math.sqrt(var) if np.ndim(var) == 0 else np.sqrt(var)
     return StudentT(posterior.mu0, scale, 2.0 * posterior.a)
 
 
@@ -130,16 +140,22 @@ def _log_gamma_half_ratio(x: float) -> float:
 
 
 def student_t_log_density(dist: StudentT, e):
-    """Log density of a location-scale Student-t; vectorized over ``e``."""
+    """Log density of a location-scale Student-t; vectorized over ``e``.
+
+    An array-valued ``dist`` broadcasts against ``e``: the trials of a
+    block on the last axis.
+    """
     nu = dist.dof
     z = (np.asarray(e, dtype=float) - dist.location) / dist.scale
+    # math.log for a scalar scale: numpy's log can differ from it by an ulp
+    log_scale = math.log(dist.scale) if np.ndim(dist.scale) == 0 else np.log(dist.scale)
     out = (
         _log_gamma_half_ratio(0.5 * nu)
         - 0.5 * math.log(nu * math.pi)
-        - math.log(dist.scale)
+        - log_scale
         - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
     )
-    return _scalar_like(out, e)
+    return _scalar_like(out, e, dist.location)
 
 
 def _gamma_log_pdf(lam: np.ndarray, a: float, b: float) -> np.ndarray:

@@ -55,7 +55,17 @@ def check_positive(**values) -> None:
 
 
 def check_at_least(minimum: int, **counts) -> None:
-    """Raise ValidationError unless every count (or value) is >= ``minimum``; NaN is not."""
+    """Raise ValidationError unless every count (or value, or array element)
+    is >= ``minimum``; NaN is not. For an array, V is its first bad element."""
     for name, count in counts.items():
-        if not count >= minimum:
-            raise ValidationError(f"{name} must be >= {minimum}, got {count!r}")
+        if isinstance(count, (int, float)):
+            if count >= minimum:
+                continue
+            shown = count
+        else:
+            arr = np.asarray(count)
+            good = arr >= minimum
+            if good.all():
+                continue
+            shown = arr.flat[int(np.argmin(good))].item()
+        raise ValidationError(f"{name} must be >= {minimum}, got {shown!r}")

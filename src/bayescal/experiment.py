@@ -2,35 +2,55 @@
 and the spread-summary demo.
 
 Each trial draws a fresh small background database and calibrates it both
-ways (``_calibrations``). The curves then score a large fresh test set with
-both (``_scored_trials``) and either record the cost-weighted error rate of
-the induced decisions over a grid of prior log-odds or average the log-LRs.
-Trials come from ``synthetic.resample_backgrounds``: trial t of stream k
-draws from a NumPy generator seeded with ``[seed, k, t]``, so runs are
-reproducible, trials could be evaluated in any order, and different seeds
-share no trials.
+ways. The curves then take each trial's exact expectation under the
+generator's known test law (``GeneratorConfig.test_law``): the cost-weighted
+error rate of the induced decisions over a grid of prior log-odds, or the
+mean log-LR. No test set is drawn. Trials come from
+``synthetic.resample_backgrounds``: trial t of stream k draws from a NumPy
+generator seeded with ``[seed, k, t]``, so runs are reproducible, trials
+could be evaluated in any order, and different seeds share no trials. They
+are solved ``_BLOCK`` at a time, as arrays with one element per trial.
+
+Exact rates. Deciding at prior log-odds g convicts iff the log-LR exceeds
+c = -g. On [L, R], which holds all but 1e-300 of either test law's mass,
+each log-LR splits into at most four monotone pieces: the plugin log-LR is
+a quadratic, and the Bayesian one has at most three stationary points, the
+real roots of a cubic. A piece whose ends lie on both sides of c crosses it
+once, at a root r, so under N(mu, sd^2)
+
+    P(llr > c) = [llr(L) > c] + sum over crossings of +-sf((r - mu) / sd),
+
+with + where the log-LR rises through c and - where it falls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from itertools import product
+from itertools import islice, product
+from typing import NamedTuple
 
 import numpy as np
 
-from .conjugate import NONINFORMATIVE_PRIOR, NormalGammaParams
+from .conjugate import NONINFORMATIVE_PRIOR, NormalGammaParams, StudentT
 from .errors import ValidationError, check_at_least, check_finite, check_positive
 from .lr import LrMethod, bayes_log_lr_array, class_predictives, plugin_log_lr_array
-from .scores import DEFAULT_VARIANCE_FLOOR, Hypothesis, fit_plugin
-from .synthetic import GeneratorConfig, generate_scores, resample_backgrounds
+from .scores import (
+    DEFAULT_VARIANCE_FLOOR,
+    BackgroundData,
+    Hypothesis,
+    SufficientStats,
+    _summarize,
+    fit_plugin,
+)
+from .synthetic import GeneratorConfig, resample_backgrounds
 
 __all__ = [
     "ExperimentConfig",
     "ErrorCurve",
     "ConfidencePoint",
     "run_experiment",
+    "check_confidence",
     "confidence_curve",
     "LrDistributionReport",
     "lr_distribution_demo",
@@ -39,6 +59,25 @@ __all__ = [
 
 #: 41 prior log-odds points spanning -10..+10 natural-log units.
 DEFAULT_PRIOR_GRID = tuple(np.linspace(-10.0, 10.0, 41))
+
+#: Trials solved together. Larger blocks spread numpy's per-call cost
+#: further but raise the peak memory: fig1 ``simulate`` peaks at 40 MB with
+#: 50, 45 MB with 200 and 52 MB with all 1000 trials in one block.
+_BLOCK = 50
+
+#: The solved range reaches this many test-law standard deviations past
+#: either class mean; the normal mass beyond it, 4e-350, underflows to 0.
+_RANGE_SDS = 40.0
+
+#: Bisection steps before Newton's: a piece of width 80 sd shrinks to 0.02 sd.
+_BISECTIONS = 12
+
+#: Newton steps at most; each stays inside the bracket, or bisects.
+_NEWTON_STEPS = 8
+
+#: Gauss-Hermite nodes for a mean Bayesian log-LR: within 5e-16 of mpmath
+#: quadrature on five fig1 trials.
+_HERMITE_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -49,12 +88,11 @@ class ExperimentConfig:
     n2: int
     trials: int = 1000
     prior_grid: tuple[float, ...] = DEFAULT_PRIOR_GRID
-    n_test_per_class: int = 10_000
     seed: int = 0
 
     def __post_init__(self):
         check_at_least(0, n1=self.n1, n2=self.n2, seed=self.seed)
-        check_at_least(1, trials=self.trials, n_test_per_class=self.n_test_per_class)
+        check_at_least(1, trials=self.trials)
         grid = tuple(float(g) for g in self.prior_grid)
         if not grid:
             raise ValidationError("prior_grid must not be empty")
@@ -66,11 +104,12 @@ class ExperimentConfig:
 class ErrorCurve:
     """Mean error rates over trials at each prior log-odds grid point.
 
-    ``error_prior_only`` is the exact min(pi1, pi2) baseline of deciding from
-    the prior alone; it involves no simulation. Standard errors are over
-    trials. A size too small for a plugin fit is rejected before any draw,
-    so every trial is used: ``trials_used`` is the trial count and
-    ``degenerate_trials`` is 0.
+    Each trial's rate is exact under the test law, so the standard errors,
+    over trials, measure how the rate varies from background to background
+    alone. ``error_prior_only`` is the exact min(pi1, pi2) baseline of
+    deciding from the prior alone. A size too small for a plugin fit is
+    rejected before any draw, so every trial is used: ``trials_used`` is
+    the trial count and ``degenerate_trials`` is 0.
     """
 
     prior_log_odds: np.ndarray
@@ -105,63 +144,267 @@ def _logistic(grid: np.ndarray) -> np.ndarray:
     return np.array([1.0 / (1.0 + math.exp(-g)) for g in grid])
 
 
-def _errors_over_grid(llrs_h1, llrs_h2, grid: np.ndarray, pi1: np.ndarray) -> np.ndarray:
-    """Cost-weighted error of unit-cost Bayes decisions at every point of ``grid``.
+class _BlockStats(NamedTuple):
+    """Both classes' stats for a block of backgrounds, one element per trial:
+    what ``fit_plugin`` and ``class_predictives`` read of a background."""
 
-    Decisions compare each log-LR against the threshold -prior_log_odds
-    (ties acquit). Returns pi1 * P(miss) + pi2 * P(false alarm), where
-    ``pi1`` is ``_logistic(grid)``.
-    """
-    thresholds = -grid
-    sorted_h1 = np.sort(llrs_h1)
-    sorted_h2 = np.sort(llrs_h2)
-    if sorted_h1.size == 0 or sorted_h2.size == 0:
-        raise ValidationError("both llr lists must be nonempty")
-    p_miss = np.searchsorted(sorted_h1, thresholds, side="right") / sorted_h1.size
-    p_fa = 1.0 - np.searchsorted(sorted_h2, thresholds, side="right") / sorted_h2.size
-    return pi1 * p_miss + (1.0 - pi1) * p_fa
+    h1_stats: SufficientStats
+    h2_stats: SufficientStats
 
 
-def _calibrations(gen, n1, n2, trials, seed, stream, prior, variance_floor):
-    """Each resampled background of ``stream`` calibrated both ways: an
-    iterator of ``(plugin fit, (pred1, pred2), rng)``, one per trial.
-
-    The size and the floor are checked here, before any draw: every trial at
-    one size has the same class counts, so a plugin fit fails for all of them
-    or for none. ``rng`` is the trial's generator, for its test sets.
-    """
+def _check_size(n1: int, n2: int) -> None:
+    """Every trial at one size has the same class counts, so a plugin fit
+    fails for all of them or for none."""
     if n1 < 2 or n2 < 2:
         raise ValidationError(
             f"every trial at size ({n1}, {n2}) is degenerate "
             "(plugin fit needs n1 >= 2 and n2 >= 2)"
         )
+
+
+def _calibrated_blocks(gen, n1, n2, trials, seed, stream, prior, variance_floor):
+    """The resampled backgrounds of ``stream`` calibrated both ways, a block
+    at a time: yields ``(plugin fit, (pred1, pred2))`` whose parameters are
+    arrays with one element per trial of the block.
+
+    The size and the floor are checked before any draw. Every block is
+    summarized in place in the same two buffers, so that large backgrounds
+    (1.6 MB per 300/4050 block) do not allocate a matrix and its deviations
+    per block.
+    """
+    _check_size(n1, n2)
     check_positive(variance_floor=variance_floor)
-    return (
-        (fit_plugin(data, variance_floor), class_predictives(data, prior), rng)
-        for data, rng in resample_backgrounds(gen, n1, n2, trials, seed, stream)
+    draws = resample_backgrounds(gen, n1, n2, trials, seed, stream)
+    h1, h2 = np.empty((_BLOCK, n1)), np.empty((_BLOCK, n2))
+    for start in range(0, trials, _BLOCK):
+        size = min(_BLOCK, trials - start)
+        for row, (d1, d2) in enumerate(islice(draws, size)):
+            h1[row], h2[row] = d1, d2
+        yield _calibrate(h1[:size], h2[:size], prior, variance_floor)
+
+
+def _calibrate(h1, h2, prior, variance_floor):
+    """Both calibrations of a block of backgrounds, one trial per row of
+    ``h1`` and ``h2``, which are overwritten."""
+    stats = _BlockStats(_summarize(h1), _summarize(h2))
+    return fit_plugin(stats, variance_floor), class_predictives(stats, prior)
+
+
+def _upper_tail(z: np.ndarray) -> np.ndarray:
+    """The standard normal mass beyond |z|, per element, through ``math.erfc``."""
+    half = (np.abs(z) * math.sqrt(0.5)).tolist()
+    return 0.5 * np.fromiter(map(math.erfc, half), float, len(half))
+
+
+def _quadratic_roots(a, b, c):
+    """The roots (lower, upper) of a x^2 + b x + c, elementwise.
+
+    Cancellation-free: q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2 gives the
+    roots q/a and c/q. With a = 0 both are the linear root -c/b; with
+    b^2 < 4ac both are the vertex -b/(2a); with a = b = 0 both are NaN.
+    """
+    disc = b * b - 4.0 * a * c
+    q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
+    r1 = np.divide(q, a, out=np.full(np.shape(q), np.nan), where=a != 0)
+    r2 = np.divide(c, q, out=np.full(np.shape(q), np.nan), where=q != 0)
+    r2 = np.where(disc < 0, r1, r2)
+    return np.fmin(r1, r2), np.fmax(r1, r2)
+
+
+def _exceedance(llr_at_breaks, thresholds, crossing, laws):
+    """P(llr > c) and P(llr <= c) under each test law, for one block.
+
+    ``llr_at_breaks`` (K + 1, trials) is the log-LR at L, at the ends of its
+    K monotone pieces and at R; ``thresholds`` (G,) are the values of c.
+    ``crossing(g, k, t, up)`` returns, for each index triple, the point
+    where piece k of trial t crosses threshold g, rising if ``up``. Returns
+    one ``(P(llr > c), P(llr <= c))`` pair of (G, trials) arrays per law.
+
+    Each crossing left of the law's mean enters as 1 - tail, so the
+    integers sum apart from the tails and every tail keeps its digits. A
+    log-LR that is NaN at a break makes that trial's values NaN.
+    """
+    above = llr_at_breaks > thresholds[:, None, None]
+    steps = np.diff(above.astype(np.int8), axis=1)
+    g, k, t = np.nonzero(steps)
+    rise = steps[g, k, t]
+    roots = crossing(g, k, t, rise > 0)
+    broken = np.isnan(llr_at_breaks).any(axis=0)
+    out = []
+    for mu, sd in laws:
+        z = (roots - mu) / sd
+        left = z < 0
+        jumps = np.zeros(steps.shape, dtype=np.int8)
+        jumps[g, k, t] = rise * left
+        tails = np.zeros(steps.shape)
+        tails[g, k, t] = np.where(left, -rise, rise) * _upper_tail(z)
+        above_mean = above[:, 0, :] + jumps.sum(axis=1)
+        tail = tails.sum(axis=1)
+        p_above = np.where(broken, np.nan, above_mean + tail)
+        out.append((p_above, np.where(broken, np.nan, (1 - above_mean) - tail)))
+    return out
+
+
+def _span(laws) -> tuple[float, float]:
+    """[L, R]: ``_RANGE_SDS`` standard deviations past both test laws."""
+    return (min(mu - _RANGE_SDS * sd for mu, sd in laws),
+            max(mu + _RANGE_SDS * sd for mu, sd in laws))
+
+
+def _plugin_quadratic(theta):
+    """(A, B, C) with plugin log-LR = A e^2 + B e + C; C is the log-LR at 0."""
+    a = 0.5 * (theta.lambda2 - theta.lambda1)
+    b = theta.lambda1 * theta.mu1 - theta.lambda2 * theta.mu2
+    return a, b, plugin_log_lr_array(0.0, theta)
+
+
+def _plugin_exceedance(theta, thresholds, laws):
+    """``_exceedance`` of the plugin log-LR: two pieces split at the vertex,
+    crossed at the roots of its quadratic."""
+    lo, hi = _span(laws)
+    a, b, c = _plugin_quadratic(theta)
+    vertex = np.divide(-b, 2.0 * a, out=np.full(np.shape(a), hi), where=a != 0)
+    breaks = np.stack([np.full(np.shape(a), lo), np.clip(vertex, lo, hi), np.full(np.shape(a), hi)])
+    roots = np.stack(_quadratic_roots(a, b, c - thresholds[:, None]))
+    return _exceedance(
+        plugin_log_lr_array(breaks, theta), thresholds, lambda g, k, t, up: roots[k, g, t], laws
     )
 
 
-def _scored_trials(gen, n_test_per_class, reduce, calibrations):
-    """For each calibrated trial, draw the H1 and then the H2 test set from its
-    ``rng``, score both with each method and yield ``{method: reduce(log-LRs
-    on H1, log-LRs on H2)}``, plugin first. One method's log-LRs are reduced
-    before the next method's are made, so a trial holds two such arrays at a
-    time, not four."""
-    for theta, preds, rng in calibrations:
-        h1 = generate_scores(gen, Hypothesis.H1, n_test_per_class, rng, test_set=True)
-        h2 = generate_scores(gen, Hypothesis.H2, n_test_per_class, rng, test_set=True)
-        yield {
-            LrMethod.PLUGIN: reduce(plugin_log_lr_array(h1, theta), plugin_log_lr_array(h2, theta)),
-            LrMethod.BAYESIAN: reduce(
-                bayes_log_lr_array(h1, *preds), bayes_log_lr_array(h2, *preds)
-            ),
-        }
+def _log_t_slope(dist: StudentT, e):
+    """d/de of ``student_t_log_density``: -(nu + 1) u / (nu scale^2 + u^2), u = e - location."""
+    u = e - dist.location
+    return -(dist.dof + 1.0) * u / (dist.dof * dist.scale**2 + u * u)
 
 
-def _means(*log_lrs) -> list[float]:
-    """The mean of each array: how ``confidence_curve`` reduces test log-LRs."""
-    return [llrs.mean() for llrs in log_lrs]
+def _stationary_points(pred1: StudentT, pred2: StudentT) -> np.ndarray:
+    """The real stationary points of the Bayesian log-LR, (3, trials), NaN
+    where there are fewer than three.
+
+    With k = nu + 1, D = nu scale^2 and u, w the score's offsets from the
+    two locations, the slope vanishes where k1 u (D2 + w^2) = k2 w (D1 + u^2).
+    About the midpoint of the locations, half their gap h apart, that is
+    (k1 - k2) x^3 + (k1 + k2) h x^2 + (k1 (D2 - h^2) - k2 (D1 - h^2)) x
+    - h (k1 (h^2 + D2) + k2 (h^2 + D1)) = 0, solved here in units of
+    S = sqrt(h^2 + scale1^2 + scale2^2), where every coefficient is finite.
+    A block shares the dofs, so it is a cubic for all of its trials or for
+    none: equal dofs leave a quadratic.
+    """
+    k1, k2 = pred1.dof + 1.0, pred2.dof + 1.0
+    half_gap = 0.5 * pred1.location - 0.5 * pred2.location
+    unit = np.hypot(half_gap, np.hypot(pred1.scale, pred2.scale))
+    h = half_gap / unit
+    d1, d2 = (p.dof * (p.scale / unit) ** 2 for p in (pred1, pred2))
+    coeffs = [
+        (k1 + k2) * h,
+        k1 * (d2 - h * h) - k2 * (d1 - h * h),
+        -h * (k1 * (h * h + d2) + k2 * (h * h + d1)),
+    ]
+    if k1 == k2:
+        y = np.stack([*_quadratic_roots(*coeffs), np.full(np.shape(h), np.nan)])
+    else:
+        companion = np.zeros((np.size(h), 3, 3))
+        companion[:, 0, :] = -np.stack(coeffs, axis=1) / (k1 - k2)
+        companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+        w = np.linalg.eigvals(companion).T
+        y = np.where(w.imag == 0, w.real, np.nan)
+    return 0.5 * pred1.location + 0.5 * pred2.location + unit * y
+
+
+def _solve_monotone(f, slope, lo, hi, c, up):
+    """x in [lo, hi] with f(x) = c, elementwise, for f monotone on each
+    interval and crossing c there (rising if ``up``).
+
+    Bisects ``_BISECTIONS`` times, then takes Newton steps, each replaced by
+    the bracket's midpoint when it would leave the bracket. It stops once no
+    step moves a point x by more than 1e-10 (1 + |x|): Newton's error after
+    such a step is about its square, below the rounding of f itself.
+    """
+    below, over = np.where(up, lo, hi), np.where(up, hi, lo)  # f <= c, f > c
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (below + over)
+        hit = f(mid) > c
+        below, over = np.where(hit, below, mid), np.where(hit, mid, over)
+    x = 0.5 * (below + over)
+    for _ in range(_NEWTON_STEPS):
+        gap = f(x) - c
+        hit = gap > 0
+        below, over = np.where(hit, below, x), np.where(hit, x, over)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - gap / slope(x)
+        step = np.where((step - below) * (step - over) <= 0, step, 0.5 * (below + over))
+        settled = np.all(np.abs(step - x) <= 1e-10 * (1.0 + np.abs(x)))
+        x = step
+        if settled:
+            break
+    return x
+
+
+def _bayes_exceedance(preds, thresholds, laws):
+    """``_exceedance`` of the Bayesian log-LR: pieces split at its
+    stationary points inside [L, R], crossings solved by ``_solve_monotone``."""
+    lo, hi = _span(laws)
+    points = _stationary_points(*preds)
+    points = np.sort(np.where((points > lo) & (points < hi), points, hi), axis=0)
+    trials = points.shape[1]
+    breaks = np.vstack([np.full(trials, lo), points, np.full(trials, hi)])
+
+    def crossing(g, k, t, up):
+        p1, p2 = (StudentT(p.location[t], p.scale[t], p.dof) for p in preds)
+        return _solve_monotone(
+            lambda x: bayes_log_lr_array(x, p1, p2),
+            lambda x: _log_t_slope(p1, x) - _log_t_slope(p2, x),
+            breaks[k, t], breaks[k + 1, t], thresholds[g], up,
+        )
+
+    return _exceedance(bayes_log_lr_array(breaks, *preds), thresholds, crossing, laws)
+
+
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and weights w with E[f(X)] ~ sum w f(x) for X ~ N(0, 1).
+
+    Imported here, so that the commands that take no mean load no
+    ``numpy.polynomial``.
+    """
+    from numpy.polynomial.hermite_e import hermegauss
+
+    nodes, weights = hermegauss(_HERMITE_NODES)
+    return nodes, weights / math.sqrt(2.0 * math.pi)
+
+
+def _mean_log_lrs(theta, preds, laws, rule) -> np.ndarray:
+    """Each trial's mean log-LR per (method, law), (4, trials), plugin first.
+
+    The plugin log-LR is A e^2 + B e + C, so its mean under N(mu, sd^2) is
+    its value at mu plus A sd^2; the Bayesian mean is a sum over the
+    Gauss-Hermite ``rule``.
+    """
+    a = _plugin_quadratic(theta)[0]
+    nodes, weights = rule
+    return np.stack(
+        [plugin_log_lr_array(mu, theta) + a * (sd * sd) for mu, sd in laws]
+        + [weights @ bayes_log_lr_array(mu + sd * nodes[:, None], *preds) for mu, sd in laws]
+    )
+
+
+def _errors_over_grid(calibration, grid: np.ndarray, laws) -> dict[LrMethod, np.ndarray]:
+    """Each method's exact cost-weighted error of unit-cost Bayes decisions,
+    pi1 * P(miss) + pi2 * P(false alarm), at every point of ``grid`` (rows)
+    for each trial of a calibrated block (columns).
+
+    Decisions compare the log-LR against the threshold -prior_log_odds (ties
+    acquit); ``laws`` are the H1 and H2 test laws.
+    """
+    theta, preds = calibration
+    pi1 = _logistic(grid)[:, None]
+    errors = {}
+    for method, exceedance in (
+        (LrMethod.PLUGIN, _plugin_exceedance(theta, -grid, laws)),
+        (LrMethod.BAYESIAN, _bayes_exceedance(preds, -grid, laws)),
+    ):
+        (_, miss), (false_alarm, _) = exceedance
+        errors[method] = pi1 * miss + (1.0 - pi1) * false_alarm
+    return errors
 
 
 def run_experiment(
@@ -170,25 +413,29 @@ def run_experiment(
     prior: NormalGammaParams = NONINFORMATIVE_PRIOR,
     variance_floor: float = DEFAULT_VARIANCE_FLOOR,
 ) -> ErrorCurve:
-    """Average both methods' error-rate curves over resampled backgrounds."""
+    """Average both methods' exact error-rate curves over resampled backgrounds.
+
+    Raises ValidationError if a rate is not finite, as a test law too wide
+    for floating point makes it.
+    """
     grid = np.asarray(exp.prior_grid, dtype=float)
+    laws = [gen.test_law(h) for h in Hypothesis]
+    blocks = _calibrated_blocks(gen, exp.n1, exp.n2, exp.trials, exp.seed, 0, prior, variance_floor)
+    per_block = {method: [] for method in LrMethod}
+    for calibration in blocks:
+        for method, errors in _errors_over_grid(calibration, grid, laws).items():
+            check_finite(**{f"error_{method.value}": errors})
+            per_block[method].append(errors)
+    plugin_mat, bayes_mat = (np.hstack(per_block[method]) for method in LrMethod)
     pi1 = _logistic(grid)
-    errors = partial(_errors_over_grid, grid=grid, pi1=pi1)
-    calibrations = _calibrations(
-        gen, exp.n1, exp.n2, exp.trials, exp.seed, 0, prior, variance_floor
-    )
-    per_trial = list(_scored_trials(gen, exp.n_test_per_class, errors, calibrations))
-    plugin_mat, bayes_mat = (
-        np.vstack([trial[method] for trial in per_trial]) for method in LrMethod
-    )
     se_plugin, se_bayes = (
-        mat.std(axis=0, ddof=1) / math.sqrt(exp.trials) if exp.trials > 1 else np.zeros_like(grid)
+        mat.std(axis=1, ddof=1) / math.sqrt(exp.trials) if exp.trials > 1 else np.zeros_like(grid)
         for mat in (plugin_mat, bayes_mat)
     )
     return ErrorCurve(
         prior_log_odds=grid,
-        error_plugin=plugin_mat.mean(axis=0),
-        error_bayes=bayes_mat.mean(axis=0),
+        error_plugin=plugin_mat.mean(axis=1),
+        error_bayes=bayes_mat.mean(axis=1),
         error_prior_only=np.minimum(pi1, 1.0 - pi1),
         stderr_plugin=se_plugin,
         stderr_bayes=se_bayes,
@@ -197,40 +444,46 @@ def run_experiment(
     )
 
 
+def check_confidence(sizes, trials: int, seed: int) -> list[tuple[int, int]]:
+    """The checks ``confidence_curve`` makes before its first draw: at least
+    one size, each with n1, n2 >= 2, trials >= 2 and seed >= 0. Returns the
+    sizes as (int, int) pairs."""
+    sizes = [(int(n1), int(n2)) for n1, n2 in sizes]
+    if not sizes:
+        raise ValidationError("sizes must not be empty")
+    check_at_least(2, trials=trials)
+    check_at_least(0, seed=seed)
+    for n1, n2 in sizes:
+        _check_size(n1, n2)
+    return sizes
+
+
 def confidence_curve(
     gen: GeneratorConfig,
     sizes,
     trials: int,
     seed: int,
-    n_test_per_class: int = 2000,
     prior: NormalGammaParams = NONINFORMATIVE_PRIOR,
     variance_floor: float = DEFAULT_VARIANCE_FLOOR,
 ) -> tuple[ConfidencePoint, ...]:
     """Mean hypothesis-conditional log-LRs per method across background sizes.
 
-    For each (n1, n2) size, averages E[log LR | H1] and E[log LR | H2] over
-    ``trials`` resampled backgrounds, each evaluated on a fresh test set.
-    Every size is checked before the first draw.
+    For each (n1, n2) size, averages each trial's exact E[log LR | H1] and
+    E[log LR | H2] under the test law over ``trials`` resampled backgrounds.
+    Every argument is checked before the first draw (``check_confidence``).
+    Raises ValidationError if a mean or its standard error is not finite.
     """
-    sizes = [(int(n1), int(n2)) for n1, n2 in sizes]
-    if not sizes:
-        raise ValidationError("sizes must not be empty")
-    check_at_least(2, trials=trials)
-    check_at_least(1, n_test_per_class=n_test_per_class)
-    runs = [
-        _calibrations(gen, n1, n2, trials, seed, k, prior, variance_floor)
-        for k, (n1, n2) in enumerate(sizes)
-    ]
-
+    sizes = check_confidence(sizes, trials, seed)
+    laws = [gen.test_law(h) for h in Hypothesis]
+    rule = _hermite_rule()
     points: list[ConfidencePoint] = []
-    for (n1, n2), calibrations in zip(sizes, runs):
-        # one row per trial, one column per (method, hypothesis)
-        trial_means = np.array([
-            [*means[LrMethod.PLUGIN], *means[LrMethod.BAYESIAN]]
-            for means in _scored_trials(gen, n_test_per_class, _means, calibrations)
-        ])
-        for (method, hyp), vals in zip(product(LrMethod, Hypothesis), trial_means.T):
+    for k, (n1, n2) in enumerate(sizes):
+        blocks = _calibrated_blocks(gen, n1, n2, trials, seed, k, prior, variance_floor)
+        # one row per (method, hypothesis), one column per trial
+        trial_means = np.hstack([_mean_log_lrs(theta, preds, laws, rule) for theta, preds in blocks])
+        for (method, hyp), vals in zip(product(LrMethod, Hypothesis), trial_means):
             mean, stderr = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
+            check_finite(mean_log_lr=mean, stderr=stderr)
             points.append(ConfidencePoint(n1, n2, method, hyp, mean, stderr))
     return tuple(points)
 
@@ -270,10 +523,17 @@ def lr_distribution_demo(
     not finite, as an extreme score makes them.
     """
     check_at_least(2, trials=trials)
-    calibrations = _calibrations(world, n1, n2, trials, seed, 0, prior, variance_floor)
+    _check_size(n1, n2)
+    check_positive(variance_floor=variance_floor)
+    backgrounds = (
+        BackgroundData(*draws) for draws in resample_backgrounds(world, n1, n2, trials, seed, 0)
+    )
     pairs = [
-        (plugin_log_lr_array(e, theta), bayes_log_lr_array(e, *preds))
-        for theta, preds, _ in calibrations
+        (
+            plugin_log_lr_array(e, fit_plugin(data, variance_floor)),
+            bayes_log_lr_array(e, *class_predictives(data, prior)),
+        )
+        for data in backgrounds
     ]
     plugin_vals, bayes_vals = (np.array(vals) for vals in zip(*pairs))
     mu, sigma = float(plugin_vals.mean()), float(plugin_vals.std(ddof=1))

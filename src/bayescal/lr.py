@@ -103,7 +103,11 @@ def plugin_log_lr(e: float, theta: GaussianParams) -> LogLR:
 def class_predictives(
     data: BackgroundData, prior: NormalGammaParams
 ) -> tuple[StudentT, StudentT]:
-    """Posterior-predictive Student-t for each class given shared prior."""
+    """Posterior-predictive Student-t for each class given shared prior.
+
+    ``data`` is read through its ``h1_stats`` and ``h2_stats``; array-valued
+    stats give array-valued predictives, one per element.
+    """
     post1 = posterior_update(prior, data.h1_stats)
     post2 = posterior_update(prior, data.h2_stats)
     return predictive(post1), predictive(post2)

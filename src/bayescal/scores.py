@@ -105,7 +105,11 @@ class BackgroundData:
 
 @dataclass(frozen=True)
 class SufficientStats:
-    """Count, mean and summed squared deviation of one class's scores."""
+    """Count, mean and summed squared deviation of one class's scores.
+
+    ``mean`` and ``sum_sq_dev`` may instead be equal-length arrays, one
+    element per background of a block that shares the count ``n``.
+    """
 
     n: int
     mean: float
@@ -140,19 +144,35 @@ def collect_stats(scores) -> SufficientStats:
     """Compress a sequence of scores into (n, mean, sum of squared deviations).
 
     Uses a two-pass scheme (mean first, then deviations) for numerical
-    stability. Rejects non-finite entries, naming the offending index.
+    stability. Rejects non-finite entries, naming the offending index. A
+    2-D array is a block of backgrounds, one per row: its stats hold one
+    mean and one sum per row, each bit for bit the value of that row alone.
     """
-    arr = np.asarray(scores, dtype=float).ravel()
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        i = int(bad[0])
-        raise ValidationError(f"score [{i}] is not finite: {arr[i].item()!r}")
-    n = int(arr.size)
-    if n == 0:
-        return SufficientStats(0, 0.0, 0.0)
-    mean = float(arr.mean())
-    ssd = 0.0 if n == 1 else float(np.square(arr - mean).sum())
-    return SufficientStats(n, mean, ssd)
+    return _summarize(np.array(scores, dtype=float))
+
+
+def _summarize(arr: np.ndarray) -> SufficientStats:
+    """``collect_stats`` of ``arr``, a float array it overwrites with the
+    squared deviations: a caller that owns a large block saves a copy."""
+    if arr.ndim != 2:
+        arr = arr.reshape(-1)
+    n = arr.shape[-1]
+    mean = arr.mean(axis=-1) if n else np.zeros(arr.shape[:-1])
+    # a non-finite score makes its row's mean non-finite, so the scores are
+    # searched only then, without a mask as large as the block
+    if not np.isfinite(mean).all():
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            i = np.unravel_index(bad[0], arr.shape)
+            raise ValidationError(
+                f"score [{', '.join(map(str, i))}] is not finite: {arr[i].item()!r}"
+            )
+    # a single score deviates from itself by exactly 0.0
+    arr -= mean[..., None]
+    ssd = np.square(arr, out=arr).sum(axis=-1)
+    if arr.ndim == 2:
+        return SufficientStats(n, mean, ssd)
+    return SufficientStats(n, float(mean), float(ssd))
 
 
 def fit_plugin(
@@ -162,7 +182,9 @@ def fit_plugin(
 
     Per class: mean is the sample mean, precision is 1 / max(ssd/n, floor).
     The ML (1/n) variance convention is used, not the bias-corrected 1/(n-1).
-    Requires at least two scores per class.
+    Requires at least two scores per class. ``data`` is read through its
+    ``h1_stats`` and ``h2_stats``; array-valued stats give array-valued
+    parameters, one fit per element.
     """
     check_positive(variance_floor=variance_floor)
     s1, s2 = data.h1_stats, data.h2_stats
@@ -171,8 +193,7 @@ def fit_plugin(
             raise ValidationError(
                 f"insufficient data for plugin fit: class {name} has n={s.n} (need >= 2)"
             )
-    lam1 = 1.0 / max(s1.sum_sq_dev / s1.n, variance_floor)
-    lam2 = 1.0 / max(s2.sum_sq_dev / s2.n, variance_floor)
+    lam1, lam2 = (1.0 / np.maximum(s.sum_sq_dev / s.n, variance_floor) for s in (s1, s2))
     return GaussianParams(s1.mean, s2.mean, lam1, lam2)
 
 

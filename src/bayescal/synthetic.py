@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_at_least, check_finite, check_positive
-from .scores import BackgroundData, Hypothesis
+from .scores import Hypothesis
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,19 @@ class GeneratorConfig:
             sigma1_true=self.sigma1_true, sigma2_true=self.sigma2_true, shift_scale=self.shift_scale
         )
 
+    def _class_law(self, hypothesis: Hypothesis) -> tuple[float, float]:
+        """Mean and standard deviation of one class's background scores."""
+        if hypothesis is Hypothesis.H1:
+            return self.mu1_true, self.sigma1_true
+        return self.mu2_true, self.sigma2_true
+
+    def test_law(self, hypothesis: Hypothesis) -> tuple[float, float]:
+        """Mean and standard deviation of one class's test scores: the class
+        Gaussian passed through the shift, N(shift_scale * mu + shift_location,
+        (shift_scale * sigma)^2)."""
+        mu, sigma = self._class_law(hypothesis)
+        return self.shift_scale * mu + self.shift_location, self.shift_scale * sigma
+
 
 def generate_scores(
     config: GeneratorConfig,
@@ -54,10 +67,7 @@ def generate_scores(
     """
     check_at_least(0, count=count)
     rng = np.random.default_rng(seed)
-    if hypothesis is Hypothesis.H1:
-        mu, sigma = config.mu1_true, config.sigma1_true
-    else:
-        mu, sigma = config.mu2_true, config.sigma2_true
+    mu, sigma = config._class_law(hypothesis)
     draws = rng.normal(mu, sigma, size=count)
     if test_set:
         draws *= config.shift_scale
@@ -67,20 +77,17 @@ def generate_scores(
 
 def resample_backgrounds(
     config: GeneratorConfig, n1: int, n2: int, trials: int, seed: int, stream: int
-) -> Iterator[tuple[BackgroundData, np.random.Generator]]:
-    """Yield ``(BackgroundData, rng)`` for each of ``trials`` resampled backgrounds.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the H1 and H2 background draws of each of ``trials`` resamplings.
 
     Trial ``t`` draws its H1 and then its H2 scores from a NumPy generator
-    seeded with ``[seed, stream, t]`` and hands that generator on for the
-    caller's further draws (test sets). Every (seed, stream, t) key gets its
+    seeded with ``[seed, stream, t]``. Every (seed, stream, t) key gets its
     own independent stream, so adjacent seeds share no trials and one seed
     can drive several experiments through distinct ``stream`` values.
     """
     check_at_least(0, seed=seed)
     for t in range(trials):
         rng = np.random.default_rng([seed, stream, t])
-        data = BackgroundData(
-            generate_scores(config, Hypothesis.H1, n1, rng),
-            generate_scores(config, Hypothesis.H2, n2, rng),
+        yield generate_scores(config, Hypothesis.H1, n1, rng), generate_scores(
+            config, Hypothesis.H2, n2, rng
         )
-        yield data, rng

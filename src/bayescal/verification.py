@@ -484,8 +484,8 @@ def pitfall_divergence(
     medians = []
     for k, (n1, n2) in enumerate(sizes):
         divs = [
-            approximate_posterior_pitfall(data, prior, [e_tail]).abs_divergence[0]
-            for data, _ in resample_backgrounds(world, n1, n2, n_trials, seed, stream=k)
+            approximate_posterior_pitfall(BackgroundData(*draws), prior, [e_tail]).abs_divergence[0]
+            for draws in resample_backgrounds(world, n1, n2, n_trials, seed, stream=k)
         ]
         medians.append(float(np.median(divs)))
     return tuple(medians)

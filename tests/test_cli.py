@@ -336,12 +336,54 @@ class TestSimulateCommand:
         out_dir = tmp_path / "out"
         cfg = REPO_ROOT / "configs" / "fig1.json"
         code, _, _ = run_cli(
-            capsys, "simulate", "--config", str(cfg), "--out-dir", str(out_dir),
-            "--trials", "2", "--n-test", "100",
+            capsys, "simulate", "--config", str(cfg), "--out-dir", str(out_dir), "--trials", "2",
         )
         assert code == 0
         curve = (out_dir / "curve.csv").read_text().splitlines()
         assert len(curve) == 1 + 41
+
+    def test_ignored_test_set_size_is_not_echoed(self, tmp_path, capsys):
+        # SMALL_CONFIG sets n_test_per_class in both sections, as older files do
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--config", self._write_config(tmp_path),
+            "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        meta = json.loads((out_dir / "run_meta.json").read_text())
+        assert "n_test_per_class" not in meta["experiment"]
+        assert "n_test_per_class" not in meta["confidence"]
+
+    def test_n_test_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--out-dir", str(tmp_path / "out"), "--n-test", "100"])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, "many"])
+    def test_experiment_test_set_size_is_still_checked(self, value, tmp_path, capsys):
+        experiment = {**self.SMALL_CONFIG["experiment"], "n_test_per_class": value}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.SMALL_CONFIG, "experiment": experiment}))
+        code, out, err = run_cli(
+            capsys, "simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")
+        )
+        assert (code, out) == (3, "")
+        assert "n_test_per_class" in err and err.count("\n") == 1
+
+    def test_overflowing_test_law_prints_only_the_error_line(self, tmp_path):
+        """Rates that are not finite are rejected with exit 3 before any file
+        is written, and numpy's overflow warnings are not printed."""
+        env = dict(os.environ, PYTHONPATH=str(Path(bayescal.__file__).resolve().parents[1]))
+        out_dir = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-m", "bayescal.cli", "simulate", "--config",
+             str(REPO_ROOT / "configs" / "fig1.json"), "--shift-scale", "1e300",
+             "--trials", "5", "--out-dir", str(out_dir)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == "error: error_plugin must be finite, got nan\n"
+        assert not out_dir.exists()
 
     def test_confidence_test_set_below_one_exits_3(self, tmp_path, capsys):
         confidence = {**self.SMALL_CONFIG["confidence"], "n_test_per_class": 0}
@@ -426,19 +468,44 @@ class TestFlagsReachLibrary:
         cfg.write_text(json.dumps(TestSimulateCommand.SMALL_CONFIG))
         code, _, _ = run_cli(
             capsys, "simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out"),
-            "--n-test", "50", "--gen-mu2", "-1", "--variance-floor", "1e-4", "--beta", "0.5",
+            "--trials", "3", "--gen-mu2", "-1", "--variance-floor", "1e-4", "--beta", "0.5",
             "--seed", "11",
         )
         assert code == 0
         [run], [conf] = experiments, confidences
         prior = NormalGammaParams(0.0, 0.5, 0.01, 0.01)
-        assert run["exp"].n_test_per_class == 50 and run["exp"].seed == 11
+        assert run["exp"].trials == 3 and run["exp"].seed == 11
         assert run["gen"] == GeneratorConfig(mu2_true=-1.0)
         assert (run["prior"], run["variance_floor"]) == (prior, 1e-4)
         assert conf["gen"] == GeneratorConfig(mu2_true=-1.0)
         assert (conf["prior"], conf["variance_floor"]) == (prior, 1e-4)
-        # --seed and --n-test set the experiment's; the confidence section keeps its own
-        assert (conf["seed"], conf["n_test_per_class"], conf["trials"]) == (3, 100, 2)
+        # --seed and --trials set the experiment's; the confidence section keeps its own
+        assert (conf["seed"], conf["trials"]) == (3, 2)
+
+    @pytest.mark.parametrize(
+        "confidence, message",
+        [
+            ({"sizes": [[9, 27], [1, 9]]}, "every trial at size (1, 9) is degenerate"),
+            ({"sizes": [[9, 1]]}, "every trial at size (9, 1) is degenerate"),
+            ({"sizes": []}, "sizes must not be empty"),
+            ({"trials": 1}, "trials must be >= 2, got 1"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"n_test_per_class": 0}, "n_test_per_class must be >= 1, got 0"),
+        ],
+        ids=["size-1x9", "size-9x1", "no-sizes", "trials-1", "seed-negative", "n_test-0"],
+    )
+    def test_bad_confidence_section_exits_3_before_the_curve(
+        self, confidence, message, tmp_path, monkeypatch, capsys
+    ):
+        experiments = self._record(monkeypatch, "run_experiment")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"confidence": confidence}))
+        code, out, err = run_cli(
+            capsys, "simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert experiments == []
 
     def test_lr_distribution_sizes_default_to_simulate_experiment(self, monkeypatch, capsys):
         report = LrDistributionReport(0.0, 0.0, np.zeros(1), np.zeros(1))

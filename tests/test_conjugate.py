@@ -101,6 +101,34 @@ class TestPredictive:
         assert pred.dof > 1e4
 
 
+class TestBlockOfTrials:
+    """A block of backgrounds as arrays, one element per trial, against each
+    trial on its own."""
+
+    @given(prior_params, st.integers(1, 30), st.integers(0, 2**31))
+    def test_update_and_predictive_match_each_trial_bit_for_bit(self, prior, n, seed):
+        rows = np.random.default_rng(seed).normal(1.0, 3.0, size=(6, n))
+        block = predictive(posterior_update(prior, collect_stats(rows)))
+        for t, row in enumerate(rows):
+            post = posterior_update(prior, collect_stats(row))
+            one = predictive(post)
+            assert (block.location[t], block.scale[t], block.dof) == (
+                one.location, one.scale, one.dof
+            )
+            assert type(one.scale) is float
+
+    def test_log_density_broadcasts_trials_on_the_last_axis(self):
+        locations, scales = np.array([0.5, -2.0, 3.0]), np.array([1.0, 0.3, 7.0])
+        block = StudentT(locations, scales, 4.5)
+        e = np.linspace(-6.0, 6.0, 5)[:, None]
+        out = student_t_log_density(block, e)
+        assert out.shape == (5, 3)
+        for t in range(3):
+            one = StudentT(float(locations[t]), float(scales[t]), 4.5)
+            # numpy's log of the scale may differ from the C library's by an ulp
+            np.testing.assert_allclose(out[:, t], student_t_log_density(one, e[:, 0]), rtol=1e-15)
+
+
 class TestStudentTLogDensity:
     def test_cauchy_mode(self):
         # dof 1 is a Cauchy, whose density at the mode is 1/pi

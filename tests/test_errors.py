@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import bayescal.cli
 import bayescal.errors
 from bayescal import (
     BackgroundData,
@@ -115,19 +116,19 @@ AT_LEAST = [
     ("ExperimentConfig.n2", lambda k: ExperimentConfig(9, k), "n2", 0),
     ("ExperimentConfig.seed", lambda k: ExperimentConfig(9, 27, seed=k), "seed", 0),
     ("ExperimentConfig.trials", lambda k: ExperimentConfig(9, 27, trials=k), "trials", 1),
-    (
-        "ExperimentConfig.n_test_per_class",
-        lambda k: ExperimentConfig(9, 27, n_test_per_class=k),
-        "n_test_per_class",
-        1,
+    *(
+        (
+            f"simulate.{section}.n_test_per_class",
+            lambda k, section=section: bayescal.cli._without_ignored_key(
+                section, {"n_test_per_class": k}, ""
+            ),
+            "n_test_per_class",
+            1,
+        )
+        for section in ("experiment", "confidence")
     ),
-    ("confidence_curve.trials", lambda k: confidence_curve(WORLD, [(9, 27)], k, 0, 10), "trials", 2),
-    (
-        "confidence_curve.n_test_per_class",
-        lambda k: confidence_curve(WORLD, [(9, 27)], 2, 0, k),
-        "n_test_per_class",
-        1,
-    ),
+    ("confidence_curve.trials", lambda k: confidence_curve(WORLD, [(9, 27)], k, 0), "trials", 2),
+    ("confidence_curve.seed", lambda k: confidence_curve(WORLD, [(9, 27)], 2, k), "seed", 0),
     ("lr_distribution_demo.trials", lambda k: lr_distribution_demo(0.0, WORLD, 9, 27, k, 0), "trials", 2),
     (
         "approximate_posterior_pitfall.n1",
@@ -202,6 +203,11 @@ class TestChecks:
     def test_numpy_float_shown_as_a_plain_float(self):
         with pytest.raises(ValidationError, match=r"^x must be finite, got nan$"):
             check_finite(x=np.float64("nan"))
+
+    def test_array_count_shows_its_first_bad_element(self):
+        check_at_least(0, n=np.array([0.0, 3.0]))
+        with pytest.raises(ValidationError, match=r"^n must be >= 0, got -2.5$"):
+            check_at_least(0, n=np.array([[1.0, -2.5], [math.nan, 4.0]]))
 
     def test_nan_count_is_rejected(self):
         with pytest.raises(ValidationError, match=r"^n must be >= 0, got nan$"):

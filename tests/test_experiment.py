@@ -1,4 +1,4 @@
-"""Synthetic generator, the error-rate grid, and the resampling experiments."""
+"""Synthetic generator, the exact error-rate grid, and the resampling experiments."""
 
 import math
 
@@ -11,9 +11,11 @@ import bayescal.experiment
 import bayescal.synthetic
 from bayescal import (
     ExperimentConfig,
+    GaussianParams,
     GeneratorConfig,
     Hypothesis,
     LrMethod,
+    StudentT,
     ValidationError,
     confidence_curve,
     generate_scores,
@@ -21,13 +23,23 @@ from bayescal import (
     resample_backgrounds,
     run_experiment,
 )
-from bayescal.experiment import DEFAULT_PRIOR_GRID, _errors_over_grid, _logistic
+from bayescal.conjugate import NONINFORMATIVE_PRIOR
+from bayescal.experiment import DEFAULT_PRIOR_GRID, _calibrate, _errors_over_grid
+from bayescal.scores import DEFAULT_VARIANCE_FLOOR
+
+#: The default world's test laws, N(2, 1) for H1 and N(-2, 1) for H2.
+LAWS = [GeneratorConfig().test_law(h) for h in Hypothesis]
 
 
-def _error_at(llrs_h1, llrs_h2, prior_log_odds):
-    """The cost-weighted error of unit-cost decisions at one prior point."""
-    grid = np.array([prior_log_odds])
-    return float(_errors_over_grid(llrs_h1, llrs_h2, grid, _logistic(grid))[0])
+def _errors(h1, h2, grid, laws=LAWS):
+    """Both methods' exact error rates, calibrated on one background, at
+    each point of ``grid``."""
+    calibration = _calibrate(
+        np.array([h1], dtype=float), np.array([h2], dtype=float),
+        NONINFORMATIVE_PRIOR, DEFAULT_VARIANCE_FLOOR,
+    )
+    errors = _errors_over_grid(calibration, np.asarray(grid, dtype=float), laws)
+    return {method: rates[:, 0] for method, rates in errors.items()}
 
 
 class TestGenerateScores:
@@ -68,10 +80,10 @@ class TestResampleBackgrounds:
         cfg = GeneratorConfig()
         trials = list(resample_backgrounds(cfg, 3, 4, trials=3, seed=7, stream=2))
         assert len(trials) == 3
-        for t, (data, _) in enumerate(trials):
+        for t, (h1, h2) in enumerate(trials):
             rng = np.random.default_rng([7, 2, t])
-            np.testing.assert_array_equal(data.h1_scores, rng.normal(2.0, 1.0, 3))
-            np.testing.assert_array_equal(data.h2_scores, rng.normal(-2.0, 1.0, 4))
+            np.testing.assert_array_equal(h1, rng.normal(2.0, 1.0, 3))
+            np.testing.assert_array_equal(h2, rng.normal(-2.0, 1.0, 4))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError):
@@ -79,45 +91,51 @@ class TestResampleBackgrounds:
 
 
 class TestWeightedErrorRate:
-    """``_errors_over_grid`` at one prior point, and over the default grid."""
+    """``_errors_over_grid``: exact rates at one prior point, and over the default grid."""
 
     def test_perfect_separation(self):
-        assert _error_at([5.0, 8.0], [-6.0, -9.0], 0.0) == 0.0
+        # test laws far narrower than the gap between the classes
+        errors = _errors([5.0, 8.0], [-6.0, -9.0], [0.0], laws=[(6.5, 1e-3), (-7.5, 1e-3)])
+        assert errors[LrMethod.PLUGIN][0] == errors[LrMethod.BAYESIAN][0] == 0.0
 
     @pytest.mark.parametrize("plo", [-6.0, -1.0, 1.0, 6.0])
     def test_uninformative_llrs_give_prior_only_error(self, plo):
-        llrs = [0.0] * 100
+        # identical classes: both log-LRs are 0 at every score
+        scores = [0.3, 1.2, -0.5]
         pi1 = expit(plo)
-        assert math.isclose(
-            _error_at(llrs, llrs, plo), min(pi1, 1 - pi1), rel_tol=1e-12
-        )
+        for rates in _errors(scores, scores, [plo]).values():
+            assert math.isclose(rates[0], min(pi1, 1 - pi1), rel_tol=1e-12)
 
     def test_true_model_llrs_reach_bayes_error(self):
-        # two unit-variance classes 4 apart: optimal error Phi(-2) at even prior
-        rng = np.random.default_rng(42)
-        n = 200_000
-        h1 = rng.normal(2, 1, n)
-        h2 = rng.normal(-2, 1, n)
-        llr_h1 = 4.0 * h1
-        llr_h2 = 4.0 * h2
-        expected = scipy.stats.norm.cdf(-2.0)
-        se = math.sqrt(expected * (1 - expected) / n)
-        got = _error_at(llr_h1, llr_h2, 0.0)
-        assert abs(got - expected) < 3 * se
+        # two unit-variance classes 4 apart: the true model's error at every
+        # prior point is the closed-form two-Gaussian curve, Phi(-2) at even odds
+        grid = np.asarray(DEFAULT_PRIOR_GRID)
+        truth = GaussianParams(*(np.array([v]) for v in (2.0, -2.0, 1.0, 1.0)))
+        # a Student-t of dof 1e15 is the unit Gaussian to rounding
+        t_truth = tuple(StudentT(np.array([m]), np.array([1.0]), 1e15) for m in (2.0, -2.0))
+        tau = -grid / 4.0
+        pi1 = expit(grid)
+        analytic = pi1 * scipy.stats.norm.cdf(tau - 2.0) + (1 - pi1) * scipy.stats.norm.sf(tau + 2.0)
+        for rates in _errors_over_grid((truth, t_truth), grid, LAWS).values():
+            np.testing.assert_allclose(rates[:, 0], analytic, rtol=1e-12)
+        assert math.isclose(analytic[20], scipy.stats.norm.cdf(-2.0), rel_tol=1e-12)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            _error_at([], [1.0], 0.0)
+    def test_non_finite_rate_rejected(self):
+        # a test law too wide for floating point: the log-LRs at its range ends are NaN
+        exp = ExperimentConfig(n1=9, n2=27, trials=2, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(
+            ValidationError, match=r"^error_plugin must be finite, got nan$"
+        ):
+            run_experiment(GeneratorConfig(shift_scale=1e300), exp)
 
     def test_vectorized_grid_matches_scalar_op(self):
         rng = np.random.default_rng(0)
-        llr1, llr2 = rng.normal(2, 3, 500), rng.normal(-2, 3, 500)
+        h1, h2 = rng.normal(2, 3, 7), rng.normal(-2, 3, 11)
         grid = np.asarray(DEFAULT_PRIOR_GRID)
-        vectorized = _errors_over_grid(llr1, llr2, grid, _logistic(grid))
-        direct = [
-            expit(g) * np.mean(llr1 <= -g) + (1 - expit(g)) * np.mean(llr2 > -g) for g in grid
-        ]
-        np.testing.assert_allclose(vectorized, direct, rtol=1e-12)
+        vectorized = _errors(h1, h2, grid)
+        for method, rates in vectorized.items():
+            one_at_a_time = [_errors(h1, h2, [g])[method][0] for g in grid]
+            np.testing.assert_allclose(rates, one_at_a_time, rtol=1e-12, atol=1e-300)
 
 
 class TestExperimentConfig:
@@ -140,7 +158,7 @@ class TestExperimentConfig:
 class TestRunExperiment:
     def test_deterministic_rerun(self):
         gen = GeneratorConfig()
-        exp = ExperimentConfig(n1=9, n2=27, trials=3, n_test_per_class=400, seed=5)
+        exp = ExperimentConfig(n1=9, n2=27, trials=3, seed=5)
         a = run_experiment(gen, exp)
         b = run_experiment(gen, exp)
         np.testing.assert_array_equal(a.error_plugin, b.error_plugin)
@@ -151,7 +169,7 @@ class TestRunExperiment:
         a, b = (
             run_experiment(
                 GeneratorConfig(),
-                ExperimentConfig(n1=9, n2=27, trials=64, n_test_per_class=200, seed=s),
+                ExperimentConfig(n1=9, n2=27, trials=64, seed=s),
             )
             for s in (100, 101)
         )
@@ -159,7 +177,7 @@ class TestRunExperiment:
 
     def test_single_trial_reruns_bit_identical(self):
         gen = GeneratorConfig()
-        exp = ExperimentConfig(n1=4, n2=4, trials=1, n_test_per_class=200, seed=0)
+        exp = ExperimentConfig(n1=4, n2=4, trials=1, seed=0)
         a = run_experiment(gen, exp)
         b = run_experiment(gen, exp)
         np.testing.assert_array_equal(a.error_plugin, b.error_plugin)
@@ -169,7 +187,7 @@ class TestRunExperiment:
     def test_error_bounds_and_exact_baseline(self):
         curve = run_experiment(
             GeneratorConfig(),
-            ExperimentConfig(n1=5, n2=7, trials=8, n_test_per_class=300, seed=2),
+            ExperimentConfig(n1=5, n2=7, trials=8, seed=2),
         )
         for arr in (curve.error_plugin, curve.error_bayes):
             assert np.all(arr >= 0.0) and np.all(arr <= 1.0)
@@ -179,7 +197,7 @@ class TestRunExperiment:
         assert curve.degenerate_trials == 0
 
     def test_degenerate_trials_are_counted_not_dropped_silently(self):
-        exp = ExperimentConfig(n1=1, n2=5, trials=4, n_test_per_class=100, seed=0)
+        exp = ExperimentConfig(n1=1, n2=5, trials=4, seed=0)
         with pytest.raises(ValidationError, match="degenerate"):
             run_experiment(GeneratorConfig(), exp)
 
@@ -187,7 +205,7 @@ class TestRunExperiment:
         """With the generator inside the fitted family, both methods approach
         the closed-form two-Gaussian error curve."""
         gen = GeneratorConfig()
-        exp = ExperimentConfig(n1=10_000, n2=10_000, trials=3, n_test_per_class=20_000, seed=11)
+        exp = ExperimentConfig(n1=10_000, n2=10_000, trials=3, seed=11)
         curve = run_experiment(gen, exp)
         delta = gen.mu1_true - gen.mu2_true
         mid = 0.5 * (gen.mu1_true + gen.mu2_true)
@@ -201,8 +219,8 @@ class TestRunExperiment:
 
     def test_resample_stability_across_seeds(self):
         gen = GeneratorConfig()
-        a = run_experiment(gen, ExperimentConfig(n1=9, n2=27, trials=300, n_test_per_class=2000, seed=100))
-        b = run_experiment(gen, ExperimentConfig(n1=9, n2=27, trials=300, n_test_per_class=2000, seed=200))
+        a = run_experiment(gen, ExperimentConfig(n1=9, n2=27, trials=300, seed=100))
+        b = run_experiment(gen, ExperimentConfig(n1=9, n2=27, trials=300, seed=200))
         for err_a, err_b, se_a, se_b in (
             (a.error_plugin, b.error_plugin, a.stderr_plugin, b.stderr_plugin),
             (a.error_bayes, b.error_bayes, a.stderr_bayes, b.stderr_bayes),
@@ -213,14 +231,14 @@ class TestRunExperiment:
 
 class TestConfidenceCurve:
     def test_rows_and_methods(self):
-        pts = confidence_curve(GeneratorConfig(), [(9, 27)], trials=3, seed=1, n_test_per_class=200)
+        pts = confidence_curve(GeneratorConfig(), [(9, 27)], trials=3, seed=1)
         assert len(pts) == 4
         assert {p.method for p in pts} == {LrMethod.PLUGIN, LrMethod.BAYESIAN}
         assert {p.hypothesis for p in pts} == {Hypothesis.H1, Hypothesis.H2}
 
     def test_methods_agree_at_very_large_background(self):
         pts = confidence_curve(
-            GeneratorConfig(), [(10_000, 10_000)], trials=3, seed=4, n_test_per_class=2000
+            GeneratorConfig(), [(10_000, 10_000)], trials=3, seed=4
         )
         by_key = {(p.method, p.hypothesis): p.mean_log_lr for p in pts}
         for hyp in Hypothesis:
@@ -228,6 +246,15 @@ class TestConfidenceCurve:
                 by_key[(LrMethod.PLUGIN, hyp)] - by_key[(LrMethod.BAYESIAN, hyp)]
             )
             assert gap < 0.05
+
+    @pytest.mark.parametrize(
+        "shift_scale, message",
+        [(1e150, r"^stderr must be finite, got inf$"), (1e300, r"^mean_log_lr must be finite, got nan$")],
+    )
+    def test_non_finite_result_rejected(self, shift_scale, message):
+        # log-LRs of order 1e300 are finite, but their spread is not
+        with np.errstate(all="ignore"), pytest.raises(ValidationError, match=message):
+            confidence_curve(GeneratorConfig(shift_scale=shift_scale), [(9, 27)], trials=3, seed=0)
 
     def test_size_validation(self):
         with pytest.raises(ValidationError):
@@ -238,44 +265,43 @@ class TestConfidenceCurve:
 
 class TestGoldenValues:
     """Outputs pinned at rtol 1e-12: a change in the draw order (background H1,
-    background H2, test H1, test H2) or in the order of the methods and
-    hypotheses moves these values by about 1e-2."""
+    then H2), in the order of the methods and hypotheses, or in the exact
+    rates and means moves these values by far more. The error curve and the
+    confidence table were captured once, when exact expectations replaced
+    sampled test sets."""
 
     def test_run_experiment(self):
         curve = run_experiment(
             GeneratorConfig(),
             ExperimentConfig(
-                n1=9, n2=27, trials=5, n_test_per_class=200, seed=3,
-                prior_grid=(-4.0, -1.0, 0.0, 0.5, 3.0),
+                n1=9, n2=27, trials=5, seed=3, prior_grid=(-4.0, -1.0, 0.0, 0.5, 3.0),
             ),
         )
         expected = {
-            "error_plugin": [0.0036979314943137347, 0.026992476955619883, 0.031000000000000017,
-                             0.025438516719953647, 0.009208732722990129],
-            "error_bayes": [0.0046512006223045875, 0.027261418376989876, 0.031000000000000017,
-                            0.024948679395146233, 0.01314508019672816],
-            "stderr_plugin": [0.0011602333947643086, 0.0019664174851385845, 0.0035881750236018326,
-                              0.002703133928490896, 0.0026854841375179277],
-            "stderr_bayes": [0.0011190896673689509, 0.0020650931965811078, 0.003758324094593229,
-                             0.003284167374020396, 0.0032956395930673114],
+            "error_plugin": [0.004264143632455029, 0.020317445793191297, 0.024075689860519275,
+                             0.02365636414502561, 0.009863691222231803],
+            "error_bayes": [0.004380681956817963, 0.020115503539792405, 0.023737817781771607,
+                            0.02335228450262692, 0.01112085006690455],
+            "stderr_plugin": [6.136277669217119e-05, 0.0002148511020567626, 0.0005461012976122937,
+                              0.0007772856250854042, 0.0010467465417242211],
+            "stderr_bayes": [8.464062995255938e-05, 8.564634862522912e-05, 0.0005931216794952202,
+                             0.0009925376461059137, 0.002543276390867645],
         }
         for field, values in expected.items():
             np.testing.assert_allclose(getattr(curve, field), values, rtol=1e-12, err_msg=field)
         assert (curve.trials_used, curve.degenerate_trials) == (5, 0)
 
     def test_confidence_curve(self):
-        pts = confidence_curve(
-            GeneratorConfig(), [(4, 6), (12, 30)], trials=3, seed=8, n_test_per_class=150
-        )
+        pts = confidence_curve(GeneratorConfig(), [(4, 6), (12, 30)], trials=3, seed=8)
         expected = [
-            (4, 6, "plugin", "H1", 3.5507035316269424, 1.5225070448584939),
-            (4, 6, "plugin", "H2", -26.757844481269718, 5.758716672730875),
-            (4, 6, "bayes", "H1", 2.4989941011112884, 0.46233626248352117),
-            (4, 6, "bayes", "H2", -4.661407606781654, 0.623507248537613),
-            (12, 30, "plugin", "H1", 11.513474360386809, 1.2653087385933048),
-            (12, 30, "plugin", "H2", -7.358586744130612, 1.3196491712098712),
-            (12, 30, "bayes", "H1", 7.894207337248403, 0.6254643543939454),
-            (12, 30, "bayes", "H2", -4.365338636579441, 0.6058089496703902),
+            (4, 6, "plugin", "H1", 3.3183849876677107, 1.4826592326159598),
+            (4, 6, "plugin", "H2", -25.575043733464458, 5.141964803317878),
+            (4, 6, "bayes", "H1", 2.348763650355892, 0.43583174550174314),
+            (4, 6, "bayes", "H2", -4.601435764208808, 0.5663297498293809),
+            (12, 30, "plugin", "H1", 12.022605568015607, 1.0613173021849482),
+            (12, 30, "plugin", "H2", -7.180102350552134, 1.2138843158964197),
+            (12, 30, "bayes", "H1", 8.191683341541731, 0.5161667282848446),
+            (12, 30, "bayes", "H2", -4.3474334361636995, 0.5370647325820036),
         ]
         assert [(p.n1, p.n2, p.method.value, p.hypothesis.value) for p in pts] == [
             row[:4] for row in expected
@@ -308,11 +334,11 @@ class TestGoldenValues:
 # each experiment called at one (n1, n2) size with ``variance_floor``
 EXPERIMENTS = {
     "run_experiment": lambda n1, n2, floor: run_experiment(
-        GeneratorConfig(), ExperimentConfig(n1=n1, n2=n2, trials=4, n_test_per_class=100),
+        GeneratorConfig(), ExperimentConfig(n1=n1, n2=n2, trials=4),
         variance_floor=floor,
     ),
     "confidence_curve": lambda n1, n2, floor: confidence_curve(
-        GeneratorConfig(), [(9, 27), (n1, n2)], trials=3, seed=0, n_test_per_class=100,
+        GeneratorConfig(), [(9, 27), (n1, n2)], trials=3, seed=0,
         variance_floor=floor,
     ),
     "lr_distribution_demo": lambda n1, n2, floor: lr_distribution_demo(
@@ -334,8 +360,7 @@ class TestOneSizeCheck:
             calls.append(args)
             return real(*args, **kwargs)
 
-        for module in (bayescal.synthetic, bayescal.experiment):
-            monkeypatch.setattr(module, "generate_scores", recorder)
+        monkeypatch.setattr(bayescal.synthetic, "generate_scores", recorder)
         return calls
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))

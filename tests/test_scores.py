@@ -247,6 +247,27 @@ def test_background_stats_are_collect_stats_of_each_class(h1, h2):
     assert _bits(swapped.h2_stats) == _bits(data.h1_stats)
 
 
+@given(
+    st.integers(0, 40).flatmap(
+        lambda n: st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64, min_value=-1e150,
+                               max_value=1e150), min_size=n, max_size=n),
+            min_size=1, max_size=6,
+        )
+    )
+)
+def test_block_stats_are_collect_stats_of_each_row(rows):
+    block = collect_stats(np.array(rows, dtype=float).reshape(len(rows), -1))
+    for t, row in enumerate(rows):
+        one = collect_stats(row)
+        assert (block.n, struct.pack("<dd", block.mean[t], block.sum_sq_dev[t])) == _bits(one)
+
+
+def test_block_stats_name_the_first_non_finite_score():
+    with pytest.raises(ValidationError, match=r"^score \[1, 2\] is not finite: inf$"):
+        collect_stats(np.array([[0.0, 1.0, 2.0], [3.0, 4.0, math.inf]]))
+
+
 class TestLabelParsing:
     @pytest.mark.parametrize(
         "label,expected",
