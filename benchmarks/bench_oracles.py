@@ -14,7 +14,10 @@ Cases:
   error rates at 41 prior log-odds points);
 - the full fig1 ``confidence_curve`` (200 trials at each of 9/27, 30/405 and
   300/4 050, exact mean log-LRs);
-- one ``quadrature_predictive`` at 401^2 and 1201^2;
+- one ``quadrature_predictive`` at 401^2 and 1201^2, and one
+  ``quadrature_joint_evidence`` of 9 scores plus a trial score at 401^2
+  (repeated calls: the gamma quantiles come from the cache after the first);
+- ``predictive_oracle_sweep(50, 17)`` at 401^2, as ``verify`` runs it there;
 - ``decomposition_sweep()`` at its defaults.
 
 Outside ``testpaths``, so the test suite never runs it. Uses pytest-benchmark.
@@ -35,14 +38,16 @@ from bayescal import (
     fit_plugin,
     generate_scores,
     load_background_csv,
+    quadrature_joint_evidence,
     quadrature_predictive,
     run_experiment,
 )
 from bayescal.conjugate import NONINFORMATIVE_PRIOR
-from bayescal.verification import decomposition_sweep
+from bayescal.verification import decomposition_sweep, predictive_oracle_sweep
 
 # a small-n posterior like the oracle sweep draws, probed two scales out
 POSTERIOR = NormalGammaParams(-1.2, 12.0, 6.5, 9.0)
+GRID_401 = QuadratureSpec(grid_mu=401, grid_lambda=401)
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +94,15 @@ def test_confidence_curve_fig1(benchmark):
 def test_quadrature_predictive(benchmark, grid):
     spec = QuadratureSpec(grid_mu=grid, grid_lambda=grid)
     benchmark(quadrature_predictive, POSTERIOR, 0.5, spec)
+
+
+def test_quadrature_joint_evidence_401(benchmark):
+    scores = (-0.3, 1.9, 0.4, 2.2, -1.1, 0.8, 1.5, 0.2, 1.1)
+    benchmark(quadrature_joint_evidence, NONINFORMATIVE_PRIOR, scores, 2.5, GRID_401)
+
+
+def test_predictive_oracle_sweep_401(benchmark):
+    benchmark.pedantic(predictive_oracle_sweep, (50, 17), {"spec": GRID_401}, rounds=5)
 
 
 def test_decomposition_sweep(benchmark):

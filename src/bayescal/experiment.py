@@ -141,7 +141,14 @@ def _logistic(grid: np.ndarray) -> np.ndarray:
     own vectorized routine, which differs by an ulp at some points of
     ``DEFAULT_PRIOR_GRID`` and would move the error curves' last digits.
     """
-    return np.array([1.0 / (1.0 + math.exp(-g)) for g in grid])
+    return np.array([_logistic_point(g) for g in grid])
+
+
+def _logistic_point(g: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-g))
+    except OverflowError:  # g below about -709.8, where pi1 rounds to exp(g)
+        return math.exp(g)
 
 
 class _BlockStats(NamedTuple):

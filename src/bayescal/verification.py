@@ -22,18 +22,22 @@ therefore laid out against that profile:
   u = sqrt(beta*precision) * (mean - location), whose law under the profile
   is standard normal.
 
-Integrand values are always computed from the model's own log-densities, so
-the warping only places nodes; it cannot inject the closed-form answer.
-Accuracy is established by the grid-convergence and quantile-eps-convergence
-checks in the suite rather than asserted.
+Integrand. ``_log_joint_parts`` writes the log joint density out once: per
+precision row, the gamma marginal and every normalizer; per node, -precision/2
+times one squared residual per Gaussian factor, each about its own center. It
+never forms the completed square about the profile's mean, which is
+``posterior_update``, under test, so the warping only places nodes and cannot
+inject the closed-form answer. Accuracy is established by the grid-convergence
+and quantile-eps-convergence checks in the suite rather than asserted.
 
 Reduction. The grid is never held whole. It is evaluated in blocks of
-precision rows, about ``_BLOCK_NODES`` nodes each, so that a block's
-temporaries stay in cache. Each block is shifted by its own peak,
-exponentiated and summed pairwise with ``np.sum``; the block sums are
-combined by a log-sum-exp over the block peaks with ``math.fsum``. The
-result is bit-reproducible for a given grid and within a few ulps of a
-single-block evaluation.
+precision rows, about ``_BLOCK_NODES`` nodes each, in place in buffers
+allocated once per call, so that a block's work stays in cache. Each block is
+shifted by its own peak, exponentiated and summed pairwise with ``np.sum``;
+the block sums are combined by a log-sum-exp over the block peaks with
+``math.fsum``. The result is bit-reproducible for a given grid and within a
+few ulps of a single-block evaluation. The precision nodes' gamma quantiles
+depend only on the profile's shape, so they are computed once per shape.
 
 Sweeps. Each sweep reports its largest absolute discrepancy. A NaN
 discrepancy is not dropped: it makes the sweep's result NaN, which fails
@@ -42,6 +46,7 @@ its check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -51,7 +56,6 @@ from .conjugate import (
     NONINFORMATIVE_PRIOR,
     NormalGammaParams,
     _gamma_log_pdf,
-    normal_gamma_log_density,
     posterior_update,
     predictive,
     sample_params,
@@ -69,7 +73,6 @@ from .scores import (
     GaussianParams,
     _LOG_2PI,
     collect_stats,
-    gaussian_log_density,
 )
 from .synthetic import GeneratorConfig, resample_backgrounds
 
@@ -111,10 +114,22 @@ def _trapezoid_weights(step: float, count: int) -> np.ndarray:
 
 #: Quadrature nodes evaluated at a time. The integrand is computed over a
 #: block of whole precision rows, ``max(1, _BLOCK_NODES // grid_mu)`` of them.
-#: At 128 KiB per float64 temporary, a block's temporaries stay in a 1-2 MiB
+#: At 128 KiB per float64 buffer, a block's three buffers stay in a 1-2 MiB
 #: L2 cache instead of streaming a grid-sized array through memory once per
-#: arithmetic step. 8k to 32k measured alike; 4k and 48k were slower.
+#: arithmetic step. 16k and 32k measured alike; 8k and 64k were slower.
 _BLOCK_NODES = 16_384
+
+
+@functools.lru_cache(maxsize=256)
+def _gamma_quantiles(a: float, eps: float, count: int) -> np.ndarray:
+    """Read-only Gamma(a, rate=1) quantiles at ``count`` equally spaced
+    probabilities from eps to 1 - eps: one array per profile shape."""
+    # the one use of scipy: imported here so that only the oracles load it
+    from scipy.special import gammaincinv
+
+    q = gammaincinv(a, np.linspace(eps, 1.0 - eps, count))
+    q.flags.writeable = False
+    return q
 
 
 def _profile_nodes(profile: NormalGammaParams, spec: QuadratureSpec):
@@ -125,12 +140,9 @@ def _profile_nodes(profile: NormalGammaParams, spec: QuadratureSpec):
     independent of the mean direction), the standardized mean offsets u, and
     the mean-axis trapezoid weights kept linear for the final reduction.
     """
-    # the one use of scipy: imported here so that only the oracles load it
-    from scipy.special import gammaincinv
-
     eps = spec.lambda_quantile_eps
     v = np.linspace(eps, 1.0 - eps, spec.grid_lambda)
-    lam = gammaincinv(profile.a, v) / profile.b
+    lam = _gamma_quantiles(profile.a, eps, spec.grid_lambda) / profile.b
     if not (np.all(np.isfinite(lam)) and lam[0] > 0.0):
         raise ValidationError(
             "degenerate precision grid; the integrand's effective gamma shape "
@@ -145,33 +157,40 @@ def _profile_nodes(profile: NormalGammaParams, spec: QuadratureSpec):
     return lam, log_row_scale, u, _trapezoid_weights(u[1] - u[0], u.size)
 
 
-def _log_integral(profile: NormalGammaParams, spec: QuadratureSpec, log_integrand) -> float:
-    """log of the integral of exp(log_integrand(mean, precision)), computed stably.
+def _log_joint_parts(lam, prior: NormalGammaParams, stats, e):
+    """The oracles' log joint density of (mean, lam) in two parts: all but its
+    per-node term, one value per row of ``lam``, and that term's residuals,
+    -lam/2 * sum of weight * (mean - center)^2 over (center, weight) pairs.
+    Per Gaussian factor: beta at mu0, n at the scores' mean, 1 at ``e``."""
+    residuals = [(prior.mu0, prior.beta)]
+    if stats.n > 0:
+        residuals.append((stats.mean, stats.n))
+    if e is not None:
+        residuals.append((float(e), 1.0))
+    log_row = (
+        _gamma_log_pdf(lam, prior.a, prior.b)
+        + 0.5 * (1 + stats.n + (e is not None)) * (np.log(lam) - _LOG_2PI)
+        + 0.5 * math.log(prior.beta)
+        - 0.5 * lam * stats.sum_sq_dev
+    )
+    return log_row, residuals
 
-    The grid is laid out against ``profile``. It is reduced in blocks of
-    precision rows: each block builds its own mean nodes, evaluates
-    ``log_integrand`` on them, shifts by its own peak, exponentiates and
-    takes a weighted pairwise ``np.sum``. The blocks are then combined by a
-    log-sum-exp over their peaks with ``math.fsum``. No BLAS reduction is
-    involved, so the result is bit-reproducible for a given grid. A NaN
-    anywhere in the integrand makes the result NaN.
-    """
-    lam, log_row_scale, u, w_u = _profile_nodes(profile, spec)
-    rows = max(1, _BLOCK_NODES // spec.grid_mu)
-    peaks, sums = [], []
-    for start in range(0, lam.size, rows):
-        lam_block = lam[start : start + rows, None]
-        mu_block = profile.mu0 + u / np.sqrt(profile.beta * lam_block)
-        log_f = log_integrand(mu_block, lam_block)
-        log_f += log_row_scale[start : start + rows, None]
-        peak = float(log_f.max())
-        log_f -= peak
-        np.exp(log_f, out=log_f)
-        log_f *= w_u
-        peaks.append(peak)
-        sums.append(float(np.sum(log_f)))
-    top = max(peaks)
-    return top + math.log(math.fsum(s * math.exp(p - top) for p, s in zip(peaks, sums)))
+
+def _log_joint_nodes(mu, lam, log_row, residuals, out, tmp) -> np.ndarray:
+    """Fill ``out`` with the log joint at nodes ``mu`` in place; ``lam`` and
+    ``log_row`` are columns, one value per row, and ``tmp`` is scratch."""
+    (center, weight), *rest = residuals
+    np.subtract(mu, center, out=out)
+    out *= out
+    out *= weight
+    for center, weight in rest:
+        np.subtract(mu, center, out=tmp)
+        tmp *= tmp
+        tmp *= weight
+        out += tmp
+    out *= -0.5 * lam
+    out += log_row
+    return out
 
 
 def quadrature_predictive(
@@ -206,29 +225,35 @@ def quadrature_joint_evidence(
 def _log_evidence(prior, class_scores, e, spec) -> float:
     """The log integral behind both oracles above: the prior density times
     the class scores' likelihood (through their sufficient statistics) and,
-    unless ``e`` is None, ``gaussian_log_density`` at ``e``. Neither oracle
+    unless ``e`` is None, the Gaussian likelihood of ``e``. Neither oracle
     calls the other, so each can be replaced on its own."""
     stats = collect_stats(class_scores)
     points = list(np.asarray(class_scores, dtype=float).ravel())
     if e is not None:
         points.append(float(e))
     profile = posterior_update(prior, collect_stats(points))
-
-    def log_f(mu, lam):
-        # e's term first: after the prior's, it re-faulted freed heap pages every block
-        g = None if e is None else gaussian_log_density(e, mu, lam)
-        out = normal_gamma_log_density(mu, lam, prior)
-        if stats.n > 0:
-            # product of the class likelihoods via sufficient statistics:
-            # sum_t log N(s_t | mu, 1/lam) for fixed (mu, lam)
-            out = out + stats.n * 0.5 * (np.log(lam) - _LOG_2PI) - 0.5 * lam * (
-                stats.sum_sq_dev + stats.n * np.square(stats.mean - mu)
-            )
-        if g is not None:
-            out = out + g
-        return out
-
-    return _log_integral(profile, spec, log_f)
+    lam, log_row_scale, u, w_u = _profile_nodes(profile, spec)
+    log_row, residuals = _log_joint_parts(lam, prior, stats, e)
+    log_row = (log_row + log_row_scale)[:, None]
+    lam = lam[:, None]
+    root = np.sqrt(profile.beta * lam)
+    rows = max(1, _BLOCK_NODES // spec.grid_mu)
+    buffers = np.empty((3, min(rows, lam.size), u.size))
+    peaks, sums = [], []
+    for start in range(0, lam.size, rows):
+        block = slice(start, start + rows)
+        mu, log_f, tmp = buffers[:, : root[block].shape[0]]
+        np.divide(u, root[block], out=mu)
+        mu += profile.mu0
+        _log_joint_nodes(mu, lam[block], log_row[block], residuals, log_f, tmp)
+        peak = float(log_f.max())
+        log_f -= peak
+        np.exp(log_f, out=log_f)
+        log_f *= w_u
+        peaks.append(peak)
+        sums.append(float(np.sum(log_f)))
+    top = max(peaks)
+    return top + math.log(math.fsum(s * math.exp(p - top) for p, s in zip(peaks, sums)))
 
 
 def joint_evidence_log_lr(

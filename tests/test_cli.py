@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: outputs, exit codes, and reproducibility."""
 
+import csv
 import inspect
 import json
 import math
@@ -317,6 +318,18 @@ class TestSimulateCommand:
         assert run_cli(capsys, "simulate", "--config", cfg, "--out-dir", str(out_b))[0] == 0
         for name in ("curve.csv", "confidence.csv", "run_meta.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_prior_log_odds_beyond_exp_range(self, tmp_path, capsys):
+        # exp(1000) overflows a float; pi1 = exp(-1000) rounds to 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": {"trials": 3, "prior_grid": [-1000.0, 0.0]}}))
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out-dir", str(out_dir))
+        assert code == 0, err
+        rows = list(csv.DictReader((out_dir / "curve.csv").read_text().splitlines()))
+        assert float(rows[0]["prior_log_odds"]) == -1000.0
+        assert float(rows[0]["error_prior_only"]) == 0.0
+        assert float(rows[1]["error_prior_only"]) == 0.5
 
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

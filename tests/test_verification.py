@@ -27,6 +27,7 @@ from bayescal import (
     student_t_log_density,
 )
 from bayescal.conjugate import StudentT, posterior_update
+from bayescal.scores import collect_stats, gaussian_log_density
 from bayescal.verification import (
     decomposition_sweep,
     grid_convergence,
@@ -147,6 +148,74 @@ class TestJointEvidenceOracle:
                 joint_evidence_log_lr(data, prior, e, FAST)
                 - bayes_log_lr(e, data, prior).value
             ) < 1e-6
+
+
+class TestIntegrand:
+    """The oracles write their log joint density out; it must be the model's."""
+
+    @pytest.mark.parametrize("n", [0, 1, 12])
+    @pytest.mark.parametrize("e", [None, 1.7])
+    def test_equals_library_densities(self, n, e):
+        rng = np.random.default_rng([n, e is None])
+        prior = NormalGammaParams(0.4, 2.5, 3.0, 1.5)
+        scores = rng.normal(-0.5, 1.3, size=n)
+        lam = rng.gamma(2.0, 1.0, size=(7, 1))
+        mu = rng.normal(0.0, 2.0, size=(7, 5))
+        stats = collect_stats(scores)
+        log_row, residuals = verification._log_joint_parts(lam[:, 0], prior, stats, e)
+        got = verification._log_joint_nodes(
+            mu, lam, log_row[:, None], residuals, np.empty_like(mu), np.empty_like(mu)
+        )
+        ref = conjugate.normal_gamma_log_density(mu, lam, prior)
+        for x in [*scores, *([] if e is None else [e])]:
+            ref = ref + gaussian_log_density(x, mu, lam)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+#: quadrature_predictive (posterior, e) and quadrature_joint_evidence
+#: (prior, scores, e) at 401^2, as computed by the kernel that called
+#: normal_gamma_log_density and gaussian_log_density on every node.
+PIN_SPEC = QuadratureSpec(grid_mu=401, grid_lambda=401)
+PIN_PREDICTIVE = [
+    ((-1.2, 12.0, 6.5, 9.0), -3.0, -2.216860202825397),
+    ((-1.2, 12.0, 6.5, 9.0), 4.0, -7.23016688968769),
+    ((0.0, 1.0, 1.0, 1.0), 0.5, -1.477231313844535),
+    ((2.5, 1.5, 29.0, 3.0), -3.0, -41.12380459646015),
+    ((2.5, 1.5, 29.0, 3.0), 4.0, -6.031074623681983),
+    ((-2.9, 55.0, 1.3, 25.0), 0.5, -2.868629462248907),
+]
+PIN_SCORES = (-0.3, 1.9, 0.4, 2.2, -1.1, 0.8, 1.5, 0.2, 1.1)
+PIN_JOINT = [
+    ((0.01, 0.01, 0.01), (0.7,), None, -5.081184252026065),
+    ((0.01, 0.01, 0.01), (0.7,), 2.5, -8.955882814517956),
+    ((0.01, 0.01, 0.01), PIN_SCORES, None, -20.677245891537176),
+    ((0.01, 0.01, 0.01), PIN_SCORES, 2.5, -23.015971358480492),
+    ((1.0, 2.0, 1.0), (), None, -1.9999991884844803e-08),
+    ((1.0, 2.0, 1.0), (), 2.5, -3.3332876341730344),
+    ((1.0, 2.0, 1.0), (1.0, 2.0, 3.0), 2.5, -8.13261985235008),
+]
+
+
+class TestKernelRegression:
+    @pytest.mark.parametrize("params, e, expected", PIN_PREDICTIVE)
+    def test_predictive_pinned(self, params, e, expected):
+        post = NormalGammaParams(*params)
+        assert abs(quadrature_predictive(post, e, PIN_SPEC) - expected) <= 1e-12
+
+    @pytest.mark.parametrize("params, scores, e, expected", PIN_JOINT)
+    def test_joint_evidence_pinned(self, params, scores, e, expected):
+        prior = NormalGammaParams(0.0, *params)
+        assert abs(quadrature_joint_evidence(prior, scores, e, PIN_SPEC) - expected) <= 1e-12
+
+    def test_cached_quantiles_read_only_and_exact(self):
+        from scipy.special import gammaincinv
+
+        q = verification._gamma_quantiles(7.25, 1e-8, 401)
+        assert verification._gamma_quantiles(7.25, 1e-8, 401) is q
+        with pytest.raises(ValueError):
+            q[0] = 1.0
+        fresh = gammaincinv(7.25, np.linspace(1e-8, 1.0 - 1e-8, 401))
+        assert np.array_equal(q, fresh)
 
 
 class TestApproximatePosteriorPitfall:
