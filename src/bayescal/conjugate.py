@@ -99,11 +99,10 @@ def posterior_update(
     beta_n = prior.beta + n
     mu_n = (prior.beta * prior.mu0 + n * stats.mean) / beta_n
     a_n = prior.a + 0.5 * n
-    b_n = (
-        prior.b
-        + 0.5 * stats.sum_sq_dev
-        + prior.beta * n * (stats.mean - prior.mu0) ** 2 / (2.0 * beta_n)
-    )
+    # shift * shift, not shift ** 2: a float's ** 2 is libm pow, which can
+    # round differently from the product that an array's ** 2 computes
+    shift = stats.mean - prior.mu0
+    b_n = prior.b + 0.5 * stats.sum_sq_dev + prior.beta * n * (shift * shift) / (2.0 * beta_n)
     return NormalGammaParams(mu_n, beta_n, a_n, b_n)
 
 

@@ -22,22 +22,30 @@ therefore laid out against that profile:
   u = sqrt(beta*precision) * (mean - location), whose law under the profile
   is standard normal.
 
-Integrand. ``_log_joint_parts`` writes the log joint density out once: per
-precision row, the gamma marginal and every normalizer; per node, -precision/2
-times one squared residual per Gaussian factor, each about its own center. It
-never forms the completed square about the profile's mean, which is
-``posterior_update``, under test, so the warping only places nodes and cannot
-inject the closed-form answer. Accuracy is established by the grid-convergence
-and quantile-eps-convergence checks in the suite rather than asserted.
+Integrand. ``_log_joint_coefficients`` writes the log joint density out once,
+at nodes mean = m0 + u/r with r = sqrt(beta*precision) of the profile, as a
+quadratic in u per precision row: every Gaussian factor (center c, weight w)
+contributes -precision/2 * w * (u/r + d)^2 with d = m0 - c, expanded, and the
+gamma marginal and every normalizer go into the constant. Sum(w*d) is
+computed, never assumed zero, so the quadratic is the model's joint density
+whatever center and scale the nodes have. It never forms the completed
+square about the profile's mean, which is ``posterior_update``, under test,
+so the warping only places nodes and cannot inject the closed-form answer.
+Carrying d rather than forming m0 + u/r avoids rounding each node's mean at
+eps*|m0|, which matters when |m0| dwarfs the profile's spread. Accuracy is
+established by the grid-convergence and quantile-eps-convergence checks in
+the suite rather than asserted.
 
 Reduction. The grid is never held whole. It is evaluated in blocks of
-precision rows, about ``_BLOCK_NODES`` nodes each, in place in buffers
-allocated once per call, so that a block's work stays in cache. Each block is
-shifted by its own peak, exponentiated and summed pairwise with ``np.sum``;
-the block sums are combined by a log-sum-exp over the block peaks with
-``math.fsum``. The result is bit-reproducible for a given grid and within a
-few ulps of a single-block evaluation. The precision nodes' gamma quantiles
-depend only on the profile's shape, so they are computed once per shape.
+precision rows, about ``_BLOCK_NODES`` nodes each, into one buffer allocated
+once per call, so that a block's work stays in cache. Each block is one
+matrix product of its rows' coefficients with the fixed (u^2, u, 1) basis,
+shifted by its own peak, exponentiated in place and reduced by a product
+with the mean-axis trapezoid weights; the block sums are combined by a
+log-sum-exp over the block peaks with ``math.fsum``. The result is
+bit-reproducible for a given grid and within a few ulps of a single-block
+evaluation. The precision nodes' gamma quantiles depend only on the
+profile's shape, so they are computed once per shape.
 
 Sweeps. Each sweep reports its largest absolute discrepancy. A NaN
 discrepancy is not dropped: it makes the sweep's result NaN, which fails
@@ -114,9 +122,9 @@ def _trapezoid_weights(step: float, count: int) -> np.ndarray:
 
 #: Quadrature nodes evaluated at a time. The integrand is computed over a
 #: block of whole precision rows, ``max(1, _BLOCK_NODES // grid_mu)`` of them.
-#: At 128 KiB per float64 buffer, a block's three buffers stay in a 1-2 MiB
-#: L2 cache instead of streaming a grid-sized array through memory once per
-#: arithmetic step. 16k and 32k measured alike; 8k and 64k were slower.
+#: At 128 KiB, the block's one float64 buffer stays in a 1-2 MiB L2 cache
+#: instead of streaming a grid-sized array through memory once per step.
+#: 16k to 64k measured alike at 401^2 and 1201^2; 8k and below were slower.
 _BLOCK_NODES = 16_384
 
 
@@ -157,40 +165,28 @@ def _profile_nodes(profile: NormalGammaParams, spec: QuadratureSpec):
     return lam, log_row_scale, u, _trapezoid_weights(u[1] - u[0], u.size)
 
 
-def _log_joint_parts(lam, prior: NormalGammaParams, stats, e):
-    """The oracles' log joint density of (mean, lam) in two parts: all but its
-    per-node term, one value per row of ``lam``, and that term's residuals,
-    -lam/2 * sum of weight * (mean - center)^2 over (center, weight) pairs.
-    Per Gaussian factor: beta at mu0, n at the scores' mean, 1 at ``e``."""
-    residuals = [(prior.mu0, prior.beta)]
+def _log_joint_coefficients(lam, root, center, prior: NormalGammaParams, stats, e):
+    """The oracles' log joint density of (mean, lam) at mean = center + u/root,
+    as one row of (u^2, u, 1) coefficients per entry of ``lam`` and ``root``.
+    Each Gaussian factor (beta at mu0, n at the scores' mean, 1 at ``e``)
+    adds -lam/2 * weight * (u/root + d)^2, d = center - its own center."""
+    factors = [(prior.mu0, prior.beta)]
     if stats.n > 0:
-        residuals.append((stats.mean, stats.n))
+        factors.append((stats.mean, stats.n))
     if e is not None:
-        residuals.append((float(e), 1.0))
-    log_row = (
+        factors.append((float(e), 1.0))
+    d = np.array([center - c for c, _ in factors])
+    w = np.array([weight for _, weight in factors])
+    coef = np.empty((lam.size, 3))
+    coef[:, 0] = -0.5 * lam * w.sum() / root**2
+    coef[:, 1] = -lam * (w @ d) / root
+    coef[:, 2] = (
         _gamma_log_pdf(lam, prior.a, prior.b)
         + 0.5 * (1 + stats.n + (e is not None)) * (np.log(lam) - _LOG_2PI)
         + 0.5 * math.log(prior.beta)
-        - 0.5 * lam * stats.sum_sq_dev
+        - 0.5 * lam * (stats.sum_sq_dev + w @ d**2)
     )
-    return log_row, residuals
-
-
-def _log_joint_nodes(mu, lam, log_row, residuals, out, tmp) -> np.ndarray:
-    """Fill ``out`` with the log joint at nodes ``mu`` in place; ``lam`` and
-    ``log_row`` are columns, one value per row, and ``tmp`` is scratch."""
-    (center, weight), *rest = residuals
-    np.subtract(mu, center, out=out)
-    out *= out
-    out *= weight
-    for center, weight in rest:
-        np.subtract(mu, center, out=tmp)
-        tmp *= tmp
-        tmp *= weight
-        out += tmp
-    out *= -0.5 * lam
-    out += log_row
-    return out
+    return coef
 
 
 def quadrature_predictive(
@@ -233,25 +229,21 @@ def _log_evidence(prior, class_scores, e, spec) -> float:
         points.append(float(e))
     profile = posterior_update(prior, collect_stats(points))
     lam, log_row_scale, u, w_u = _profile_nodes(profile, spec)
-    log_row, residuals = _log_joint_parts(lam, prior, stats, e)
-    log_row = (log_row + log_row_scale)[:, None]
-    lam = lam[:, None]
     root = np.sqrt(profile.beta * lam)
+    coef = _log_joint_coefficients(lam, root, profile.mu0, prior, stats, e)
+    coef[:, 2] += log_row_scale
+    basis = np.stack((u * u, u, np.ones_like(u)))
     rows = max(1, _BLOCK_NODES // spec.grid_mu)
-    buffers = np.empty((3, min(rows, lam.size), u.size))
+    buffer = np.empty((min(rows, lam.size), u.size))
     peaks, sums = [], []
     for start in range(0, lam.size, rows):
-        block = slice(start, start + rows)
-        mu, log_f, tmp = buffers[:, : root[block].shape[0]]
-        np.divide(u, root[block], out=mu)
-        mu += profile.mu0
-        _log_joint_nodes(mu, lam[block], log_row[block], residuals, log_f, tmp)
+        block = coef[start : start + rows]
+        log_f = np.matmul(block, basis, out=buffer[: len(block)])
         peak = float(log_f.max())
         log_f -= peak
         np.exp(log_f, out=log_f)
-        log_f *= w_u
         peaks.append(peak)
-        sums.append(float(np.sum(log_f)))
+        sums.append(float(np.sum(log_f @ w_u)))
     top = max(peaks)
     return top + math.log(math.fsum(s * math.exp(p - top) for p, s in zip(peaks, sums)))
 

@@ -228,6 +228,13 @@ class TestVerifyCommand:
         assert by_name["predictive_closed_form_vs_quadrature"]["value"] < 1e-6
         assert json.loads(report_path.read_text()) == payload
 
+    def test_rerun_is_byte_identical(self, capsys):
+        args = [*self.QUICK, "--grid-mu", "101", "--grid-lambda", "101", "--seed", "7"]
+        code_a, out_a, _ = run_cli(capsys, *args)
+        code_b, out_b, _ = run_cli(capsys, *args)
+        assert code_a == code_b == 0
+        assert out_a == out_b
+
     def test_report_to_unwritable_path_exits_4(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")

@@ -156,16 +156,20 @@ class TestIntegrand:
     @pytest.mark.parametrize("n", [0, 1, 12])
     @pytest.mark.parametrize("e", [None, 1.7])
     def test_equals_library_densities(self, n, e):
+        # nodes centered and scaled off the profile, where the coefficient
+        # of u is far from zero and a wrong one shows
         rng = np.random.default_rng([n, e is None])
         prior = NormalGammaParams(0.4, 2.5, 3.0, 1.5)
         scores = rng.normal(-0.5, 1.3, size=n)
-        lam = rng.gamma(2.0, 1.0, size=(7, 1))
-        mu = rng.normal(0.0, 2.0, size=(7, 5))
-        stats = collect_stats(scores)
-        log_row, residuals = verification._log_joint_parts(lam[:, 0], prior, stats, e)
-        got = verification._log_joint_nodes(
-            mu, lam, log_row[:, None], residuals, np.empty_like(mu), np.empty_like(mu)
+        lam = rng.gamma(2.0, 1.0, size=7)
+        root = np.sqrt(3.7 * lam)
+        u = rng.normal(0.0, 4.0, size=5)
+        coef = verification._log_joint_coefficients(
+            lam, root, 2.3, prior, collect_stats(scores), e
         )
+        got = coef @ np.stack((u * u, u, np.ones_like(u)))
+        mu = 2.3 + u / root[:, None]
+        lam = lam[:, None]
         ref = conjugate.normal_gamma_log_density(mu, lam, prior)
         for x in [*scores, *([] if e is None else [e])]:
             ref = ref + gaussian_log_density(x, mu, lam)
@@ -216,6 +220,20 @@ class TestKernelRegression:
             q[0] = 1.0
         fresh = gammaincinv(7.25, np.linspace(1e-8, 1.0 - 1e-8, 401))
         assert np.array_equal(q, fresh)
+
+
+class TestExtremeLocations:
+    """Far from zero a node's mean would round at eps * |mu0|, coarse against
+    a predictive scale of about 1.4e-3; the oracle still holds its tolerance."""
+
+    @pytest.mark.parametrize("mu0", [-1e8, 1e6])
+    @pytest.mark.parametrize("k", [-8.0, -1.0, 0.0, 3.0, 8.0])
+    def test_predictive_matches_closed_form(self, mu0, k):
+        post = NormalGammaParams(mu0, 1e4, 5e3, 1e-2)
+        pred = predictive(post)
+        e = pred.location + k * pred.scale
+        closed = student_t_log_density(pred, e)
+        assert abs(quadrature_predictive(post, e, PIN_SPEC) - closed) < 1e-6
 
 
 class TestApproximatePosteriorPitfall:
