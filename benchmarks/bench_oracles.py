@@ -1,5 +1,6 @@
 """Per-layer timings: CSV ingestion, background summary and fit, resampling
-trials, the quadrature oracle and the decomposition sweep.
+trials, the quadrature oracle, the decomposition sweep and the peak-only
+pitfall.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_oracles.py \
         --benchmark-json BENCH_oracles.json
@@ -18,7 +19,10 @@ Cases:
   ``quadrature_joint_evidence`` of 9 scores plus a trial score at 401^2
   (repeated calls: the gamma quantiles come from the cache after the first);
 - ``predictive_oracle_sweep(50, 17)`` at 401^2, as ``verify`` runs it there;
-- ``decomposition_sweep()`` at its defaults.
+- ``decomposition_sweep()`` at its defaults;
+- ``lr_distribution_demo`` at score 6.0 with the ``lr-distribution`` defaults
+  (1 000 trials of a 9/27 background);
+- ``pitfall_divergence(200)``, as ``verify`` runs it.
 
 Outside ``testpaths``, so the test suite never runs it. Uses pytest-benchmark.
 """
@@ -38,12 +42,13 @@ from bayescal import (
     fit_plugin,
     generate_scores,
     load_background_csv,
+    lr_distribution_demo,
     quadrature_joint_evidence,
     quadrature_predictive,
     run_experiment,
 )
 from bayescal.conjugate import NONINFORMATIVE_PRIOR
-from bayescal.verification import decomposition_sweep, predictive_oracle_sweep
+from bayescal.verification import decomposition_sweep, pitfall_divergence, predictive_oracle_sweep
 
 # a small-n posterior like the oracle sweep draws, probed two scales out
 POSTERIOR = NormalGammaParams(-1.2, 12.0, 6.5, 9.0)
@@ -107,3 +112,11 @@ def test_predictive_oracle_sweep_401(benchmark):
 
 def test_decomposition_sweep(benchmark):
     benchmark(decomposition_sweep)
+
+
+def test_lr_distribution_demo_fig1(benchmark):
+    benchmark(lr_distribution_demo, 6.0, GeneratorConfig(), 9, 27, 1000, 0)
+
+
+def test_pitfall_divergence_200(benchmark):
+    benchmark(pitfall_divergence, 200)

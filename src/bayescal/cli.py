@@ -90,14 +90,15 @@ def _coerce(default, value):
     """``value`` as the type of ``default``: a section stays an object, a
     sequence is coerced element by element (inner lists keep the default's
     length), a number is converted; an integer must be integral (9.0, not
-    9.5). Raises TypeError, ValueError or OverflowError."""
+    9.5), and a boolean is not a number. Raises TypeError, ValueError or
+    OverflowError."""
     if isinstance(default, dict) and isinstance(value, dict):
         return value
     if isinstance(default, (list, tuple)) and isinstance(value, (list, tuple)):
         items = [_coerce(default[0], v) for v in value]
         if all(len(v) == len(default[0]) for v in items if isinstance(v, list)):
             return type(default)(items)
-    if isinstance(default, (int, float)):
+    if isinstance(default, (int, float)) and not isinstance(value, bool):
         number = type(default)(value)
         if isinstance(default, int) and isinstance(value, float) and number != value:
             raise ValueError(value)  # a fraction in an integer field

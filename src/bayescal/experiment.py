@@ -8,8 +8,10 @@ error rate of the induced decisions over a grid of prior log-odds, or the
 mean log-LR. No test set is drawn. Trials come from
 ``synthetic.resample_backgrounds``: trial t of stream k draws from a NumPy
 generator seeded with ``[seed, k, t]``, so runs are reproducible, trials
-could be evaluated in any order, and different seeds share no trials. They
-are solved ``_BLOCK`` at a time, as arrays with one element per trial.
+could be evaluated in any order, and different seeds share no trials. One
+loop, ``_block_stats``, draws and summarizes them ``_BLOCK`` at a time, as
+arrays with one element per trial. All three experiments here, and the
+peak-only pitfall of ``verification``, read it.
 
 Exact rates. Deciding at prior log-odds g convicts iff the log-LR exceeds
 c = -g. On [L, R], which holds all but 1e-300 of either test law's mass,
@@ -37,7 +39,6 @@ from .errors import ValidationError, check_at_least, check_finite, check_positiv
 from .lr import LrMethod, bayes_log_lr_array, class_predictives, plugin_log_lr_array
 from .scores import (
     DEFAULT_VARIANCE_FLOOR,
-    BackgroundData,
     Hypothesis,
     SufficientStats,
     _summarize,
@@ -153,7 +154,8 @@ def _logistic_point(g: float) -> float:
 
 class _BlockStats(NamedTuple):
     """Both classes' stats for a block of backgrounds, one element per trial:
-    what ``fit_plugin`` and ``class_predictives`` read of a background."""
+    what ``fit_plugin``, ``class_predictives`` and
+    ``verification.approximate_posterior_pitfall`` read of a background."""
 
     h1_stats: SufficientStats
     h2_stats: SufficientStats
@@ -169,32 +171,31 @@ def _check_size(n1: int, n2: int) -> None:
         )
 
 
-def _calibrated_blocks(gen, n1, n2, trials, seed, stream, prior, variance_floor):
-    """The resampled backgrounds of ``stream`` calibrated both ways, a block
-    at a time: yields ``(plugin fit, (pred1, pred2))`` whose parameters are
-    arrays with one element per trial of the block.
+def _block_stats(gen, n1, n2, trials, seed, stream):
+    """The resampled backgrounds of ``stream``, a block at a time: yields
+    each block's ``_BlockStats``, one element per trial of the block.
 
-    The size and the floor are checked before any draw. Every block is
-    summarized in place in the same two buffers, so that large backgrounds
-    (1.6 MB per 300/4050 block) do not allocate a matrix and its deviations
-    per block.
+    Every block is summarized in place in the same two buffers, so that
+    large backgrounds (1.6 MB per 300/4050 block) do not allocate a matrix
+    and its deviations per block.
     """
-    _check_size(n1, n2)
-    check_positive(variance_floor=variance_floor)
     draws = resample_backgrounds(gen, n1, n2, trials, seed, stream)
     h1, h2 = np.empty((_BLOCK, n1)), np.empty((_BLOCK, n2))
     for start in range(0, trials, _BLOCK):
         size = min(_BLOCK, trials - start)
         for row, (d1, d2) in enumerate(islice(draws, size)):
             h1[row], h2[row] = d1, d2
-        yield _calibrate(h1[:size], h2[:size], prior, variance_floor)
+        yield _BlockStats(_summarize(h1[:size]), _summarize(h2[:size]))
 
 
-def _calibrate(h1, h2, prior, variance_floor):
-    """Both calibrations of a block of backgrounds, one trial per row of
-    ``h1`` and ``h2``, which are overwritten."""
-    stats = _BlockStats(_summarize(h1), _summarize(h2))
-    return fit_plugin(stats, variance_floor), class_predictives(stats, prior)
+def _calibrated_blocks(gen, n1, n2, trials, seed, stream, prior, variance_floor):
+    """``_block_stats`` calibrated both ways: yields ``(plugin fit, (pred1,
+    pred2))`` whose parameters are arrays with one element per trial of the
+    block. The size and the floor are checked before any draw."""
+    _check_size(n1, n2)
+    check_positive(variance_floor=variance_floor)
+    for stats in _block_stats(gen, n1, n2, trials, seed, stream):
+        yield fit_plugin(stats, variance_floor), class_predictives(stats, prior)
 
 
 def _upper_tail(z: np.ndarray) -> np.ndarray:
@@ -530,19 +531,9 @@ def lr_distribution_demo(
     not finite, as an extreme score makes them.
     """
     check_at_least(2, trials=trials)
-    _check_size(n1, n2)
-    check_positive(variance_floor=variance_floor)
-    backgrounds = (
-        BackgroundData(*draws) for draws in resample_backgrounds(world, n1, n2, trials, seed, 0)
-    )
-    pairs = [
-        (
-            plugin_log_lr_array(e, fit_plugin(data, variance_floor)),
-            bayes_log_lr_array(e, *class_predictives(data, prior)),
-        )
-        for data in backgrounds
-    ]
-    plugin_vals, bayes_vals = (np.array(vals) for vals in zip(*pairs))
+    blocks = list(_calibrated_blocks(world, n1, n2, trials, seed, 0, prior, variance_floor))
+    plugin_vals = np.concatenate([plugin_log_lr_array(e, theta) for theta, _ in blocks])
+    bayes_vals = np.concatenate([bayes_log_lr_array(e, *preds) for _, preds in blocks])
     mu, sigma = float(plugin_vals.mean()), float(plugin_vals.std(ddof=1))
     summary = np.concatenate([plugin_vals, bayes_vals, [mu, sigma, bayes_vals.mean()]])
     if not np.isfinite(summary).all():

@@ -70,6 +70,7 @@ from .conjugate import (
     student_t_log_density,
 )
 from .errors import ValidationError, check_at_least, check_positive
+from .experiment import _block_stats
 from .lr import (
     bayes_log_lr,
     bayes_log_lr_array,
@@ -82,7 +83,7 @@ from .scores import (
     _LOG_2PI,
     collect_stats,
 )
-from .synthetic import GeneratorConfig, resample_backgrounds
+from .synthetic import GeneratorConfig
 
 #: Seed of every randomized sweep in the suite, unless one is passed.
 SUITE_SEED = 20260810
@@ -298,6 +299,10 @@ def approximate_posterior_pitfall(
     the posterior peak but ignores the tails, which is exactly where the
     likelihood of an outlying trial score puts its weight, so the divergence
     from the exact ratio grows in the tails and shrinks with more data.
+
+    ``data`` is read through its ``h1_stats`` and ``h2_stats``, as
+    ``fit_plugin`` reads it: array-valued stats, a block of backgrounds,
+    with a scalar ``e_grid`` give one value per trial.
     """
     e_grid = np.asarray(e_grid, dtype=float)
     stats1, stats2 = data.h1_stats, data.h2_stats
@@ -496,15 +501,16 @@ def pitfall_divergence(
     sizes: tuple[tuple[int, int], ...] = ((9, 27), (90, 270)),
 ) -> tuple[float, ...]:
     """Median tail divergence of the peak-only approximation per data size."""
+    check_at_least(1, n_trials=n_trials)
     world = GeneratorConfig()
     e_tail = world.mu1_true + 4.0 * world.sigma1_true
     medians = []
     for k, (n1, n2) in enumerate(sizes):
         divs = [
-            approximate_posterior_pitfall(BackgroundData(*draws), prior, [e_tail]).abs_divergence[0]
-            for draws in resample_backgrounds(world, n1, n2, n_trials, seed, stream=k)
+            approximate_posterior_pitfall(stats, prior, e_tail).abs_divergence
+            for stats in _block_stats(world, n1, n2, n_trials, seed, k)
         ]
-        medians.append(float(np.median(divs)))
+        medians.append(float(np.median(np.concatenate(divs))))
     return tuple(medians)
 
 

@@ -558,6 +558,10 @@ class TestConfigFile:
             ({"variance_floor": "x"}, "variance_floor"),
             ({"experiment": {"prior_grid": 0.0}}, "experiment.prior_grid"),
             ({"confidence": {"sizes": [[9, 27, 3]]}}, "confidence.sizes"),
+            ({"experiment": {"trials": True}}, "experiment.trials"),
+            ({"generator": {"mu1_true": True}}, "generator.mu1_true"),
+            ({"variance_floor": False}, "variance_floor"),
+            ({"confidence": {"sizes": [[9, True]]}}, "confidence.sizes"),
         ],
     )
     @pytest.mark.parametrize("command", ["llr", "lr-distribution"])
@@ -594,6 +598,13 @@ class TestConfigFile:
         assert out == ""
         assert err.startswith(f"error: {path}: {named}: expected ")
         assert err.rstrip().endswith(f"got {shown}")
+
+    def test_boolean_is_not_a_number(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": {"trials": True}}))
+        code, out, err = run_cli(capsys, "lr-distribution", "--score", "1.0", "--config", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"error: {path}: experiment.trials: expected an integer, got true\n"
 
     def test_integral_float_in_integer_field_runs(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(TestSimulateCommand.SMALL_CONFIG))

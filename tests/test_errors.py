@@ -31,7 +31,7 @@ from bayescal import (
 from bayescal.conjugate import StudentT, normal_gamma_log_density, sample_params
 from bayescal.errors import check_at_least, check_finite, check_positive
 from bayescal.lr import DecisionPolicy, LogLR, LrMethod
-from bayescal.verification import run_verification_suite
+from bayescal.verification import pitfall_divergence, run_verification_suite
 
 PRIOR = NormalGammaParams(0.0, 1.0, 2.0, 1.0)
 BACKGROUND = BackgroundData((0.0, 1.0, 2.0), (-1.0, 0.5, -2.0))
@@ -138,6 +138,7 @@ AT_LEAST = [
         "n1",
         2,
     ),
+    ("pitfall_divergence.n_trials", pitfall_divergence, "n_trials", 1),
     *(
         (f"run_verification_suite.{name}", lambda k, name=name: run_verification_suite(**{name: k}), name, 1)
         for name in (

@@ -32,7 +32,6 @@ from bayescal.conjugate import NONINFORMATIVE_PRIOR
 from bayescal.experiment import (
     DEFAULT_PRIOR_GRID,
     _bayes_exceedance,
-    _calibrate,
     _calibrated_blocks,
     _hermite_rule,
     _log_t_slope,
@@ -63,8 +62,8 @@ def _single_trial(world, n1, n2, seed):
     """Trial 0 of ``[seed, 0, 0]``, as run_experiment draws it: its background
     and its calibration as a one-trial block."""
     [(h1, h2)] = resample_backgrounds(world, n1, n2, 1, seed, 0)
-    calibration = _calibrate(
-        np.array([h1]), np.array([h2]), NONINFORMATIVE_PRIOR, DEFAULT_VARIANCE_FLOOR
+    calibration = next(
+        _calibrated_blocks(world, n1, n2, 1, seed, 0, NONINFORMATIVE_PRIOR, DEFAULT_VARIANCE_FLOOR)
     )
     return BackgroundData(h1, h2), calibration
 
@@ -220,8 +219,9 @@ class TestBlockSummary:
     def test_block_calibration_is_each_trial_calibration(self):
         world = GeneratorConfig(mu2_true=-1.0, sigma1_true=2.0)
         draws = list(resample_backgrounds(world, 6, 11, 5, 21, 0))
-        h1s, h2s = (np.array(rows) for rows in zip(*draws))
-        theta, (pred1, pred2) = _calibrate(h1s, h2s, NONINFORMATIVE_PRIOR, 1e-3)
+        theta, (pred1, pred2) = next(
+            _calibrated_blocks(world, 6, 11, 5, 21, 0, NONINFORMATIVE_PRIOR, 1e-3)
+        )
         for t, (h1, h2) in enumerate(draws):
             data = BackgroundData(h1, h2)
             one_theta = fit_plugin(data, 1e-3)

@@ -10,6 +10,7 @@ from scipy.special import expit
 import bayescal.experiment
 import bayescal.synthetic
 from bayescal import (
+    BackgroundData,
     ExperimentConfig,
     GaussianParams,
     GeneratorConfig,
@@ -17,14 +18,19 @@ from bayescal import (
     LrMethod,
     StudentT,
     ValidationError,
+    bayes_log_lr_array,
+    class_predictives,
+    collect_stats,
     confidence_curve,
+    fit_plugin,
     generate_scores,
     lr_distribution_demo,
+    plugin_log_lr_array,
     resample_backgrounds,
     run_experiment,
 )
 from bayescal.conjugate import NONINFORMATIVE_PRIOR
-from bayescal.experiment import DEFAULT_PRIOR_GRID, _calibrate, _errors_over_grid
+from bayescal.experiment import DEFAULT_PRIOR_GRID, _BlockStats, _errors_over_grid
 from bayescal.scores import DEFAULT_VARIANCE_FLOOR
 
 #: The default world's test laws, N(2, 1) for H1 and N(-2, 1) for H2.
@@ -34,9 +40,9 @@ LAWS = [GeneratorConfig().test_law(h) for h in Hypothesis]
 def _errors(h1, h2, grid, laws=LAWS):
     """Both methods' exact error rates, calibrated on one background, at
     each point of ``grid``."""
-    calibration = _calibrate(
-        np.array([h1], dtype=float), np.array([h2], dtype=float),
-        NONINFORMATIVE_PRIOR, DEFAULT_VARIANCE_FLOOR,
+    stats = _BlockStats(collect_stats([h1]), collect_stats([h2]))
+    calibration = (
+        fit_plugin(stats, DEFAULT_VARIANCE_FLOOR), class_predictives(stats, NONINFORMATIVE_PRIOR)
     )
     errors = _errors_over_grid(calibration, np.asarray(grid, dtype=float), laws)
     return {method: rates[:, 0] for method, rates in errors.items()}
@@ -329,6 +335,27 @@ class TestGoldenValues:
              3.543068056525783],
             rtol=1e-12,
         )
+
+
+class TestLrDistributionDemoPerTrial:
+    """Each block's log-LRs are those of its trials' backgrounds alone."""
+
+    @pytest.mark.parametrize("trials", [2, 49, 50, 51, 137])
+    @pytest.mark.parametrize("n1, n2", [(9, 27), (2, 3)])
+    def test_equals_one_trial_at_a_time(self, trials, n1, n2):
+        world, e = GeneratorConfig(mu2_true=-1.0), 3.5
+        report = lr_distribution_demo(e, world, n1, n2, trials, seed=13)
+        plugin, bayes = [], []
+        for h1, h2 in resample_backgrounds(world, n1, n2, trials, 13, 0):
+            data = BackgroundData(h1, h2)
+            plugin.append(float(plugin_log_lr_array(e, fit_plugin(data))))
+            bayes.append(float(bayes_log_lr_array(e, *class_predictives(data, NONINFORMATIVE_PRIOR))))
+        assert report.plugin_log_lr_per_trial.tolist() == plugin
+        assert report.mu == float(np.mean(plugin))
+        assert report.sigma == float(np.std(plugin, ddof=1))
+        # np.log of the predictive scales, where one trial takes math.log
+        gaps = np.abs(report.bayes_log_lr_per_trial - bayes)
+        assert np.all(gaps <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(bayes)))
 
 
 # each experiment called at one (n1, n2) size with ``variance_floor``

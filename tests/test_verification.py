@@ -4,6 +4,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from bayescal import (
     predictive,
     quadrature_joint_evidence,
     quadrature_predictive,
+    resample_backgrounds,
     student_t_log_density,
 )
 from bayescal.conjugate import StudentT, posterior_update
@@ -32,6 +34,7 @@ from bayescal.verification import (
     decomposition_sweep,
     grid_convergence,
     joint_evidence_sweep,
+    pitfall_divergence,
     predictive_oracle_sweep,
     quantile_eps_convergence,
     run_verification_suite,
@@ -43,6 +46,8 @@ from bayescal.verification import (
 FAST = QuadratureSpec(grid_mu=601, grid_lambda=601)
 
 MIRROR_DATA = BackgroundData((1.0, 2.0, 3.0), (-3.0, -2.0, -1.0))
+
+EPS = np.finfo(float).eps
 
 
 class TestQuadratureSpec:
@@ -291,6 +296,48 @@ class TestApproximatePosteriorPitfall:
         )
         assert report.abs_divergence[-1] > report.abs_divergence[0]
         assert report.max_divergence == report.abs_divergence.max()
+
+
+def _pitfall_one_trial_at_a_time(n_trials, seed, sizes):
+    """``pitfall_divergence`` written as a loop over single backgrounds."""
+    world = GeneratorConfig()
+    e_tail = world.mu1_true + 4.0 * world.sigma1_true
+    prior = default_noninformative_prior()
+    return tuple(
+        float(np.median([
+            approximate_posterior_pitfall(BackgroundData(h1, h2), prior, [e_tail]).abs_divergence[0]
+            for h1, h2 in resample_backgrounds(world, n1, n2, n_trials, seed, k)
+        ]))
+        for k, (n1, n2) in enumerate(sizes)
+    )
+
+
+class TestPitfallDivergence:
+    def test_verify_values(self):
+        assert pitfall_divergence(200, verification.SUITE_SEED) == (
+            11.350643574411228, 2.642753840354416
+        )
+
+    @pytest.mark.parametrize("n_trials", [2, 49, 50, 51, 137])
+    def test_equals_one_trial_at_a_time(self, n_trials):
+        sizes = ((9, 27), (90, 270), (2, 3))
+        assert pitfall_divergence(n_trials, 11, sizes=sizes) == _pitfall_one_trial_at_a_time(
+            n_trials, 11, sizes
+        )
+
+    def test_array_stats_give_one_report_value_per_trial(self):
+        draws = list(resample_backgrounds(GeneratorConfig(), 5, 8, 4, 3, 0))
+        h1_stats, h2_stats = (collect_stats(np.array(rows)) for rows in zip(*draws))
+        block = SimpleNamespace(h1_stats=h1_stats, h2_stats=h2_stats)
+        prior = default_noninformative_prior()
+        report = approximate_posterior_pitfall(block, prior, 6.0)
+        assert report.approx_log_lr.shape == report.exact_log_lr.shape == (4,)
+        for t, (h1, h2) in enumerate(draws):
+            one = approximate_posterior_pitfall(BackgroundData(h1, h2), prior, 6.0)
+            assert report.approx_log_lr[t] == one.approx_log_lr
+            # np.log of the predictive scales, where one trial takes math.log
+            exact = float(one.exact_log_lr)
+            assert abs(report.exact_log_lr[t] - exact) <= 4 * EPS * max(1.0, abs(exact))
 
 
 class TestSuiteRunner:
