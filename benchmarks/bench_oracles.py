@@ -19,7 +19,7 @@ Cases:
   ``quadrature_joint_evidence`` of 9 scores plus a trial score at 401^2
   (repeated calls: the gamma quantiles come from the cache after the first);
 - ``predictive_oracle_sweep(50, 17)`` at 401^2, as ``verify`` runs it there;
-- ``decomposition_sweep()`` at its defaults;
+- ``decomposition_sweep(10_000, 5)``, as ``verify`` runs it;
 - ``lr_distribution_demo`` at score 6.0 with the ``lr-distribution`` defaults
   (1 000 trials of a 9/27 background);
 - ``pitfall_divergence(200)``, as ``verify`` runs it.
@@ -111,7 +111,7 @@ def test_predictive_oracle_sweep_401(benchmark):
 
 
 def test_decomposition_sweep(benchmark):
-    benchmark(decomposition_sweep)
+    benchmark(decomposition_sweep, 10_000, 5)
 
 
 def test_lr_distribution_demo_fig1(benchmark):

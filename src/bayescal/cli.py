@@ -33,6 +33,7 @@ from .experiment import (
 )
 from .lr import (
     DecisionPolicy,
+    LogLR,
     TrialPrior,
     bayes_log_lr,
     decide,
@@ -182,9 +183,15 @@ def _add_generator_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shift-scale", type=float, help="test-set shift scale")
 
 
+def _log_lr(method: str, score: float, data, cfg: dict) -> LogLR:
+    """The ``method`` ("plugin" or "bayes") log-LR of ``score`` against ``data``."""
+    if method == "plugin":
+        return plugin_log_lr(score, fit_plugin(data, cfg["variance_floor"]))
+    return bayes_log_lr(score, data, NormalGammaParams(**cfg["prior"]))
+
+
 def cmd_llr(args) -> int:
     cfg = _configure(args)
-    floor = cfg["variance_floor"]
     data = load_background_csv(args.background)
     payload: dict = {
         "score": float(args.score),
@@ -192,30 +199,23 @@ def cmd_llr(args) -> int:
         "n1": data.n1,
         "n2": data.n2,
         "prior": cfg["prior"],
-        "variance_floor": floor,
+        "variance_floor": cfg["variance_floor"],
     }
-    if args.method in ("plugin", "both"):
-        llr_p = plugin_log_lr(args.score, fit_plugin(data, floor))
-        payload["log_lr_plugin"] = llr_p.value
-        payload["log10_lr_plugin"] = llr_p.log10
-    if args.method in ("bayes", "both"):
-        llr_b = bayes_log_lr(args.score, data, NormalGammaParams(**cfg["prior"]))
-        payload["log_lr_bayes"] = llr_b.value
-        payload["log10_lr_bayes"] = llr_b.log10
+    for method in ("plugin", "bayes"):
+        if args.method in (method, "both"):
+            llr = _log_lr(method, args.score, data, cfg)
+            payload[f"log_lr_{method}"] = llr.value
+            payload[f"log10_lr_{method}"] = llr.log10
     _print_json(payload)
     return 0
 
 
 def cmd_decide(args) -> int:
     cfg = _configure(args)
-    floor = cfg["variance_floor"]
     trial_prior = TrialPrior(args.pi1)
     policy = DecisionPolicy(**_resolve(dataclasses.asdict(DecisionPolicy()), {}, vars(args), ""))
     data = load_background_csv(args.background)
-    if args.method == "plugin":
-        llr = plugin_log_lr(args.score, fit_plugin(data, floor))
-    else:
-        llr = bayes_log_lr(args.score, data, NormalGammaParams(**cfg["prior"]))
+    llr = _log_lr(args.method, args.score, data, cfg)
     post = posterior_log_odds(llr, trial_prior)
     verdict = decide(post, policy)
     _print_json(
@@ -226,7 +226,7 @@ def cmd_decide(args) -> int:
             "cost_false_convict": policy.cost_false_convict,
             "cost_false_acquit": policy.cost_false_acquit,
             "prior": cfg["prior"],
-            "variance_floor": floor,
+            "variance_floor": cfg["variance_floor"],
             "log_lr": llr.value,
             "log10_lr": llr.log10,
             "posterior_log_odds": post,

@@ -146,12 +146,10 @@ def student_t_log_density(dist: StudentT, e):
     """
     nu = dist.dof
     z = (np.asarray(e, dtype=float) - dist.location) / dist.scale
-    # math.log for a scalar scale: numpy's log can differ from it by an ulp
-    log_scale = math.log(dist.scale) if np.ndim(dist.scale) == 0 else np.log(dist.scale)
     out = (
         _log_gamma_half_ratio(0.5 * nu)
         - 0.5 * math.log(nu * math.pi)
-        - log_scale
+        - np.log(dist.scale)
         - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
     )
     return _scalar_like(out, e, dist.location)

@@ -25,47 +25,37 @@ class ValidationError(BayescalError, ValueError):
     """A precondition or invariant on inputs was violated."""
 
 
-def _check(rule: str, low: float, values: dict) -> None:
-    """Raise ``NAME must be RULE, got V`` for the first value that is not
-    finite and > ``low``. A Python int or float (numpy's float64 is one) is
-    checked with one chained comparison, which NaN fails; anything else as
-    an array, and V is its first bad element."""
+def _check(rule: str, good, values: dict) -> None:
+    """Raise ``NAME must be RULE, got V`` for the first value that ``good``
+    rejects. ``good`` maps a value, or an array elementwise, to whether it
+    obeys the rule, and NaN fails it. A Python int or float (numpy's float64
+    is one) is tested as it is; anything else as an array, and V is its
+    first bad element."""
     for name, value in values.items():
         if isinstance(value, (int, float)):
-            if low < value < math.inf:
+            if good(value):
                 continue
             shown = float(value) if isinstance(value, float) else value
         else:
-            arr = np.asarray(value, dtype=float)
-            good = np.isfinite(arr) & (arr > low)
-            if good.all():
+            arr = np.asarray(value)
+            ok = good(arr)
+            if ok.all():
                 continue
-            shown = arr.flat[int(np.argmin(good))].item()
+            shown = arr.flat[int(np.argmin(ok))].item()
         raise ValidationError(f"{name} must be {rule}, got {shown!r}")
 
 
 def check_finite(**values) -> None:
     """Raise ValidationError unless every value (or array element) is finite."""
-    _check("finite", -math.inf, values)
+    _check("finite", lambda v: (-math.inf < v) & (v < math.inf), values)
 
 
 def check_positive(**values) -> None:
     """Raise ValidationError unless every value (or array element) is finite and > 0."""
-    _check("finite and > 0", 0.0, values)
+    _check("finite and > 0", lambda v: (0.0 < v) & (v < math.inf), values)
 
 
 def check_at_least(minimum: int, **counts) -> None:
     """Raise ValidationError unless every count (or value, or array element)
-    is >= ``minimum``; NaN is not. For an array, V is its first bad element."""
-    for name, count in counts.items():
-        if isinstance(count, (int, float)):
-            if count >= minimum:
-                continue
-            shown = count
-        else:
-            arr = np.asarray(count)
-            good = arr >= minimum
-            if good.all():
-                continue
-            shown = arr.flat[int(np.argmin(good))].item()
-        raise ValidationError(f"{name} must be >= {minimum}, got {shown!r}")
+    is >= ``minimum``; NaN is not."""
+    _check(f">= {minimum}", lambda v: v >= minimum, counts)

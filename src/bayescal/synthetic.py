@@ -15,11 +15,11 @@ from .scores import Hypothesis
 class GeneratorConfig:
     """True score distributions for a synthetic world.
 
-    Background scores are drawn straight from the class Gaussians. Test-set
-    scores additionally pass through the affine shift
-    ``shift_scale * score + shift_location``, an optional stressor modelling
-    a mismatch between background and trial conditions. The identity shift
-    (1, 0) leaves both sets identically distributed.
+    Background scores are drawn straight from the class Gaussians. The
+    shift lives in ``test_law`` alone: test scores follow the class Gaussian
+    passed through the affine shift ``shift_scale * score + shift_location``,
+    an optional stressor modelling a mismatch between background and trial
+    conditions. The identity shift (1, 0) leaves both laws equal.
     """
 
     mu1_true: float = 2.0
@@ -52,27 +52,18 @@ class GeneratorConfig:
 
 
 def generate_scores(
-    config: GeneratorConfig,
-    hypothesis: Hypothesis,
-    count: int,
-    seed,
-    *,
-    test_set: bool = False,
+    config: GeneratorConfig, hypothesis: Hypothesis, count: int, seed
 ) -> np.ndarray:
-    """Draw iid scores for one class; deterministic given the seed.
+    """Draw iid background scores for one class; deterministic given the seed.
 
     ``seed`` may be an integer or an existing ``numpy.random.Generator``
     (callers running several draws per trial pass one generator through).
-    Only test-set draws receive the shift transform.
+    The draws are unshifted; the shifted test law is ``config.test_law``.
     """
     check_at_least(0, count=count)
     rng = np.random.default_rng(seed)
     mu, sigma = config._class_law(hypothesis)
-    draws = rng.normal(mu, sigma, size=count)
-    if test_set:
-        draws *= config.shift_scale
-        draws += config.shift_location
-    return draws
+    return rng.normal(mu, sigma, size=count)
 
 
 def resample_backgrounds(

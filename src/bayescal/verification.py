@@ -359,8 +359,8 @@ def _max_abs(gaps) -> float:
 
 
 def predictive_oracle_sweep(
-    n_posteriors: int = 50,
-    n_e: int = 17,
+    n_posteriors: int,
+    n_e: int,
     seed: int = SUITE_SEED,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> float:
@@ -383,20 +383,20 @@ def predictive_oracle_sweep(
 
 
 def joint_evidence_sweep(
-    n_cases: int = 20,
+    n_cases: int,
     seed: int = SUITE_SEED,
     spec: QuadratureSpec = QuadratureSpec(),
-    prior: NormalGammaParams = NONINFORMATIVE_PRIOR,
 ) -> float:
-    """Max |predictive-ratio route - joint-evidence route| log-LR discrepancy."""
+    """Max |predictive-ratio route - joint-evidence route| log-LR discrepancy,
+    under the fixed ``NONINFORMATIVE_PRIOR``."""
     rng = np.random.default_rng(seed)
     gaps = []
     for _ in range(n_cases):
         data = _random_dataset(rng)
-        pred1 = predictive(posterior_update(prior, data.h1_stats))
+        pred1 = predictive(posterior_update(NONINFORMATIVE_PRIOR, data.h1_stats))
         e = float(rng.uniform(pred1.location - 8.0 * pred1.scale, pred1.location + 8.0 * pred1.scale))
-        via_joint = joint_evidence_log_lr(data, prior, e, spec)
-        via_predictive = bayes_log_lr(e, data, prior).value
+        via_joint = joint_evidence_log_lr(data, NONINFORMATIVE_PRIOR, e, spec)
+        via_predictive = bayes_log_lr(e, data, NONINFORMATIVE_PRIOR).value
         gaps.append(via_joint - via_predictive)
     return _max_abs(gaps)
 
@@ -416,16 +416,14 @@ def single_score_consistency(
     return _max_abs(gaps)
 
 
-def empty_evidence_normalization(
-    spec: QuadratureSpec = QuadratureSpec(),
-    prior: NormalGammaParams = NormalGammaParams(0.0, 1.0, 2.0, 1.0),
-) -> float:
-    """|log integral of the bare prior|, which must vanish.
+def empty_evidence_normalization(spec: QuadratureSpec = QuadratureSpec()) -> float:
+    """|log integral of the bare prior|, which must vanish, for the fixed
+    prior NormalGammaParams(0, 1, 2, 1).
 
     The residual is dominated by the deliberate 2*eps quantile truncation of
     the precision axis, so it sits near 2 * lambda_quantile_eps, not at zero.
     """
-    return abs(quadrature_joint_evidence(prior, [], None, spec))
+    return abs(quadrature_joint_evidence(NormalGammaParams(0.0, 1.0, 2.0, 1.0), [], None, spec))
 
 
 def _spec_shift(
@@ -469,13 +467,9 @@ def quantile_eps_convergence(
     return _spec_shift(n_posteriors, seed, spec, tightened, (-7.0, 1.0))
 
 
-def decomposition_sweep(
-    n_samples: int = 10_000,
-    n_datasets: int = 5,
-    seed: int = SUITE_SEED,
-    prior: NormalGammaParams = NONINFORMATIVE_PRIOR,
-) -> float:
-    """Max |plugin-plus-correction minus Bayesian| residual over sampled thetas.
+def decomposition_sweep(n_samples: int, n_datasets: int, seed: int = SUITE_SEED) -> float:
+    """Max |plugin-plus-correction minus Bayesian| residual over sampled thetas,
+    under the fixed ``NONINFORMATIVE_PRIOR``.
 
     Each dataset's thetas go to ``decomposition_residual`` in one array call.
     """
@@ -484,30 +478,31 @@ def decomposition_sweep(
     per_dataset_worst = []
     for _ in range(n_datasets):
         data = _random_dataset(rng)
-        post1 = posterior_update(prior, data.h1_stats)
-        post2 = posterior_update(prior, data.h2_stats)
+        post1 = posterior_update(NONINFORMATIVE_PRIOR, data.h1_stats)
+        post2 = posterior_update(NONINFORMATIVE_PRIOR, data.h2_stats)
         e = float(rng.uniform(-8.0, 8.0))
         draws1 = sample_params(post1, int(rng.integers(2**31)), per_dataset)
         draws2 = sample_params(post2, int(rng.integers(2**31)), per_dataset)
         theta = GaussianParams(draws1[:, 0], draws2[:, 0], draws1[:, 1], draws2[:, 1])
-        per_dataset_worst.append(_max_abs(decomposition_residual(e, data, prior, theta)))
+        residuals = decomposition_residual(e, data, NONINFORMATIVE_PRIOR, theta)
+        per_dataset_worst.append(_max_abs(residuals))
     return _max_abs(per_dataset_worst)
 
 
 def pitfall_divergence(
-    n_trials: int = 200,
+    n_trials: int,
     seed: int = SUITE_SEED,
-    prior: NormalGammaParams = NONINFORMATIVE_PRIOR,
     sizes: tuple[tuple[int, int], ...] = ((9, 27), (90, 270)),
 ) -> tuple[float, ...]:
-    """Median tail divergence of the peak-only approximation per data size."""
+    """Median tail divergence of the peak-only approximation per data size,
+    under the fixed ``NONINFORMATIVE_PRIOR``."""
     check_at_least(1, n_trials=n_trials)
     world = GeneratorConfig()
     e_tail = world.mu1_true + 4.0 * world.sigma1_true
     medians = []
     for k, (n1, n2) in enumerate(sizes):
         divs = [
-            approximate_posterior_pitfall(stats, prior, e_tail).abs_divergence
+            approximate_posterior_pitfall(stats, NONINFORMATIVE_PRIOR, e_tail).abs_divergence
             for stats in _block_stats(world, n1, n2, n_trials, seed, k)
         ]
         medians.append(float(np.median(np.concatenate(divs))))
@@ -562,12 +557,11 @@ def run_verification_suite(
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> VerificationReport:
     """Check every sweep count (each must be >= 1) before any sweep runs, then
-    run every oracle check at its stated tolerance and collect the results."""
-    check_at_least(
-        1, n_posteriors=n_posteriors, n_e=n_e, n_joint_cases=n_joint_cases,
-        n_theta_samples=n_theta_samples, n_theta_datasets=n_theta_datasets,
-        n_pitfall_trials=n_pitfall_trials,
-    )
+    run every oracle check at its stated tolerance and collect the results.
+    The other sweeps run at their own fixed sizes."""
+    # the six sizes as the signature names them, for the check and the echo
+    counts = {k: v for k, v in locals().items() if k.startswith("n_")}
+    check_at_least(1, **counts)
     pitfall_small, pitfall_large = pitfall_divergence(n_pitfall_trials, seed)
     checks = (
         _check(
@@ -584,15 +578,15 @@ def run_verification_suite(
         ),
         _check(
             "single_score_evidence_vs_prior_predictive",
-            single_score_consistency(5, seed, spec),
+            single_score_consistency(seed=seed, spec=spec),
             1e-8,
             "<=",
         ),
         _check("empty_evidence_normalization", empty_evidence_normalization(spec), 1e-7, "<="),
-        _check("grid_convergence", grid_convergence(2, seed, spec), 1e-8, "<="),
+        _check("grid_convergence", grid_convergence(seed=seed, spec=spec), 1e-8, "<="),
         _check(
             "quantile_eps_convergence",
-            quantile_eps_convergence(2, seed, spec),
+            quantile_eps_convergence(seed=seed, spec=spec),
             1e-7,
             "<=",
         ),
@@ -610,14 +604,5 @@ def run_verification_suite(
             ">=",
         ),
     )
-    config = {
-        "seed": seed,
-        "n_posteriors": n_posteriors,
-        "n_e": n_e,
-        "n_joint_cases": n_joint_cases,
-        "n_theta_samples": n_theta_samples,
-        "n_theta_datasets": n_theta_datasets,
-        "n_pitfall_trials": n_pitfall_trials,
-        "quadrature": asdict(spec),
-    }
+    config = {"seed": seed, **counts, "quadrature": asdict(spec)}
     return VerificationReport(checks=checks, config=config)

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -691,3 +692,34 @@ def test_scoring_commands_load_no_scipy(tmp_path, background):
     codes, scipy_modules = json.loads(done.stdout)
     assert codes == [0, 0, 0, 0]
     assert scipy_modules == []
+
+
+def test_perfbench_tracer_reaches_every_traced_layer(tmp_path, background):
+    """``perfbench/tracer.py`` rebinds each name in its ``_layers`` and runs one
+    CLI command in-process. Between them, small llr, simulate and verify runs
+    exit 0 and call every traced name, so each one resolves and its count
+    function reads arguments that exist."""
+    tracer = REPO_ROOT / "perfbench" / "tracer.py"
+    layers = runpy.run_path(str(tracer))["_layers"](np)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TestSimulateCommand.SMALL_CONFIG))
+    runs = [
+        ["llr", "--background", background, "--score", "1.0"],
+        ["simulate", "--config", str(cfg), "--trials", "3", "--out-dir", str(tmp_path / "out")],
+        ["verify", "--grid-mu", "101", "--grid-lambda", "101", "--posteriors", "1",
+         "--e-points", "2", "--joint-cases", "1", "--theta-samples", "2",
+         "--theta-datasets", "1", "--pitfall-trials", "2"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(bayescal.__file__).resolve().parents[1]))
+    called = set()
+    for i, argv in enumerate(runs):
+        spans_path = tmp_path / f"spans{i}.json"
+        done = subprocess.run(
+            [sys.executable, str(tracer), str(spans_path), f"t{i}", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, (argv[0], done.stderr)
+        trace = json.loads(spans_path.read_text())
+        assert set(layers) <= set(trace["names"])
+        called |= {trace["names"][span[0]] for span in trace["spans"]}
+    assert set(layers) <= called

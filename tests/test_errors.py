@@ -2,6 +2,7 @@
 gets from them: ``NAME must be finite, got V``, ``NAME must be finite and > 0,
 got V`` and ``NAME must be >= K, got V``."""
 
+import functools
 import math
 
 import numpy as np
@@ -204,6 +205,34 @@ class TestChecks:
     def test_numpy_float_shown_as_a_plain_float(self):
         with pytest.raises(ValidationError, match=r"^x must be finite, got nan$"):
             check_finite(x=np.float64("nan"))
+
+    @pytest.mark.parametrize(
+        "check, value, shown",
+        [
+            pytest.param(check_finite, np.float32("inf"), "finite, got inf", id="finite-float32"),
+            pytest.param(check_positive, np.int64(0), "finite and > 0, got 0", id="positive-int64"),
+            pytest.param(
+                check_positive, np.float32(-0.5), "finite and > 0, got -0.5", id="positive-float32"
+            ),
+            *(
+                pytest.param(functools.partial(check_at_least, 0), value, shown, id=f"at_least-{id_}")
+                for id_, value, shown in [
+                    ("int64", np.int64(-1), ">= 0, got -1"),
+                    ("float64", np.float64(-1.0), ">= 0, got -1.0"),
+                    ("float32", np.float32(-1.5), ">= 0, got -1.5"),
+                ]
+            ),
+        ],
+    )
+    def test_numpy_scalar_shown_as_a_python_number(self, check, value, shown):
+        with pytest.raises(ValidationError) as info:
+            check(x=value)
+        assert str(info.value) == f"x must be {shown}"
+
+    def test_numpy_float_sum_sq_dev_shown_as_a_plain_float(self):
+        with pytest.raises(ValidationError) as info:
+            SufficientStats(3, 0.0, np.float64(-1.0))
+        assert str(info.value) == "sum_sq_dev must be >= 0, got -1.0"
 
     def test_array_count_shows_its_first_bad_element(self):
         check_at_least(0, n=np.array([0.0, 3.0]))

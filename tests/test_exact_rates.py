@@ -79,7 +79,8 @@ class TestSamplingOracle:
         data, calibration = _single_trial(world, n1, n2, seed)
         rng = np.random.default_rng([seed, 99])
         tests = [
-            generate_scores(world, hyp, N_SAMPLED, rng, test_set=True) for hyp in Hypothesis
+            generate_scores(world, hyp, N_SAMPLED, rng) * world.shift_scale + world.shift_location
+            for hyp in Hypothesis
         ]
         theta = fit_plugin(data)
         preds = class_predictives(data, NONINFORMATIVE_PRIOR)
