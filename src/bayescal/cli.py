@@ -70,8 +70,11 @@ _SECTIONS = {
 _CONFIG_DEFAULTS = {**_SECTIONS, "variance_floor": DEFAULT_VARIANCE_FLOOR}
 
 
-def _print_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _print_json(payload: dict) -> str:
+    """Print ``payload`` as strict JSON (no bare NaN) and return the text."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    sys.stdout.write(text)
+    return text
 
 
 def _load_config(path: str | None) -> dict:
@@ -244,9 +247,7 @@ def cmd_verify(args) -> int:
     spec_fields = {f.name for f in dataclasses.fields(QuadratureSpec)}
     spec = QuadratureSpec(**{k: options.pop(k) for k in spec_fields & options.keys()})
     report = run_verification_suite(spec=spec, **options)
-    # strict JSON: a failed check's non-finite value is null, never a bare NaN
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
-    sys.stdout.write(text)
+    text = _print_json(report.to_dict())
     if report_path is not None:
         with open(report_path, "w") as fh:
             fh.write(text)

@@ -62,10 +62,6 @@ class TrialPrior:
             raise ValidationError(f"pi1 must lie strictly inside (0, 1), got {self.pi1!r}")
 
     @property
-    def pi2(self) -> float:
-        return 1.0 - self.pi1
-
-    @property
     def log_odds(self) -> float:
         return math.log(self.pi1) - math.log1p(-self.pi1)
 
@@ -81,6 +77,9 @@ class DecisionPolicy:
         check_positive(
             cost_false_convict=self.cost_false_convict, cost_false_acquit=self.cost_false_acquit
         )
+        # the threshold is the log of their ratio, which must neither overflow nor underflow
+        ratio = self.cost_false_convict / self.cost_false_acquit
+        check_positive(**{"cost_false_convict / cost_false_acquit": ratio})
 
     @property
     def log_threshold(self) -> float:

@@ -177,6 +177,10 @@ def test_prior_and_floor_checked_whatever_the_method(background, capsys, command
         (["llr", "--b", "-1"], "b must be finite and > 0, got -1.0"),
         (["decide", "--pi1", "0.5", "--cost-false-acquit", "inf"],
          "cost_false_acquit must be finite and > 0, got inf"),
+        (["decide", "--pi1", "0.5", "--cost-false-acquit", "1e-320"],
+         "cost_false_convict / cost_false_acquit must be finite and > 0, got inf"),
+        (["decide", "--pi1", "0.5", "--cost-false-convict", "1e-320", "--cost-false-acquit", "1e10"],
+         "cost_false_convict / cost_false_acquit must be finite and > 0, got 0.0"),
         (["lr-distribution", "--score", "1", "--shift-location", "inf"],
          "shift_location must be finite, got inf"),
         (["lr-distribution", "--score", "1", "--trials", "1"], "trials must be >= 2, got 1"),

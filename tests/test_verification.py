@@ -29,7 +29,7 @@ from bayescal import (
     student_t_log_density,
 )
 from bayescal.conjugate import StudentT, posterior_update
-from bayescal.scores import collect_stats, gaussian_log_density
+from bayescal.scores import _LOG_2PI, collect_stats, gaussian_log_density
 from bayescal.verification import (
     decomposition_sweep,
     grid_convergence,
@@ -293,7 +293,6 @@ class TestApproximatePosteriorPitfall:
             MIRROR_DATA, default_noninformative_prior(), np.linspace(0, 10, 11)
         )
         assert report.abs_divergence[-1] > report.abs_divergence[0]
-        assert report.max_divergence == report.abs_divergence.max()
 
 
 def _pitfall_one_trial_at_a_time(n_trials, seed, sizes):
@@ -399,6 +398,31 @@ SMALL_SUITE = dict(
     n_posteriors=2, n_e=3, n_joint_cases=2, n_theta_samples=100, n_theta_datasets=2,
     n_pitfall_trials=10,
 )
+
+
+class TestRowPeaks:
+    """Each row is shifted by its peak on the span, read off its coefficients."""
+
+    def test_vertex_outside_span_is_clipped(self, monkeypatch):
+        # nodes centered 1000 away from the profile put every row's vertex far
+        # outside the span, so only the clipped peak bounds the row
+        def far_update(prior, stats):
+            good = posterior_update(prior, stats)
+            return replace(good, mu0=good.mu0 + 1000.0)
+
+        monkeypatch.setattr(verification, "posterior_update", far_update)
+        post, e = NormalGammaParams(-1.2, 12.0, 6.5, 9.0), 0.5
+        got = quadrature_predictive(post, e, SMALL)
+        profile = far_update(post, collect_stats([e]))
+        lam, log_row_scale, u, w_u = verification._profile_nodes(profile, SMALL)
+        root = np.sqrt(profile.beta * lam)
+        coef = verification._log_joint_coefficients(
+            lam, root, profile.mu0, post, collect_stats([]), e
+        )
+        assert np.all(np.abs(coef[:, 1] / (2.0 * coef[:, 0])) > SMALL.mu_halfwidth_sds)
+        log_f = coef @ np.stack((u * u, u, np.ones_like(u)))
+        ref = np.logaddexp.reduce(log_f + log_row_scale[:, None] + np.log(w_u), axis=None)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 def _poison_one_value(monkeypatch, name):
@@ -521,3 +545,21 @@ class TestMutations:
         expected = name is None
         assert passed["predictive_closed_form_vs_quadrature"] is expected
         assert passed["plugin_plus_correction_identity"] is expected
+
+    def test_single_score_check_fails(self, monkeypatch):
+        # the class scores lose their Gaussian normalizers; a trial score keeps its own
+        original = verification._log_joint_coefficients
+
+        def unnormalized_scores(lam, root, center, prior, stats, e):
+            coef = original(lam, root, center, prior, stats, e)
+            coef[:, 2] -= 0.5 * stats.n * (np.log(lam) - _LOG_2PI)
+            return coef
+
+        monkeypatch.setattr(verification, "_log_joint_coefficients", unnormalized_scores)
+        report = run_verification_suite(
+            spec=QuadratureSpec(grid_mu=401, grid_lambda=401), **SMALL_SUITE
+        )
+        passed = {c.name: c.passed for c in report.checks}
+        assert passed["single_score_evidence_vs_prior_predictive"] is False
+        assert passed["joint_evidence_route_vs_predictive_route"] is False
+        assert passed["predictive_closed_form_vs_quadrature"] is True
