@@ -2,8 +2,7 @@
 trials, the quadrature oracle, the decomposition sweep and the peak-only
 pitfall.
 
-    PYTHONPATH=src python -m pytest benchmarks/bench_oracles.py \
-        --benchmark-json BENCH_oracles.json
+    python -m pytest benchmarks/bench_oracles.py --benchmark-json BENCH_oracles.json
 
 Cases:
 

@@ -13,7 +13,6 @@ from .conjugate import (
     NONINFORMATIVE_WEIGHT,
     NormalGammaParams,
     StudentT,
-    default_noninformative_prior,
     normal_gamma_log_density,
     posterior_update,
     predictive,
@@ -88,7 +87,6 @@ __all__ = [
     "NormalGammaParams",
     "StudentT",
     "NONINFORMATIVE_WEIGHT",
-    "default_noninformative_prior",
     "posterior_update",
     "predictive",
     "student_t_log_density",

@@ -72,11 +72,6 @@ NONINFORMATIVE_PRIOR = NormalGammaParams(
 )
 
 
-def default_noninformative_prior() -> NormalGammaParams:
-    """The weak shared prior ``NONINFORMATIVE_PRIOR`` (frozen, so shareable)."""
-    return NONINFORMATIVE_PRIOR
-
-
 def posterior_update(
     prior: NormalGammaParams, stats: SufficientStats
 ) -> NormalGammaParams:

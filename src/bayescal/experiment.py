@@ -46,18 +46,6 @@ from .scores import (
 )
 from .synthetic import GeneratorConfig, resample_backgrounds
 
-__all__ = [
-    "ExperimentConfig",
-    "ErrorCurve",
-    "ConfidencePoint",
-    "run_experiment",
-    "check_confidence",
-    "confidence_curve",
-    "LrDistributionReport",
-    "lr_distribution_demo",
-    "DEFAULT_PRIOR_GRID",
-]
-
 #: 41 prior log-odds points spanning -10..+10 natural-log units.
 DEFAULT_PRIOR_GRID = tuple(np.linspace(-10.0, 10.0, 41))
 
@@ -161,24 +149,17 @@ class _BlockStats(NamedTuple):
     h2_stats: SufficientStats
 
 
-def _check_size(n1: int, n2: int) -> None:
-    """Every trial at one size has the same class counts, so a plugin fit
-    fails for all of them or for none."""
-    if n1 < 2 or n2 < 2:
-        raise ValidationError(
-            f"every trial at size ({n1}, {n2}) is degenerate "
-            "(plugin fit needs n1 >= 2 and n2 >= 2)"
-        )
-
-
 def _block_stats(gen, n1, n2, trials, seed, stream):
     """The resampled backgrounds of ``stream``, a block at a time: yields
     each block's ``_BlockStats``, one element per trial of the block.
 
-    Every block is summarized in place in the same two buffers, so that
-    large backgrounds (1.6 MB per 300/4050 block) do not allocate a matrix
-    and its deviations per block.
+    Every trial at one size has the same class counts, so a plugin fit
+    fails for all of them or for none: n1 and n2 must be >= 2, checked
+    before the first draw. Every block is summarized in place in the same
+    two buffers, so that large backgrounds (1.6 MB per 300/4050 block) do
+    not allocate a matrix and its deviations per block.
     """
+    check_at_least(2, n1=n1, n2=n2)
     draws = resample_backgrounds(gen, n1, n2, trials, seed, stream)
     h1, h2 = np.empty((_BLOCK, n1)), np.empty((_BLOCK, n2))
     for start in range(0, trials, _BLOCK):
@@ -191,8 +172,7 @@ def _block_stats(gen, n1, n2, trials, seed, stream):
 def _calibrated_blocks(gen, n1, n2, trials, seed, stream, prior, variance_floor):
     """``_block_stats`` calibrated both ways: yields ``(plugin fit, (pred1,
     pred2))`` whose parameters are arrays with one element per trial of the
-    block. The size and the floor are checked before any draw."""
-    _check_size(n1, n2)
+    block. Checks the floor, as ``_block_stats`` the size, before any draw."""
     check_positive(variance_floor=variance_floor)
     for stats in _block_stats(gen, n1, n2, trials, seed, stream):
         yield fit_plugin(stats, variance_floor), class_predictives(stats, prior)
@@ -462,7 +442,7 @@ def check_confidence(sizes, trials: int, seed: int) -> list[tuple[int, int]]:
     check_at_least(2, trials=trials)
     check_at_least(0, seed=seed)
     for n1, n2 in sizes:
-        _check_size(n1, n2)
+        check_at_least(2, n1=n1, n2=n2)
     return sizes
 
 

@@ -98,10 +98,6 @@ class BackgroundData:
     def n2(self) -> int:
         return len(self.h2_scores)
 
-    def swapped(self) -> "BackgroundData":
-        """The same data with the class labels exchanged."""
-        return BackgroundData(self.h2_scores, self.h1_scores)
-
 
 @dataclass(frozen=True)
 class SufficientStats:
@@ -182,17 +178,13 @@ def fit_plugin(
 
     Per class: mean is the sample mean, precision is 1 / max(ssd/n, floor).
     The ML (1/n) variance convention is used, not the bias-corrected 1/(n-1).
-    Requires at least two scores per class. ``data`` is read through its
-    ``h1_stats`` and ``h2_stats``; array-valued stats give array-valued
-    parameters, one fit per element.
+    Requires n1, n2 >= 2, the rule every experiment checks before its first
+    draw. ``data`` is read through its ``h1_stats`` and ``h2_stats``;
+    array-valued stats give array-valued parameters, one fit per element.
     """
     check_positive(variance_floor=variance_floor)
     s1, s2 = data.h1_stats, data.h2_stats
-    for name, s in (("H1", s1), ("H2", s2)):
-        if s.n < 2:
-            raise ValidationError(
-                f"insufficient data for plugin fit: class {name} has n={s.n} (need >= 2)"
-            )
+    check_at_least(2, n1=s1.n, n2=s2.n)
     lam1, lam2 = (1.0 / np.maximum(s.sum_sq_dev / s.n, variance_floor) for s in (s1, s2))
     return GaussianParams(s1.mean, s2.mean, lam1, lam2)
 

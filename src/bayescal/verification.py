@@ -116,6 +116,16 @@ class QuadratureSpec:
         """The same spec at twice the resolution in both directions."""
         return replace(self, grid_mu=2 * self.grid_mu - 1, grid_lambda=2 * self.grid_lambda - 1)
 
+    def tightened(self) -> "QuadratureSpec":
+        """The same spec with the precision-grid tail cutoff tightened 100x."""
+        try:
+            return replace(self, lambda_quantile_eps=self.lambda_quantile_eps * 1e-2)
+        except ValidationError:  # 1 - eps rounds to 1 for eps <= 2**-54
+            raise ValidationError(
+                f"lambda_quantile_eps must be > {100 * 2**-54!r} to be tightened 100x, "
+                f"got {self.lambda_quantile_eps!r}"
+            ) from None
+
 
 def _trapezoid_weights(step: float, count: int) -> np.ndarray:
     w = np.full(count, step)
@@ -397,18 +407,17 @@ def joint_evidence_sweep(
 
 
 def single_score_consistency(
-    n_cases: int = 5,
-    seed: int = SUITE_SEED,
-    spec: QuadratureSpec = QuadratureSpec(),
+    seed: int = SUITE_SEED, spec: QuadratureSpec = QuadratureSpec()
 ) -> float:
-    """Max gap between one-score evidence and the prior predictive density.
+    """Max gap between one-score evidence and the prior predictive density,
+    over 5 random posteriors.
 
     One score enters as the class's scores (n = 1) or as the trial score, and
     both branches of ``_log_joint_coefficients`` give the same coefficients
     on the same nodes bit for bit, so correct code reads exactly 0.0."""
     rng = np.random.default_rng(seed)
     gaps = []
-    for post in _random_posteriors(rng, n_cases):
+    for post in _random_posteriors(rng, 5):
         s = float(rng.uniform(post.mu0 - 4.0, post.mu0 + 4.0))
         joint = quadrature_joint_evidence(post, [s], None, spec)
         gaps.append(joint - quadrature_predictive(post, s, spec))
@@ -447,23 +456,16 @@ def _spec_shift(
     return _max_abs(gaps)
 
 
-def grid_convergence(
-    n_posteriors: int = 2,
-    seed: int = SUITE_SEED,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Max |result shift| when both grid resolutions are doubled."""
-    return _spec_shift(n_posteriors, seed, spec, spec.doubled(), (-6.0, 0.5, 6.0))
+def grid_convergence(seed: int = SUITE_SEED, spec: QuadratureSpec = QuadratureSpec()) -> float:
+    """Max |result shift| on 2 random posteriors when both grid resolutions double."""
+    return _spec_shift(2, seed, spec, spec.doubled(), (-6.0, 0.5, 6.0))
 
 
 def quantile_eps_convergence(
-    n_posteriors: int = 2,
-    seed: int = SUITE_SEED,
-    spec: QuadratureSpec = QuadratureSpec(),
+    seed: int = SUITE_SEED, spec: QuadratureSpec = QuadratureSpec()
 ) -> float:
-    """Max |result shift| when the precision-grid tail cutoff is tightened 100x."""
-    tightened = replace(spec, lambda_quantile_eps=spec.lambda_quantile_eps * 1e-2)
-    return _spec_shift(n_posteriors, seed, spec, tightened, (-7.0, 1.0))
+    """Max |result shift| on 2 random posteriors under ``spec.tightened()``."""
+    return _spec_shift(2, seed, spec, spec.tightened(), (-7.0, 1.0))
 
 
 def decomposition_sweep(n_samples: int, n_datasets: int, seed: int = SUITE_SEED) -> float:
@@ -555,12 +557,13 @@ def run_verification_suite(
     n_pitfall_trials: int = 200,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> VerificationReport:
-    """Check every sweep count (each must be >= 1) before any sweep runs, then
-    run every oracle check at its stated tolerance and collect the results.
-    The other sweeps run at their own fixed sizes."""
+    """Check every sweep count (each >= 1) and ``spec.tightened()`` before any
+    sweep runs, then run every oracle check at its stated tolerance and
+    collect the results. The other sweeps run at their own fixed sizes."""
     # the six sizes as the signature names them, for the check and the echo
     counts = {k: v for k, v in locals().items() if k.startswith("n_")}
     check_at_least(1, **counts)
+    spec.tightened()  # quantile_eps_convergence's second spec
     pitfall_small, pitfall_large = pitfall_divergence(n_pitfall_trials, seed)
     checks = (
         _check(
@@ -577,15 +580,15 @@ def run_verification_suite(
         ),
         _check(
             "single_score_evidence_vs_prior_predictive",
-            single_score_consistency(seed=seed, spec=spec),
+            single_score_consistency(seed, spec),
             1e-8,
             "<=",
         ),
         _check("empty_evidence_normalization", empty_evidence_normalization(spec), 1e-7, "<="),
-        _check("grid_convergence", grid_convergence(seed=seed, spec=spec), 1e-8, "<="),
+        _check("grid_convergence", grid_convergence(seed, spec), 1e-8, "<="),
         _check(
             "quantile_eps_convergence",
-            quantile_eps_convergence(seed=seed, spec=spec),
+            quantile_eps_convergence(seed, spec),
             1e-7,
             "<=",
         ),

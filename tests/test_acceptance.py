@@ -23,13 +23,13 @@ from bayescal import (
     bayes_log_lr_array,
     class_predictives,
     confidence_curve,
-    default_noninformative_prior,
     fit_plugin,
     generate_scores,
     lr_distribution_demo,
     plugin_log_lr_array,
     run_experiment,
 )
+from bayescal.conjugate import NONINFORMATIVE_PRIOR
 from bayescal.cli import main as cli_main
 from bayescal.verification import (
     decomposition_sweep,
@@ -162,7 +162,7 @@ def test_criterion_06_confidence_moderation():
 
 
 def test_criterion_07_tail_moderation():
-    prior = default_noninformative_prior()
+    prior = NONINFORMATIVE_PRIOR
     n_per_class, n_datasets = 400, 20
     worst_margin = math.inf
     for d in range(n_datasets):
@@ -204,7 +204,7 @@ def test_criterion_08_large_n_convergence():
         rng.normal(GEN.mu2_true, GEN.sigma2_true, n),
     )
     theta = fit_plugin(data)
-    pred1, pred2 = class_predictives(data, default_noninformative_prior())
+    pred1, pred2 = class_predictives(data, NONINFORMATIVE_PRIOR)
     e = np.linspace(-5.0, 5.0, 201)
     worst = float(
         np.max(np.abs(bayes_log_lr_array(e, pred1, pred2) - plugin_log_lr_array(e, theta)))

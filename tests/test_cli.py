@@ -87,7 +87,7 @@ class TestLlrCommand:
             capsys, "llr", "--background", str(f), "--score", "1.0", "--method", "plugin"
         )
         assert code == 3
-        assert "insufficient data" in err
+        assert err == "error: n1 must be >= 2, got 1\n"
 
     def test_prior_flags_override_defaults(self, background, capsys):
         code, out, _ = run_cli(
@@ -262,6 +262,25 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, *self.QUICK, flag, value)
         assert (code, out) == (3, "")
         assert err == f"error: {name} must be >= 1, got {value}\n"
+
+    def test_eps_too_small_to_tighten_exits_3_before_any_sweep(self, monkeypatch, capsys):
+        """QuadratureSpec takes 1e-15, but quantile_eps_convergence's 100x
+        tighter spec would be below float resolution: rejected up front."""
+        calls = []
+        for name in (
+            "pitfall_divergence", "predictive_oracle_sweep", "joint_evidence_sweep",
+            "single_score_consistency", "empty_evidence_normalization", "grid_convergence",
+            "quantile_eps_convergence", "decomposition_sweep",
+        ):
+            monkeypatch.setattr(
+                bayescal.verification, name, lambda *a, name=name, **k: calls.append(name)
+            )
+        code, out, err = run_cli(capsys, "verify", "--lambda-quantile-eps", "1e-15")
+        assert (code, out, calls) == (3, "", [])
+        assert err == (
+            "error: lambda_quantile_eps must be > 5.551115123125783e-15 "
+            "to be tightened 100x, got 1e-15\n"
+        )
 
     @pytest.mark.parametrize(
         "flags, expected",
@@ -510,8 +529,8 @@ class TestFlagsReachLibrary:
     @pytest.mark.parametrize(
         "confidence, message",
         [
-            ({"sizes": [[9, 27], [1, 9]]}, "every trial at size (1, 9) is degenerate"),
-            ({"sizes": [[9, 1]]}, "every trial at size (9, 1) is degenerate"),
+            ({"sizes": [[9, 27], [1, 9]]}, "n1 must be >= 2, got 1"),
+            ({"sizes": [[9, 1]]}, "n2 must be >= 2, got 1"),
             ({"sizes": []}, "sizes must not be empty"),
             ({"trials": 1}, "trials must be >= 2, got 1"),
             ({"seed": -1}, "seed must be >= 0, got -1"),

@@ -13,7 +13,6 @@ from bayescal import (
     StudentT,
     ValidationError,
     collect_stats,
-    default_noninformative_prior,
     gaussian_log_density,
     normal_gamma_log_density,
     posterior_update,
@@ -21,6 +20,7 @@ from bayescal import (
     sample_params,
     student_t_log_density,
 )
+from bayescal.conjugate import NONINFORMATIVE_PRIOR
 
 finite_scores = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False),
@@ -37,12 +37,12 @@ prior_params = st.builds(
 
 class TestDefaultPrior:
     def test_values(self):
-        prior = default_noninformative_prior()
+        prior = NONINFORMATIVE_PRIOR
         assert (prior.mu0, prior.beta, prior.a, prior.b) == (0.0, 0.01, 0.01, 0.01)
 
     def test_precision_prior_moments(self):
         # gamma mean a/b = 1, variance a/b^2 = 100: diffuse around unit precision
-        prior = default_noninformative_prior()
+        prior = NONINFORMATIVE_PRIOR
         assert prior.a / prior.b == 1.0
         assert prior.a / prior.b**2 == 100.0
 
@@ -56,11 +56,11 @@ class TestDefaultPrior:
 
 class TestPosteriorUpdate:
     def test_no_data_returns_prior_verbatim(self):
-        prior = default_noninformative_prior()
+        prior = NONINFORMATIVE_PRIOR
         assert posterior_update(prior, collect_stats([])) is prior
 
     def test_hand_evaluated_example(self):
-        post = posterior_update(default_noninformative_prior(), collect_stats([1, 2, 3]))
+        post = posterior_update(NONINFORMATIVE_PRIOR, collect_stats([1, 2, 3]))
         assert math.isclose(post.mu0, 6 / 3.01, rel_tol=1e-15)
         assert post.beta == 3.01
         assert post.a == 1.51
@@ -95,7 +95,7 @@ class TestPredictive:
         rng = np.random.default_rng(5)
         mu_true, sigma_true = 1.7, 0.8
         stats = collect_stats(rng.normal(mu_true, sigma_true, 10**5))
-        pred = predictive(posterior_update(default_noninformative_prior(), stats))
+        pred = predictive(posterior_update(NONINFORMATIVE_PRIOR, stats))
         assert abs(pred.location - mu_true) / abs(mu_true) < 0.01
         assert abs(pred.scale - sigma_true) / sigma_true < 0.01
         assert pred.dof > 1e4
@@ -234,6 +234,6 @@ class TestSampleParams:
     def test_all_draws_finite_and_positive_even_for_diffuse_prior(self):
         # shape 0.01 gamma draws underflow roughly once per 2000 samples;
         # the sampler must still hand back finite, positive pairs
-        draws = sample_params(default_noninformative_prior(), rng_seed=1, count=5000)
+        draws = sample_params(NONINFORMATIVE_PRIOR, rng_seed=1, count=5000)
         assert np.all(draws[:, 1] > 0)
         assert np.all(np.isfinite(draws))

@@ -139,6 +139,20 @@ AT_LEAST = [
         "n1",
         2,
     ),
+    (
+        "fit_plugin.n1",
+        lambda k: fit_plugin(BackgroundData(np.arange(k, dtype=float), (0.0, 1.0))),
+        "n1",
+        2,
+    ),
+    (
+        "fit_plugin.n2",
+        lambda k: fit_plugin(BackgroundData((0.0, 1.0), np.arange(k, dtype=float))),
+        "n2",
+        2,
+    ),
+    ("run_experiment.n1", lambda k: run_experiment(WORLD, ExperimentConfig(k, 27, trials=2)), "n1", 2),
+    ("pitfall_divergence.n1", lambda k: pitfall_divergence(5, 1, sizes=((k, 5),)), "n1", 2),
     ("pitfall_divergence.n_trials", pitfall_divergence, "n_trials", 1),
     *(
         (f"run_verification_suite.{name}", lambda k, name=name: run_verification_suite(**{name: k}), name, 1)

@@ -32,6 +32,7 @@ from bayescal import (
 from bayescal.conjugate import NONINFORMATIVE_PRIOR
 from bayescal.experiment import DEFAULT_PRIOR_GRID, _BlockStats, _errors_over_grid
 from bayescal.scores import DEFAULT_VARIANCE_FLOOR
+from bayescal.verification import pitfall_divergence
 
 #: The default world's test laws, N(2, 1) for H1 and N(-2, 1) for H2.
 LAWS = [GeneratorConfig().test_law(h) for h in Hypothesis]
@@ -202,7 +203,7 @@ class TestRunExperiment:
 
     def test_degenerate_trials_are_counted_not_dropped_silently(self):
         exp = ExperimentConfig(n1=1, n2=5, trials=4, seed=0)
-        with pytest.raises(ValidationError, match="degenerate"):
+        with pytest.raises(ValidationError, match=r"^n1 must be >= 2, got 1$"):
             run_experiment(GeneratorConfig(), exp)
 
     def test_large_background_reaches_analytic_bayes_error(self):
@@ -396,10 +397,14 @@ class TestOneSizeCheck:
         monkeypatch.setattr(bayescal.synthetic, "generate_scores", recorder)
         return calls
 
-    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    # the pitfall sweep takes no floor, so it joins the size test only
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS) + ["pitfall_divergence"])
     def test_size_below_two_rejected_before_drawing(self, name, draws):
-        with pytest.raises(ValidationError, match=r"every trial at size \(1, 5\) is degenerate"):
-            EXPERIMENTS[name](1, 5, 1e-12)
+        with pytest.raises(ValidationError, match=r"^n1 must be >= 2, got 1$"):
+            if name == "pitfall_divergence":
+                pitfall_divergence(5, 1, sizes=((1, 5),))
+            else:
+                EXPERIMENTS[name](1, 5, 1e-12)
         assert draws == []
 
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))

@@ -24,7 +24,6 @@ from bayescal import (
     class_predictives,
     decide,
     decomposition_residual,
-    default_noninformative_prior,
     fit_plugin,
     lr_distribution_demo,
     plugin_log_lr,
@@ -34,6 +33,7 @@ from bayescal import (
     posterior_update,
     collect_stats,
 )
+from bayescal.conjugate import NONINFORMATIVE_PRIOR
 
 MIRROR_DATA = BackgroundData((1.0, 2.0, 3.0), (-3.0, -2.0, -1.0))
 
@@ -89,7 +89,7 @@ class TestBayesLogLr:
     @settings(max_examples=50)
     def test_antisymmetric_under_class_swap(self, data, e):
         forward = bayes_log_lr(e, data).value
-        backward = bayes_log_lr(e, data.swapped()).value
+        backward = bayes_log_lr(e, BackgroundData(data.h2_scores, data.h1_scores)).value
         assert abs(forward + backward) < 1e-10
 
     @given(
@@ -102,7 +102,7 @@ class TestBayesLogLr:
         """Each log-LR is a difference of two per-class terms, and IEEE
         subtraction is antisymmetric: a - b == -(b - a) bit for bit."""
         data = BackgroundData(tuple(h1), tuple(h2))
-        swapped = data.swapped()
+        swapped = BackgroundData(data.h2_scores, data.h1_scores)
         assert bayes_log_lr(e, swapped).value == -bayes_log_lr(e, data).value
         plugin = plugin_log_lr(e, fit_plugin(data)).value
         assert plugin_log_lr(e, fit_plugin(swapped)).value == -plugin
@@ -128,7 +128,7 @@ class TestBayesLogLr:
         world = GeneratorConfig()
         data = BackgroundData(rng.normal(2, 1, 200), rng.normal(-2, 1, 200))
         theta = fit_plugin(data)
-        pred1, pred2 = class_predictives(data, default_noninformative_prior())
+        pred1, pred2 = class_predictives(data, NONINFORMATIVE_PRIOR)
         pooled = np.concatenate([data.h1_scores, data.h2_scores])
         std = pooled.std()
         hi, lo = pooled.max() + 5 * std, pooled.min() - 5 * std
@@ -152,7 +152,7 @@ def test_each_background_is_summarized_once(monkeypatch):
             monkeypatch.setattr(module, "collect_stats", recording)
     data = BackgroundData((1.0, 2.5, 3.0), (-3.0, -2.0, -1.0, 0.5))
     fit_plugin(data)
-    class_predictives(data, default_noninformative_prior())
+    class_predictives(data, NONINFORMATIVE_PRIOR)
     bayes_log_lr(0.5, data)
     assert calls == [3, 4]
 
@@ -208,11 +208,11 @@ class TestPosteriorOddsAndDecision:
 class TestDecompositionResidual:
     def test_single_theta_is_exact(self):
         theta = GaussianParams(1.4, -2.2, 0.8, 2.5)
-        residual = decomposition_residual(1.0, MIRROR_DATA, default_noninformative_prior(), theta)
+        residual = decomposition_residual(1.0, MIRROR_DATA, NONINFORMATIVE_PRIOR, theta)
         assert abs(residual) < 1e-9
 
     def test_posterior_sampled_sweep(self):
-        prior = default_noninformative_prior()
+        prior = NONINFORMATIVE_PRIOR
         post1 = posterior_update(prior, collect_stats(MIRROR_DATA.h1_scores))
         post2 = posterior_update(prior, collect_stats(MIRROR_DATA.h2_scores))
         draws1 = sample_params(post1, rng_seed=11, count=500)
@@ -228,7 +228,7 @@ class TestDecompositionResidual:
     def test_mean_of_decomposition_recovers_bayes_llr(self):
         """Averaging plugin-plus-correction over any theta sample gives the
         Bayesian value, because the identity already holds pointwise."""
-        prior = default_noninformative_prior()
+        prior = NONINFORMATIVE_PRIOR
         e = 2.0
         log_rb = bayes_log_lr(e, MIRROR_DATA, prior).value
         post1 = posterior_update(prior, collect_stats(MIRROR_DATA.h1_scores))
@@ -244,7 +244,7 @@ class TestDecompositionResidual:
 
     @pytest.mark.parametrize("e", [-7.5, 0.0, 2.0, 6.0])
     def test_array_thetas_equal_scalar_calls_bit_for_bit(self, e):
-        prior = default_noninformative_prior()
+        prior = NONINFORMATIVE_PRIOR
         post1 = posterior_update(prior, collect_stats(MIRROR_DATA.h1_scores))
         post2 = posterior_update(prior, collect_stats(MIRROR_DATA.h2_scores))
         draws1 = sample_params(post1, rng_seed=31, count=300)

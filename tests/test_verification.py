@@ -19,7 +19,6 @@ from bayescal import (
     ValidationError,
     approximate_posterior_pitfall,
     bayes_log_lr,
-    default_noninformative_prior,
     generate_scores,
     joint_evidence_log_lr,
     predictive,
@@ -28,7 +27,7 @@ from bayescal import (
     resample_backgrounds,
     student_t_log_density,
 )
-from bayescal.conjugate import StudentT, posterior_update
+from bayescal.conjugate import NONINFORMATIVE_PRIOR, StudentT, posterior_update
 from bayescal.scores import _LOG_2PI, collect_stats, gaussian_log_density
 from bayescal.verification import (
     decomposition_sweep,
@@ -70,6 +69,13 @@ class TestQuadratureSpec:
         with pytest.raises(ValidationError):
             QuadratureSpec(**kwargs)
 
+    def test_tightened_takes_every_eps_above_its_stated_bound(self):
+        assert QuadratureSpec().tightened() == QuadratureSpec(lambda_quantile_eps=1e-10)
+        bound = 5.551115123125783e-15
+        QuadratureSpec(lambda_quantile_eps=math.nextafter(bound, 1.0)).tightened()
+        with pytest.raises(ValidationError, match=rf"^lambda_quantile_eps must be > {bound!r} "):
+            QuadratureSpec(lambda_quantile_eps=bound).tightened()
+
     def test_doubled_keeps_grids_odd(self):
         spec = QuadratureSpec(grid_mu=601, grid_lambda=301).doubled()
         assert spec.grid_mu == 1201 and spec.grid_lambda == 601
@@ -86,7 +92,7 @@ class TestPredictiveOracle:
     def test_diffuse_prior_predictive_still_accurate(self):
         # profile shape a + 1/2 stays above 1/2 even for the weak prior, and
         # the quantile-spaced grid keeps the error at the truncation floor
-        prior = default_noninformative_prior()
+        prior = NONINFORMATIVE_PRIOR
         pred = predictive(prior)
         for e in (0.5, 3.0, 1e3):
             closed = student_t_log_density(pred, e)
@@ -109,18 +115,18 @@ class TestPredictiveOracle:
             assert abs(quad - closed) < 1e-6
 
     def test_grid_convergence_below_tolerance(self):
-        assert grid_convergence(n_posteriors=1, spec=FAST) < 1e-8
+        assert grid_convergence(spec=FAST) < 1e-8
 
     def test_quantile_eps_convergence(self):
         # tightening the tail cutoff 100x moves results by ~2*eps only
-        assert quantile_eps_convergence(n_posteriors=1, spec=FAST) < 1e-7
+        assert quantile_eps_convergence(spec=FAST) < 1e-7
 
     def test_rejects_degenerate_precision_grid(self):
         # integrating the bare noninformative prior alone: gamma shape 0.01
         # puts the eps quantile below float range, which the oracle refuses
         # rather than mis-integrating
         with pytest.raises(ValidationError, match="gamma shape"):
-            quadrature_joint_evidence(default_noninformative_prior(), [], None, FAST)
+            quadrature_joint_evidence(NONINFORMATIVE_PRIOR, [], None, FAST)
 
 
 class TestJointEvidenceOracle:
@@ -129,10 +135,10 @@ class TestJointEvidenceOracle:
         assert abs(quadrature_joint_evidence(prior, [], None, FAST)) < 1e-7
 
     def test_single_score_equals_prior_predictive(self):
-        assert single_score_consistency(n_cases=3, spec=FAST) < 1e-8
+        assert single_score_consistency(spec=FAST) < 1e-8
 
     def test_route_equivalence_on_mirror_data(self):
-        prior = default_noninformative_prior()
+        prior = NONINFORMATIVE_PRIOR
         for e in (-2.0, 0.0, 2.0, 5.0):
             via_joint = joint_evidence_log_lr(MIRROR_DATA, prior, e, FAST)
             via_predictive = bayes_log_lr(e, MIRROR_DATA, prior).value
@@ -140,7 +146,7 @@ class TestJointEvidenceOracle:
 
     def test_route_equivalence_randomized(self):
         rng = np.random.default_rng(17)
-        prior = default_noninformative_prior()
+        prior = NONINFORMATIVE_PRIOR
         for _ in range(5):
             data = BackgroundData(
                 rng.normal(rng.uniform(-3, 3), rng.uniform(0.5, 2), rng.integers(2, 10)),
@@ -242,14 +248,14 @@ class TestExtremeLocations:
 class TestApproximatePosteriorPitfall:
     def test_symmetric_midpoint_agrees_exactly(self):
         report = approximate_posterior_pitfall(
-            MIRROR_DATA, default_noninformative_prior(), [0.0]
+            MIRROR_DATA, NONINFORMATIVE_PRIOR, [0.0]
         )
         assert report.exact_log_lr[0] == 0.0
         assert report.approx_log_lr[0] == 0.0
 
     def test_tail_divergence_exceeds_half_nat(self):
         world = GeneratorConfig()
-        prior = default_noninformative_prior()
+        prior = NONINFORMATIVE_PRIOR
         e_tail = world.mu1_true + 4.0 * world.sigma1_true
         divergences = []
         for t in range(50):
@@ -264,7 +270,7 @@ class TestApproximatePosteriorPitfall:
 
     def test_divergence_shrinks_with_ten_times_the_data(self):
         world = GeneratorConfig()
-        prior = default_noninformative_prior()
+        prior = NONINFORMATIVE_PRIOR
         e_tail = world.mu1_true + 4.0 * world.sigma1_true
 
         def median_div(n1, n2):
@@ -285,12 +291,12 @@ class TestApproximatePosteriorPitfall:
     def test_requires_two_scores_per_class(self):
         with pytest.raises(ValidationError):
             approximate_posterior_pitfall(
-                BackgroundData((1.0,), (0.0, 1.0)), default_noninformative_prior(), [0.0]
+                BackgroundData((1.0,), (0.0, 1.0)), NONINFORMATIVE_PRIOR, [0.0]
             )
 
     def test_divergence_grows_into_the_tail(self):
         report = approximate_posterior_pitfall(
-            MIRROR_DATA, default_noninformative_prior(), np.linspace(0, 10, 11)
+            MIRROR_DATA, NONINFORMATIVE_PRIOR, np.linspace(0, 10, 11)
         )
         assert report.abs_divergence[-1] > report.abs_divergence[0]
 
@@ -299,7 +305,7 @@ def _pitfall_one_trial_at_a_time(n_trials, seed, sizes):
     """``pitfall_divergence`` written as a loop over single backgrounds."""
     world = GeneratorConfig()
     e_tail = world.mu1_true + 4.0 * world.sigma1_true
-    prior = default_noninformative_prior()
+    prior = NONINFORMATIVE_PRIOR
     return tuple(
         float(np.median([
             approximate_posterior_pitfall(BackgroundData(h1, h2), prior, [e_tail]).abs_divergence[0]
@@ -326,7 +332,7 @@ class TestPitfallDivergence:
         draws = list(resample_backgrounds(GeneratorConfig(), 5, 8, 4, 3, 0))
         h1_stats, h2_stats = (collect_stats(np.array(rows)) for rows in zip(*draws))
         block = SimpleNamespace(h1_stats=h1_stats, h2_stats=h2_stats)
-        prior = default_noninformative_prior()
+        prior = NONINFORMATIVE_PRIOR
         report = approximate_posterior_pitfall(block, prior, 6.0)
         assert report.approx_log_lr.shape == report.exact_log_lr.shape == (4,)
         for t, (h1, h2) in enumerate(draws):
@@ -384,7 +390,7 @@ class TestBlockedQuadrature:
 
     @pytest.mark.parametrize("e", [None, -4.0, 2.5])
     def test_joint_evidence(self, monkeypatch, spec, e):
-        prior = default_noninformative_prior()
+        prior = NONINFORMATIVE_PRIOR
         scores = MIRROR_DATA.h1_scores
         blocked, single = self._blocked_and_single(
             monkeypatch, lambda: quadrature_joint_evidence(prior, scores, e, spec)
