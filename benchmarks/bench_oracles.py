@@ -15,8 +15,7 @@ Cases:
 - the full fig1 ``confidence_curve`` (200 trials at each of 9/27, 30/405 and
   300/4 050, exact mean log-LRs);
 - one ``quadrature_predictive`` at 401^2 and 1201^2, and one
-  ``quadrature_joint_evidence`` of 9 scores plus a trial score at 401^2
-  (repeated calls: the gamma quantiles come from the cache after the first);
+  ``quadrature_joint_evidence`` of 9 scores plus a trial score at 401^2;
 - ``predictive_oracle_sweep(50, 17)`` at 401^2, as ``verify`` runs it there;
 - ``decomposition_sweep(10_000, 5)``, as ``verify`` runs it;
 - ``lr_distribution_demo`` at score 6.0 with the ``lr-distribution`` defaults

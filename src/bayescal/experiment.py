@@ -64,8 +64,11 @@ _BISECTIONS = 12
 #: Newton steps at most; each stays inside the bracket, or bisects.
 _NEWTON_STEPS = 8
 
-#: Gauss-Hermite nodes for a mean Bayesian log-LR: within 5e-16 of mpmath
-#: quadrature on five fig1 trials.
+#: Gauss-Hermite nodes for a mean Bayesian log-LR. Against 30-digit mpmath
+#: quadrature on every trial of the fig1 confidence run (seed 42, 200 trials
+#: per size) the worst error is 2.8e-7, on a 9/27 trial whose narrow H1
+#: predictive puts log1p's branch points near the real axis (3.4e-10 at 128
+#: nodes, 1.1e-14 at 256); at 30/405 and 300/4050 it is 5.3e-15.
 _HERMITE_NODES = 64
 
 

@@ -13,10 +13,13 @@ proportional to another Normal-Gamma, the "profile", obtained by the
 conjugate update with every Gaussian factor's point. The quadrature grid is
 therefore laid out against that profile:
 
-* precision nodes sit at equally spaced quantiles of the profile's gamma
-  marginal between ``lambda_quantile_eps`` and its complement, with the
-  inverse-CDF Jacobian applied, so the truncated mass is ~2*eps of the
-  integral regardless of where the evaluation point lies;
+* precision nodes sit at t = log(precision) = log(a/b) + w*sinh(s), with a
+  and b the profile's gamma shape and rate, w = 1/sqrt(a) and s equally
+  spaced: the double-exponential substitution of Takahasi and Mori (1974),
+  on which the trapezoid rule converges exponentially for an analytic
+  integrand. The span of s ends where the profile's log-density in t has
+  fallen by ``lambda_tail_nats`` on each side of its mode, so the truncated
+  mass is about exp(-lambda_tail_nats) of the integral;
 * mean nodes span ``mu_halfwidth_sds`` conditional standard deviations of
   the profile on each side, via the standardized variable
   u = sqrt(beta*precision) * (mean - location), whose law under the profile
@@ -33,7 +36,7 @@ square about the profile's mean, which is ``posterior_update``, under test,
 so the warping only places nodes and cannot inject the closed-form answer.
 Carrying d rather than forming m0 + u/r avoids rounding each node's mean at
 eps*|m0|, which matters when |m0| dwarfs the profile's spread. Accuracy is
-established by the grid-convergence and quantile-eps-convergence checks in
+established by the grid-convergence and lambda-tail-convergence checks in
 the suite rather than asserted.
 
 Reduction. Each precision row's log integrand is a concave quadratic in u,
@@ -45,9 +48,7 @@ rows, about ``_BLOCK_NODES`` nodes each so that a block's work stays in
 cache, are each one matrix product of the rows' coefficients with the fixed
 (u^2, u, 1) basis, exponentiated and reduced to one sum per row by a product
 with the mean-axis trapezoid weights. The result is bit-reproducible for a
-given grid and within a few ulps of a single-block evaluation. The precision
-nodes' gamma quantiles depend only on the profile's shape, so they are
-computed once per shape.
+given grid and within a few ulps of a single-block evaluation.
 
 Sweeps. Each sweep reports its largest absolute discrepancy. A NaN
 discrepancy is not dropped: it makes the sweep's result NaN, which fails
@@ -56,7 +57,6 @@ its check.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -96,17 +96,14 @@ class QuadratureSpec:
     """Discretization of the (mean, precision) integration domain."""
 
     mu_halfwidth_sds: float = 12.0
-    lambda_quantile_eps: float = 1e-8
-    grid_mu: int = 2001
-    grid_lambda: int = 2001
+    lambda_tail_nats: float = 40.0
+    grid_mu: int = 101
+    grid_lambda: int = 101
 
     def __post_init__(self):
-        check_positive(mu_halfwidth_sds=self.mu_halfwidth_sds)
-        eps = self.lambda_quantile_eps
-        if not (0.0 < eps < 0.5):
-            raise ValidationError(f"lambda_quantile_eps must lie in (0, 0.5), got {eps!r}")
-        if 1.0 - eps == 1.0:
-            raise ValidationError("lambda_quantile_eps is below float resolution")
+        check_positive(
+            mu_halfwidth_sds=self.mu_halfwidth_sds, lambda_tail_nats=self.lambda_tail_nats
+        )
         for name in ("grid_mu", "grid_lambda"):
             g = getattr(self, name)
             if g < 101 or g % 2 == 0:
@@ -117,14 +114,8 @@ class QuadratureSpec:
         return replace(self, grid_mu=2 * self.grid_mu - 1, grid_lambda=2 * self.grid_lambda - 1)
 
     def tightened(self) -> "QuadratureSpec":
-        """The same spec with the precision-grid tail cutoff tightened 100x."""
-        try:
-            return replace(self, lambda_quantile_eps=self.lambda_quantile_eps * 1e-2)
-        except ValidationError:  # 1 - eps rounds to 1 for eps <= 2**-54
-            raise ValidationError(
-                f"lambda_quantile_eps must be > {100 * 2**-54!r} to be tightened 100x, "
-                f"got {self.lambda_quantile_eps!r}"
-            ) from None
+        """The same spec with the precision span's tails twice as deep."""
+        return replace(self, lambda_tail_nats=2.0 * self.lambda_tail_nats)
 
 
 def _trapezoid_weights(step: float, count: int) -> np.ndarray:
@@ -141,39 +132,50 @@ def _trapezoid_weights(step: float, count: int) -> np.ndarray:
 _BLOCK_NODES = 16_384
 
 
-@functools.lru_cache(maxsize=256)
-def _gamma_quantiles(a: float, eps: float, count: int) -> np.ndarray:
-    """Read-only Gamma(a, rate=1) quantiles at ``count`` equally spaced
-    probabilities from eps to 1 - eps: one array per profile shape."""
-    # the one use of scipy: imported here so that only the oracles load it
-    from scipy.special import gammaincinv
+#: Newton steps for each end of the precision span.
+_TAIL_NEWTON_STEPS = 8
 
-    q = gammaincinv(a, np.linspace(eps, 1.0 - eps, count))
-    q.flags.writeable = False
-    return q
+
+def _tail_ends(a: float, nats: float) -> tuple[float, float]:
+    """The offsets d from the mode of log-precision, one each side, where a
+    shape-``a`` profile's log-density a*d - a*(e^d - 1) has fallen by ``nats``.
+
+    Both solve e^d - 1 - d = nats / a, the right one written as
+    d = log(1 + d + nats / a). Newton starts outside each root of a convex
+    function, so no step crosses it and a short run only widens the span."""
+    c = nats / a
+    lo = -1.0 - c if 2.0 * math.e * c > 1.0 else -math.sqrt(2.0 * math.e * c)
+    hi = math.sqrt(2.0 * c)
+    for _ in range(_TAIL_NEWTON_STEPS):
+        lo -= (math.expm1(lo) - lo - c) / math.expm1(lo)
+        hi -= (hi - math.log1p(hi + c)) * (1.0 + hi + c) / (hi + c)
+    return lo, hi
 
 
 def _profile_nodes(profile: NormalGammaParams, spec: QuadratureSpec):
     """Quadrature nodes, Jacobians and weights laid out against a profile.
 
-    Returns the precision nodes, the per-row log scale (inverse-CDF and
-    standardization Jacobians plus the precision-axis trapezoid weights, all
-    independent of the mean direction), the standardized mean offsets u, and
-    the mean-axis trapezoid weights kept linear for the final reduction.
+    Returns the precision nodes, the per-row log scale (the Jacobians of
+    lam = exp(t), of t = log(a/b) + w*sinh(s) and of the mean's
+    standardization, plus the trapezoid weights in s, all independent of the
+    mean direction), the standardized mean offsets u, and the mean-axis
+    trapezoid weights kept linear for the final reduction.
     """
-    eps = spec.lambda_quantile_eps
-    v = np.linspace(eps, 1.0 - eps, spec.grid_lambda)
-    lam = _gamma_quantiles(profile.a, eps, spec.grid_lambda) / profile.b
-    if not (np.all(np.isfinite(lam)) and lam[0] > 0.0):
-        raise ValidationError(
-            "degenerate precision grid; the integrand's effective gamma shape "
-            "is too small for quadrature (need roughly >= 0.5)"
-        )
+    a = profile.a
+    w = 1.0 / math.sqrt(a)
+    lo, hi = (math.asinh(d / w) for d in _tail_ends(a, spec.lambda_tail_nats))
+    s = np.linspace(lo, hi, spec.grid_lambda)
+    t = math.log(a) - math.log(profile.b) + w * np.sinh(s)
+    with np.errstate(over="ignore"):  # refused just below, without a warning
+        lam = np.exp(t)
+    # a small shape's tail can reach past float range, where no node is usable
+    check_positive(**{f"precision node for gamma shape {a!r}": lam[[0, -1]]})
     u = np.linspace(-spec.mu_halfwidth_sds, spec.mu_halfwidth_sds, spec.grid_mu)
     log_row_scale = (
-        -_gamma_log_pdf(lam, profile.a, profile.b)
+        t
+        + np.log(w * np.cosh(s))
         - 0.5 * np.log(profile.beta * lam)
-        + np.log(_trapezoid_weights(v[1] - v[0], v.size))
+        + np.log(_trapezoid_weights(s[1] - s[0], s.size))
     )
     return lam, log_row_scale, u, _trapezoid_weights(u[1] - u[0], u.size)
 
@@ -428,8 +430,8 @@ def empty_evidence_normalization(spec: QuadratureSpec = QuadratureSpec()) -> flo
     """|log integral of the bare prior|, which must vanish, for the fixed
     prior NormalGammaParams(0, 1, 2, 1).
 
-    The residual is dominated by the deliberate 2*eps quantile truncation of
-    the precision axis, so it sits near 2 * lambda_quantile_eps, not at zero.
+    The tails left outside the span hold about exp(-lambda_tail_nats) of the
+    integral, so the residual is rounding: a few 1e-15 at the default spec.
     """
     return abs(quadrature_joint_evidence(NormalGammaParams(0.0, 1.0, 2.0, 1.0), [], None, spec))
 
@@ -461,7 +463,7 @@ def grid_convergence(seed: int = SUITE_SEED, spec: QuadratureSpec = QuadratureSp
     return _spec_shift(2, seed, spec, spec.doubled(), (-6.0, 0.5, 6.0))
 
 
-def quantile_eps_convergence(
+def lambda_tail_convergence(
     seed: int = SUITE_SEED, spec: QuadratureSpec = QuadratureSpec()
 ) -> float:
     """Max |result shift| on 2 random posteriors under ``spec.tightened()``."""
@@ -557,13 +559,12 @@ def run_verification_suite(
     n_pitfall_trials: int = 200,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> VerificationReport:
-    """Check every sweep count (each >= 1) and ``spec.tightened()`` before any
-    sweep runs, then run every oracle check at its stated tolerance and
-    collect the results. The other sweeps run at their own fixed sizes."""
+    """Check every sweep count (each >= 1) before any sweep runs, then run
+    every oracle check at its stated tolerance and collect the results. The
+    other sweeps run at their own fixed sizes."""
     # the six sizes as the signature names them, for the check and the echo
     counts = {k: v for k, v in locals().items() if k.startswith("n_")}
     check_at_least(1, **counts)
-    spec.tightened()  # quantile_eps_convergence's second spec
     pitfall_small, pitfall_large = pitfall_divergence(n_pitfall_trials, seed)
     checks = (
         _check(
@@ -586,12 +587,7 @@ def run_verification_suite(
         ),
         _check("empty_evidence_normalization", empty_evidence_normalization(spec), 1e-7, "<="),
         _check("grid_convergence", grid_convergence(seed, spec), 1e-8, "<="),
-        _check(
-            "quantile_eps_convergence",
-            quantile_eps_convergence(seed, spec),
-            1e-7,
-            "<=",
-        ),
+        _check("lambda_tail_convergence", lambda_tail_convergence(seed, spec), 1e-7, "<="),
         _check(
             "plugin_plus_correction_identity",
             decomposition_sweep(n_theta_samples, n_theta_datasets, seed),

@@ -39,9 +39,8 @@ from bayescal.verification import (
 
 GEN = GeneratorConfig()  # means +-2, unit sigmas, identity shift
 
-# Full default resolution is not needed for the oracle sweeps: accuracy is
-# dominated by the 2e-8 quantile truncation at any grid size the convergence
-# checks accept, and this size keeps the sweep well inside its time budget.
+# A grid finer than the 101^2 default, so that the acceptance sweeps also
+# reach the oracle at a second resolution, well inside their time budget.
 SWEEP_SPEC = QuadratureSpec(grid_mu=1201, grid_lambda=1201)
 
 

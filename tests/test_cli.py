@@ -263,24 +263,10 @@ class TestVerifyCommand:
         assert (code, out) == (3, "")
         assert err == f"error: {name} must be >= 1, got {value}\n"
 
-    def test_eps_too_small_to_tighten_exits_3_before_any_sweep(self, monkeypatch, capsys):
-        """QuadratureSpec takes 1e-15, but quantile_eps_convergence's 100x
-        tighter spec would be below float resolution: rejected up front."""
-        calls = []
-        for name in (
-            "pitfall_divergence", "predictive_oracle_sweep", "joint_evidence_sweep",
-            "single_score_consistency", "empty_evidence_normalization", "grid_convergence",
-            "quantile_eps_convergence", "decomposition_sweep",
-        ):
-            monkeypatch.setattr(
-                bayescal.verification, name, lambda *a, name=name, **k: calls.append(name)
-            )
-        code, out, err = run_cli(capsys, "verify", "--lambda-quantile-eps", "1e-15")
-        assert (code, out, calls) == (3, "", [])
-        assert err == (
-            "error: lambda_quantile_eps must be > 5.551115123125783e-15 "
-            "to be tightened 100x, got 1e-15\n"
-        )
+    def test_lambda_quantile_eps_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*self.QUICK, "--lambda-quantile-eps", "1e-9"])
+        assert info.value.code == 2
 
     @pytest.mark.parametrize(
         "flags, expected",
@@ -290,11 +276,10 @@ class TestVerifyCommand:
             (
                 ["--posteriors", "2", "--e-points", "3", "--joint-cases", "4",
                  "--theta-samples", "5", "--theta-datasets", "6", "--pitfall-trials", "7",
-                 "--mu-halfwidth", "8", "--lambda-quantile-eps", "1e-9",
-                 "--grid-lambda", "303"],
+                 "--mu-halfwidth", "8", "--grid-lambda", "303"],
                 {"n_posteriors": 2, "n_e": 3, "n_joint_cases": 4, "n_theta_samples": 5,
                  "n_theta_datasets": 6, "n_pitfall_trials": 7,
-                 "spec": QuadratureSpec(8.0, 1e-9, 2001, 303)},
+                 "spec": QuadratureSpec(mu_halfwidth_sds=8.0, grid_lambda=303)},
             ),
         ],
     )
@@ -690,8 +675,8 @@ class TestTopLevel:
         assert "missing" in err
 
 
-def test_scoring_commands_load_no_scipy(tmp_path, background):
-    """Only the quadrature oracles need scipy; scoring runs without loading it."""
+def test_no_command_loads_scipy(tmp_path, background):
+    """bayescal needs numpy and the standard library only: no command loads scipy."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(TestSimulateCommand.SMALL_CONFIG))
     runs = [
@@ -699,6 +684,8 @@ def test_scoring_commands_load_no_scipy(tmp_path, background):
         ["decide", "--background", background, "--score", "1.0", "--pi1", "0.5"],
         ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")],
         ["lr-distribution", "--score", "1.0", "--trials", "5"],
+        ["verify", "--posteriors", "2", "--e-points", "3", "--joint-cases", "1",
+         "--theta-samples", "40", "--theta-datasets", "1", "--pitfall-trials", "8"],
     ]
     script = (
         "import contextlib, io, json, sys\n"
@@ -713,7 +700,7 @@ def test_scoring_commands_load_no_scipy(tmp_path, background):
     )
     assert done.returncode == 0, done.stderr
     codes, scipy_modules = json.loads(done.stdout)
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0, 0, 0, 0, 0]
     assert scipy_modules == []
 
 

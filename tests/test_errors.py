@@ -104,6 +104,7 @@ POSITIVE = [
         "variance_floor",
     ),
     ("QuadratureSpec.mu_halfwidth_sds", lambda v: QuadratureSpec(mu_halfwidth_sds=v), "mu_halfwidth_sds"),
+    ("QuadratureSpec.lambda_tail_nats", lambda v: QuadratureSpec(lambda_tail_nats=v), "lambda_tail_nats"),
 ]
 
 # (function.count, call that puts the count in, name in the message, minimum)

@@ -35,13 +35,13 @@ from bayescal.verification import (
     joint_evidence_sweep,
     pitfall_divergence,
     predictive_oracle_sweep,
-    quantile_eps_convergence,
+    lambda_tail_convergence,
     run_verification_suite,
     single_score_consistency,
 )
 
-# Same oracle accuracy as the full-resolution default at a fraction of the
-# cost: the truncation term (~2 * lambda_quantile_eps) dominates either way.
+# A finer grid than the default, so that these tests reach a second
+# resolution at a fraction of a second per call.
 FAST = QuadratureSpec(grid_mu=601, grid_lambda=601)
 
 MIRROR_DATA = BackgroundData((1.0, 2.0, 3.0), (-3.0, -2.0, -1.0))
@@ -51,8 +51,8 @@ class TestQuadratureSpec:
     def test_defaults(self):
         spec = QuadratureSpec()
         assert spec.mu_halfwidth_sds == 12.0
-        assert spec.lambda_quantile_eps == 1e-8
-        assert spec.grid_mu == spec.grid_lambda == 2001
+        assert spec.lambda_tail_nats == 40.0
+        assert spec.grid_mu == spec.grid_lambda == 101
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -61,20 +61,21 @@ class TestQuadratureSpec:
             {"grid_mu": 99},           # too small
             {"grid_lambda": 1000},     # even
             {"mu_halfwidth_sds": 0.0},
-            {"lambda_quantile_eps": 0.0},
-            {"lambda_quantile_eps": 0.6},
+            {"lambda_tail_nats": 0.0},
+            {"lambda_tail_nats": math.inf},
         ],
     )
     def test_invalid_specs(self, kwargs):
         with pytest.raises(ValidationError):
             QuadratureSpec(**kwargs)
 
-    def test_tightened_takes_every_eps_above_its_stated_bound(self):
-        assert QuadratureSpec().tightened() == QuadratureSpec(lambda_quantile_eps=1e-10)
-        bound = 5.551115123125783e-15
-        QuadratureSpec(lambda_quantile_eps=math.nextafter(bound, 1.0)).tightened()
-        with pytest.raises(ValidationError, match=rf"^lambda_quantile_eps must be > {bound!r} "):
-            QuadratureSpec(lambda_quantile_eps=bound).tightened()
+    def test_tightened_doubles_the_tail(self):
+        assert QuadratureSpec().tightened() == QuadratureSpec(lambda_tail_nats=80.0)
+
+    def test_default_spec_is_exact_to_rounding(self):
+        # the suite's own sweep sizes and seed, at the 101^2 default
+        assert predictive_oracle_sweep(50, 17) <= 1e-12
+        assert joint_evidence_sweep(20) <= 1e-12
 
     def test_doubled_keeps_grids_odd(self):
         spec = QuadratureSpec(grid_mu=601, grid_lambda=301).doubled()
@@ -90,8 +91,8 @@ class TestPredictiveOracle:
         assert abs(quadrature_predictive(post, 0.0, FAST) - closed) < 1e-6
 
     def test_diffuse_prior_predictive_still_accurate(self):
-        # profile shape a + 1/2 stays above 1/2 even for the weak prior, and
-        # the quantile-spaced grid keeps the error at the truncation floor
+        # profile shape a + 1/2 is 0.51 for the weak prior, where the sinh map
+        # still puts enough nodes on the left tail of the precision
         prior = NONINFORMATIVE_PRIOR
         pred = predictive(prior)
         for e in (0.5, 3.0, 1e3):
@@ -117,16 +118,28 @@ class TestPredictiveOracle:
     def test_grid_convergence_below_tolerance(self):
         assert grid_convergence(spec=FAST) < 1e-8
 
-    def test_quantile_eps_convergence(self):
-        # tightening the tail cutoff 100x moves results by ~2*eps only
-        assert quantile_eps_convergence(spec=FAST) < 1e-7
+    def test_lambda_tail_convergence(self):
+        # tails of 40 and 80 nats both hold all but e^-40 of the integral
+        assert lambda_tail_convergence(spec=FAST) < 1e-7
+
+    def test_lambda_tail_convergence_fails_a_short_tail(self):
+        # 10 nats leave about e^-10 of the integral outside the span
+        assert lambda_tail_convergence(spec=QuadratureSpec(lambda_tail_nats=10.0)) > 1e-7
 
     def test_rejects_degenerate_precision_grid(self):
         # integrating the bare noninformative prior alone: gamma shape 0.01
-        # puts the eps quantile below float range, which the oracle refuses
-        # rather than mis-integrating
+        # puts the span's left end near precision e^-4000, below float range,
+        # which the oracle refuses rather than mis-integrating
         with pytest.raises(ValidationError, match="gamma shape"):
             quadrature_joint_evidence(NONINFORMATIVE_PRIOR, [], None, FAST)
+
+    def test_rejects_precision_beyond_float_range(self):
+        # rate 1e-308 puts the profile's mode at precision 2.5e308
+        with pytest.raises(
+            ValidationError,
+            match=r"^precision node for gamma shape 2\.5 must be finite and > 0, got inf$",
+        ):
+            quadrature_predictive(NormalGammaParams(0.0, 1.0, 2.0, 1e-308), 0.0)
 
 
 class TestJointEvidenceOracle:
@@ -185,50 +198,73 @@ class TestIntegrand:
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
+def _student_t_log_pdf(params, e):
+    """Log predictive density of ``e`` under NormalGamma(mu0, beta, a, b): a
+    Student t on 2a degrees of freedom with scale^2 = b (beta + 1) / (a beta)."""
+    mu0, beta, a, b = params
+    z2 = beta * (e - mu0) ** 2 / (2.0 * b * (beta + 1.0))
+    return (
+        math.lgamma(a + 0.5) - math.lgamma(a)
+        - 0.5 * math.log(2.0 * math.pi * b * (beta + 1.0) / beta)
+        - (a + 0.5) * math.log1p(z2)
+    )
+
+
+def _log_marginal_likelihood(params, xs):
+    """Log Normal-Gamma(mu0, beta, a, b) marginal likelihood of the points ``xs``."""
+    mu0, beta, a, b = params
+    n = len(xs)
+    if n == 0:
+        return 0.0
+    mean = math.fsum(xs) / n
+    beta_n, a_n = beta + n, a + 0.5 * n
+    b_n = (
+        b + 0.5 * math.fsum((x - mean) ** 2 for x in xs)
+        + 0.5 * beta * n * (mean - mu0) ** 2 / beta_n
+    )
+    return (
+        math.lgamma(a_n) - math.lgamma(a) + a * math.log(b) - a_n * math.log(b_n)
+        + 0.5 * math.log(beta / beta_n) - 0.5 * n * math.log(2.0 * math.pi)
+    )
+
+
 #: quadrature_predictive (posterior, e) and quadrature_joint_evidence
-#: (prior, scores, e) at 401^2, as computed by the kernel that called
-#: normal_gamma_log_density and gaussian_log_density on every node.
+#: (prior, scores, e) at 401^2, each against its closed form written above
+#: with nothing from bayescal.
 PIN_SPEC = QuadratureSpec(grid_mu=401, grid_lambda=401)
 PIN_PREDICTIVE = [
-    ((-1.2, 12.0, 6.5, 9.0), -3.0, -2.216860202825397),
-    ((-1.2, 12.0, 6.5, 9.0), 4.0, -7.23016688968769),
-    ((0.0, 1.0, 1.0, 1.0), 0.5, -1.477231313844535),
-    ((2.5, 1.5, 29.0, 3.0), -3.0, -41.12380459646015),
-    ((2.5, 1.5, 29.0, 3.0), 4.0, -6.031074623681983),
-    ((-2.9, 55.0, 1.3, 25.0), 0.5, -2.868629462248907),
+    ((-1.2, 12.0, 6.5, 9.0), -3.0),
+    ((-1.2, 12.0, 6.5, 9.0), 4.0),
+    ((0.0, 1.0, 1.0, 1.0), 0.5),
+    ((2.5, 1.5, 29.0, 3.0), -3.0),
+    ((2.5, 1.5, 29.0, 3.0), 4.0),
+    ((-2.9, 55.0, 1.3, 25.0), 0.5),
 ]
 PIN_SCORES = (-0.3, 1.9, 0.4, 2.2, -1.1, 0.8, 1.5, 0.2, 1.1)
 PIN_JOINT = [
-    ((0.01, 0.01, 0.01), (0.7,), None, -5.081184252026065),
-    ((0.01, 0.01, 0.01), (0.7,), 2.5, -8.955882814517956),
-    ((0.01, 0.01, 0.01), PIN_SCORES, None, -20.677245891537176),
-    ((0.01, 0.01, 0.01), PIN_SCORES, 2.5, -23.015971358480492),
-    ((1.0, 2.0, 1.0), (), None, -1.9999991884844803e-08),
-    ((1.0, 2.0, 1.0), (), 2.5, -3.3332876341730344),
-    ((1.0, 2.0, 1.0), (1.0, 2.0, 3.0), 2.5, -8.13261985235008),
+    ((0.01, 0.01, 0.01), (0.7,), None),
+    ((0.01, 0.01, 0.01), (0.7,), 2.5),
+    ((0.01, 0.01, 0.01), PIN_SCORES, None),
+    ((0.01, 0.01, 0.01), PIN_SCORES, 2.5),
+    ((1.0, 2.0, 1.0), (), None),
+    ((1.0, 2.0, 1.0), (), 2.5),
+    ((1.0, 2.0, 1.0), (1.0, 2.0, 3.0), 2.5),
 ]
 
 
 class TestKernelRegression:
-    @pytest.mark.parametrize("params, e, expected", PIN_PREDICTIVE)
-    def test_predictive_pinned(self, params, e, expected):
+    @pytest.mark.parametrize("params, e", PIN_PREDICTIVE)
+    def test_predictive_pinned(self, params, e):
         post = NormalGammaParams(*params)
+        expected = _student_t_log_pdf(params, e)
         assert abs(quadrature_predictive(post, e, PIN_SPEC) - expected) <= 1e-12
 
-    @pytest.mark.parametrize("params, scores, e, expected", PIN_JOINT)
-    def test_joint_evidence_pinned(self, params, scores, e, expected):
+    @pytest.mark.parametrize("params, scores, e", PIN_JOINT)
+    def test_joint_evidence_pinned(self, params, scores, e):
         prior = NormalGammaParams(0.0, *params)
+        points = [*scores, *([] if e is None else [e])]
+        expected = _log_marginal_likelihood((0.0, *params), points)
         assert abs(quadrature_joint_evidence(prior, scores, e, PIN_SPEC) - expected) <= 1e-12
-
-    def test_cached_quantiles_read_only_and_exact(self):
-        from scipy.special import gammaincinv
-
-        q = verification._gamma_quantiles(7.25, 1e-8, 401)
-        assert verification._gamma_quantiles(7.25, 1e-8, 401) is q
-        with pytest.raises(ValueError):
-            q[0] = 1.0
-        fresh = gammaincinv(7.25, np.linspace(1e-8, 1.0 - 1e-8, 401))
-        assert np.array_equal(q, fresh)
 
 
 class TestExtremeLocations:
@@ -459,10 +495,10 @@ class TestNonFiniteDiscrepancies:
             ("quadrature_joint_evidence", lambda: joint_evidence_sweep(2, spec=SMALL)),
             ("quadrature_predictive", lambda: single_score_consistency(2, spec=SMALL)),
             ("quadrature_predictive", lambda: grid_convergence(1, spec=SMALL)),
-            ("quadrature_predictive", lambda: quantile_eps_convergence(1, spec=SMALL)),
+            ("quadrature_predictive", lambda: lambda_tail_convergence(1, spec=SMALL)),
             ("decomposition_residual", lambda: decomposition_sweep(100, 2)),
         ],
-        ids=["predictive", "joint", "single_score", "grid", "quantile_eps", "decomposition"],
+        ids=["predictive", "joint", "single_score", "grid", "lambda_tail", "decomposition"],
     )
     def test_sweep_propagates_nan(self, monkeypatch, poisoned, sweep):
         _poison_one_value(monkeypatch, poisoned)
@@ -527,30 +563,57 @@ def _gamma_rate_as_scale(lam, a, b):
     return -a * math.log(b) - math.lgamma(a) + (a - 1.0) * np.log(lam) - lam / b
 
 
+_PROFILE_NODES = verification._profile_nodes
+
+
+def _without_sinh_jacobian(profile, spec):
+    """The node layout with log(w cosh s) left out of each row's scale; with
+    w = 1/sqrt(a) and d = w sinh s, w cosh s = sqrt(1/a + d^2)."""
+    lam, log_row_scale, u, w_u = _PROFILE_NODES(profile, spec)
+    d = np.log(lam) - math.log(profile.a / profile.b)
+    return lam, log_row_scale - 0.5 * np.log(1.0 / profile.a + d * d), u, w_u
+
+
+_PREDICTIVE, _JOINT, _DECOMPOSITION = (
+    "predictive_closed_form_vs_quadrature",
+    "joint_evidence_route_vs_predictive_route",
+    "plugin_plus_correction_identity",
+)
+
+
 class TestMutations:
     """Plausible bugs in the closed forms turn the oracle checks red at 401^2."""
 
     @pytest.mark.parametrize(
-        "name, mutant",
+        "name, mutant, red",
         [
-            ("predictive", _scale_as_variance),
-            ("predictive", _dof_a),
-            ("posterior_update", _update_without_mean_shift),
-            ("_gamma_log_pdf", _gamma_rate_as_scale),
-            (None, None),  # control: the unmutated code passes at the same sizes
+            ("predictive", _scale_as_variance, {_PREDICTIVE, _JOINT, _DECOMPOSITION}),
+            ("predictive", _dof_a, {_PREDICTIVE, _JOINT, _DECOMPOSITION}),
+            # the predictive closed form never calls posterior_update, and a
+            # misplaced profile only moves the nodes, which keep their accuracy
+            ("posterior_update", _update_without_mean_shift, {_JOINT, _DECOMPOSITION}),
+            ("_gamma_log_pdf", _gamma_rate_as_scale, {_PREDICTIVE, _JOINT, _DECOMPOSITION}),
+            (None, None, set()),  # control: the unmutated code passes at the same sizes
         ],
         ids=["scale_as_variance", "dof_a", "no_mean_shift_term", "gamma_rate_as_scale", "none"],
     )
-    def test_predictive_and_decomposition_checks_fail(self, monkeypatch, name, mutant):
+    def test_closed_form_checks_fail(self, monkeypatch, name, mutant, red):
         if name is not None:
             _everywhere(monkeypatch, getattr(conjugate, name), mutant)
         report = run_verification_suite(
             spec=QuadratureSpec(grid_mu=401, grid_lambda=401), **SMALL_SUITE
         )
         passed = {c.name: c.passed for c in report.checks}
-        expected = name is None
-        assert passed["predictive_closed_form_vs_quadrature"] is expected
-        assert passed["plugin_plus_correction_identity"] is expected
+        assert {c for c in (_PREDICTIVE, _JOINT, _DECOMPOSITION) if not passed[c]} == red
+
+    def test_predictive_check_fails_without_sinh_jacobian(self, monkeypatch):
+        monkeypatch.setattr(verification, "_profile_nodes", _without_sinh_jacobian)
+        report = run_verification_suite(
+            spec=QuadratureSpec(grid_mu=401, grid_lambda=401), **SMALL_SUITE
+        )
+        passed = {c.name: c.passed for c in report.checks}
+        assert passed[_PREDICTIVE] is False
+        assert passed[_DECOMPOSITION] is True
 
     def test_single_score_check_fails(self, monkeypatch):
         # the class scores lose their Gaussian normalizers; a trial score keeps its own
