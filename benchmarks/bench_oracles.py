@@ -15,7 +15,7 @@ Cases:
 - the full fig1 ``confidence_curve`` (200 trials at each of 9/27, 30/405 and
   300/4 050, exact mean log-LRs);
 - one ``quadrature_predictive`` at 401^2 and 1201^2, and one
-  ``quadrature_joint_evidence`` of 9 scores plus a trial score at 401^2;
+  ``quadrature_joint_evidence`` of 9 class scores and a trial score at 401^2;
 - ``predictive_oracle_sweep(50, 17)`` at 401^2, as ``verify`` runs it there;
 - ``decomposition_sweep(10_000, 5)``, as ``verify`` runs it;
 - ``lr_distribution_demo`` at score 6.0 with the ``lr-distribution`` defaults
@@ -100,8 +100,9 @@ def test_quadrature_predictive(benchmark, grid):
 
 
 def test_quadrature_joint_evidence_401(benchmark):
-    scores = (-0.3, 1.9, 0.4, 2.2, -1.1, 0.8, 1.5, 0.2, 1.1)
-    benchmark(quadrature_joint_evidence, NONINFORMATIVE_PRIOR, scores, 2.5, GRID_401)
+    # nine class scores and the trial score 2.5
+    scores = (-0.3, 1.9, 0.4, 2.2, -1.1, 0.8, 1.5, 0.2, 1.1, 2.5)
+    benchmark(quadrature_joint_evidence, NONINFORMATIVE_PRIOR, scores, GRID_401)
 
 
 def test_predictive_oracle_sweep_401(benchmark):

@@ -376,7 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-samples", type=int, dest="n_theta_samples")
     p.add_argument("--theta-datasets", type=int, dest="n_theta_datasets")
     p.add_argument("--pitfall-trials", type=int, dest="n_pitfall_trials")
-    p.add_argument("--mu-halfwidth", type=float, dest="mu_halfwidth_sds")
     p.add_argument("--grid-mu", type=int)
     p.add_argument("--grid-lambda", type=int)
     p.set_defaults(func=cmd_verify)

@@ -185,7 +185,7 @@ def test_prior_and_floor_checked_whatever_the_method(background, capsys, command
          "shift_location must be finite, got inf"),
         (["lr-distribution", "--score", "1", "--trials", "1"], "trials must be >= 2, got 1"),
         (["simulate", "--seed", "-1"], "seed must be >= 0, got -1"),
-        (["verify", "--mu-halfwidth", "0"], "mu_halfwidth_sds must be finite and > 0, got 0.0"),
+        (["verify", "--grid-mu", "100"], "grid_mu must be >= 101, got 100"),
     ],
 )
 def test_each_rule_exits_3_with_its_one_line(argv, message, background, tmp_path, capsys):
@@ -263,10 +263,32 @@ class TestVerifyCommand:
         assert (code, out) == (3, "")
         assert err == f"error: {name} must be >= 1, got {value}\n"
 
-    def test_lambda_quantile_eps_flag_is_gone(self, capsys):
+    @pytest.mark.parametrize("flag", ["--lambda-quantile-eps", "--mu-halfwidth"])
+    def test_removed_flag_exits_2(self, flag, capsys):
         with pytest.raises(SystemExit) as info:
-            main([*self.QUICK, "--lambda-quantile-eps", "1e-9"])
+            main([*self.QUICK, flag, "8"])
         assert info.value.code == 2
+
+    def test_even_grid_passes(self, capsys):
+        code, out, _ = run_cli(capsys, *self.QUICK, "--grid-mu", "102", "--grid-lambda", "102")
+        assert code == 0
+        assert json.loads(out)["ok"] is True
+
+    def test_reports_every_check_and_spec_field(self, capsys):
+        code, out, _ = run_cli(capsys, *self.QUICK)
+        assert code == 0
+        payload = json.loads(out)
+        assert [c["name"] for c in payload["checks"]] == [
+            "predictive_closed_form_vs_quadrature",
+            "joint_evidence_route_vs_predictive_route",
+            "empty_evidence_normalization",
+            "grid_convergence",
+            "lambda_tail_convergence",
+            "plugin_plus_correction_identity",
+            "peak_only_posterior_tail_divergence",
+            "peak_only_posterior_divergence_shrinks",
+        ]
+        assert sorted(payload["config"]["quadrature"]) == ["grid_lambda", "grid_mu", "lambda_tail_nats"]
 
     @pytest.mark.parametrize(
         "flags, expected",
@@ -276,10 +298,10 @@ class TestVerifyCommand:
             (
                 ["--posteriors", "2", "--e-points", "3", "--joint-cases", "4",
                  "--theta-samples", "5", "--theta-datasets", "6", "--pitfall-trials", "7",
-                 "--mu-halfwidth", "8", "--grid-lambda", "303"],
+                 "--grid-lambda", "303"],
                 {"n_posteriors": 2, "n_e": 3, "n_joint_cases": 4, "n_theta_samples": 5,
                  "n_theta_datasets": 6, "n_pitfall_trials": 7,
-                 "spec": QuadratureSpec(mu_halfwidth_sds=8.0, grid_lambda=303)},
+                 "spec": QuadratureSpec(grid_lambda=303)},
             ),
         ],
     )

@@ -103,7 +103,6 @@ POSITIVE = [
         lambda v: lr_distribution_demo(0.0, WORLD, 9, 27, 2, 0, variance_floor=v),
         "variance_floor",
     ),
-    ("QuadratureSpec.mu_halfwidth_sds", lambda v: QuadratureSpec(mu_halfwidth_sds=v), "mu_halfwidth_sds"),
     ("QuadratureSpec.lambda_tail_nats", lambda v: QuadratureSpec(lambda_tail_nats=v), "lambda_tail_nats"),
 ]
 
@@ -155,6 +154,8 @@ AT_LEAST = [
     ("run_experiment.n1", lambda k: run_experiment(WORLD, ExperimentConfig(k, 27, trials=2)), "n1", 2),
     ("pitfall_divergence.n1", lambda k: pitfall_divergence(5, 1, sizes=((k, 5),)), "n1", 2),
     ("pitfall_divergence.n_trials", pitfall_divergence, "n_trials", 1),
+    ("QuadratureSpec.grid_mu", lambda k: QuadratureSpec(grid_mu=k), "grid_mu", 101),
+    ("QuadratureSpec.grid_lambda", lambda k: QuadratureSpec(grid_lambda=k), "grid_lambda", 101),
     *(
         (f"run_verification_suite.{name}", lambda k, name=name: run_verification_suite(**{name: k}), name, 1)
         for name in (

@@ -37,7 +37,6 @@ from bayescal.verification import (
     predictive_oracle_sweep,
     lambda_tail_convergence,
     run_verification_suite,
-    single_score_consistency,
 )
 
 # A finer grid than the default, so that these tests reach a second
@@ -50,17 +49,13 @@ MIRROR_DATA = BackgroundData((1.0, 2.0, 3.0), (-3.0, -2.0, -1.0))
 class TestQuadratureSpec:
     def test_defaults(self):
         spec = QuadratureSpec()
-        assert spec.mu_halfwidth_sds == 12.0
         assert spec.lambda_tail_nats == 40.0
         assert spec.grid_mu == spec.grid_lambda == 101
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"grid_mu": 100},          # even
             {"grid_mu": 99},           # too small
-            {"grid_lambda": 1000},     # even
-            {"mu_halfwidth_sds": 0.0},
             {"lambda_tail_nats": 0.0},
             {"lambda_tail_nats": math.inf},
         ],
@@ -77,9 +72,16 @@ class TestQuadratureSpec:
         assert predictive_oracle_sweep(50, 17) <= 1e-12
         assert joint_evidence_sweep(20) <= 1e-12
 
-    def test_doubled_keeps_grids_odd(self):
-        spec = QuadratureSpec(grid_mu=601, grid_lambda=301).doubled()
-        assert spec.grid_mu == 1201 and spec.grid_lambda == 601
+    @pytest.mark.parametrize("grid_mu, grid_lambda", [(102, 101), (101, 200)])
+    def test_even_grids_are_exact_to_rounding(self, grid_mu, grid_lambda):
+        # no rule needs a centre node, so an even size is as exact as an odd one
+        spec = QuadratureSpec(grid_mu=grid_mu, grid_lambda=grid_lambda)
+        assert predictive_oracle_sweep(50, 17, spec=spec) <= 1e-12
+        assert joint_evidence_sweep(20, spec=spec) <= 1e-12
+
+    def test_doubled_halves_the_spacing(self):
+        spec = QuadratureSpec(grid_mu=600, grid_lambda=301).doubled()
+        assert spec.grid_mu == 1199 and spec.grid_lambda == 601
 
 
 class TestPredictiveOracle:
@@ -131,7 +133,7 @@ class TestPredictiveOracle:
         # puts the span's left end near precision e^-4000, below float range,
         # which the oracle refuses rather than mis-integrating
         with pytest.raises(ValidationError, match="gamma shape"):
-            quadrature_joint_evidence(NONINFORMATIVE_PRIOR, [], None, FAST)
+            quadrature_joint_evidence(NONINFORMATIVE_PRIOR, [], FAST)
 
     def test_rejects_precision_beyond_float_range(self):
         # rate 1e-308 puts the profile's mode at precision 2.5e308
@@ -143,12 +145,14 @@ class TestPredictiveOracle:
 
 
 class TestJointEvidenceOracle:
-    def test_empty_scores_no_trial_score_normalizes(self):
+    def test_empty_scores_normalize(self):
         prior = NormalGammaParams(0.0, 1.0, 2.0, 1.0)
-        assert abs(quadrature_joint_evidence(prior, [], None, FAST)) < 1e-7
+        assert abs(quadrature_joint_evidence(prior, [], FAST)) < 1e-7
 
-    def test_single_score_equals_prior_predictive(self):
-        assert single_score_consistency(spec=FAST) < 1e-8
+    @pytest.mark.parametrize("e", [-3.0, 0.5, 4.0])
+    def test_predictive_is_the_evidence_of_one_score(self, e):
+        post = NormalGammaParams(-1.2, 12.0, 6.5, 9.0)
+        assert quadrature_predictive(post, e, FAST) == quadrature_joint_evidence(post, [e], FAST)
 
     def test_route_equivalence_on_mirror_data(self):
         prior = NONINFORMATIVE_PRIOR
@@ -175,25 +179,24 @@ class TestJointEvidenceOracle:
 class TestIntegrand:
     """The oracles write their log joint density out; it must be the model's."""
 
-    @pytest.mark.parametrize("n", [0, 1, 12])
-    @pytest.mark.parametrize("e", [None, 1.7])
-    def test_equals_library_densities(self, n, e):
+    @pytest.mark.parametrize("n", [0, 1, 12, 13])
+    def test_equals_library_densities(self, n):
         # nodes centered and scaled off the profile, where the coefficient
         # of u is far from zero and a wrong one shows
-        rng = np.random.default_rng([n, e is None])
+        rng = np.random.default_rng(n)
         prior = NormalGammaParams(0.4, 2.5, 3.0, 1.5)
         scores = rng.normal(-0.5, 1.3, size=n)
         lam = rng.gamma(2.0, 1.0, size=7)
         root = np.sqrt(3.7 * lam)
         u = rng.normal(0.0, 4.0, size=5)
         coef = verification._log_joint_coefficients(
-            lam, root, 2.3, prior, collect_stats(scores), e
+            lam, root, 2.3, prior, collect_stats(scores)
         )
         got = coef @ np.stack((u * u, u, np.ones_like(u)))
         mu = 2.3 + u / root[:, None]
         lam = lam[:, None]
         ref = conjugate.normal_gamma_log_density(mu, lam, prior)
-        for x in [*scores, *([] if e is None else [e])]:
+        for x in scores:
             ref = ref + gaussian_log_density(x, mu, lam)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
@@ -229,7 +232,7 @@ def _log_marginal_likelihood(params, xs):
 
 
 #: quadrature_predictive (posterior, e) and quadrature_joint_evidence
-#: (prior, scores, e) at 401^2, each against its closed form written above
+#: (prior, scores) at 401^2, each against its closed form written above
 #: with nothing from bayescal.
 PIN_SPEC = QuadratureSpec(grid_mu=401, grid_lambda=401)
 PIN_PREDICTIVE = [
@@ -242,13 +245,13 @@ PIN_PREDICTIVE = [
 ]
 PIN_SCORES = (-0.3, 1.9, 0.4, 2.2, -1.1, 0.8, 1.5, 0.2, 1.1)
 PIN_JOINT = [
-    ((0.01, 0.01, 0.01), (0.7,), None),
-    ((0.01, 0.01, 0.01), (0.7,), 2.5),
-    ((0.01, 0.01, 0.01), PIN_SCORES, None),
-    ((0.01, 0.01, 0.01), PIN_SCORES, 2.5),
-    ((1.0, 2.0, 1.0), (), None),
-    ((1.0, 2.0, 1.0), (), 2.5),
-    ((1.0, 2.0, 1.0), (1.0, 2.0, 3.0), 2.5),
+    ((0.01, 0.01, 0.01), (0.7,)),
+    ((0.01, 0.01, 0.01), (0.7, 2.5)),
+    ((0.01, 0.01, 0.01), PIN_SCORES),
+    ((0.01, 0.01, 0.01), (*PIN_SCORES, 2.5)),
+    ((1.0, 2.0, 1.0), ()),
+    ((1.0, 2.0, 1.0), (2.5,)),
+    ((1.0, 2.0, 1.0), (1.0, 2.0, 3.0, 2.5)),
 ]
 
 
@@ -259,12 +262,11 @@ class TestKernelRegression:
         expected = _student_t_log_pdf(params, e)
         assert abs(quadrature_predictive(post, e, PIN_SPEC) - expected) <= 1e-12
 
-    @pytest.mark.parametrize("params, scores, e", PIN_JOINT)
-    def test_joint_evidence_pinned(self, params, scores, e):
+    @pytest.mark.parametrize("params, scores", PIN_JOINT)
+    def test_joint_evidence_pinned(self, params, scores):
         prior = NormalGammaParams(0.0, *params)
-        points = [*scores, *([] if e is None else [e])]
-        expected = _log_marginal_likelihood((0.0, *params), points)
-        assert abs(quadrature_joint_evidence(prior, scores, e, PIN_SPEC) - expected) <= 1e-12
+        expected = _log_marginal_likelihood((0.0, *params), scores)
+        assert abs(quadrature_joint_evidence(prior, scores, PIN_SPEC) - expected) <= 1e-12
 
 
 class TestExtremeLocations:
@@ -427,9 +429,9 @@ class TestBlockedQuadrature:
     @pytest.mark.parametrize("e", [None, -4.0, 2.5])
     def test_joint_evidence(self, monkeypatch, spec, e):
         prior = NONINFORMATIVE_PRIOR
-        scores = MIRROR_DATA.h1_scores
+        scores = [*MIRROR_DATA.h1_scores, *([] if e is None else [e])]
         blocked, single = self._blocked_and_single(
-            monkeypatch, lambda: quadrature_joint_evidence(prior, scores, e, spec)
+            monkeypatch, lambda: quadrature_joint_evidence(prior, scores, spec)
         )
         assert abs(blocked - single) <= 1e-13
 
@@ -459,9 +461,9 @@ class TestRowPeaks:
         lam, log_row_scale, u, w_u = verification._profile_nodes(profile, SMALL)
         root = np.sqrt(profile.beta * lam)
         coef = verification._log_joint_coefficients(
-            lam, root, profile.mu0, post, collect_stats([]), e
+            lam, root, profile.mu0, post, collect_stats([e])
         )
-        assert np.all(np.abs(coef[:, 1] / (2.0 * coef[:, 0])) > SMALL.mu_halfwidth_sds)
+        assert np.all(np.abs(coef[:, 1] / (2.0 * coef[:, 0])) > verification._MU_HALFWIDTH_SDS)
         log_f = coef @ np.stack((u * u, u, np.ones_like(u)))
         ref = np.logaddexp.reduce(log_f + log_row_scale[:, None] + np.log(w_u), axis=None)
         assert abs(got - ref) <= 1e-12 * abs(ref)
@@ -493,12 +495,11 @@ class TestNonFiniteDiscrepancies:
         [
             ("quadrature_predictive", lambda: predictive_oracle_sweep(2, 3, spec=SMALL)),
             ("quadrature_joint_evidence", lambda: joint_evidence_sweep(2, spec=SMALL)),
-            ("quadrature_predictive", lambda: single_score_consistency(2, spec=SMALL)),
             ("quadrature_predictive", lambda: grid_convergence(1, spec=SMALL)),
             ("quadrature_predictive", lambda: lambda_tail_convergence(1, spec=SMALL)),
             ("decomposition_residual", lambda: decomposition_sweep(100, 2)),
         ],
-        ids=["predictive", "joint", "single_score", "grid", "lambda_tail", "decomposition"],
+        ids=["predictive", "joint", "grid", "lambda_tail", "decomposition"],
     )
     def test_sweep_propagates_nan(self, monkeypatch, poisoned, sweep):
         _poison_one_value(monkeypatch, poisoned)
@@ -615,12 +616,12 @@ class TestMutations:
         assert passed[_PREDICTIVE] is False
         assert passed[_DECOMPOSITION] is True
 
-    def test_single_score_check_fails(self, monkeypatch):
-        # the class scores lose their Gaussian normalizers; a trial score keeps its own
+    def test_oracle_checks_fail_without_score_normalizers(self, monkeypatch):
+        # the scores lose their Gaussian normalizers, a trial score among them
         original = verification._log_joint_coefficients
 
-        def unnormalized_scores(lam, root, center, prior, stats, e):
-            coef = original(lam, root, center, prior, stats, e)
+        def unnormalized_scores(lam, root, center, prior, stats):
+            coef = original(lam, root, center, prior, stats)
             coef[:, 2] -= 0.5 * stats.n * (np.log(lam) - _LOG_2PI)
             return coef
 
@@ -629,6 +630,6 @@ class TestMutations:
             spec=QuadratureSpec(grid_mu=401, grid_lambda=401), **SMALL_SUITE
         )
         passed = {c.name: c.passed for c in report.checks}
-        assert passed["single_score_evidence_vs_prior_predictive"] is False
-        assert passed["joint_evidence_route_vs_predictive_route"] is False
-        assert passed["predictive_closed_form_vs_quadrature"] is True
+        assert {c for c in (_PREDICTIVE, _JOINT, _DECOMPOSITION) if not passed[c]} == {
+            _PREDICTIVE, _JOINT
+        }
