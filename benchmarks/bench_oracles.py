@@ -14,7 +14,8 @@ Cases:
   error rates at 41 prior log-odds points);
 - the full fig1 ``confidence_curve`` (200 trials at each of 9/27, 30/405 and
   300/4 050, exact mean log-LRs);
-- one ``quadrature_predictive`` at 401^2 and 1201^2, and one
+- one ``quadrature_predictive`` at 401^2 and 1201^2, one at 401^2 with the
+  17-point e-grid that the oracle sweep probes for a posterior, and one
   ``quadrature_joint_evidence`` of 9 class scores and a trial score at 401^2;
 - ``predictive_oracle_sweep(50, 17)`` at 401^2, as ``verify`` runs it there;
 - ``decomposition_sweep(10_000, 5)``, as ``verify`` runs it;
@@ -41,6 +42,7 @@ from bayescal import (
     generate_scores,
     load_background_csv,
     lr_distribution_demo,
+    predictive,
     quadrature_joint_evidence,
     quadrature_predictive,
     run_experiment,
@@ -51,6 +53,9 @@ from bayescal.verification import decomposition_sweep, pitfall_divergence, predi
 # a small-n posterior like the oracle sweep draws, probed two scales out
 POSTERIOR = NormalGammaParams(-1.2, 12.0, 6.5, 9.0)
 GRID_401 = QuadratureSpec(grid_mu=401, grid_lambda=401)
+# 8 predictive scales each side, as predictive_oracle_sweep probes a posterior
+_PRED = predictive(POSTERIOR)
+E_GRID = np.linspace(_PRED.location - 8.0 * _PRED.scale, _PRED.location + 8.0 * _PRED.scale, 17)
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +102,10 @@ def test_confidence_curve_fig1(benchmark):
 def test_quadrature_predictive(benchmark, grid):
     spec = QuadratureSpec(grid_mu=grid, grid_lambda=grid)
     benchmark(quadrature_predictive, POSTERIOR, 0.5, spec)
+
+
+def test_quadrature_predictive_e_grid_401(benchmark):
+    benchmark(quadrature_predictive, POSTERIOR, E_GRID, GRID_401)
 
 
 def test_quadrature_joint_evidence_401(benchmark):

@@ -26,6 +26,10 @@ scores. The quadrature grid is therefore laid out against that profile:
   u = sqrt(beta*precision) * (mean - location), whose law under the profile
   is standard normal.
 
+A block of lists that share a count, such as one posterior's e-grid, shares
+the profile's shape a, so one s-grid and one mean basis; each list's rate b
+places its own row of precision nodes.
+
 Integrand. ``_log_joint_coefficients`` writes the log joint density out once,
 at nodes mean = m0 + u/r with r = sqrt(beta*precision) of the profile, as a
 quadratic in u per precision row. It has two Gaussian factors in the mean,
@@ -51,7 +55,9 @@ rows, about ``_BLOCK_NODES`` nodes each so that a block's work stays in
 cache, are each one matrix product of the rows' coefficients with the fixed
 (u^2, u, 1) basis, exponentiated and reduced to one sum per row by a product
 with the mean-axis trapezoid weights. The result is bit-reproducible for a
-given grid and within a few ulps of a single-block evaluation.
+given grid and within a few ulps of a single-block evaluation. In a block,
+each list keeps its own peaks, log-sum-exp and row blocks (BLAS rounds a row
+by its place in a block), so each value is its lone list's bit for bit.
 
 Sweeps. Each sweep reports its largest absolute discrepancy. A NaN
 discrepancy is not dropped: it makes the sweep's result NaN, which fails
@@ -74,7 +80,7 @@ from .conjugate import (
     sample_params,
     student_t_log_density,
 )
-from .errors import check_at_least, check_positive
+from .errors import check_at_least, check_finite, check_positive
 from .experiment import _block_stats
 from .lr import (
     bayes_log_lr,
@@ -167,11 +173,13 @@ def _profile_nodes(profile: NormalGammaParams, spec: QuadratureSpec):
     w = 1.0 / math.sqrt(a)
     lo, hi = (math.asinh(d / w) for d in _tail_ends(a, spec.lambda_tail_nats))
     s = np.linspace(lo, hi, spec.grid_lambda)
-    t = math.log(a) - math.log(profile.b) + w * np.sinh(s)
+    # math.log of each rate, as a lone list takes it; np.log can differ by an ulp
+    log_b = np.array([math.log(b) for b in np.ravel(profile.b).tolist()])
+    t = (math.log(a) - log_b.reshape(np.shape(profile.b)))[..., None] + w * np.sinh(s)
     with np.errstate(over="ignore"):  # refused just below, without a warning
         lam = np.exp(t)
     # a small shape's tail can reach past float range, where no node is usable
-    check_positive(**{f"precision node for gamma shape {a!r}": lam[[0, -1]]})
+    check_positive(**{f"precision node for gamma shape {a!r}": lam[..., [0, -1]]})
     u = np.linspace(-_MU_HALFWIDTH_SDS, _MU_HALFWIDTH_SDS, spec.grid_mu)
     log_row_scale = (
         t
@@ -186,35 +194,43 @@ def _log_joint_coefficients(lam, root, center, prior: NormalGammaParams, stats):
     """The oracles' log joint density of (mean, lam) at mean = center + u/root,
     as one row of (u^2, u, 1) coefficients per entry of ``lam`` and ``root``.
     Each Gaussian factor in the mean (beta at mu0, n at the scores' mean)
-    adds -lam/2 * weight * (u/root + d)^2, d = center - its own center."""
+    adds -lam/2 * weight * (u/root + d)^2, d = center - its own center.
+    A block's ``center`` and ``stats`` hold one value per row of ``lam``."""
     factors = [(prior.mu0, prior.beta)]
     if stats.n > 0:
         factors.append((stats.mean, stats.n))
-    d = np.array([center - c for c, _ in factors])
+    # vecdot takes each list's sums as a lone list's 1-D product; a matmul would not
+    d = np.array([center - c for c, _ in factors]).T
     w = np.array([weight for _, weight in factors])
-    coef = np.empty((lam.size, 3))
-    coef[:, 0] = -0.5 * lam * w.sum() / root**2
-    coef[:, 1] = -lam * (w @ d) / root
-    coef[:, 2] = (
+    coef = np.empty(lam.shape + (3,))
+    coef[..., 0] = -0.5 * lam * w.sum() / root**2
+    coef[..., 1] = -lam * np.vecdot(w, d)[..., None] / root
+    coef[..., 2] = (
         _gamma_log_pdf(lam, prior.a, prior.b)
         + 0.5 * (1 + stats.n) * (np.log(lam) - _LOG_2PI)
         + 0.5 * math.log(prior.beta)
-        - 0.5 * lam * (stats.sum_sq_dev + w @ d**2)
+        - 0.5 * lam * (stats.sum_sq_dev + np.vecdot(w, d**2))[..., None]
     )
     return coef
 
 
 def quadrature_predictive(
-    posterior: NormalGammaParams, e: float, spec: QuadratureSpec = QuadratureSpec()
-) -> float:
+    posterior: NormalGammaParams, e, spec: QuadratureSpec = QuadratureSpec()
+) -> float | np.ndarray:
     """Log predictive density of ``e`` by direct integration.
 
     Integrates Normal(e | mean, 1/precision) against the Normal-Gamma
     ``posterior`` over (mean, precision), accumulating in the log domain:
     the evidence of the one score ``e`` under ``posterior``. The closed-form
-    counterpart is ``student_t_log_density(predictive(p), e)``.
+    counterpart is ``student_t_log_density(predictive(p), e)``. An array
+    ``e`` is one integration giving one value per element, each equal to
+    its float call bit for bit.
     """
-    return _log_evidence(posterior, [e], spec)
+    e = np.asarray(e, dtype=float)
+    check_finite(e=e)
+    if e.ndim == 0:
+        return _log_evidence(posterior, [float(e)], spec)
+    return _log_evidence(posterior, e.reshape(-1, 1), spec).reshape(e.shape)
 
 
 def quadrature_joint_evidence(
@@ -230,26 +246,33 @@ def quadrature_joint_evidence(
     return _log_evidence(prior, scores, spec)
 
 
-def _log_evidence(prior, scores, spec) -> float:
+def _log_evidence(prior, scores, spec) -> float | np.ndarray:
     """The log integral behind both oracles above: the prior density times
-    the likelihood of ``scores``, through their sufficient statistics."""
+    the likelihood of ``scores``, through their sufficient statistics; a
+    2-D block of lists that share a count gives one value per list."""
     stats = collect_stats(scores)
     profile = posterior_update(prior, stats)
     lam, log_row_scale, u, w_u = _profile_nodes(profile, spec)
     root = np.sqrt(profile.beta * lam)
     coef = _log_joint_coefficients(lam, root, profile.mu0, prior, stats)
-    coef[:, 2] += log_row_scale
+    coef[..., 2] += log_row_scale
     # each row is concave in u: its peak on the span is at the clipped vertex
-    vertex = np.clip(-coef[:, 1] / (2.0 * coef[:, 0]), u[0], u[-1])
-    peaks = (coef[:, 0] * vertex + coef[:, 1]) * vertex + coef[:, 2]
-    coef[:, 2] -= peaks
+    vertex = np.clip(-coef[..., 1] / (2.0 * coef[..., 0]), u[0], u[-1])
+    peaks = (coef[..., 0] * vertex + coef[..., 1]) * vertex + coef[..., 2]
+    coef[..., 2] -= peaks
     basis = np.stack((u * u, u, np.ones_like(u)))
     rows = max(1, _BLOCK_NODES // spec.grid_mu)
-    sums = np.empty(lam.size)
-    for start in range(0, lam.size, rows):
-        sums[start : start + rows] = np.exp(coef[start : start + rows] @ basis) @ w_u
-    top = float(peaks.max())
-    return top + math.log(math.fsum(sums * np.exp(peaks - top)))
+    coef = coef.reshape(-1, spec.grid_lambda, 3)
+    peaks = peaks.reshape(-1, spec.grid_lambda)
+    sums = np.empty(peaks.shape)
+    for list_coef, list_sums in zip(coef, sums):  # each list's blocks start at its row 0
+        for start in range(0, spec.grid_lambda, rows):
+            block = slice(start, start + rows)
+            list_sums[block] = np.exp(list_coef[block] @ basis) @ w_u
+    top = peaks.max(axis=1)
+    weighted = sums * np.exp(peaks - top[:, None])
+    logs = [t + math.log(math.fsum(row.tolist())) for t, row in zip(top.tolist(), weighted)]
+    return logs[0] if lam.ndim == 1 else np.array(logs)
 
 
 def joint_evidence_log_lr(
@@ -375,9 +398,8 @@ def predictive_oracle_sweep(
         e_grid = np.linspace(
             pred.location - 8.0 * pred.scale, pred.location + 8.0 * pred.scale, n_e
         )
-        for e in e_grid:
-            closed = student_t_log_density(pred, float(e))
-            gaps.append(closed - quadrature_predictive(post, float(e), spec))
+        closed = student_t_log_density(pred, e_grid)
+        gaps.append(closed - quadrature_predictive(post, e_grid, spec))
     return _max_abs(gaps)
 
 
@@ -426,9 +448,8 @@ def _spec_shift(
     gaps = []
     for post in _random_posteriors(rng, n_posteriors):
         pred = predictive(post)
-        for k in offsets:
-            e = pred.location + k * pred.scale
-            gaps.append(quadrature_predictive(post, e, spec) - quadrature_predictive(post, e, other))
+        e = pred.location + np.array(offsets) * pred.scale
+        gaps.append(quadrature_predictive(post, e, spec) - quadrature_predictive(post, e, other))
     return _max_abs(gaps)
 
 

@@ -469,6 +469,60 @@ class TestRowPeaks:
         assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
+class TestPredictiveBatch:
+    """An array of e is one integration, each value its float call's bit for bit."""
+
+    # the posteriors of the suite's predictive sweep; at 101^2, blocks that
+    # ran on across lists changed one of its 850 values
+    @pytest.mark.parametrize("grid, n_posteriors", [(101, 50), (401, 10)])
+    def test_equals_float_calls(self, grid, n_posteriors):
+        spec = QuadratureSpec(grid_mu=grid, grid_lambda=grid)
+        # the batch's rows span several blocks, the last one short
+        rows, batch_rows = verification._BLOCK_NODES // spec.grid_mu, 17 * spec.grid_lambda
+        assert rows < batch_rows and batch_rows % rows
+        rng = np.random.default_rng(verification.SUITE_SEED)
+        for post in verification._random_posteriors(rng, n_posteriors):
+            pred = predictive(post)
+            e_grid = np.linspace(
+                pred.location - 8.0 * pred.scale, pred.location + 8.0 * pred.scale, 17
+            )
+            batch = quadrature_predictive(post, e_grid, spec)
+            assert batch.shape == e_grid.shape
+            for i, e in enumerate(e_grid.tolist()):
+                single = quadrature_predictive(post, e, spec)
+                assert type(single) is float
+                assert batch[i] == single
+
+    def test_keeps_the_shape_of_e(self):
+        post = NormalGammaParams(-1.2, 12.0, 6.5, 9.0)
+        e = np.array([[-3.0, 0.5, 4.0], [1.0, 2.0, -0.5]])
+        got = quadrature_predictive(post, e, SMALL)
+        assert got.shape == (2, 3)
+        assert got.ravel().tolist() == quadrature_predictive(post, e.ravel(), SMALL).tolist()
+
+    @pytest.mark.parametrize(
+        "params, bad, good",
+        [
+            # shape 0.52: a rate near 1e300 puts the left tail below float range
+            ((0.0, 1.0, 0.02, 1.0), 1e150, (1.0, 2.0)),
+            # shape 2.5: a rate of 1e-308 puts the right tail above it
+            ((0.0, 1.0, 2.0, 1e-308), 0.0, (1.0, -1.0)),
+            ((0.0, 1.0, 2.0, 1.0), math.nan, (1.0, -1.0)),
+        ],
+        ids=["underflow", "overflow", "nan"],
+    )
+    def test_refuses_as_its_float_call(self, params, bad, good):
+        post = NormalGammaParams(*params)
+        for e in good:
+            quadrature_predictive(post, e, SMALL)
+        with pytest.raises(ValidationError) as single:
+            quadrature_predictive(post, bad, SMALL)
+        # the refused e is neither the batch's first nor its last: every list's nodes are checked
+        with pytest.raises(ValidationError) as batch:
+            quadrature_predictive(post, [good[0], bad, good[1]], SMALL)
+        assert str(batch.value) == str(single.value)
+
+
 def _poison_one_value(monkeypatch, name):
     """Make ``verification.<name>`` return NaN in place of its second value.
 
@@ -569,9 +623,10 @@ _PROFILE_NODES = verification._profile_nodes
 
 def _without_sinh_jacobian(profile, spec):
     """The node layout with log(w cosh s) left out of each row's scale; with
-    w = 1/sqrt(a) and d = w sinh s, w cosh s = sqrt(1/a + d^2)."""
+    w = 1/sqrt(a) and d = w sinh s, w cosh s = sqrt(1/a + d^2). The rate b
+    may hold one value per list of a block, each with its row of nodes."""
     lam, log_row_scale, u, w_u = _PROFILE_NODES(profile, spec)
-    d = np.log(lam) - math.log(profile.a / profile.b)
+    d = np.log(lam) - np.log(profile.a / profile.b)[..., None]
     return lam, log_row_scale - 0.5 * np.log(1.0 / profile.a + d * d), u, w_u
 
 
@@ -622,7 +677,7 @@ class TestMutations:
 
         def unnormalized_scores(lam, root, center, prior, stats):
             coef = original(lam, root, center, prior, stats)
-            coef[:, 2] -= 0.5 * stats.n * (np.log(lam) - _LOG_2PI)
+            coef[..., 2] -= 0.5 * stats.n * (np.log(lam) - _LOG_2PI)
             return coef
 
         monkeypatch.setattr(verification, "_log_joint_coefficients", unnormalized_scores)
