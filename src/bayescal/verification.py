@@ -49,15 +49,22 @@ than asserted.
 Reduction. Each precision row's log integrand is a concave quadratic in u,
 so its peak on the span, read off its coefficients, is at the vertex
 -c1/(2*c0) clipped to +-``_MU_HALFWIDTH_SDS``. Each row is shifted by its
-peak, which a final log-sum-exp over the rows with ``math.fsum`` adds back
-exactly: the shift places no node. The grid is never held whole. Blocks of
-rows, about ``_BLOCK_NODES`` nodes each so that a block's work stays in
-cache, are each one matrix product of the rows' coefficients with the fixed
-(u^2, u, 1) basis, exponentiated and reduced to one sum per row by a product
-with the mean-axis trapezoid weights. The result is bit-reproducible for a
-given grid and within a few ulps of a single-block evaluation. In a block,
-each list keeps its own peaks, log-sum-exp and row blocks (BLAS rounds a row
-by its place in a block), so each value is its lone list's bit for bit.
+peak, which a final log-sum-exp over the rows adds back: the shift places
+no node. On the profile's nodes c0 = -1/2, so a row's nodes more than
+``_NEGLIGIBLE_NATS`` below its peak lie beyond the clipped vertex
++- sqrt(2 * _NEGLIGIBLE_NATS) and add less than a quarter-ulp to its sum;
+each list evaluates only the window of mean nodes that holds every other
+node of its rows, about 79% of the span. The grid is never held whole.
+Blocks of ``_BLOCK_NODES // grid_mu`` rows, each row cut to its list's
+window, are each one matrix product of the rows' coefficients with the
+window's (u^2, u, 1) basis, written into one work buffer that every block
+of the call reuses, exponentiated in place and reduced to one sum per row
+by a product with the window's trapezoid weights. The row sums, weighted by
+their peaks, are added by numpy's pairwise sum. The result is
+bit-reproducible for a given grid and within a few ulps of a single-block
+evaluation. In a block, each list keeps its own window, peaks, log-sum-exp
+and row blocks (BLAS rounds a row by its place in a block), so each value
+is its lone list's bit for bit.
 
 Sweeps. Each sweep reports its largest absolute discrepancy. A NaN
 discrepancy is not dropped: it makes the sweep's result NaN, which fails
@@ -128,11 +135,31 @@ def _trapezoid_weights(step: float, count: int) -> np.ndarray:
 
 
 #: Quadrature nodes evaluated at a time. The integrand is computed over a
-#: block of whole precision rows, ``max(1, _BLOCK_NODES // grid_mu)`` of them.
-#: At 128 KiB, a block's float64 arrays stay in a 1-2 MiB L2 cache instead
-#: of streaming a grid-sized array through memory. 16k and 32k measured alike
-#: at 401^2 and 1201^2; 8k was slower, and 64k 2.5-3.5x slower.
-_BLOCK_NODES = 16_384
+#: block of precision rows, ``max(1, _BLOCK_NODES // grid_mu)`` of them, in
+#: one work buffer of that many nodes (512 KiB), reused by every block of a
+#: call. A block evaluates only its list's mean window, about 79% of the
+#: buffer at 401^2; the buffer holds a whole span for a list whose window is
+#: the span. Per grid node of ``predictive_oracle_sweep(50, 17)``, single
+#: threaded on a 2-core Xeon: 2.08 ns at 16k, 1.84 at 32k, 1.76 at 64k and
+#: 1.81 at 128k at 401^2; 1.97, 1.85, 1.72 and 1.67 at 1201^2. 64k was
+#: 2.5x slower than 16k while each block allocated fresh temporaries: past
+#: 128 KiB the allocator hands their pages back to the system and faults
+#: them in again, 379 000 minor page faults per 401^2 sweep at 64k against
+#: none with the buffer.
+_BLOCK_NODES = 65_536
+
+
+#: Nats below a row's peak beyond which a mean node cannot move the row's sum.
+#: On the profile's own nodes c0 = -(beta + n) / (2 beta') = -1/2, as
+#: ``posterior_update`` sets beta' = beta + n (for a wrong beta' the window
+#: can only drop mass), so a row is its peak times
+#: exp(-(u - v)^2 / 2), and with its vertex v anywhere on the span its sum is
+#: at least the half-Gaussian's sqrt(pi/2) = 1.25. The nodes left out are
+#: each below exp(-T) of the peak and weigh at most the span's 24 together,
+#: so they add under 24 exp(-T): below a quarter-ulp of the sum,
+#: 1.25 * 2^-54 = 6.9e-17, for T >= 40.4. T = 45 leaves a factor of 100 and
+#: keeps v +- sqrt(2T) = +-9.5 of the +-12 span.
+_NEGLIGIBLE_NATS = 45.0
 
 
 #: Conditional standard deviations of the profile that the mean nodes span
@@ -260,19 +287,30 @@ def _log_evidence(prior, scores, spec) -> float | np.ndarray:
     vertex = np.clip(-coef[..., 1] / (2.0 * coef[..., 0]), u[0], u[-1])
     peaks = (coef[..., 0] * vertex + coef[..., 1]) * vertex + coef[..., 2]
     coef[..., 2] -= peaks
+    coef = coef.reshape(-1, spec.grid_lambda, 3)
+    vertex, peaks = (x.reshape(coef.shape[:2]) for x in (vertex, peaks))
+    # c0 = -1/2: the nodes within _NEGLIGIBLE_NATS of a row's peak lie within
+    # vertex +- reach; each list's window holds every row's reach and one node
+    # more each side, and fmax and fmin send a NaN end to the span's
+    reach = math.sqrt(2.0 * _NEGLIGIBLE_NATS)
+    step = u[1] - u[0]
+    starts = np.fmax(np.floor((vertex.min(axis=1) - reach - u[0]) / step), 0)
+    stops = np.fmin(np.ceil((vertex.max(axis=1) + reach - u[0]) / step) + 1, u.size)
     basis = np.stack((u * u, u, np.ones_like(u)))
     rows = max(1, _BLOCK_NODES // spec.grid_mu)
-    coef = coef.reshape(-1, spec.grid_lambda, 3)
-    peaks = peaks.reshape(-1, spec.grid_lambda)
+    work = np.empty(rows * spec.grid_mu)  # each block's integrand in turn
     sums = np.empty(peaks.shape)
-    for list_coef, list_sums in zip(coef, sums):  # each list's blocks start at its row 0
-        for start in range(0, spec.grid_lambda, rows):
-            block = slice(start, start + rows)
-            list_sums[block] = np.exp(list_coef[block] @ basis) @ w_u
+    windows = zip(starts.astype(int).tolist(), stops.astype(int).tolist())
+    for list_coef, list_sums, (j0, j1) in zip(coef, sums, windows):
+        list_basis, list_w = basis[:, j0:j1], w_u[j0:j1]
+        for start in range(0, spec.grid_lambda, rows):  # each list's blocks start at its row 0
+            block = list_coef[start : start + rows]
+            out = work[: len(block) * (j1 - j0)].reshape(len(block), j1 - j0)
+            np.exp(np.matmul(block, list_basis, out=out), out=out)
+            np.matmul(out, list_w, out=list_sums[start : start + rows])
     top = peaks.max(axis=1)
-    weighted = sums * np.exp(peaks - top[:, None])
-    logs = [t + math.log(math.fsum(row.tolist())) for t, row in zip(top.tolist(), weighted)]
-    return logs[0] if lam.ndim == 1 else np.array(logs)
+    logs = top + np.log(np.sum(sums * np.exp(peaks - top[:, None]), axis=1))
+    return float(logs[0]) if lam.ndim == 1 else logs
 
 
 def joint_evidence_log_lr(

@@ -28,6 +28,7 @@ from bayescal import (
     resample_backgrounds,
     run_experiment,
 )
+from bayescal import experiment
 from bayescal.conjugate import NONINFORMATIVE_PRIOR
 from bayescal.experiment import (
     DEFAULT_PRIOR_GRID,
@@ -120,6 +121,47 @@ class TestSamplingOracle:
         for mean, scores in zip(exact, samples):
             se = scores.std() / math.sqrt(N_SAMPLED)
             assert abs(scores.mean() - mean) <= 4.0 * se
+
+
+class TestHermiteRule:
+    """The Gauss-Hermite mean against a trapezoid in x on the worst trial of
+    the fig1 confidence run: seed 42, the 9/27 block (stream 0), trial 156,
+    whose narrow H1 predictive puts log1p's branch points near the real axis."""
+
+    TRIAL = 156
+
+    @pytest.fixture(scope="class")
+    def trial(self):
+        world = GeneratorConfig()
+        blocks = _calibrated_blocks(
+            world, 9, 27, 200, 42, 0, NONINFORMATIVE_PRIOR, DEFAULT_VARIANCE_FLOOR
+        )
+        block, i = divmod(self.TRIAL, 50)
+        theta, preds = list(blocks)[block]
+        laws = [world.test_law(h) for h in Hypothesis]
+        # the trapezoid over +-40 test-law SDs: its error falls like
+        # exp(-2 pi d / step), d ~ 1 the branch points' distance, so rounding is all
+        mu, sd = laws[0]
+        x = np.linspace(mu - 40.0 * sd, mu + 40.0 * sd, 2_001)
+        p1, p2 = (StudentT(p.location[i], p.scale[i], p.dof) for p in preds)
+        density = np.exp(-0.5 * ((x - mu) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+        weights = np.full(x.size, x[1] - x[0])
+        weights[[0, -1]] *= 0.5
+        reference = float(weights @ (bayes_log_lr_array(x, p1, p2) * density))
+        return theta, preds, laws, i, reference
+
+    @staticmethod
+    def _bayes_h1_error(trial):
+        theta, preds, laws, i, reference = trial
+        # rows: plugin H1, plugin H2, bayes H1, bayes H2
+        return abs(_mean_log_lrs(theta, preds, laws, _hermite_rule())[2, i] - reference)
+
+    def test_matches_trapezoid(self, trial):
+        assert self._bayes_h1_error(trial) <= 1e-12
+
+    def test_64_nodes_fail(self, trial, monkeypatch):
+        monkeypatch.setattr(experiment, "_HERMITE_NODES", 64)
+        assert self._bayes_h1_error(trial) > 1e-12
 
 
 def _brute_force_exceedance(llr, c, laws, points=200_001):

@@ -272,8 +272,9 @@ class TestGoldenValues:
     """Outputs pinned at rtol 1e-12: a change in the draw order (background H1,
     then H2), in the order of the methods and hypotheses, or in the exact
     rates and means moves these values by far more. The error curve and the
-    confidence table were captured once, when exact expectations replaced
-    sampled test sets."""
+    confidence table were captured when exact expectations replaced sampled
+    test sets; the 4/6 Bayesian rows again when the Gauss-Hermite rule went
+    from 64 to 256 nodes, which moved them by up to 1e-9 relative."""
 
     def test_run_experiment(self):
         curve = run_experiment(
@@ -301,8 +302,8 @@ class TestGoldenValues:
         expected = [
             (4, 6, "plugin", "H1", 3.3183849876677107, 1.4826592326159598),
             (4, 6, "plugin", "H2", -25.575043733464458, 5.141964803317878),
-            (4, 6, "bayes", "H1", 2.348763650355892, 0.43583174550174314),
-            (4, 6, "bayes", "H2", -4.601435764208808, 0.5663297498293809),
+            (4, 6, "bayes", "H1", 2.3487636508680185, 0.4358317450815144),
+            (4, 6, "bayes", "H2", -4.601435764300952, 0.5663297497410539),
             (12, 30, "plugin", "H1", 12.022605568015607, 1.0613173021849482),
             (12, 30, "plugin", "H2", -7.180102350552134, 1.2138843158964197),
             (12, 30, "bayes", "H1", 8.191683341541731, 0.5161667282848446),

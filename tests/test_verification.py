@@ -523,6 +523,41 @@ class TestPredictiveBatch:
         assert str(batch.value) == str(single.value)
 
 
+class TestMeanWindow:
+    """Each list evaluates only the mean nodes within _NEGLIGIBLE_NATS of a
+    row's peak; the nodes it skips cannot move a value."""
+
+    @staticmethod
+    def _sweep_values(spec):
+        rng = np.random.default_rng(verification.SUITE_SEED)
+        values = []
+        for post in verification._random_posteriors(rng, 50):
+            pred = predictive(post)
+            e_grid = np.linspace(
+                pred.location - 8.0 * pred.scale, pred.location + 8.0 * pred.scale, 17
+            )
+            values.append(quadrature_predictive(post, e_grid, spec))
+        return np.concatenate(values)
+
+    @pytest.mark.parametrize("grid", [101, 401])
+    def test_whole_span_gives_the_same_values(self, monkeypatch, grid):
+        # the suite's 850 predictive values, windowed and over every mean node
+        spec = QuadratureSpec(grid_mu=grid, grid_lambda=grid)
+        windowed = self._sweep_values(spec)
+        monkeypatch.setattr(verification, "_NEGLIGIBLE_NATS", math.inf)
+        assert windowed.tolist() == self._sweep_values(spec).tolist()
+
+    def test_narrow_window_fails_the_predictive_check(self, monkeypatch):
+        # 5 nats keeps +-3.2 SDs of each row, dropping about 1e-3 of its mass
+        monkeypatch.setattr(verification, "_NEGLIGIBLE_NATS", 5.0)
+        report = run_verification_suite(
+            spec=QuadratureSpec(grid_mu=401, grid_lambda=401), **SMALL_SUITE
+        )
+        passed = {c.name: c.passed for c in report.checks}
+        assert passed["predictive_closed_form_vs_quadrature"] is False
+        assert passed["plugin_plus_correction_identity"] is True
+
+
 def _poison_one_value(monkeypatch, name):
     """Make ``verification.<name>`` return NaN in place of its second value.
 
