@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .conjugate import NONINFORMATIVE_PRIOR, NormalGammaParams
-from .errors import ScoreFileError, ValidationError, check_at_least, check_positive
+from .errors import ScoreFileError, ValidationError, check_at_least, check_positive, check_utf8
 from .experiment import (
     ExperimentConfig,
     check_confidence,
@@ -81,10 +81,13 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScoreFileError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
+    except UnicodeDecodeError:
+        check_utf8(path)
+        raise
     if not isinstance(cfg, dict):
         raise ValidationError("config file must hold a JSON object")
     return cfg

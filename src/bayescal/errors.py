@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and the three parameter checks
+"""Exception types shared across the package, the three parameter checks
 that raise ValidationError, one wording each: ``NAME must be finite, got V``,
-``NAME must be finite and > 0, got V`` and ``NAME must be >= K, got V``.
+``NAME must be finite and > 0, got V`` and ``NAME must be >= K, got V``, and
+the UTF-8 check of an input file, which raises ScoreFileError.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +21,23 @@ class ScoreFileError(BayescalError):
         self.path = str(path)
         self.line = line
         super().__init__(f"{self.path}:{line}: {message}")
+
+
+def check_utf8(path) -> None:
+    """Raise ScoreFileError unless the file ``path`` is UTF-8, naming the line
+    of its first other byte: a line ends at LF, CR or CRLF, as the ``csv``
+    module counts them. A reader calls it after its stream failed to decode,
+    since the stream's error counts its offset from the last chunk read, not
+    from the start of the file."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ScoreFileError(
+            path, line, f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        ) from None
 
 
 class ValidationError(BayescalError, ValueError):

@@ -16,7 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ScoreFileError, ValidationError, check_at_least, check_finite, check_positive
+from .errors import (
+    ScoreFileError,
+    ValidationError,
+    check_at_least,
+    check_finite,
+    check_positive,
+    check_utf8,
+)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -205,38 +212,55 @@ def gaussian_log_density(e, mean, precision):
 def load_background_csv(path) -> BackgroundData:
     """Read labeled scores from a CSV file with header ``label,score``.
 
-    Labels follow :func:`parse_label`. Any malformed row aborts the load with
-    a :class:`ScoreFileError` carrying the 1-based line number. A UTF-8
-    byte-order mark before the header is skipped.
+    Labels follow :func:`parse_label`; each distinct label text is parsed
+    once, the first time it appears. Any malformed row aborts the load with
+    a :class:`ScoreFileError` carrying the 1-based line number, as does a
+    byte that is not UTF-8 or a field longer than the ``csv`` module's
+    limit. A UTF-8 byte-order mark before the header is skipped.
     """
     path = Path(path)
     # packed doubles, not lists of float objects: BackgroundData makes its own
     h1 = array("d")
     h2 = array("d")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ScoreFileError(path, 1, "empty file; expected header 'label,score'")
-        if [c.strip().lower() for c in header] != ["label", "score"]:
-            raise ScoreFileError(
-                path, reader.line_num, f"expected header 'label,score', got {header!r}"
-            )
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                continue  # tolerate blank lines
-            if len(row) != 2:
-                raise ScoreFileError(path, line, f"expected 2 fields, got {len(row)}")
-            try:
-                label = parse_label(row[0])
-            except ValidationError as exc:
-                raise ScoreFileError(path, line, str(exc)) from None
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise ScoreFileError(path, line, f"invalid score {row[1]!r}") from None
-            if not math.isfinite(value):
-                raise ScoreFileError(path, line, f"non-finite score {row[1]!r}")
-            (h1 if label is Hypothesis.H1 else h2).append(value)
+    classes = {}  # each label, exactly as written, -> its class's scores
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ScoreFileError(path, 1, "empty file; expected header 'label,score'")
+            if [c.strip().lower() for c in header] != ["label", "score"]:
+                raise ScoreFileError(
+                    path, reader.line_num, f"expected header 'label,score', got {header!r}"
+                )
+            for row in reader:
+                if len(row) != 2:
+                    if not row:
+                        continue  # tolerate blank lines
+                    raise ScoreFileError(
+                        path, reader.line_num, f"expected 2 fields, got {len(row)}"
+                    )
+                label, text = row
+                try:
+                    scores = classes[label]
+                except KeyError:
+                    try:
+                        hypothesis = parse_label(label)
+                    except ValidationError as exc:
+                        raise ScoreFileError(path, reader.line_num, str(exc)) from None
+                    scores = classes[label] = h1 if hypothesis is Hypothesis.H1 else h2
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise ScoreFileError(
+                        path, reader.line_num, f"invalid score {text!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ScoreFileError(path, reader.line_num, f"non-finite score {text!r}")
+                scores.append(value)
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        raise ScoreFileError(path, reader.line_num, str(exc)) from None
+    except UnicodeDecodeError:
+        check_utf8(path)
+        raise
     return BackgroundData(h1, h2)

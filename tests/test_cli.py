@@ -80,6 +80,31 @@ class TestLlrCommand:
         assert code == 2
         assert ":3:" in err
 
+    @pytest.mark.parametrize(
+        "flag,raw,message",
+        [
+            ("--background", b"label,score\nH1,1.0\nH2,\xff2.0\n", "byte 0xff is not UTF-8"),
+            (
+                "--background",
+                b"label,score\nH1,1.0\nH2," + b"1" * 131_073 + b"\n",
+                "field larger than field limit (131072)",
+            ),
+            ("--config", b'{\n  "prior":\n    {"a": "\xe9"}\n}\n', "byte 0xe9 is not UTF-8"),
+        ],
+        ids=["background_not_utf8", "background_field_too_long", "config_not_utf8"],
+    )
+    def test_unreadable_input_exits_2_naming_line_3(
+        self, flag, raw, message, background, tmp_path, capsys
+    ):
+        f = tmp_path / "input"
+        f.write_bytes(raw)
+        files = {"--background": background, flag: str(f)}
+        argv = [arg for pair in files.items() for arg in pair]
+        code, out, err = run_cli(capsys, "llr", "--score", "1.0", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {f}:3: {message}")
+        assert err.count("\n") == 1
+
     def test_plugin_precondition_exits_3(self, tmp_path, capsys):
         f = tmp_path / "bg.csv"
         f.write_text("label,score\nH1,1.0\nH2,0.0\nH2,1.0\n")
