@@ -17,7 +17,8 @@ Cases:
 - one ``quadrature_predictive`` at 401^2 and 1201^2, one at 401^2 with the
   17-point e-grid that the oracle sweep probes for a posterior, and one
   ``quadrature_joint_evidence`` of 9 class scores and a trial score at 401^2;
-- ``predictive_oracle_sweep(50, 17)`` at 401^2, as ``verify`` runs it there;
+- ``predictive_oracle_sweep(50, 17)`` and ``joint_evidence_sweep(20)`` at
+  401^2, as ``verify`` runs them there;
 - ``decomposition_sweep(10_000, 5)``, as ``verify`` runs it;
 - ``lr_distribution_demo`` at score 6.0 with the ``lr-distribution`` defaults
   (1 000 trials of a 9/27 background);
@@ -48,7 +49,12 @@ from bayescal import (
     run_experiment,
 )
 from bayescal.conjugate import NONINFORMATIVE_PRIOR
-from bayescal.verification import decomposition_sweep, pitfall_divergence, predictive_oracle_sweep
+from bayescal.verification import (
+    decomposition_sweep,
+    joint_evidence_sweep,
+    pitfall_divergence,
+    predictive_oracle_sweep,
+)
 
 # a small-n posterior like the oracle sweep draws, probed two scales out
 POSTERIOR = NormalGammaParams(-1.2, 12.0, 6.5, 9.0)
@@ -116,6 +122,10 @@ def test_quadrature_joint_evidence_401(benchmark):
 
 def test_predictive_oracle_sweep_401(benchmark):
     benchmark.pedantic(predictive_oracle_sweep, (50, 17), {"spec": GRID_401}, rounds=5)
+
+
+def test_joint_evidence_sweep_401(benchmark):
+    benchmark.pedantic(joint_evidence_sweep, (20,), {"spec": GRID_401}, rounds=5)
 
 
 def test_decomposition_sweep(benchmark):

@@ -95,7 +95,15 @@ class BackgroundData:
                 i = int(np.argmin(finite))
                 raise ValidationError(f"{name}[{i}] is not finite: {arr[i].item()!r}")
             object.__setattr__(self, name, tuple(arr.tolist()))
-            object.__setattr__(self, f"{cls}_stats", collect_stats(arr))
+            try:
+                stats = collect_stats(arr)
+            except ValidationError:  # finite scores whose sums overflow
+                i = int(np.argmax(np.abs(arr)))
+                raise ValidationError(
+                    f"{name} overflow float range when summarized; the largest in "
+                    f"magnitude is {name}[{i}] = {arr[i].item()!r}"
+                ) from None
+            object.__setattr__(self, f"{cls}_stats", stats)
 
     @property
     def n1(self) -> int:
@@ -215,8 +223,10 @@ def load_background_csv(path) -> BackgroundData:
     Labels follow :func:`parse_label`; each distinct label text is parsed
     once, the first time it appears. Any malformed row aborts the load with
     a :class:`ScoreFileError` carrying the 1-based line number, as does a
-    byte that is not UTF-8 or a field longer than the ``csv`` module's
-    limit. A UTF-8 byte-order mark before the header is skipped.
+    byte that is not UTF-8, a field longer than the ``csv`` module's limit
+    or a quote left open, each at the line where its record began. A class
+    that ``BackgroundData`` refuses raises its ValidationError, prefixed with
+    the file. A UTF-8 byte-order mark before the header is skipped.
     """
     path = Path(path)
     # packed doubles, not lists of float objects: BackgroundData makes its own
@@ -225,7 +235,8 @@ def load_background_csv(path) -> BackgroundData:
     classes = {}  # each label, exactly as written, -> its class's scores
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
+            reader = csv.reader(fh, strict=True)
+            line = 0  # the last line of the last record read whole
             header = next(reader, None)
             if header is None:
                 raise ScoreFileError(path, 1, "empty file; expected header 'label,score'")
@@ -233,13 +244,13 @@ def load_background_csv(path) -> BackgroundData:
                 raise ScoreFileError(
                     path, reader.line_num, f"expected header 'label,score', got {header!r}"
                 )
+            line = reader.line_num
             for row in reader:
+                line = reader.line_num
                 if len(row) != 2:
                     if not row:
                         continue  # tolerate blank lines
-                    raise ScoreFileError(
-                        path, reader.line_num, f"expected 2 fields, got {len(row)}"
-                    )
+                    raise ScoreFileError(path, line, f"expected 2 fields, got {len(row)}")
                 label, text = row
                 try:
                     scores = classes[label]
@@ -247,20 +258,21 @@ def load_background_csv(path) -> BackgroundData:
                     try:
                         hypothesis = parse_label(label)
                     except ValidationError as exc:
-                        raise ScoreFileError(path, reader.line_num, str(exc)) from None
+                        raise ScoreFileError(path, line, str(exc)) from None
                     scores = classes[label] = h1 if hypothesis is Hypothesis.H1 else h2
                 try:
                     value = float(text)
                 except ValueError:
-                    raise ScoreFileError(
-                        path, reader.line_num, f"invalid score {text!r}"
-                    ) from None
+                    raise ScoreFileError(path, line, f"invalid score {text!r}") from None
                 if not math.isfinite(value):
-                    raise ScoreFileError(path, reader.line_num, f"non-finite score {text!r}")
+                    raise ScoreFileError(path, line, f"non-finite score {text!r}")
                 scores.append(value)
-    except csv.Error as exc:  # a field over csv.field_size_limit()
-        raise ScoreFileError(path, reader.line_num, str(exc)) from None
+    except csv.Error as exc:  # a field over csv.field_size_limit(), or a quote left open
+        raise ScoreFileError(path, line + 1, str(exc)) from None
     except UnicodeDecodeError:
         check_utf8(path)
         raise
-    return BackgroundData(h1, h2)
+    try:
+        return BackgroundData(h1, h2)
+    except ValidationError as exc:  # a class too large to summarize
+        raise ValidationError(f"{path}: {exc}") from None

@@ -1,70 +1,52 @@
 """Brute-force quadrature oracles for the closed-form conjugate results.
 
 The production path never integrates anything: predictive densities come from
-the closed Student-t form. This module re-derives those quantities by direct
-2-D trapezoid quadrature over (mean, precision) so the closed forms can be
-checked against an independent numerical route, and it reproduces the failure
-mode of replacing the exact parameter posterior with a peak-only
-approximation.
+the closed Student-t form. This module re-derives those quantities by
+integrating the Normal-Gamma joint density over (mean, precision), the mean
+in closed form and the precision by a trapezoid rule in log-precision, so the
+closed forms can be checked against an independent numerical route, and it
+reproduces the failure mode of replacing the exact parameter posterior with a
+peak-only approximation.
 
 Grid construction. Each oracle integrates one thing: the Normal-Gamma prior
 density times the Gaussian likelihood of a list of scores. A predictive
 density is a ratio of two such evidences, p(e | D) = p(D + [e]) / p(D), so a
 trial score is just one more score. The integrand is proportional to another
 Normal-Gamma, the "profile", obtained by the conjugate update with the
-scores. The quadrature grid is therefore laid out against that profile:
-
-* precision nodes sit at t = log(precision) = log(a/b) + w*sinh(s), with a
-  and b the profile's gamma shape and rate, w = 1/sqrt(a) and s equally
-  spaced: the double-exponential substitution of Takahasi and Mori (1974),
-  on which the trapezoid rule converges exponentially for an analytic
-  integrand. The span of s ends where the profile's log-density in t has
-  fallen by ``lambda_tail_nats`` on each side of its mode, so the truncated
-  mass is about exp(-lambda_tail_nats) of the integral;
-* mean nodes span ``_MU_HALFWIDTH_SDS`` conditional standard deviations of
-  the profile on each side, via the standardized variable
-  u = sqrt(beta*precision) * (mean - location), whose law under the profile
-  is standard normal.
-
-A block of lists that share a count, such as one posterior's e-grid, shares
-the profile's shape a, so one s-grid and one mean basis; each list's rate b
-places its own row of precision nodes.
+scores. The precision nodes are therefore laid out against that profile:
+they sit at t = log(precision) = log(a/b) + w*sinh(s), with a and b the
+profile's gamma shape and rate, w = 1/sqrt(a) and s equally spaced: the
+double-exponential substitution of Takahasi and Mori (1974), on which the
+trapezoid rule converges exponentially for an analytic integrand. The span
+of s ends where the profile's log-density in t has fallen by
+``lambda_tail_nats`` on each side of its mode, so the truncated mass is about
+exp(-lambda_tail_nats) of the integral. A block of lists that share a count,
+such as one posterior's e-grid, shares the profile's shape a, so one s-grid;
+each list's rate b places its own row of precision nodes.
 
 Integrand. ``_log_joint_coefficients`` writes the log joint density out once,
-at nodes mean = m0 + u/r with r = sqrt(beta*precision) of the profile, as a
-quadratic in u per precision row. It has two Gaussian factors in the mean,
+at mean = m0 + u/r with r = sqrt(beta*precision) of the profile, as a
+quadratic in u per precision node. It has two Gaussian factors in the mean,
 the prior's (weight beta at mu0) and the scores' mean (weight n); each
 (center c, weight w) contributes -precision/2 * w * (u/r + d)^2 with
 d = m0 - c, expanded, and the gamma marginal, the scores' spread and every
 normalizer go into the constant. Sum(w*d) is computed, never assumed zero,
 so the quadratic is the model's joint density whatever center and scale the
-nodes have. It never forms the completed square about the profile's mean,
-which is ``posterior_update``, under test, so the warping only places nodes
-and cannot inject the closed-form answer. Carrying d rather than forming
-m0 + u/r avoids rounding each node's mean at eps*|m0|, which matters when
-|m0| dwarfs the profile's spread. Accuracy is established by the
+profile gives u. It never forms the completed square about the profile's
+mean, which is ``posterior_update``, under test, so the profile only places
+the precision nodes and cannot inject the closed-form answer. Carrying d
+rather than forming m0 + u/r avoids rounding the mean at eps*|m0|, which
+matters when |m0| dwarfs the profile's spread. Accuracy is established by the
 grid-convergence and lambda-tail-convergence checks in the suite rather
 than asserted.
 
-Reduction. Each precision row's log integrand is a concave quadratic in u,
-so its peak on the span, read off its coefficients, is at the vertex
--c1/(2*c0) clipped to +-``_MU_HALFWIDTH_SDS``. Each row is shifted by its
-peak, which a final log-sum-exp over the rows adds back: the shift places
-no node. On the profile's nodes c0 = -1/2, so a row's nodes more than
-``_NEGLIGIBLE_NATS`` below its peak lie beyond the clipped vertex
-+- sqrt(2 * _NEGLIGIBLE_NATS) and add less than a quarter-ulp to its sum;
-each list evaluates only the window of mean nodes that holds every other
-node of its rows, about 79% of the span. The grid is never held whole.
-Blocks of ``_BLOCK_NODES // grid_mu`` rows, each row cut to its list's
-window, are each one matrix product of the rows' coefficients with the
-window's (u^2, u, 1) basis, written into one work buffer that every block
-of the call reuses, exponentiated in place and reduced to one sum per row
-by a product with the window's trapezoid weights. The row sums, weighted by
-their peaks, are added by numpy's pairwise sum. The result is
-bit-reproducible for a given grid and within a few ulps of a single-block
-evaluation. In a block, each list keeps its own window, peaks, log-sum-exp
-and row blocks (BLAS rounds a row by its place in a block), so each value
-is its lone list's bit for bit.
+Mean integral. A precision node's row c0*u^2 + c1*u + c2 has c0 < 0, so its
+integral over the whole mean line is the Gaussian one,
+log = c2 - c1^2/(4*c0) + log(pi/(-c0))/2, to which the row's log scale (the
+Jacobians and the trapezoid weight in s) is added; one log-sum-exp over the
+precision nodes finishes the integral. The formula holds whatever center and
+scale the profile gives u, so a wrong profile moves the result only by
+rounding. ``QuadratureSpec.grid_mu`` places no node.
 
 Sweeps. Each sweep reports its largest absolute discrepancy. A NaN
 discrepancy is not dropped: it makes the sweep's result NaN, which fails
@@ -109,7 +91,11 @@ SUITE_SEED = 20260810
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Discretization of the (mean, precision) integration domain."""
+    """Discretization of the precision integration domain.
+
+    The mean is integrated in closed form: ``grid_mu`` is checked and echoed
+    but places no node.
+    """
 
     lambda_tail_nats: float = 40.0
     grid_mu: int = 101
@@ -134,39 +120,6 @@ def _trapezoid_weights(step: float, count: int) -> np.ndarray:
     return w
 
 
-#: Quadrature nodes evaluated at a time. The integrand is computed over a
-#: block of precision rows, ``max(1, _BLOCK_NODES // grid_mu)`` of them, in
-#: one work buffer of that many nodes (512 KiB), reused by every block of a
-#: call. A block evaluates only its list's mean window, about 79% of the
-#: buffer at 401^2; the buffer holds a whole span for a list whose window is
-#: the span. Per grid node of ``predictive_oracle_sweep(50, 17)``, single
-#: threaded on a 2-core Xeon: 2.08 ns at 16k, 1.84 at 32k, 1.76 at 64k and
-#: 1.81 at 128k at 401^2; 1.97, 1.85, 1.72 and 1.67 at 1201^2. 64k was
-#: 2.5x slower than 16k while each block allocated fresh temporaries: past
-#: 128 KiB the allocator hands their pages back to the system and faults
-#: them in again, 379 000 minor page faults per 401^2 sweep at 64k against
-#: none with the buffer.
-_BLOCK_NODES = 65_536
-
-
-#: Nats below a row's peak beyond which a mean node cannot move the row's sum.
-#: On the profile's own nodes c0 = -(beta + n) / (2 beta') = -1/2, as
-#: ``posterior_update`` sets beta' = beta + n (for a wrong beta' the window
-#: can only drop mass), so a row is its peak times
-#: exp(-(u - v)^2 / 2), and with its vertex v anywhere on the span its sum is
-#: at least the half-Gaussian's sqrt(pi/2) = 1.25. The nodes left out are
-#: each below exp(-T) of the peak and weigh at most the span's 24 together,
-#: so they add under 24 exp(-T): below a quarter-ulp of the sum,
-#: 1.25 * 2^-54 = 6.9e-17, for T >= 40.4. T = 45 leaves a factor of 100 and
-#: keeps v +- sqrt(2T) = +-9.5 of the +-12 span.
-_NEGLIGIBLE_NATS = 45.0
-
-
-#: Conditional standard deviations of the profile that the mean nodes span
-#: on each side; the normal mass beyond 12 is 4e-33, below rounding.
-_MU_HALFWIDTH_SDS = 12.0
-
-
 #: Newton steps for each end of the precision span.
 _TAIL_NEWTON_STEPS = 8
 
@@ -188,13 +141,11 @@ def _tail_ends(a: float, nats: float) -> tuple[float, float]:
 
 
 def _profile_nodes(profile: NormalGammaParams, spec: QuadratureSpec):
-    """Quadrature nodes, Jacobians and weights laid out against a profile.
+    """Precision nodes and their log scales, laid out against a profile.
 
-    Returns the precision nodes, the per-row log scale (the Jacobians of
+    Returns the precision nodes and the per-node log scale: the Jacobians of
     lam = exp(t), of t = log(a/b) + w*sinh(s) and of the mean's
-    standardization, plus the trapezoid weights in s, all independent of the
-    mean direction), the standardized mean offsets u, and the mean-axis
-    trapezoid weights kept linear for the final reduction.
+    standardization, plus the trapezoid weights in s.
     """
     a = profile.a
     w = 1.0 / math.sqrt(a)
@@ -207,14 +158,13 @@ def _profile_nodes(profile: NormalGammaParams, spec: QuadratureSpec):
         lam = np.exp(t)
     # a small shape's tail can reach past float range, where no node is usable
     check_positive(**{f"precision node for gamma shape {a!r}": lam[..., [0, -1]]})
-    u = np.linspace(-_MU_HALFWIDTH_SDS, _MU_HALFWIDTH_SDS, spec.grid_mu)
     log_row_scale = (
         t
         + np.log(w * np.cosh(s))
         - 0.5 * np.log(profile.beta * lam)
         + np.log(_trapezoid_weights(s[1] - s[0], s.size))
     )
-    return lam, log_row_scale, u, _trapezoid_weights(u[1] - u[0], u.size)
+    return lam, log_row_scale
 
 
 def _log_joint_coefficients(lam, root, center, prior: NormalGammaParams, stats):
@@ -279,38 +229,15 @@ def _log_evidence(prior, scores, spec) -> float | np.ndarray:
     2-D block of lists that share a count gives one value per list."""
     stats = collect_stats(scores)
     profile = posterior_update(prior, stats)
-    lam, log_row_scale, u, w_u = _profile_nodes(profile, spec)
+    lam, log_row_scale = _profile_nodes(profile, spec)
     root = np.sqrt(profile.beta * lam)
     coef = _log_joint_coefficients(lam, root, profile.mu0, prior, stats)
-    coef[..., 2] += log_row_scale
-    # each row is concave in u: its peak on the span is at the clipped vertex
-    vertex = np.clip(-coef[..., 1] / (2.0 * coef[..., 0]), u[0], u[-1])
-    peaks = (coef[..., 0] * vertex + coef[..., 1]) * vertex + coef[..., 2]
-    coef[..., 2] -= peaks
-    coef = coef.reshape(-1, spec.grid_lambda, 3)
-    vertex, peaks = (x.reshape(coef.shape[:2]) for x in (vertex, peaks))
-    # c0 = -1/2: the nodes within _NEGLIGIBLE_NATS of a row's peak lie within
-    # vertex +- reach; each list's window holds every row's reach and one node
-    # more each side, and fmax and fmin send a NaN end to the span's
-    reach = math.sqrt(2.0 * _NEGLIGIBLE_NATS)
-    step = u[1] - u[0]
-    starts = np.fmax(np.floor((vertex.min(axis=1) - reach - u[0]) / step), 0)
-    stops = np.fmin(np.ceil((vertex.max(axis=1) + reach - u[0]) / step) + 1, u.size)
-    basis = np.stack((u * u, u, np.ones_like(u)))
-    rows = max(1, _BLOCK_NODES // spec.grid_mu)
-    work = np.empty(rows * spec.grid_mu)  # each block's integrand in turn
-    sums = np.empty(peaks.shape)
-    windows = zip(starts.astype(int).tolist(), stops.astype(int).tolist())
-    for list_coef, list_sums, (j0, j1) in zip(coef, sums, windows):
-        list_basis, list_w = basis[:, j0:j1], w_u[j0:j1]
-        for start in range(0, spec.grid_lambda, rows):  # each list's blocks start at its row 0
-            block = list_coef[start : start + rows]
-            out = work[: len(block) * (j1 - j0)].reshape(len(block), j1 - j0)
-            np.exp(np.matmul(block, list_basis, out=out), out=out)
-            np.matmul(out, list_w, out=list_sums[start : start + rows])
-    top = peaks.max(axis=1)
-    logs = top + np.log(np.sum(sums * np.exp(peaks - top[:, None]), axis=1))
-    return float(logs[0]) if lam.ndim == 1 else logs
+    c0, c1, c2 = np.moveaxis(coef, -1, 0)
+    # each row's Gaussian integral over the whole mean line
+    rows = c2 - c1 * c1 / (4.0 * c0) + 0.5 * np.log(math.pi / -c0) + log_row_scale
+    top = rows.max(axis=-1)
+    logs = top + np.log(np.sum(np.exp(rows - top[..., None]), axis=-1))
+    return float(logs) if lam.ndim == 1 else logs
 
 
 def joint_evidence_log_lr(
@@ -492,7 +419,7 @@ def _spec_shift(
 
 
 def grid_convergence(seed: int = SUITE_SEED, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Max |result shift| on 2 random posteriors when both grid resolutions double."""
+    """Max |result shift| on 2 random posteriors when the precision spacing halves."""
     return _spec_shift(2, seed, spec, spec.doubled(), (-6.0, 0.5, 6.0))
 
 

@@ -105,6 +105,35 @@ class TestLlrCommand:
         assert err.startswith(f"error: {f}:3: {message}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            # truncated inside a quoted score: not loaded as if it were whole
+            ('label,score\nH1,1.0\nH1,2.0\nH2,-1.0\nH2,"-2.0', 5),
+            # the quote opened on line 2 runs to the end of the file
+            ('label,score\nH1,"1.0\nH1,2.0\nH2,-1.0\nH2,-2.0\n', 2),
+        ],
+        ids=["truncated_last_line", "opened_on_line_2"],
+    )
+    def test_open_quote_exits_2_at_the_line_it_opened(self, text, line, tmp_path, capsys):
+        f = tmp_path / "bg.csv"
+        f.write_text(text)
+        code, out, err = run_cli(
+            capsys, "llr", "--background", str(f), "--score", "1.0", "--method", "plugin"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {f}:{line}: unexpected end of data\n"
+
+    def test_overflowing_class_exits_3_naming_it(self, tmp_path, capsys):
+        f = tmp_path / "bg.csv"
+        f.write_text("label,score\nH1,1.0\nH1,2e154\nH2,-1.0\nH2,-2.0\n")
+        code, out, err = run_cli(capsys, "llr", "--background", str(f), "--score", "1.0")
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: {f}: h1_scores overflow float range when summarized; "
+            "the largest in magnitude is h1_scores[1] = 2e+154\n"
+        )
+
     def test_plugin_precondition_exits_3(self, tmp_path, capsys):
         f = tmp_path / "bg.csv"
         f.write_text("label,score\nH1,1.0\nH2,0.0\nH2,1.0\n")

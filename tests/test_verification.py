@@ -83,6 +83,16 @@ class TestQuadratureSpec:
         spec = QuadratureSpec(grid_mu=600, grid_lambda=301).doubled()
         assert spec.grid_mu == 1199 and spec.grid_lambda == 601
 
+    def test_grid_mu_places_no_node(self):
+        # the mean is integrated in closed form; grid_mu is only validated
+        post = NormalGammaParams(-1.2, 12.0, 6.5, 9.0)
+        e = np.array([-3.0, 0.5, 4.0])
+        values = [
+            quadrature_predictive(post, e, QuadratureSpec(grid_mu=grid_mu, grid_lambda=201))
+            for grid_mu in (101, 1201)
+        ]
+        assert values[0].tolist() == values[1].tolist()
+
 
 class TestPredictiveOracle:
     def test_unit_posterior_cross_check(self):
@@ -399,43 +409,6 @@ class TestSuiteRunner:
         assert payload["config"]["n_posteriors"] == 2
 
 
-class TestBlockedQuadrature:
-    """The row-blocked reduction equals a single-block evaluation."""
-
-    @pytest.fixture(params=[(101, 1201), (1201, 101)], ids=["101x1201", "1201x101"])
-    def spec(self, request):
-        grid_mu, grid_lambda = request.param
-        spec = QuadratureSpec(grid_mu=grid_mu, grid_lambda=grid_lambda)
-        rows = verification._BLOCK_NODES // spec.grid_mu
-        # several blocks, the last one short
-        assert 1 <= rows < spec.grid_lambda and spec.grid_lambda % rows
-        return spec
-
-    def _blocked_and_single(self, monkeypatch, evaluate):
-        blocked = evaluate()
-        monkeypatch.setattr(verification, "_BLOCK_NODES", 10**9)
-        return blocked, evaluate()
-
-    @pytest.mark.parametrize("k", [-8.0, 0.0, 3.0])
-    def test_predictive(self, monkeypatch, spec, k):
-        post = NormalGammaParams(-1.2, 12.0, 6.5, 9.0)
-        pred = predictive(post)
-        e = pred.location + k * pred.scale
-        blocked, single = self._blocked_and_single(
-            monkeypatch, lambda: quadrature_predictive(post, e, spec)
-        )
-        assert abs(blocked - single) <= 1e-13
-
-    @pytest.mark.parametrize("e", [None, -4.0, 2.5])
-    def test_joint_evidence(self, monkeypatch, spec, e):
-        prior = NONINFORMATIVE_PRIOR
-        scores = [*MIRROR_DATA.h1_scores, *([] if e is None else [e])]
-        blocked, single = self._blocked_and_single(
-            monkeypatch, lambda: quadrature_joint_evidence(prior, scores, spec)
-        )
-        assert abs(blocked - single) <= 1e-13
-
-
 # A grid small enough for many sweeps in a test, and the suite's smallest sizes.
 SMALL = QuadratureSpec(grid_mu=101, grid_lambda=101)
 SMALL_SUITE = dict(
@@ -444,42 +417,29 @@ SMALL_SUITE = dict(
 )
 
 
-class TestRowPeaks:
-    """Each row is shifted by its peak on the span, read off its coefficients."""
+class TestFarCenteredProfile:
+    """The mean integral holds wherever the profile centers u: its c1 term
+    carries the offset, which is near zero on a correct profile."""
 
-    def test_vertex_outside_span_is_clipped(self, monkeypatch):
-        # nodes centered 1000 away from the profile put every row's vertex far
-        # outside the span, so only the clipped peak bounds the row
+    @pytest.mark.parametrize("shift, tol", [(1.0, 1e-12), (1000.0, 1e-6)])
+    def test_predictive_matches_closed_form(self, monkeypatch, shift, tol):
         def far_update(prior, stats):
             good = posterior_update(prior, stats)
-            return replace(good, mu0=good.mu0 + 1000.0)
+            return replace(good, mu0=good.mu0 + shift)
 
         monkeypatch.setattr(verification, "posterior_update", far_update)
         post, e = NormalGammaParams(-1.2, 12.0, 6.5, 9.0), 0.5
-        got = quadrature_predictive(post, e, SMALL)
-        profile = far_update(post, collect_stats([e]))
-        lam, log_row_scale, u, w_u = verification._profile_nodes(profile, SMALL)
-        root = np.sqrt(profile.beta * lam)
-        coef = verification._log_joint_coefficients(
-            lam, root, profile.mu0, post, collect_stats([e])
-        )
-        assert np.all(np.abs(coef[:, 1] / (2.0 * coef[:, 0])) > verification._MU_HALFWIDTH_SDS)
-        log_f = coef @ np.stack((u * u, u, np.ones_like(u)))
-        ref = np.logaddexp.reduce(log_f + log_row_scale[:, None] + np.log(w_u), axis=None)
-        assert abs(got - ref) <= 1e-12 * abs(ref)
+        closed = student_t_log_density(predictive(post), e)
+        assert abs(quadrature_predictive(post, e, SMALL) - closed) <= tol
 
 
 class TestPredictiveBatch:
     """An array of e is one integration, each value its float call's bit for bit."""
 
-    # the posteriors of the suite's predictive sweep; at 101^2, blocks that
-    # ran on across lists changed one of its 850 values
+    # the posteriors of the suite's predictive sweep
     @pytest.mark.parametrize("grid, n_posteriors", [(101, 50), (401, 10)])
     def test_equals_float_calls(self, grid, n_posteriors):
         spec = QuadratureSpec(grid_mu=grid, grid_lambda=grid)
-        # the batch's rows span several blocks, the last one short
-        rows, batch_rows = verification._BLOCK_NODES // spec.grid_mu, 17 * spec.grid_lambda
-        assert rows < batch_rows and batch_rows % rows
         rng = np.random.default_rng(verification.SUITE_SEED)
         for post in verification._random_posteriors(rng, n_posteriors):
             pred = predictive(post)
@@ -521,41 +481,6 @@ class TestPredictiveBatch:
         with pytest.raises(ValidationError) as batch:
             quadrature_predictive(post, [good[0], bad, good[1]], SMALL)
         assert str(batch.value) == str(single.value)
-
-
-class TestMeanWindow:
-    """Each list evaluates only the mean nodes within _NEGLIGIBLE_NATS of a
-    row's peak; the nodes it skips cannot move a value."""
-
-    @staticmethod
-    def _sweep_values(spec):
-        rng = np.random.default_rng(verification.SUITE_SEED)
-        values = []
-        for post in verification._random_posteriors(rng, 50):
-            pred = predictive(post)
-            e_grid = np.linspace(
-                pred.location - 8.0 * pred.scale, pred.location + 8.0 * pred.scale, 17
-            )
-            values.append(quadrature_predictive(post, e_grid, spec))
-        return np.concatenate(values)
-
-    @pytest.mark.parametrize("grid", [101, 401])
-    def test_whole_span_gives_the_same_values(self, monkeypatch, grid):
-        # the suite's 850 predictive values, windowed and over every mean node
-        spec = QuadratureSpec(grid_mu=grid, grid_lambda=grid)
-        windowed = self._sweep_values(spec)
-        monkeypatch.setattr(verification, "_NEGLIGIBLE_NATS", math.inf)
-        assert windowed.tolist() == self._sweep_values(spec).tolist()
-
-    def test_narrow_window_fails_the_predictive_check(self, monkeypatch):
-        # 5 nats keeps +-3.2 SDs of each row, dropping about 1e-3 of its mass
-        monkeypatch.setattr(verification, "_NEGLIGIBLE_NATS", 5.0)
-        report = run_verification_suite(
-            spec=QuadratureSpec(grid_mu=401, grid_lambda=401), **SMALL_SUITE
-        )
-        passed = {c.name: c.passed for c in report.checks}
-        assert passed["predictive_closed_form_vs_quadrature"] is False
-        assert passed["plugin_plus_correction_identity"] is True
 
 
 def _poison_one_value(monkeypatch, name):
@@ -649,6 +574,11 @@ def _update_without_mean_shift(prior, stats):
     return replace(good, b=prior.b + 0.5 * stats.sum_sq_dev)
 
 
+def _beta_one_too_many(prior, stats):
+    good = posterior_update(prior, stats)
+    return replace(good, beta=good.beta + 1.0)
+
+
 def _gamma_rate_as_scale(lam, a, b):
     return -a * math.log(b) - math.lgamma(a) + (a - 1.0) * np.log(lam) - lam / b
 
@@ -660,9 +590,9 @@ def _without_sinh_jacobian(profile, spec):
     """The node layout with log(w cosh s) left out of each row's scale; with
     w = 1/sqrt(a) and d = w sinh s, w cosh s = sqrt(1/a + d^2). The rate b
     may hold one value per list of a block, each with its row of nodes."""
-    lam, log_row_scale, u, w_u = _PROFILE_NODES(profile, spec)
+    lam, log_row_scale = _PROFILE_NODES(profile, spec)
     d = np.log(lam) - np.log(profile.a / profile.b)[..., None]
-    return lam, log_row_scale - 0.5 * np.log(1.0 / profile.a + d * d), u, w_u
+    return lam, log_row_scale - 0.5 * np.log(1.0 / profile.a + d * d)
 
 
 _PREDICTIVE, _JOINT, _DECOMPOSITION = (
@@ -683,10 +613,16 @@ class TestMutations:
             # the predictive closed form never calls posterior_update, and a
             # misplaced profile only moves the nodes, which keep their accuracy
             ("posterior_update", _update_without_mean_shift, {_JOINT, _DECOMPOSITION}),
+            # the completed square's weight: the oracle integrates the mean
+            # exactly for any profile, so only the posterior's users go red
+            ("posterior_update", _beta_one_too_many, {_JOINT, _DECOMPOSITION}),
             ("_gamma_log_pdf", _gamma_rate_as_scale, {_PREDICTIVE, _JOINT, _DECOMPOSITION}),
             (None, None, set()),  # control: the unmutated code passes at the same sizes
         ],
-        ids=["scale_as_variance", "dof_a", "no_mean_shift_term", "gamma_rate_as_scale", "none"],
+        ids=[
+            "scale_as_variance", "dof_a", "no_mean_shift_term", "beta_one_too_many",
+            "gamma_rate_as_scale", "none",
+        ],
     )
     def test_closed_form_checks_fail(self, monkeypatch, name, mutant, red):
         if name is not None:
