@@ -433,6 +433,91 @@ class TestFarCenteredProfile:
         assert abs(quadrature_predictive(post, e, SMALL) - closed) <= tol
 
 
+class TestMeanIntegral:
+    """Each precision row's mean integral is one formula: it equals a dense
+    trapezoid over the row's Gaussian, and grid_mu places no node."""
+
+    POST = NormalGammaParams(-1.2, 12.0, 6.5, 9.0)
+
+    @staticmethod
+    def _dense_reference(prior, scores, spec, update=posterior_update):
+        """The oracle's value with each row's mean integral taken numerically:
+        801 nodes over +-12 SDs about the row's vertex, outside which lies
+        about exp(-72) of the row."""
+        stats = collect_stats(scores)
+        profile = update(prior, stats)
+        lam, log_row_scale = verification._profile_nodes(profile, spec)
+        root = np.sqrt(profile.beta * lam)
+        c0, c1, c2 = verification._log_joint_coefficients(
+            lam, root, profile.mu0, prior, stats
+        ).T
+        z = np.linspace(-12.0, 12.0, 801)
+        sd = 1.0 / np.sqrt(-2.0 * c0)
+        u = (-c1 / (2.0 * c0))[:, None] + sd[:, None] * z
+        log_f = c0[:, None] * u * u + c1[:, None] * u + c2[:, None]
+        rows = np.logaddexp.reduce(log_f, axis=1) + np.log(sd * (z[1] - z[0]))
+        return np.logaddexp.reduce(rows + log_row_scale)
+
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    def test_predictive_rows_match_a_dense_trapezoid(self, monkeypatch, shift):
+        def shifted_update(prior, stats):
+            good = posterior_update(prior, stats)
+            return replace(good, mu0=good.mu0 + shift)
+
+        monkeypatch.setattr(verification, "posterior_update", shifted_update)
+        e = 0.5
+        ref = self._dense_reference(self.POST, [e], SMALL, shifted_update)
+        got = quadrature_predictive(self.POST, e, SMALL)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize(
+        "prior, scores",
+        [
+            (NONINFORMATIVE_PRIOR, MIRROR_DATA.h1_scores),
+            (NormalGammaParams(-1.2, 12.0, 6.5, 9.0), (0.3, -2.0, 1.5, 4.0, 0.0)),
+        ],
+        ids=["noninformative", "informative"],
+    )
+    def test_joint_evidence_rows_match_a_dense_trapezoid(self, prior, scores):
+        ref = self._dense_reference(prior, scores, SMALL)
+        got = quadrature_joint_evidence(prior, scores, SMALL)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    @staticmethod
+    def _at_grid_mu_101_and_1201(evaluate):
+        return [
+            evaluate(QuadratureSpec(grid_mu=grid_mu, grid_lambda=201))
+            for grid_mu in (101, 1201)
+        ]
+
+    @pytest.mark.parametrize("k", [-8.0, 0.0, 3.0])
+    def test_grid_mu_leaves_predictive_bit_equal(self, k):
+        pred = predictive(self.POST)
+        e = pred.location + k * pred.scale
+        coarse, fine = self._at_grid_mu_101_and_1201(
+            lambda spec: quadrature_predictive(self.POST, e, spec)
+        )
+        assert coarse == fine
+
+    @pytest.mark.parametrize("e", [None, -4.0, 2.5])
+    def test_grid_mu_leaves_joint_evidence_bit_equal(self, e):
+        scores = [*MIRROR_DATA.h1_scores, *([] if e is None else [e])]
+        coarse, fine = self._at_grid_mu_101_and_1201(
+            lambda spec: quadrature_joint_evidence(NONINFORMATIVE_PRIOR, scores, spec)
+        )
+        assert coarse == fine
+
+    def test_short_precision_span_fails_the_predictive_check(self):
+        # 5 nats leaves about exp(-5) of each integral outside the span;
+        # the closed-form identity of the decomposition check never integrates
+        report = run_verification_suite(
+            spec=QuadratureSpec(lambda_tail_nats=5.0), **SMALL_SUITE
+        )
+        passed = {c.name: c.passed for c in report.checks}
+        assert passed["predictive_closed_form_vs_quadrature"] is False
+        assert passed["plugin_plus_correction_identity"] is True
+
+
 class TestPredictiveBatch:
     """An array of e is one integration, each value its float call's bit for bit."""
 
