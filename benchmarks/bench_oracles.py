@@ -1,6 +1,6 @@
-"""Per-layer timings: CSV ingestion, background summary and fit, resampling
-trials, the quadrature oracle, the decomposition sweep and the peak-only
-pitfall.
+"""Per-layer timings: CSV ingestion, background summary and fit, the
+resampling layer, resampling trials, the quadrature oracle, the
+decomposition sweep and the peak-only pitfall.
 
     python -m pytest benchmarks/bench_oracles.py --benchmark-json BENCH_oracles.json
 
@@ -10,6 +10,10 @@ Cases:
 - ``BackgroundData`` + ``fit_plugin`` + ``class_predictives`` on fresh draws
   at 9/27 and at 300/4 050 scores per class, the smallest and largest
   background of the fig1 confidence experiment;
+- ``_calibrated_blocks``, the resampling layer (each trial's background
+  stats drawn, then calibrated both ways), on 1 000 trials of a 9/27
+  background, as fig1 ``run_experiment`` reads it, and on 200 trials of a
+  300/4 050 background, the largest fig1 confidence size;
 - the full fig1 ``run_experiment`` (1 000 trials of a 9/27 background, exact
   error rates at 41 prior log-odds points);
 - the full fig1 ``confidence_curve`` (200 trials at each of 9/27, 30/405 and
@@ -49,6 +53,8 @@ from bayescal import (
     run_experiment,
 )
 from bayescal.conjugate import NONINFORMATIVE_PRIOR
+from bayescal.experiment import _calibrated_blocks
+from bayescal.scores import DEFAULT_VARIANCE_FLOOR
 from bayescal.verification import (
     decomposition_sweep,
     joint_evidence_sweep,
@@ -92,6 +98,20 @@ def test_background_fit_predictives(benchmark, n1, n2):
     h1 = generate_scores(world, Hypothesis.H1, n1, rng)
     h2 = generate_scores(world, Hypothesis.H2, n2, rng)
     benchmark(_summarize_and_fit, h1, h2)
+
+
+def _calibrate_all(n1, n2, trials):
+    return list(_calibrated_blocks(
+        GeneratorConfig(), n1, n2, trials, 42, 0, NONINFORMATIVE_PRIOR, DEFAULT_VARIANCE_FLOOR
+    ))
+
+
+@pytest.mark.parametrize(
+    "n1, n2, trials", [(9, 27, 1000), (300, 4050, 200)], ids=["1000x9x27", "200x300x4050"]
+)
+def test_calibrated_blocks(benchmark, n1, n2, trials):
+    blocks = benchmark(_calibrate_all, n1, n2, trials)
+    assert sum(theta.mu1.size for theta, _ in blocks) == trials
 
 
 def test_run_experiment_fig1(benchmark):

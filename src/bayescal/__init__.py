@@ -57,7 +57,7 @@ from .scores import (
     load_background_csv,
     parse_label,
 )
-from .synthetic import GeneratorConfig, generate_scores, resample_backgrounds
+from .synthetic import GeneratorConfig, generate_scores
 from .verification import (
     PitfallReport,
     QuadratureSpec,
@@ -109,7 +109,6 @@ __all__ = [
     "LrDistributionReport",
     "GeneratorConfig",
     "generate_scores",
-    "resample_backgrounds",
     "ExperimentConfig",
     "ErrorCurve",
     "ConfidencePoint",

@@ -136,8 +136,8 @@ def _log_gamma_half_ratio(x: float) -> float:
 def student_t_log_density(dist: StudentT, e):
     """Log density of a location-scale Student-t; vectorized over ``e``.
 
-    An array-valued ``dist`` broadcasts against ``e``: the trials of a
-    block on the last axis.
+    An array-valued ``dist``, one predictive per trial of a block,
+    broadcasts against ``e``.
     """
     nu = dist.dof
     z = (np.asarray(e, dtype=float) - dist.location) / dist.scale

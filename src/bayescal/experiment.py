@@ -2,16 +2,16 @@
 and the spread-summary demo.
 
 Each trial draws a fresh small background database and calibrates it both
-ways. The curves then take each trial's exact expectation under the
-generator's known test law (``GeneratorConfig.test_law``): the cost-weighted
-error rate of the induced decisions over a grid of prior log-odds, or the
-mean log-LR. No test set is drawn. Trials come from
-``synthetic.resample_backgrounds``: trial t of stream k draws from a NumPy
-generator seeded with ``[seed, k, t]``, so runs are reproducible, trials
-could be evaluated in any order, and different seeds share no trials. One
-loop, ``_block_stats``, draws and summarizes them ``_BLOCK`` at a time, as
-arrays with one element per trial. All three experiments here, and the
-peak-only pitfall of ``verification``, read it.
+ways, which reads it only through each class's count, mean and summed
+squared deviation: ``synthetic.background_stats`` draws those, not scores,
+from their exact laws, with trial t of stream k the t-th draw of generators
+seeded from ``[seed, k]``. The curves then take each trial's exact
+expectation under the generator's known test law (``GeneratorConfig.test_law``):
+the cost-weighted error rate of the induced decisions over a grid of prior
+log-odds, or the mean log-LR. No test set is drawn. One loop, ``_block_stats``,
+hands the trials out ``_BLOCK`` at a time, as arrays with one element per
+trial, and a trial's numbers do not depend on its block. All three
+experiments here, and the peak-only pitfall of ``verification``, read it.
 
 Exact rates. Deciding at prior log-odds g convicts iff the log-LR exceeds
 c = -g. On [L, R], which holds all but 1e-300 of either test law's mass,
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -41,17 +41,16 @@ from .scores import (
     DEFAULT_VARIANCE_FLOOR,
     Hypothesis,
     SufficientStats,
-    _summarize,
     fit_plugin,
 )
-from .synthetic import GeneratorConfig, resample_backgrounds
+from .synthetic import GeneratorConfig, background_stats
 
 #: 41 prior log-odds points spanning -10..+10 natural-log units.
 DEFAULT_PRIOR_GRID = tuple(np.linspace(-10.0, 10.0, 41))
 
 #: Trials solved together. Larger blocks spread numpy's per-call cost
-#: further but raise the peak memory: fig1 ``simulate`` peaks at 40 MB with
-#: 50, 45 MB with 200 and 52 MB with all 1000 trials in one block.
+#: further but raise the peak memory: fig1 ``simulate`` peaks at 39 MB with
+#: 50, 41 MB with 200 and 52 MB with all 1000 trials in one block.
 _BLOCK = 50
 
 #: The solved range reaches this many test-law standard deviations past
@@ -67,9 +66,9 @@ _NEWTON_STEPS = 8
 #: Gauss-Hermite nodes for a mean Bayesian log-LR. A narrow H1 predictive
 #: puts log1p's branch points near the real axis, where the rule converges
 #: slowly: on the worst trial of the fig1 confidence run (seed 42, 9/27,
-#: trial 156, H1 law) the error against 30-digit mpmath quadrature is 2.8e-7
-#: at 64 nodes, 3.4e-10 at 128 and 1.1e-14 at 256. The tier-1 test checks
-#: that trial against a float trapezoid in x whose rounding is about 1e-13,
+#: trial 95, H1 law) the error against 30-digit mpmath quadrature is 1.1e-6
+#: at 64 nodes, 1.4e-9 at 128 and 2.7e-13 at 256. The tier-1 test checks
+#: that trial against a float trapezoid in x whose error is about 1e-13,
 #: hence its 1e-12 bound. ``hermegauss(384)`` overflows (its smallest weight
 #: is 1e-299 at 360), so 256 is also near the ceiling.
 _HERMITE_NODES = 256
@@ -161,18 +160,13 @@ def _block_stats(gen, n1, n2, trials, seed, stream):
 
     Every trial at one size has the same class counts, so a plugin fit
     fails for all of them or for none: n1 and n2 must be >= 2, checked
-    before the first draw. Every block is summarized in place in the same
-    two buffers, so that large backgrounds (1.6 MB per 300/4050 block) do
-    not allocate a matrix and its deviations per block.
+    before the first draw.
     """
     check_at_least(2, n1=n1, n2=n2)
-    draws = resample_backgrounds(gen, n1, n2, trials, seed, stream)
-    h1, h2 = np.empty((_BLOCK, n1)), np.empty((_BLOCK, n2))
+    stats = background_stats(gen, n1, n2, trials, seed, stream)
     for start in range(0, trials, _BLOCK):
-        size = min(_BLOCK, trials - start)
-        for row, (d1, d2) in enumerate(islice(draws, size)):
-            h1[row], h2[row] = d1, d2
-        yield _BlockStats(_summarize(h1[:size]), _summarize(h2[:size]))
+        rows = slice(start, start + _BLOCK)
+        yield _BlockStats(*(SufficientStats(s.n, s.mean[rows], s.sum_sq_dev[rows]) for s in stats))
 
 
 def _calibrated_blocks(gen, n1, n2, trials, seed, stream, prior, variance_floor):
@@ -310,9 +304,10 @@ def _solve_monotone(f, slope, lo, hi, c, up):
     interval and crossing c there (rising if ``up``).
 
     Bisects ``_BISECTIONS`` times, then takes Newton steps, each replaced by
-    the bracket's midpoint when it would leave the bracket. It stops once no
-    step moves a point x by more than 1e-10 (1 + |x|): Newton's error after
-    such a step is about its square, below the rounding of f itself.
+    the bracket's midpoint when it would leave the bracket. A point stays
+    where its first step of at most 1e-10 (1 + |x|) put it: Newton's error
+    after such a step is about its square, below the rounding of f itself.
+    Each point freezes on its own, so it does not depend on the others.
     """
     below, over = np.where(up, lo, hi), np.where(up, hi, lo)  # f <= c, f > c
     for _ in range(_BISECTIONS):
@@ -320,6 +315,7 @@ def _solve_monotone(f, slope, lo, hi, c, up):
         hit = f(mid) > c
         below, over = np.where(hit, below, mid), np.where(hit, mid, over)
     x = 0.5 * (below + over)
+    settled = np.zeros(np.shape(x), dtype=bool)
     for _ in range(_NEWTON_STEPS):
         gap = f(x) - c
         hit = gap > 0
@@ -327,9 +323,9 @@ def _solve_monotone(f, slope, lo, hi, c, up):
         with np.errstate(divide="ignore", invalid="ignore"):
             step = x - gap / slope(x)
         step = np.where((step - below) * (step - over) <= 0, step, 0.5 * (below + over))
-        settled = np.all(np.abs(step - x) <= 1e-10 * (1.0 + np.abs(x)))
-        x = step
-        if settled:
+        close = np.abs(step - x) <= 1e-10 * (1.0 + np.abs(x))
+        x, settled = np.where(settled, x, step), settled | close
+        if settled.all():
             break
     return x
 
@@ -371,13 +367,15 @@ def _mean_log_lrs(theta, preds, laws, rule) -> np.ndarray:
 
     The plugin log-LR is A e^2 + B e + C, so its mean under N(mu, sd^2) is
     its value at mu plus A sd^2; the Bayesian mean is a sum over the
-    Gauss-Hermite ``rule``.
+    Gauss-Hermite ``rule``, summed along one contiguous row per trial: in
+    the same order whatever the block, as a BLAS product's is not.
     """
     a = _plugin_quadratic(theta)[0]
     nodes, weights = rule
+    rows = [StudentT(p.location[:, None], p.scale[:, None], p.dof) for p in preds]
     return np.stack(
         [plugin_log_lr_array(mu, theta) + a * (sd * sd) for mu, sd in laws]
-        + [weights @ bayes_log_lr_array(mu + sd * nodes[:, None], *preds) for mu, sd in laws]
+        + [(bayes_log_lr_array(mu + sd * nodes, *rows) * weights).sum(axis=1) for mu, sd in laws]
     )
 
 

@@ -159,12 +159,7 @@ def collect_stats(scores) -> SufficientStats:
     2-D array is a block of backgrounds, one per row: its stats hold one
     mean and one sum per row, each bit for bit the value of that row alone.
     """
-    return _summarize(np.array(scores, dtype=float))
-
-
-def _summarize(arr: np.ndarray) -> SufficientStats:
-    """``collect_stats`` of ``arr``, a float array it overwrites with the
-    squared deviations: a caller that owns a large block saves a copy."""
+    arr = np.array(scores, dtype=float)
     if arr.ndim != 2:
         arr = arr.reshape(-1)
     n = arr.shape[-1]

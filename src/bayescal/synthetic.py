@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import check_at_least, check_finite, check_positive
-from .scores import Hypothesis
+from .scores import Hypothesis, SufficientStats
 
 
 @dataclass(frozen=True)
@@ -66,19 +66,28 @@ def generate_scores(
     return rng.normal(mu, sigma, size=count)
 
 
-def resample_backgrounds(
+def background_stats(
     config: GeneratorConfig, n1: int, n2: int, trials: int, seed: int, stream: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the H1 and H2 background draws of each of ``trials`` resamplings.
+) -> tuple[SufficientStats, SufficientStats]:
+    """The H1 and H2 stats of ``trials`` backgrounds of n1 and n2 scores, one
+    element per trial, drawn exactly without the scores: the mean of n iid
+    N(mu, sigma^2) scores ~ N(mu, sigma^2 / n) and their summed squared
+    deviation ~ sigma^2 chi^2_{n-1} = 2 sigma^2 Gamma((n - 1) / 2), independently.
 
-    Trial ``t`` draws its H1 and then its H2 scores from a NumPy generator
-    seeded with ``[seed, stream, t]``. Every (seed, stream, t) key gets its
-    own independent stream, so adjacent seeds share no trials and one seed
-    can drive several experiments through distinct ``stream`` values.
+    ``SeedSequence([seed, stream]).spawn(4)`` seeds the H1 mean, H1
+    deviation, H2 mean and H2 deviation, and trial t takes the t-th draw of
+    each: a trial's stats do not depend on ``trials``, and different seeds
+    or streams share no trials.
     """
     check_at_least(0, seed=seed)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, stream, t])
-        yield generate_scores(config, Hypothesis.H1, n1, rng), generate_scores(
-            config, Hypothesis.H2, n2, rng
-        )
+    check_at_least(1, n1=n1, n2=n2)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence([seed, stream]).spawn(4)]
+    stats = []
+    for hypothesis, n, means, devs in zip(Hypothesis, (n1, n2), rngs[::2], rngs[1::2]):
+        mu, sigma = config._class_law(hypothesis)
+        stats.append(SufficientStats(
+            n,
+            mu + sigma / math.sqrt(n) * means.standard_normal(trials),
+            2.0 * sigma * sigma * devs.standard_gamma(0.5 * (n - 1), trials),
+        ))
+    return stats[0], stats[1]

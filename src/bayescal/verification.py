@@ -80,10 +80,11 @@ from .lr import (
 from .scores import (
     BackgroundData,
     GaussianParams,
+    Hypothesis,
     _LOG_2PI,
     collect_stats,
 )
-from .synthetic import GeneratorConfig
+from .synthetic import GeneratorConfig, generate_scores
 
 #: Seed of every randomized sweep in the suite, unless one is passed.
 SUITE_SEED = 20260810
@@ -330,14 +331,9 @@ def _random_posteriors(rng: np.random.Generator, count: int) -> list[NormalGamma
 
 
 def _random_dataset(rng: np.random.Generator) -> BackgroundData:
-    n1 = int(rng.integers(2, 13))
-    n2 = int(rng.integers(2, 13))
-    mu1, mu2 = rng.uniform(-4.0, 4.0, size=2)
-    sd1, sd2 = rng.uniform(0.3, 3.0, size=2)
-    return BackgroundData(
-        rng.normal(mu1, sd1, size=n1),
-        rng.normal(mu2, sd2, size=n2),
-    )
+    counts = [int(rng.integers(2, 13)) for _ in Hypothesis]
+    world = GeneratorConfig(*rng.uniform(-4.0, 4.0, size=2), *rng.uniform(0.3, 3.0, size=2))
+    return BackgroundData(*(generate_scores(world, h, n, rng) for h, n in zip(Hypothesis, counts)))
 
 
 def _max_abs(gaps) -> float:

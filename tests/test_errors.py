@@ -26,12 +26,12 @@ from bayescal import (
     gaussian_log_density,
     generate_scores,
     lr_distribution_demo,
-    resample_backgrounds,
     run_experiment,
 )
 from bayescal.conjugate import StudentT, normal_gamma_log_density, sample_params
 from bayescal.errors import check_at_least, check_finite, check_positive
 from bayescal.lr import DecisionPolicy, LogLR, LrMethod
+from bayescal.synthetic import background_stats
 from bayescal.verification import pitfall_divergence, run_verification_suite
 
 PRIOR = NormalGammaParams(0.0, 1.0, 2.0, 1.0)
@@ -112,7 +112,9 @@ AT_LEAST = [
     ("SufficientStats.sum_sq_dev", lambda k: SufficientStats(3, 0.0, float(k)), "sum_sq_dev", 0),
     ("sample_params.count", lambda k: sample_params(PRIOR, 0, k), "count", 1),
     ("generate_scores.count", lambda k: generate_scores(WORLD, Hypothesis.H1, k, 0), "count", 0),
-    ("resample_backgrounds.seed", lambda k: next(resample_backgrounds(WORLD, 9, 27, 1, k, 0)), "seed", 0),
+    ("background_stats.seed", lambda k: background_stats(WORLD, 9, 27, 1, k, 0), "seed", 0),
+    ("background_stats.n1", lambda k: background_stats(WORLD, k, 27, 1, 0, 0), "n1", 1),
+    ("background_stats.n2", lambda k: background_stats(WORLD, 9, k, 1, 0, 0), "n2", 1),
     ("ExperimentConfig.n1", lambda k: ExperimentConfig(k, 27), "n1", 0),
     ("ExperimentConfig.n2", lambda k: ExperimentConfig(9, k), "n2", 0),
     ("ExperimentConfig.seed", lambda k: ExperimentConfig(9, 27, seed=k), "seed", 0),

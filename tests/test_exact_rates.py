@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from bayescal import (
-    BackgroundData,
     ExperimentConfig,
     GaussianParams,
     GeneratorConfig,
@@ -21,18 +20,18 @@ from bayescal import (
     StudentT,
     bayes_log_lr_array,
     class_predictives,
-    collect_stats,
     fit_plugin,
     generate_scores,
     plugin_log_lr_array,
-    resample_backgrounds,
     run_experiment,
 )
 from bayescal import experiment
 from bayescal.conjugate import NONINFORMATIVE_PRIOR
 from bayescal.experiment import (
     DEFAULT_PRIOR_GRID,
+    _BlockStats,
     _bayes_exceedance,
+    _block_stats,
     _calibrated_blocks,
     _hermite_rule,
     _log_t_slope,
@@ -41,7 +40,8 @@ from bayescal.experiment import (
     _span,
     _stationary_points,
 )
-from bayescal.scores import DEFAULT_VARIANCE_FLOOR
+from bayescal.scores import DEFAULT_VARIANCE_FLOOR, SufficientStats
+from bayescal.synthetic import background_stats
 
 GRID = np.asarray(DEFAULT_PRIOR_GRID)
 DEFAULT_LAWS = [GeneratorConfig().test_law(h) for h in Hypothesis]
@@ -60,13 +60,11 @@ def _one(value):
 
 
 def _single_trial(world, n1, n2, seed):
-    """Trial 0 of ``[seed, 0, 0]``, as run_experiment draws it: its background
-    and its calibration as a one-trial block."""
-    [(h1, h2)] = resample_backgrounds(world, n1, n2, 1, seed, 0)
-    calibration = next(
+    """Trial 0 of stream 0, as run_experiment draws it: its calibration as a
+    one-trial block."""
+    return next(
         _calibrated_blocks(world, n1, n2, 1, seed, 0, NONINFORMATIVE_PRIOR, DEFAULT_VARIANCE_FLOOR)
     )
-    return BackgroundData(h1, h2), calibration
 
 
 class TestSamplingOracle:
@@ -77,14 +75,12 @@ class TestSamplingOracle:
     def sampled(self, request):
         world, n1, n2 = WORLDS[request.param]
         seed = 17
-        data, calibration = _single_trial(world, n1, n2, seed)
+        calibration = theta, preds = _single_trial(world, n1, n2, seed)
         rng = np.random.default_rng([seed, 99])
         tests = [
             generate_scores(world, hyp, N_SAMPLED, rng) * world.shift_scale + world.shift_location
             for hyp in Hypothesis
         ]
-        theta = fit_plugin(data)
-        preds = class_predictives(data, NONINFORMATIVE_PRIOR)
         llrs = {
             "plugin": [plugin_log_lr_array(t, theta) for t in tests],
             "bayes": [bayes_log_lr_array(t, *preds) for t in tests],
@@ -125,10 +121,10 @@ class TestSamplingOracle:
 
 class TestHermiteRule:
     """The Gauss-Hermite mean against a trapezoid in x on the worst trial of
-    the fig1 confidence run: seed 42, the 9/27 block (stream 0), trial 156,
+    the fig1 confidence run: seed 42, the 9/27 size (stream 0), trial 95,
     whose narrow H1 predictive puts log1p's branch points near the real axis."""
 
-    TRIAL = 156
+    TRIAL = 95
 
     @pytest.fixture(scope="class")
     def trial(self):
@@ -136,7 +132,7 @@ class TestHermiteRule:
         blocks = _calibrated_blocks(
             world, 9, 27, 200, 42, 0, NONINFORMATIVE_PRIOR, DEFAULT_VARIANCE_FLOOR
         )
-        block, i = divmod(self.TRIAL, 50)
+        block, i = divmod(self.TRIAL, experiment._BLOCK)
         theta, preds = list(blocks)[block]
         laws = [world.test_law(h) for h in Hypothesis]
         # the trapezoid over +-40 test-law SDs: its error falls like
@@ -249,28 +245,38 @@ def test_probability_below_is_a_cdf_in_the_threshold(n1, n2, seed, shift_locatio
             assert np.all(np.diff(p_below, axis=0) >= 0.0)
 
 
+def _one_trial(stats, t):
+    """Trial ``t`` of ``(h1_stats, h2_stats)`` with one element per trial,
+    as a background of scalar stats."""
+    h1, h2 = (SufficientStats(s.n, float(s.mean[t]), float(s.sum_sq_dev[t])) for s in stats)
+    return _BlockStats(h1, h2)
+
+
 class TestBlockSummary:
-    def test_block_stats_are_collect_stats_of_each_trial(self):
-        draws = list(resample_backgrounds(GeneratorConfig(), 9, 4050, 7, 3, 1))
-        for cls, rows in enumerate(zip(*draws)):
-            block = collect_stats(np.array(rows))
-            assert block.n == len(rows[0])
-            for t, row in enumerate(rows):
-                one = collect_stats(row)
-                assert (block.mean[t], block.sum_sq_dev[t]) == (one.mean, one.sum_sq_dev), (cls, t)
+    def test_blocks_are_background_stats_in_trial_order(self):
+        world = GeneratorConfig()
+        whole = background_stats(world, 9, 4050, 137, 3, 1)
+        blocks = list(_block_stats(world, 9, 4050, 137, 3, 1))
+        assert [np.size(b.h1_stats.mean) for b in blocks] == [50, 50, 37]
+        for block_field, whole_stats in zip(("h1_stats", "h2_stats"), whole):
+            parts = [getattr(b, block_field) for b in blocks]
+            assert {p.n for p in parts} == {whole_stats.n}
+            for name in ("mean", "sum_sq_dev"):
+                joined = np.concatenate([getattr(p, name) for p in parts])
+                assert joined.tolist() == getattr(whole_stats, name).tolist()
 
     def test_block_calibration_is_each_trial_calibration(self):
         world = GeneratorConfig(mu2_true=-1.0, sigma1_true=2.0)
-        draws = list(resample_backgrounds(world, 6, 11, 5, 21, 0))
+        stats = background_stats(world, 6, 11, 5, 21, 0)
         theta, (pred1, pred2) = next(
             _calibrated_blocks(world, 6, 11, 5, 21, 0, NONINFORMATIVE_PRIOR, 1e-3)
         )
-        for t, (h1, h2) in enumerate(draws):
-            data = BackgroundData(h1, h2)
-            one_theta = fit_plugin(data, 1e-3)
+        for t in range(5):
+            trial = _one_trial(stats, t)
+            one_theta = fit_plugin(trial, 1e-3)
             for field in ("mu1", "mu2", "lambda1", "lambda2"):
                 assert getattr(theta, field)[t] == getattr(one_theta, field)
-            for block, one in zip((pred1, pred2), class_predictives(data, NONINFORMATIVE_PRIOR)):
+            for block, one in zip((pred1, pred2), class_predictives(trial, NONINFORMATIVE_PRIOR)):
                 assert (block.location[t], block.scale[t], block.dof) == (
                     one.location, one.scale, one.dof
                 )

@@ -1,6 +1,7 @@
 """Synthetic generator, the exact error-rate grid, and the resampling experiments."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,9 +9,7 @@ import scipy.stats
 from scipy.special import expit
 
 import bayescal.experiment
-import bayescal.synthetic
 from bayescal import (
-    BackgroundData,
     ExperimentConfig,
     GaussianParams,
     GeneratorConfig,
@@ -26,12 +25,17 @@ from bayescal import (
     generate_scores,
     lr_distribution_demo,
     plugin_log_lr_array,
-    resample_backgrounds,
     run_experiment,
 )
 from bayescal.conjugate import NONINFORMATIVE_PRIOR
-from bayescal.experiment import DEFAULT_PRIOR_GRID, _BlockStats, _errors_over_grid
+from bayescal.experiment import (
+    DEFAULT_PRIOR_GRID,
+    _BlockStats,
+    _calibrated_blocks,
+    _errors_over_grid,
+)
 from bayescal.scores import DEFAULT_VARIANCE_FLOOR
+from bayescal.synthetic import background_stats
 from bayescal.verification import pitfall_divergence
 
 #: The default world's test laws, N(2, 1) for H1 and N(-2, 1) for H2.
@@ -80,19 +84,46 @@ class TestGenerateScores:
         np.testing.assert_array_equal(a, b)
 
 
-class TestResampleBackgrounds:
-    def test_trial_t_draws_from_seed_stream_t(self):
-        cfg = GeneratorConfig()
-        trials = list(resample_backgrounds(cfg, 3, 4, trials=3, seed=7, stream=2))
-        assert len(trials) == 3
-        for t, (h1, h2) in enumerate(trials):
-            rng = np.random.default_rng([7, 2, t])
-            np.testing.assert_array_equal(h1, rng.normal(2.0, 1.0, 3))
-            np.testing.assert_array_equal(h2, rng.normal(-2.0, 1.0, 4))
+class TestBackgroundStats:
+    """``background_stats`` draws each trial's mean and summed squared
+    deviation from their exact laws, N(mu, sigma^2 / n) and sigma^2
+    chi^2_{n-1}, with a stream of their own per trial."""
 
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValidationError):
-            next(resample_backgrounds(GeneratorConfig(), 3, 3, trials=1, seed=-1, stream=0))
+    WORLD = GeneratorConfig(mu1_true=1.5, mu2_true=-3.0, sigma1_true=0.7, sigma2_true=2.5)
+
+    @pytest.mark.parametrize("n", [2, 9, 4050])
+    def test_law(self, n):
+        for stats, hyp in zip(background_stats(self.WORLD, n, n, 20_000, 5, 0), Hypothesis):
+            mu, sigma = self.WORLD._class_law(hyp)
+            assert stats.n == n
+            standardized = (stats.mean - mu) * math.sqrt(n) / sigma
+            assert scipy.stats.kstest(standardized, "norm").pvalue > 1e-3, hyp
+            scaled = stats.sum_sq_dev / sigma**2
+            assert scipy.stats.kstest(scaled, "chi2", args=(n - 1,)).pvalue > 1e-3, hyp
+
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_matches_summarized_scores(self, n):
+        trials = 5_000
+        drawn, _ = background_stats(self.WORLD, n, 2, trials, 6, 0)
+        scores = generate_scores(self.WORLD, Hypothesis.H1, n * trials, seed=7)
+        summarized = collect_stats(scores.reshape(trials, n))
+        assert scipy.stats.ks_2samp(drawn.mean, summarized.mean).pvalue > 1e-3
+        assert scipy.stats.ks_2samp(drawn.sum_sq_dev, summarized.sum_sq_dev).pvalue > 1e-3
+
+    def test_trial_t_does_not_depend_on_the_trial_count(self):
+        few, many = (background_stats(GeneratorConfig(), 9, 27, trials, 7, 2) for trials in (3, 120))
+        for short, long in zip(few, many):
+            assert short.mean.tolist() == long.mean[:3].tolist()
+            assert short.sum_sq_dev.tolist() == long.sum_sq_dev[:3].tolist()
+
+    def test_seeds_and_streams_share_no_value(self):
+        values = [
+            value
+            for seed, stream in product([0, 1, 100, 101], [0, 1, 2])
+            for stats in background_stats(GeneratorConfig(), 9, 9, 50, seed, stream)
+            for value in (*stats.mean.tolist(), *stats.sum_sq_dev.tolist())
+        ]
+        assert len(set(values)) == len(values) == 4 * 3 * 2 * 2 * 50
 
 
 class TestWeightedErrorRate:
@@ -269,12 +300,11 @@ class TestConfidenceCurve:
 
 
 class TestGoldenValues:
-    """Outputs pinned at rtol 1e-12: a change in the draw order (background H1,
-    then H2), in the order of the methods and hypotheses, or in the exact
-    rates and means moves these values by far more. The error curve and the
-    confidence table were captured when exact expectations replaced sampled
-    test sets; the 4/6 Bayesian rows again when the Gauss-Hermite rule went
-    from 64 to 256 nodes, which moved them by up to 1e-9 relative."""
+    """Outputs pinned at rtol 1e-12: a change in the draws (each class's mean
+    and summed squared deviation from generators of their own), in the order
+    of the methods and hypotheses, or in the exact rates and means moves
+    these values by far more. All three were captured when each trial's
+    stats came to be drawn directly instead of summarized from its scores."""
 
     def test_run_experiment(self):
         curve = run_experiment(
@@ -284,14 +314,14 @@ class TestGoldenValues:
             ),
         )
         expected = {
-            "error_plugin": [0.004264143632455029, 0.020317445793191297, 0.024075689860519275,
-                             0.02365636414502561, 0.009863691222231803],
-            "error_bayes": [0.004380681956817963, 0.020115503539792405, 0.023737817781771607,
-                            0.02335228450262692, 0.01112085006690455],
-            "stderr_plugin": [6.136277669217119e-05, 0.0002148511020567626, 0.0005461012976122937,
-                              0.0007772856250854042, 0.0010467465417242211],
-            "stderr_bayes": [8.464062995255938e-05, 8.564634862522912e-05, 0.0005931216794952202,
-                             0.0009925376461059137, 0.002543276390867645],
+            "error_plugin": [0.004317498390807343, 0.020164332555150547, 0.024288811816754942,
+                             0.02416917191151473, 0.011615601931343108],
+            "error_bayes": [0.004383147378898856, 0.019921966155162375, 0.023198011602404926,
+                            0.022585590390166627, 0.009330864887944027],
+            "stderr_plugin": [8.670324299398989e-05, 0.000239005186255667, 0.0009394733360875013,
+                              0.0013988112793551681, 0.002459912366755887],
+            "stderr_bayes": [8.009458635302729e-05, 7.786022722806043e-05, 0.0002444560822020431,
+                             0.0003334555250290625, 0.0006396785775257325],
         }
         for field, values in expected.items():
             np.testing.assert_allclose(getattr(curve, field), values, rtol=1e-12, err_msg=field)
@@ -300,14 +330,14 @@ class TestGoldenValues:
     def test_confidence_curve(self):
         pts = confidence_curve(GeneratorConfig(), [(4, 6), (12, 30)], trials=3, seed=8)
         expected = [
-            (4, 6, "plugin", "H1", 3.3183849876677107, 1.4826592326159598),
-            (4, 6, "plugin", "H2", -25.575043733464458, 5.141964803317878),
-            (4, 6, "bayes", "H1", 2.3487636508680185, 0.4358317450815144),
-            (4, 6, "bayes", "H2", -4.601435764300952, 0.5663297497410539),
-            (12, 30, "plugin", "H1", 12.022605568015607, 1.0613173021849482),
-            (12, 30, "plugin", "H2", -7.180102350552134, 1.2138843158964197),
-            (12, 30, "bayes", "H1", 8.191683341541731, 0.5161667282848446),
-            (12, 30, "bayes", "H2", -4.3474334361636995, 0.5370647325820036),
+            (4, 6, "plugin", "H1", 14.833613499117076, 3.432156819685537),
+            (4, 6, "plugin", "H2", -18.121396335882324, 9.535650061086839),
+            (4, 6, "bayes", "H1", 4.727209122645932, 0.4897885211161952),
+            (4, 6, "bayes", "H2", -3.909275347609686, 0.7328462583905568),
+            (12, 30, "plugin", "H1", 9.512761605357833, 1.2998017001627566),
+            (12, 30, "plugin", "H2", -10.59606035788306, 1.6126933304278859),
+            (12, 30, "bayes", "H1", 6.896898286940058, 0.7476316869717387),
+            (12, 30, "bayes", "H2", -5.55375806006628, 0.4452295129659191),
         ]
         assert [(p.n1, p.n2, p.method.value, p.hypothesis.value) for p in pts] == [
             row[:4] for row in expected
@@ -321,24 +351,34 @@ class TestGoldenValues:
             1.25, GeneratorConfig(mu2_true=-1.0), 6, 11, trials=5, seed=21
         )
         np.testing.assert_allclose(
-            [report.mu, report.sigma], [3.162940606791318, 1.7381484506519989], rtol=1e-12
+            [report.mu, report.sigma], [3.025654875038061, 3.787159854930883], rtol=1e-12
         )
         np.testing.assert_allclose(
             report.plugin_log_lr_per_trial,
-            [1.226964903921961, 3.620560968795038, 4.160500822337598, 1.5303040709508267,
-             5.276372267951167],
+            [1.41784476197489, 8.303105346953917, 2.9098068929494896, -1.9610420346100348,
+             4.458559407922042],
             rtol=1e-12,
         )
         np.testing.assert_allclose(
             report.bayes_log_lr_per_trial,
-            [1.0252283856632318, 2.460457674059337, 2.8889452923100305, 1.2494178377306824,
-             3.543068056525783],
+            [1.1512349244948878, 4.57661376499905, 2.3381053724769227, -0.4124876376424602,
+             2.99071037078868],
             rtol=1e-12,
         )
 
 
+def _one_trial(calibration, t):
+    """Trial ``t`` of a calibrated block, as scalar parameters."""
+    theta, preds = calibration
+    fields = (theta.mu1, theta.mu2, theta.lambda1, theta.lambda2)
+    return (
+        GaussianParams(*(float(v[t]) for v in fields)),
+        tuple(StudentT(float(p.location[t]), float(p.scale[t]), p.dof) for p in preds),
+    )
+
+
 class TestLrDistributionDemoPerTrial:
-    """Each block's log-LRs are those of its trials' backgrounds alone."""
+    """Each block's log-LRs are those of its trials' calibrations alone."""
 
     @pytest.mark.parametrize(
         "n1, n2, trials, seed",
@@ -355,11 +395,16 @@ class TestLrDistributionDemoPerTrial:
     def test_equals_one_trial_at_a_time(self, n1, n2, trials, seed):
         world, e = GeneratorConfig(mu2_true=-1.0), 3.5
         report = lr_distribution_demo(e, world, n1, n2, trials, seed=seed)
+        blocks = _calibrated_blocks(
+            world, n1, n2, trials, seed, 0, NONINFORMATIVE_PRIOR, DEFAULT_VARIANCE_FLOOR
+        )
         plugin, bayes = [], []
-        for h1, h2 in resample_backgrounds(world, n1, n2, trials, seed, 0):
-            data = BackgroundData(h1, h2)
-            plugin.append(float(plugin_log_lr_array(e, fit_plugin(data))))
-            bayes.append(float(bayes_log_lr_array(e, *class_predictives(data, NONINFORMATIVE_PRIOR))))
+        for calibration in blocks:
+            for t in range(np.size(calibration[0].mu1)):
+                theta, preds = _one_trial(calibration, t)
+                plugin.append(float(plugin_log_lr_array(e, theta)))
+                bayes.append(float(bayes_log_lr_array(e, *preds)))
+        assert len(plugin) == trials
         assert report.plugin_log_lr_per_trial.tolist() == plugin
         assert report.mu == float(np.mean(plugin))
         assert report.sigma == float(np.std(plugin, ddof=1))
@@ -384,19 +429,27 @@ EXPERIMENTS = {
 
 class TestOneSizeCheck:
     """Every experiment rejects a size or a floor no plugin fit accepts before
-    it draws a single score."""
+    it draws a single background."""
 
     @pytest.fixture
     def draws(self, monkeypatch):
         calls = []
-        real = bayescal.synthetic.generate_scores
+        real = bayescal.experiment.background_stats
 
         def recorder(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(bayescal.synthetic, "generate_scores", recorder)
+        monkeypatch.setattr(bayescal.experiment, "background_stats", recorder)
         return calls
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS) + ["pitfall_divergence"])
+    def test_valid_size_is_drawn(self, name, draws):
+        if name == "pitfall_divergence":
+            pitfall_divergence(5, 1, sizes=((2, 5),))
+        else:
+            EXPERIMENTS[name](2, 5, 1e-12)
+        assert draws
 
     # the pitfall sweep takes no floor, so it joins the size test only
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS) + ["pitfall_divergence"])
@@ -414,3 +467,30 @@ class TestOneSizeCheck:
             EXPERIMENTS[name](9, 27, -1.0)
         assert draws == []
 
+
+
+class TestBlockSizeInvariance:
+    """A trial's numbers do not depend on which trials share its block: every
+    output is bit-identical whatever ``_BLOCK`` is."""
+
+    @staticmethod
+    def _outputs():
+        world = GeneratorConfig(shift_location=0.3, shift_scale=1.2)
+        curve = run_experiment(world, ExperimentConfig(n1=9, n2=27, trials=23, seed=3))
+        demo = lr_distribution_demo(3.5, world, 6, 11, trials=23, seed=5)
+        return (
+            [getattr(curve, f"{kind}_{method.value}").tobytes()
+             for kind, method in product(("error", "stderr"), LrMethod)],
+            confidence_curve(world, [(9, 27), (300, 4050)], trials=23, seed=42),
+            demo.plugin_log_lr_per_trial.tobytes(),
+            demo.bayes_log_lr_per_trial.tobytes(),
+            (demo.mu, demo.sigma),
+            pitfall_divergence(23, 11, sizes=((9, 27), (2, 3))),
+        )
+
+    def test_blocks_of_1_7_and_50_agree(self, monkeypatch):
+        outputs = []
+        for block in (1, 7, 50):
+            monkeypatch.setattr(bayescal.experiment, "_BLOCK", block)
+            outputs.append(self._outputs())
+        assert outputs[0] == outputs[1] == outputs[2]

@@ -24,11 +24,11 @@ from bayescal import (
     predictive,
     quadrature_joint_evidence,
     quadrature_predictive,
-    resample_backgrounds,
     student_t_log_density,
 )
 from bayescal.conjugate import NONINFORMATIVE_PRIOR, StudentT, posterior_update
-from bayescal.scores import _LOG_2PI, collect_stats, gaussian_log_density
+from bayescal.scores import _LOG_2PI, SufficientStats, collect_stats, gaussian_log_density
+from bayescal.synthetic import background_stats
 from bayescal.verification import (
     decomposition_sweep,
     grid_convergence,
@@ -349,6 +349,18 @@ class TestApproximatePosteriorPitfall:
         assert report.abs_divergence[-1] > report.abs_divergence[0]
 
 
+def _trials(stats):
+    """Each trial of ``(h1_stats, h2_stats)`` with one element per trial, as a
+    background of scalar stats."""
+    return [
+        SimpleNamespace(**{
+            f"h{cls}_stats": SufficientStats(s.n, float(s.mean[t]), float(s.sum_sq_dev[t]))
+            for cls, s in enumerate(stats, start=1)
+        })
+        for t in range(np.size(stats[0].mean))
+    ]
+
+
 def _pitfall_one_trial_at_a_time(n_trials, seed, sizes):
     """``pitfall_divergence`` written as a loop over single backgrounds."""
     world = GeneratorConfig()
@@ -356,8 +368,8 @@ def _pitfall_one_trial_at_a_time(n_trials, seed, sizes):
     prior = NONINFORMATIVE_PRIOR
     return tuple(
         float(np.median([
-            approximate_posterior_pitfall(BackgroundData(h1, h2), prior, [e_tail]).abs_divergence[0]
-            for h1, h2 in resample_backgrounds(world, n1, n2, n_trials, seed, k)
+            approximate_posterior_pitfall(trial, prior, [e_tail]).abs_divergence[0]
+            for trial in _trials(background_stats(world, n1, n2, n_trials, seed, k))
         ]))
         for k, (n1, n2) in enumerate(sizes)
     )
@@ -366,7 +378,7 @@ def _pitfall_one_trial_at_a_time(n_trials, seed, sizes):
 class TestPitfallDivergence:
     def test_verify_values(self):
         assert pitfall_divergence(200, verification.SUITE_SEED) == (
-            11.350643574411228, 2.642753840354416
+            11.581612512926384, 2.5798888407686373
         )
 
     @pytest.mark.parametrize("n_trials", [2, 49, 50, 51, 137])
@@ -377,14 +389,13 @@ class TestPitfallDivergence:
         )
 
     def test_array_stats_give_one_report_value_per_trial(self):
-        draws = list(resample_backgrounds(GeneratorConfig(), 5, 8, 4, 3, 0))
-        h1_stats, h2_stats = (collect_stats(np.array(rows)) for rows in zip(*draws))
+        h1_stats, h2_stats = background_stats(GeneratorConfig(), 5, 8, 4, 3, 0)
         block = SimpleNamespace(h1_stats=h1_stats, h2_stats=h2_stats)
         prior = NONINFORMATIVE_PRIOR
         report = approximate_posterior_pitfall(block, prior, 6.0)
         assert report.approx_log_lr.shape == report.exact_log_lr.shape == (4,)
-        for t, (h1, h2) in enumerate(draws):
-            one = approximate_posterior_pitfall(BackgroundData(h1, h2), prior, 6.0)
+        for t, trial in enumerate(_trials((h1_stats, h2_stats))):
+            one = approximate_posterior_pitfall(trial, prior, 6.0)
             assert report.approx_log_lr[t] == one.approx_log_lr
             assert report.exact_log_lr[t] == one.exact_log_lr
 
