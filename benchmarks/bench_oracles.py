@@ -14,8 +14,14 @@ Cases:
   stats drawn, then calibrated both ways), on 1 000 trials of a 9/27
   background, as fig1 ``run_experiment`` reads it, and on 200 trials of a
   300/4 050 background, the largest fig1 confidence size;
+- ``_bayes_exceedance`` and ``_plugin_exceedance``, the exact-rate engine, on
+  one block of fig1's first 100 trials (9/27, seed 101) at the 41 default
+  prior log-odds points;
 - the full fig1 ``run_experiment`` (1 000 trials of a 9/27 background, exact
   error rates at 41 prior log-odds points);
+- ``_hermite_rule``, the 256-node Gauss-Hermite rule that each
+  ``confidence_curve`` call takes (after its first call, which imports the
+  stored table);
 - the full fig1 ``confidence_curve`` (200 trials at each of 9/27, 30/405 and
   300/4 050, exact mean log-LRs);
 - one ``quadrature_predictive`` at 401^2 and 1201^2, one at 401^2 with the
@@ -53,8 +59,16 @@ from bayescal import (
     run_experiment,
 )
 from bayescal.conjugate import NONINFORMATIVE_PRIOR
-from bayescal.experiment import _calibrated_blocks
+from bayescal.experiment import (
+    DEFAULT_PRIOR_GRID,
+    _BlockStats,
+    _bayes_exceedance,
+    _calibrated_blocks,
+    _hermite_rule,
+    _plugin_exceedance,
+)
 from bayescal.scores import DEFAULT_VARIANCE_FLOOR
+from bayescal.synthetic import background_stats
 from bayescal.verification import (
     decomposition_sweep,
     joint_evidence_sweep,
@@ -114,9 +128,33 @@ def test_calibrated_blocks(benchmark, n1, n2, trials):
     assert sum(theta.mu1.size for theta, _ in blocks) == trials
 
 
+@pytest.fixture(scope="module")
+def fig1_block():
+    """Fig1's first 100 trials as one calibrated block, and the test laws."""
+    world = GeneratorConfig()
+    stats = _BlockStats(*background_stats(world, 9, 27, 100, 101, 0))
+    calibration = fit_plugin(stats), class_predictives(stats, NONINFORMATIVE_PRIOR)
+    return calibration, [world.test_law(h) for h in Hypothesis]
+
+
+def test_bayes_exceedance_fig1_block(benchmark, fig1_block):
+    (_, preds), laws = fig1_block
+    benchmark(_bayes_exceedance, preds, -np.asarray(DEFAULT_PRIOR_GRID), laws)
+
+
+def test_plugin_exceedance_fig1_block(benchmark, fig1_block):
+    (theta, _), laws = fig1_block
+    benchmark(_plugin_exceedance, theta, -np.asarray(DEFAULT_PRIOR_GRID), laws)
+
+
 def test_run_experiment_fig1(benchmark):
     exp = ExperimentConfig(n1=9, n2=27, trials=1000, seed=101)
     benchmark(run_experiment, GeneratorConfig(), exp)
+
+
+def test_hermite_rule(benchmark):
+    nodes, weights = benchmark(_hermite_rule)
+    assert nodes.size == weights.size == 256
 
 
 def test_confidence_curve_fig1(benchmark):

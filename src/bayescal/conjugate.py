@@ -139,15 +139,21 @@ def student_t_log_density(dist: StudentT, e):
     An array-valued ``dist``, one predictive per trial of a block,
     broadcasts against ``e``.
     """
-    nu = dist.dof
     z = (np.asarray(e, dtype=float) - dist.location) / dist.scale
-    out = (
-        _log_gamma_half_ratio(0.5 * nu)
-        - 0.5 * math.log(nu * math.pi)
-        - np.log(dist.scale)
-        - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
-    )
-    return _scalar_like(out, e, dist.location)
+    return _scalar_like(_t_log_density(z, _t_log_normaliser(dist), dist.dof), e, dist.location)
+
+
+def _t_log_normaliser(dist: StudentT):
+    """log Gamma((nu + 1)/2) - log Gamma(nu/2) - log(nu pi)/2 - log(scale)."""
+    nu = dist.dof
+    return _log_gamma_half_ratio(0.5 * nu) - 0.5 * math.log(nu * math.pi) - np.log(dist.scale)
+
+
+def _t_log_density(z, log_normaliser, nu):
+    """The Student-t log density at standardized offsets z, given its
+    ``_t_log_normaliser``: the one expression behind ``student_t_log_density``
+    and the exact-rate engine's crossings, so both round alike."""
+    return log_normaliser - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
 
 
 def _gamma_log_pdf(lam: np.ndarray, a: float, b: float) -> np.ndarray:

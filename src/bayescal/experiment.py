@@ -34,7 +34,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conjugate import NONINFORMATIVE_PRIOR, NormalGammaParams, StudentT
+from .conjugate import (
+    NONINFORMATIVE_PRIOR,
+    NormalGammaParams,
+    StudentT,
+    _t_log_density,
+    _t_log_normaliser,
+)
 from .errors import ValidationError, check_at_least, check_finite, check_positive
 from .lr import LrMethod, bayes_log_lr_array, class_predictives, plugin_log_lr_array
 from .scores import (
@@ -49,9 +55,10 @@ from .synthetic import GeneratorConfig, background_stats
 DEFAULT_PRIOR_GRID = tuple(np.linspace(-10.0, 10.0, 41))
 
 #: Trials solved together. Larger blocks spread numpy's per-call cost
-#: further but raise the peak memory: fig1 ``simulate`` peaks at 39 MB with
-#: 50, 41 MB with 200 and 52 MB with all 1000 trials in one block.
-_BLOCK = 50
+#: further but raise the peak memory: fig1 ``simulate`` peaks at 39.1 MB
+#: with 50, 39.5 MB with 100, 41.6 MB with 200 and 57.1 MB with all 1000
+#: trials in one block.
+_BLOCK = 100
 
 #: The solved range reaches this many test-law standard deviations past
 #: either class mean; the normal mass beyond it, 4e-350, underflows to 0.
@@ -70,7 +77,8 @@ _NEWTON_STEPS = 8
 #: at 64 nodes, 1.4e-9 at 128 and 2.7e-13 at 256. The tier-1 test checks
 #: that trial against a float trapezoid in x whose error is about 1e-13,
 #: hence its 1e-12 bound. ``hermegauss(384)`` overflows (its smallest weight
-#: is 1e-299 at 360), so 256 is also near the ceiling.
+#: is 1e-299 at 360), so 256 is also near the ceiling. The rule is stored in
+#: ``_hermite_table``, and a test checks it against ``hermegauss`` bit for bit.
 _HERMITE_NODES = 256
 
 
@@ -208,7 +216,9 @@ def _exceedance(llr_at_breaks, thresholds, crossing, laws):
     where piece k of trial t crosses threshold g, rising if ``up``. Returns
     one ``(P(llr > c), P(llr <= c))`` pair of (G, trials) arrays per law.
 
-    Each crossing left of the law's mean enters as 1 - tail, so the
+    Each crossing adds its jump and its signed tail straight into its
+    (threshold, trial) cell, in crossing order, which is piece order within
+    a cell. A crossing left of the law's mean enters as 1 - tail, so the
     integers sum apart from the tails and every tail keeps its digits. A
     log-LR that is NaN at a break makes that trial's values NaN.
     """
@@ -217,17 +227,18 @@ def _exceedance(llr_at_breaks, thresholds, crossing, laws):
     g, k, t = np.nonzero(steps)
     rise = steps[g, k, t]
     roots = crossing(g, k, t, rise > 0)
+    n_thresholds, _, trials = steps.shape
+    cells = g * trials + t
     broken = np.isnan(llr_at_breaks).any(axis=0)
     out = []
     for mu, sd in laws:
         z = (roots - mu) / sd
         left = z < 0
-        jumps = np.zeros(steps.shape, dtype=np.int8)
-        jumps[g, k, t] = rise * left
-        tails = np.zeros(steps.shape)
-        tails[g, k, t] = np.where(left, -rise, rise) * _upper_tail(z)
-        above_mean = above[:, 0, :] + jumps.sum(axis=1)
-        tail = tails.sum(axis=1)
+        jumps, tail = (
+            np.bincount(cells, w, n_thresholds * trials).reshape(n_thresholds, trials)
+            for w in (rise * left, np.where(left, -rise, rise) * _upper_tail(z))
+        )
+        above_mean = above[:, 0, :] + jumps
         p_above = np.where(broken, np.nan, above_mean + tail)
         out.append((p_above, np.where(broken, np.nan, (1 - above_mean) - tail)))
     return out
@@ -261,8 +272,12 @@ def _plugin_exceedance(theta, thresholds, laws):
 
 def _log_t_slope(dist: StudentT, e):
     """d/de of ``student_t_log_density``: -(nu + 1) u / (nu scale^2 + u^2), u = e - location."""
-    u = e - dist.location
-    return -(dist.dof + 1.0) * u / (dist.dof * dist.scale**2 + u * u)
+    return _t_slope(e - dist.location, dist.dof, dist.dof * dist.scale**2)
+
+
+def _t_slope(u, nu, spread):
+    """``_log_t_slope`` at offsets u from the location, given nu scale^2."""
+    return -(nu + 1.0) * u / (spread + u * u)
 
 
 def _stationary_points(pred1: StudentT, pred2: StudentT) -> np.ndarray:
@@ -299,33 +314,39 @@ def _stationary_points(pred1: StudentT, pred2: StudentT) -> np.ndarray:
     return 0.5 * pred1.location + 0.5 * pred2.location + unit * y
 
 
-def _solve_monotone(f, slope, lo, hi, c, up):
+def _solve_monotone(f, slope, params, lo, hi, c, up):
     """x in [lo, hi] with f(x) = c, elementwise, for f monotone on each
     interval and crossing c there (rising if ``up``).
 
-    Bisects ``_BISECTIONS`` times, then takes Newton steps, each replaced by
-    the bracket's midpoint when it would leave the bracket. A point stays
-    where its first step of at most 1e-10 (1 + |x|) put it: Newton's error
-    after such a step is about its square, below the rounding of f itself.
-    Each point freezes on its own, so it does not depend on the others.
+    ``f(x, *params)`` and ``slope(x, *params)`` evaluate at x, where each
+    of the arrays ``params`` holds one element per point. Bisects
+    ``_BISECTIONS`` times, then takes Newton steps, each replaced by the
+    bracket's midpoint when it would leave the bracket. A point stays where
+    its first step of at most 1e-10 (1 + |x|) put it: Newton's error after
+    such a step is about its square, below the rounding of f itself. Only
+    the points still moving take the next step, so no point depends on the
+    others.
     """
     below, over = np.where(up, lo, hi), np.where(up, hi, lo)  # f <= c, f > c
     for _ in range(_BISECTIONS):
         mid = 0.5 * (below + over)
-        hit = f(mid) > c
-        below, over = np.where(hit, below, mid), np.where(hit, mid, over)
+        hit = f(mid, *params) > c
+        np.putmask(over, hit, mid)
+        np.putmask(below, ~hit, mid)
     x = 0.5 * (below + over)
-    settled = np.zeros(np.shape(x), dtype=bool)
+    rows, now = np.arange(x.size), x
     for _ in range(_NEWTON_STEPS):
-        gap = f(x) - c
+        gap = f(now, *params) - c
         hit = gap > 0
-        below, over = np.where(hit, below, x), np.where(hit, x, over)
+        below, over = np.where(hit, below, now), np.where(hit, now, over)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = x - gap / slope(x)
+            step = now - gap / slope(now, *params)
         step = np.where((step - below) * (step - over) <= 0, step, 0.5 * (below + over))
-        close = np.abs(step - x) <= 1e-10 * (1.0 + np.abs(x))
-        x, settled = np.where(settled, x, step), settled | close
-        if settled.all():
+        moving = ~(np.abs(step - now) <= 1e-10 * (1.0 + np.abs(now)))
+        x[rows] = step
+        rows, now, c, below, over = (a[moving] for a in (rows, step, c, below, over))
+        params = [p[moving] for p in params]
+        if not rows.size:
             break
     return x
 
@@ -338,12 +359,22 @@ def _bayes_exceedance(preds, thresholds, laws):
     points = np.sort(np.where((points > lo) & (points < hi), points, hi), axis=0)
     trials = points.shape[1]
     breaks = np.vstack([np.full(trials, lo), points, np.full(trials, hi)])
+    nu1, nu2 = (p.dof for p in preds)
+    # per trial, each predictive's location, scale, log normaliser and nu scale^2
+    constants = [
+        a for p in preds for a in (p.location, p.scale, _t_log_normaliser(p), p.dof * p.scale**2)
+    ]
+
+    def log_lr(x, loc1, scale1, norm1, spread1, loc2, scale2, norm2, spread2):
+        d1 = _t_log_density((x - loc1) / scale1, norm1, nu1)
+        return d1 - _t_log_density((x - loc2) / scale2, norm2, nu2)
+
+    def slope(x, loc1, scale1, norm1, spread1, loc2, scale2, norm2, spread2):
+        return _t_slope(x - loc1, nu1, spread1) - _t_slope(x - loc2, nu2, spread2)
 
     def crossing(g, k, t, up):
-        p1, p2 = (StudentT(p.location[t], p.scale[t], p.dof) for p in preds)
         return _solve_monotone(
-            lambda x: bayes_log_lr_array(x, p1, p2),
-            lambda x: _log_t_slope(p1, x) - _log_t_slope(p2, x),
+            log_lr, slope, [a[t] for a in constants],
             breaks[k, t], breaks[k + 1, t], thresholds[g], up,
         )
 
@@ -351,15 +382,12 @@ def _bayes_exceedance(preds, thresholds, laws):
 
 
 def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x and weights w with E[f(X)] ~ sum w f(x) for X ~ N(0, 1).
+    """Nodes x and weights w with E[f(X)] ~ sum w f(x) for X ~ N(0, 1): the
+    stored ``_HERMITE_NODES``-node rule, mirrored from its positive half."""
+    from ._hermite_table import NODES, WEIGHTS
 
-    Imported here, so that the commands that take no mean load no
-    ``numpy.polynomial``.
-    """
-    from numpy.polynomial.hermite_e import hermegauss
-
-    nodes, weights = hermegauss(_HERMITE_NODES)
-    return nodes, weights / math.sqrt(2.0 * math.pi)
+    nodes, weights = np.array(NODES), np.array(WEIGHTS)
+    return np.concatenate([-nodes[::-1], nodes]), np.concatenate([weights[::-1], weights])
 
 
 def _mean_log_lrs(theta, preds, laws, rule) -> np.ndarray:

@@ -780,6 +780,31 @@ def test_no_command_loads_scipy(tmp_path, background):
     assert scipy_modules == []
 
 
+def test_hermite_rule_is_read_from_its_table(tmp_path):
+    """``import bayescal.cli`` loads neither ``numpy.polynomial`` nor the
+    stored Gauss-Hermite table, and a ``simulate`` run, whose confidence
+    means read the table, still loads no ``numpy.polynomial``."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TestSimulateCommand.SMALL_CONFIG))
+    argv = ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "def loaded():\n"
+        "    return [m in sys.modules for m in ('numpy.polynomial', 'bayescal._hermite_table')]\n"
+        "import bayescal.cli\n"
+        "after_import = loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = bayescal.cli.main({argv!r})\n"
+        "print(json.dumps([after_import, code, loaded()]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(bayescal.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[False, False], 0, [False, True]]
+
+
 def test_perfbench_tracer_reaches_every_traced_layer(tmp_path, background):
     """``perfbench/tracer.py`` rebinds each name in its ``_layers`` and runs one
     CLI command in-process. Between them, small llr, simulate and verify runs

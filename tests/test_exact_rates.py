@@ -10,6 +10,7 @@ import scipy.optimize
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import expit
 
 from bayescal import (
@@ -147,17 +148,24 @@ class TestHermiteRule:
         return theta, preds, laws, i, reference
 
     @staticmethod
-    def _bayes_h1_error(trial):
+    def _bayes_h1_error(trial, rule):
         theta, preds, laws, i, reference = trial
         # rows: plugin H1, plugin H2, bayes H1, bayes H2
-        return abs(_mean_log_lrs(theta, preds, laws, _hermite_rule())[2, i] - reference)
+        return abs(_mean_log_lrs(theta, preds, laws, rule)[2, i] - reference)
 
     def test_matches_trapezoid(self, trial):
-        assert self._bayes_h1_error(trial) <= 1e-12
+        assert self._bayes_h1_error(trial, _hermite_rule()) <= 1e-12
 
-    def test_64_nodes_fail(self, trial, monkeypatch):
-        monkeypatch.setattr(experiment, "_HERMITE_NODES", 64)
-        assert self._bayes_h1_error(trial) > 1e-12
+    def test_64_nodes_fail(self, trial):
+        nodes, weights = hermegauss(64)
+        assert self._bayes_h1_error(trial, (nodes, weights / math.sqrt(2.0 * math.pi))) > 1e-12
+
+    def test_stored_rule_is_hermegauss(self):
+        nodes, weights = hermegauss(experiment._HERMITE_NODES)
+        stored_nodes, stored_weights = _hermite_rule()
+        assert stored_nodes.size == experiment._HERMITE_NODES
+        assert np.array_equal(stored_nodes, nodes)
+        assert np.array_equal(stored_weights, weights / math.sqrt(2.0 * math.pi))
 
 
 def _brute_force_exceedance(llr, c, laws, points=200_001):
@@ -257,7 +265,8 @@ class TestBlockSummary:
         world = GeneratorConfig()
         whole = background_stats(world, 9, 4050, 137, 3, 1)
         blocks = list(_block_stats(world, 9, 4050, 137, 3, 1))
-        assert [np.size(b.h1_stats.mean) for b in blocks] == [50, 50, 37]
+        sizes = [min(experiment._BLOCK, 137 - start) for start in range(0, 137, experiment._BLOCK)]
+        assert [np.size(b.h1_stats.mean) for b in blocks] == sizes
         for block_field, whole_stats in zip(("h1_stats", "h2_stats"), whole):
             parts = [getattr(b, block_field) for b in blocks]
             assert {p.n for p in parts} == {whole_stats.n}

@@ -473,24 +473,28 @@ class TestBlockSizeInvariance:
     """A trial's numbers do not depend on which trials share its block: every
     output is bit-identical whatever ``_BLOCK`` is."""
 
-    @staticmethod
-    def _outputs():
+    #: more trials than the default block holds, so that it splits them too
+    TRIALS = 123
+
+    @classmethod
+    def _outputs(cls):
         world = GeneratorConfig(shift_location=0.3, shift_scale=1.2)
-        curve = run_experiment(world, ExperimentConfig(n1=9, n2=27, trials=23, seed=3))
-        demo = lr_distribution_demo(3.5, world, 6, 11, trials=23, seed=5)
+        curve = run_experiment(world, ExperimentConfig(n1=9, n2=27, trials=cls.TRIALS, seed=3))
+        demo = lr_distribution_demo(3.5, world, 6, 11, trials=cls.TRIALS, seed=5)
         return (
             [getattr(curve, f"{kind}_{method.value}").tobytes()
              for kind, method in product(("error", "stderr"), LrMethod)],
-            confidence_curve(world, [(9, 27), (300, 4050)], trials=23, seed=42),
+            confidence_curve(world, [(9, 27), (300, 4050)], trials=cls.TRIALS, seed=42),
             demo.plugin_log_lr_per_trial.tobytes(),
             demo.bayes_log_lr_per_trial.tobytes(),
             (demo.mu, demo.sigma),
-            pitfall_divergence(23, 11, sizes=((9, 27), (2, 3))),
+            pitfall_divergence(cls.TRIALS, 11, sizes=((9, 27), (2, 3))),
         )
 
-    def test_blocks_of_1_7_and_50_agree(self, monkeypatch):
+    def test_block_sizes_agree(self, monkeypatch):
+        """Blocks of 1, 7 and 50, the default, and one block of every trial."""
         outputs = []
-        for block in (1, 7, 50):
+        for block in (1, 7, 50, bayescal.experiment._BLOCK, self.TRIALS):
             monkeypatch.setattr(bayescal.experiment, "_BLOCK", block)
             outputs.append(self._outputs())
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert all(out == outputs[0] for out in outputs[1:])
