@@ -17,6 +17,8 @@ Cases:
 - ``_bayes_exceedance`` and ``_plugin_exceedance``, the exact-rate engine, on
   one block of fig1's first 100 trials (9/27, seed 101) at the 41 default
   prior log-odds points;
+- ``_upper_tail`` on the crossing offsets of that block's Bayesian log-LR
+  under both test laws (about 14 000), as ``_bayes_exceedance`` takes them;
 - the full fig1 ``run_experiment`` (1 000 trials of a 9/27 background, exact
   error rates at 41 prior log-odds points);
 - ``_hermite_rule``, the 256-node Gauss-Hermite rule that each
@@ -58,6 +60,7 @@ from bayescal import (
     quadrature_predictive,
     run_experiment,
 )
+from bayescal import experiment
 from bayescal.conjugate import NONINFORMATIVE_PRIOR
 from bayescal.experiment import (
     DEFAULT_PRIOR_GRID,
@@ -66,6 +69,7 @@ from bayescal.experiment import (
     _calibrated_blocks,
     _hermite_rule,
     _plugin_exceedance,
+    _upper_tail,
 )
 from bayescal.scores import DEFAULT_VARIANCE_FLOOR
 from bayescal.synthetic import background_stats
@@ -145,6 +149,25 @@ def test_bayes_exceedance_fig1_block(benchmark, fig1_block):
 def test_plugin_exceedance_fig1_block(benchmark, fig1_block):
     (theta, _), laws = fig1_block
     benchmark(_plugin_exceedance, theta, -np.asarray(DEFAULT_PRIOR_GRID), laws)
+
+
+@pytest.fixture(scope="module")
+def fig1_block_offsets(fig1_block):
+    """The standardized crossing offsets whose tails ``_bayes_exceedance``
+    takes on the fig1 block, both laws' in one 1-D array."""
+    (_, preds), laws = fig1_block
+    taken = []
+    real = experiment._upper_tail
+    experiment._upper_tail = lambda z: taken.append(np.ravel(z)) or real(z)
+    try:
+        _bayes_exceedance(preds, -np.asarray(DEFAULT_PRIOR_GRID), laws)
+    finally:
+        experiment._upper_tail = real
+    return np.concatenate(taken)
+
+
+def test_upper_tail_fig1_block(benchmark, fig1_block_offsets):
+    benchmark(_upper_tail, fig1_block_offsets)
 
 
 def test_run_experiment_fig1(benchmark):

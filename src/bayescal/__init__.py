@@ -19,7 +19,7 @@ from .conjugate import (
     sample_params,
     student_t_log_density,
 )
-from .errors import BayescalError, ScoreFileError, ValidationError
+from .errors import BayescalError, ConvergenceError, ScoreFileError, ValidationError
 from .experiment import (
     DEFAULT_PRIOR_GRID,
     ConfidencePoint,
@@ -72,6 +72,7 @@ from .verification import (
 __all__ = [
     "__version__",
     "BayescalError",
+    "ConvergenceError",
     "ScoreFileError",
     "ValidationError",
     "Hypothesis",

@@ -44,6 +44,10 @@ class ValidationError(BayescalError, ValueError):
     """A precondition or invariant on inputs was violated."""
 
 
+class ConvergenceError(BayescalError, ArithmeticError):
+    """An iterative solve was still moving when it reached its step cap."""
+
+
 def _check(rule: str, good, values: dict) -> None:
     """Raise ``NAME must be RULE, got V`` for the first value that ``good``
     rejects. ``good`` maps a value, or an array elementwise, to whether it

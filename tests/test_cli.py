@@ -781,16 +781,18 @@ def test_no_command_loads_scipy(tmp_path, background):
 
 
 def test_hermite_rule_is_read_from_its_table(tmp_path):
-    """``import bayescal.cli`` loads neither ``numpy.polynomial`` nor the
-    stored Gauss-Hermite table, and a ``simulate`` run, whose confidence
-    means read the table, still loads no ``numpy.polynomial``."""
+    """``import bayescal.cli`` loads neither ``numpy.polynomial``, the
+    stored Gauss-Hermite table nor the vectorized erfc, and a ``simulate``
+    run, whose confidence means read the table and whose error curves take
+    the erfc, still loads no ``numpy.polynomial``."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(TestSimulateCommand.SMALL_CONFIG))
     argv = ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
     script = (
         "import contextlib, io, json, sys\n"
         "def loaded():\n"
-        "    return [m in sys.modules for m in ('numpy.polynomial', 'bayescal._hermite_table')]\n"
+        "    modules = ('numpy.polynomial', 'bayescal._hermite_table', 'bayescal._erfc')\n"
+        "    return [m in sys.modules for m in modules]\n"
         "import bayescal.cli\n"
         "after_import = loaded()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -802,7 +804,7 @@ def test_hermite_rule_is_read_from_its_table(tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[False, False], 0, [False, True]]
+    assert json.loads(done.stdout) == [[False, False, False], 0, [False, True, True]]
 
 
 def test_perfbench_tracer_reaches_every_traced_layer(tmp_path, background):

@@ -21,13 +21,15 @@ from bayescal import (
     StudentT,
     bayes_log_lr_array,
     class_predictives,
+    collect_stats,
     fit_plugin,
     generate_scores,
     plugin_log_lr_array,
     run_experiment,
 )
-from bayescal import experiment
+from bayescal import _erfc, experiment
 from bayescal.conjugate import NONINFORMATIVE_PRIOR
+from bayescal.errors import ConvergenceError
 from bayescal.experiment import (
     DEFAULT_PRIOR_GRID,
     _BlockStats,
@@ -40,6 +42,7 @@ from bayescal.experiment import (
     _plugin_exceedance,
     _span,
     _stationary_points,
+    _upper_tail,
 )
 from bayescal.scores import DEFAULT_VARIANCE_FLOOR, SufficientStats
 from bayescal.synthetic import background_stats
@@ -227,6 +230,66 @@ class TestCrossingSolver:
             )
             for (p_above, _), p in zip(exact, expected):
                 assert abs(p_above[i, 0] - p) <= 1e-14
+
+    def test_small_dof_far_tail_crossings(self):
+        # two scores per class, dof 2.02 each: a tight H1 class and a spread H2
+        # class bound the log-LR below near -10.5 on the solved range, so at
+        # c = -8, -9 and -10 it is crossed more than a hundred H1 scales out,
+        # where Newton starts furthest from its root; wide test laws give
+        # those crossings most of the mass
+        stats = _BlockStats(collect_stats([0.2, 0.2002]), collect_stats([-20.0, 16.0]))
+        scalar = class_predictives(stats, NONINFORMATIVE_PRIOR)
+        preds = tuple(StudentT(_one(p.location), _one(p.scale), p.dof) for p in scalar)
+        laws = [(0.0, 8.0), (-2.0, 12.0)]
+        assert np.all(bayes_log_lr_array(np.array(_span(laws)), *scalar) < -10.0)
+        thresholds = np.linspace(-12.0, 12.0, 25)
+        exact = _bayes_exceedance(preds, thresholds, laws)
+        for i, c in enumerate(thresholds):
+            expected = _brute_force_exceedance(lambda x: bayes_log_lr_array(x, *scalar), c, laws)
+            for (p_above, _), p in zip(exact, expected):
+                assert abs(p_above[i, 0] - p) <= 1e-14
+
+    def test_unsettled_roots_raise(self, monkeypatch):
+        # no root settles on its first Newton step
+        monkeypatch.setattr(experiment, "_NEWTON_STEPS", 1)
+        unsettled = r"^[1-9]\d* crossing\(s\) still moving after 1 Newton steps$"
+        with pytest.raises(ConvergenceError, match=unsettled):
+            run_experiment(GeneratorConfig(), ExperimentConfig(n1=9, n2=27, trials=5, seed=101))
+
+
+class TestUpperTail:
+    """``_upper_tail`` against ``math.erfc``, the C library's erfc, which is
+    built on the same fdlibm approximations."""
+
+    #: fdlibm's range boundaries in erfc's argument: 1/4 splits its first range
+    BOUNDARIES = (0.25, 0.84375, 1.25, 1.0 / 0.35, _erfc.ONE_OVER_035, 28.0)
+
+    @staticmethod
+    def _reference(z):
+        # at the argument _upper_tail rounds to: near z = 40, rounding
+        # |z| / sqrt(2) apart moves the tail by up to 4e-13 relative
+        return np.array([0.5 * math.erfc(x) for x in (np.abs(z) * math.sqrt(0.5)).tolist()])
+
+    @classmethod
+    def _check(cls, z):
+        expected, got = cls._reference(z), _upper_tail(z)
+        normal = expected > 1e-300
+        np.testing.assert_allclose(got[normal], expected[normal], rtol=4e-15, atol=0.0)
+        assert np.all(got[expected == 0.0] == 0.0)
+
+    def test_dense_grid(self):
+        z = np.linspace(0.0, 40.0, 400_001)
+        self._check(z)
+        self._check(-z[::97])
+
+    def test_range_boundaries(self):
+        z = np.array(self.BOUNDARIES) * math.sqrt(2.0)
+        self._check(np.concatenate([z, np.nextafter(z, 0.0), np.nextafter(z, np.inf)]))
+
+    def test_infinities_and_nan(self):
+        got = _upper_tail(np.array([[np.inf, -np.inf], [np.nan, 0.0]]))
+        assert got.shape == (2, 2)
+        assert got[0].tolist() == [0.0, 0.0] and np.isnan(got[1, 0]) and got[1, 1] == 0.5
 
 
 @settings(max_examples=40, deadline=None)
