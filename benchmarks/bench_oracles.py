@@ -1,6 +1,6 @@
 """Per-layer timings: CSV ingestion, background summary and fit, the
 resampling layer, resampling trials, the quadrature oracle, the
-decomposition sweep and the peak-only pitfall.
+decomposition sweep, the peak-only pitfall and a whole CLI process.
 
     python -m pytest benchmarks/bench_oracles.py --benchmark-json BENCH_oracles.json
 
@@ -34,14 +34,26 @@ Cases:
 - ``decomposition_sweep(10_000, 5)``, as ``verify`` runs it;
 - ``lr_distribution_demo`` at score 6.0 with the ``lr-distribution`` defaults
   (1 000 trials of a 9/27 background);
-- ``pitfall_divergence(200)``, as ``verify`` runs it.
+- ``pitfall_divergence(200)``, as ``verify`` runs it;
+- two fresh processes, 10 rounds each after one warm-up, with one BLAS
+  thread: ``python -m bayescal.cli llr`` on a 36-row (9/27) background, the
+  casework call whose time is interpreter start, imports, ingestion and
+  exit; and ``python -c "import bayescal.cli"``, the same start and imports
+  ending through the interpreter's ordinary teardown, which ``cli.run``
+  skips.
 
 Outside ``testpaths``, so the test suite never runs it. Uses pytest-benchmark.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bayescal
 from bayescal import (
     BackgroundData,
     ExperimentConfig,
@@ -219,3 +231,33 @@ def test_lr_distribution_demo_fig1(benchmark):
 
 def test_pitfall_divergence_200(benchmark):
     benchmark(pitfall_divergence, 200)
+
+
+@pytest.fixture(scope="module")
+def csv_36(tmp_path_factory):
+    rng = np.random.default_rng(36)
+    path = tmp_path_factory.mktemp("csv") / "background.csv"
+    with open(path, "w") as fh:
+        fh.write("label,score\n")
+        fh.writelines(f"H1,{v!r}\n" for v in rng.normal(2.0, 1.0, 9).tolist())
+        fh.writelines(f"H2,{v!r}\n" for v in rng.normal(-2.0, 1.0, 27).tolist())
+    return path
+
+
+def _fresh_process(benchmark, *args):
+    """Time ``python ARGS`` in a new interpreter on this checkout's source."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bayescal.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    benchmark.pedantic(
+        subprocess.run, ([sys.executable, *args],),
+        {"env": env, "check": True, "stdout": subprocess.DEVNULL}, rounds=10, warmup_rounds=1,
+    )
+
+
+def test_process_llr_36(benchmark, csv_36):
+    _fresh_process(benchmark, "-m", "bayescal.cli", "llr", "--background", str(csv_36),
+                   "--score", "1.0")
+
+
+def test_process_import_cli(benchmark):
+    _fresh_process(benchmark, "-c", "import bayescal.cli")

@@ -16,8 +16,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -432,5 +434,17 @@ def main(argv=None) -> int:
         return 4
 
 
+def run(argv=None) -> NoReturn:
+    """``main``, then an exit that skips the interpreter's teardown and atexit
+    handlers. An exception, argparse's exit or a failed flush exits as usual."""
+    code = main(argv)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,11 +1,15 @@
 """End-to-end CLI behavior: outputs, exit codes, and reproducibility."""
 
 import csv
+import errno
+import importlib
 import inspect
+import io
 import json
 import math
 import os
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -836,3 +840,150 @@ def test_perfbench_tracer_reaches_every_traced_layer(tmp_path, background):
         assert set(layers) <= set(trace["names"])
         called |= {trace["names"][span[0]] for span in trace["spans"]}
     assert set(layers) <= called
+
+
+class TestProcessEntry:
+    """``run`` is the process entry point: ``main``, a flush, then ``os._exit``.
+    ``main`` stays the in-process API and always returns."""
+
+    # {name: (exit code, argv)}; {bg}, {bad}, {cfg}, {out} and {tmp} are paths
+    RUNS = {
+        "llr": (0, ["llr", "--background", "{bg}", "--score", "1.0"]),
+        "decide": (0, ["decide", "--background", "{bg}", "--score", "1.0", "--pi1", "0.5"]),
+        "simulate": (0, ["simulate", "--config", "{cfg}", "--out-dir", "{out}"]),
+        "lr-distribution": (0, ["lr-distribution", "--score", "6.0", "--trials", "20", "--seed", "2"]),
+        "verify": (0, [*TestVerifyCommand.QUICK, "--report", "{out}/report.json"]),
+        "bad-label-row": (2, ["llr", "--background", "{bad}", "--score", "1.0"]),
+        "negative-a": (3, ["llr", "--background", "{bg}", "--score", "1.0", "--a", "-1"]),
+        "missing-background": (4, ["llr", "--background", "{tmp}/missing.csv", "--score", "1.0"]),
+        "argparse-error": (2, ["llr", "--background", "{bg}", "--score", "many"]),
+    }
+
+    @staticmethod
+    def _argv(name, tmp_path, background):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(TestSimulateCommand.SMALL_CONFIG))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("label,score\nH1,1.0\nH3,0.5\nH2,0.0\n")
+        (tmp_path / "out").mkdir(exist_ok=True)
+        paths = {"bg": background, "bad": bad, "cfg": cfg, "out": tmp_path / "out", "tmp": tmp_path}
+        return [arg.format(**paths) for arg in TestProcessEntry.RUNS[name][1]]
+
+    @staticmethod
+    def _forbid_exit(monkeypatch):
+        def _exit(code):
+            raise AssertionError(f"os._exit({code}) called in-process")
+
+        monkeypatch.setattr(os, "_exit", _exit)
+
+    @staticmethod
+    def _env(**extra):
+        env = dict(os.environ, PYTHONPATH=str(Path(bayescal.__file__).resolve().parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        return {**env, **extra}
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_process_matches_in_process(self, name, tmp_path, background, monkeypatch, capsys):
+        """stdout, stderr, the exit code and every output file of
+        ``python -m bayescal.cli`` equal those of ``main`` in-process, and
+        ``main`` returns its int exit code without ending the process
+        (``perfbench/tracer.py`` writes its spans after it returns)."""
+        argv = self._argv(name, tmp_path, background)
+        out_dir = tmp_path / "out"
+        # argparse wraps its usage line at the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        self._forbid_exit(monkeypatch)
+        sides = []
+        for in_process in (False, True):
+            shutil.rmtree(out_dir, ignore_errors=True)
+            out_dir.mkdir()
+            if in_process:
+                try:
+                    code = main(argv)
+                    assert type(code) is int
+                except SystemExit as exc:
+                    assert name == "argparse-error"
+                    code = exc.code
+                captured = capsys.readouterr()
+                stdout, stderr = captured.out, captured.err
+            else:
+                done = subprocess.run(
+                    [sys.executable, "-m", "bayescal.cli", *argv], env=self._env(),
+                    capture_output=True, text=True, timeout=120,
+                )
+                code, stdout, stderr = done.returncode, done.stdout, done.stderr
+            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+            sides.append((code, stdout, stderr, files))
+        assert sides[0] == sides[1]
+        code, stdout, stderr, files = sides[0]
+        assert code == self.RUNS[name][0]
+        assert bool(stdout) == (code == 0 and name != "simulate")
+        assert bool(stderr) == (code != 0)
+        expected = {"simulate": ["confidence.csv", "curve.csv", "run_meta.json"],
+                    "verify": ["report.json"]}
+        assert list(files) == expected.get(name, [])
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_broken_pipe(self, unbuffered, background):
+        """A reader that closed before the child writes: buffered stdout fails
+        at the final flush, which the interpreter's ordinary exit reports in
+        two lines (no traceback) with status 120; unbuffered stdout fails in
+        the write, which exits 4 as any output error does."""
+        env = self._env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "bayescal.cli", "llr", "--background", background,
+                 "--score", "1.0"],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        broken = f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
+        if unbuffered:
+            assert (done.returncode, done.stderr) == (4, f"error: {broken}\n")
+        else:
+            first, second = done.stderr.splitlines()
+            assert first.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+            assert (done.returncode, second) == (120, f"BrokenPipeError: {broken}")
+
+    def test_both_launchers_call_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["bayescal"]
+        module, _, attr = target.partition(":")
+        assert getattr(importlib.import_module(module), attr) is bayescal.cli.run
+        source = inspect.getsource(bayescal.cli)
+        assert source.endswith('\nif __name__ == "__main__":\n    run()\n')
+
+    def test_run_exits_through_os_exit(self, background, monkeypatch, capsys):
+        exits = []
+        monkeypatch.setattr(os, "_exit", exits.append)
+        bayescal.cli.run(["llr", "--background", background, "--score", "1.0"])
+        assert exits == [0]
+        assert json.loads(capsys.readouterr().out)["score"] == 1.0
+
+    def test_run_takes_the_ordinary_exit_after_a_failed_flush(self, background, monkeypatch):
+        class Closed(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        self._forbid_exit(monkeypatch)
+        monkeypatch.setattr(sys, "stdout", Closed())
+        with pytest.raises(SystemExit) as info:
+            bayescal.cli.run(["llr", "--background", background, "--score", "1.0", "--a", "-1"])
+        assert info.value.code == 3
+
+    def test_run_lets_argparse_exit_and_errors_propagate(self, monkeypatch, capsys):
+        self._forbid_exit(monkeypatch)
+        with pytest.raises(SystemExit) as info:
+            bayescal.cli.run(["llr", "--score", "many"])
+        assert info.value.code == 2
+
+        def fail(args):
+            raise RuntimeError("internal")
+
+        monkeypatch.setattr(bayescal.cli, "cmd_llr", fail)
+        with pytest.raises(RuntimeError, match="internal"):
+            bayescal.cli.run(["llr", "--background", "x.csv", "--score", "1.0"])
