@@ -880,7 +880,8 @@ class TestProcessEntry:
     def _env(**extra):
         env = dict(os.environ, PYTHONPATH=str(Path(bayescal.__file__).resolve().parents[1]))
         env.pop("PYTHONUNBUFFERED", None)
-        return {**env, **extra}
+        env.update(extra)
+        return env
 
     @pytest.mark.parametrize("name", RUNS)
     def test_process_matches_in_process(self, name, tmp_path, background, monkeypatch, capsys):
