@@ -7,6 +7,9 @@ decomposition sweep, the peak-only pitfall and a whole CLI process.
 Cases:
 
 - ``load_background_csv`` on a 55 000-row file (5 000 H1, 50 000 H2 scores);
+- ``BackgroundData`` on that file's two classes, as ``array('d')`` (the
+  plain route, a pure-Python pairwise sum) and as numpy arrays (numpy's
+  route, numpy already loaded);
 - ``BackgroundData`` + ``fit_plugin`` + ``class_predictives`` on fresh draws
   at 9/27 and at 300/4 050 scores per class, the smallest and largest
   background of the fig1 confidence experiment;
@@ -35,12 +38,15 @@ Cases:
 - ``lr_distribution_demo`` at score 6.0 with the ``lr-distribution`` defaults
   (1 000 trials of a 9/27 background);
 - ``pitfall_divergence(200)``, as ``verify`` runs it;
-- two fresh processes, 10 rounds each after one warm-up, with one BLAS
+- four fresh processes, 10 rounds each after one warm-up, with one BLAS
   thread: ``python -m bayescal.cli llr`` on a 36-row (9/27) background, the
   casework call whose time is interpreter start, imports, ingestion and
-  exit; and ``python -c "import bayescal.cli"``, the same start and imports
+  exit; ``python -m bayescal.cli decide`` on the 55 000-row file, the
+  casework call at its 75th percentile, where the class summaries weigh
+  most; ``python -c "import bayescal.cli"``, the same start and imports
   ending through the interpreter's ordinary teardown, which ``cli.run``
-  skips.
+  skips; and ``python -c "import bayescal"``, the package alone, which
+  loads no numpy.
 
 Outside ``testpaths``, so the test suite never runs it. Uses pytest-benchmark.
 """
@@ -48,6 +54,7 @@ Outside ``testpaths``, so the test suite never runs it. Uses pytest-benchmark.
 import os
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -101,18 +108,30 @@ E_GRID = np.linspace(_PRED.location - 8.0 * _PRED.scale, _PRED.location + 8.0 * 
 
 
 @pytest.fixture(scope="module")
-def csv_55k(tmp_path_factory):
+def classes_55k():
     rng = np.random.default_rng(55_000)
+    return rng.normal(2.0, 1.0, 5_000), rng.normal(-2.0, 1.0, 50_000)
+
+
+@pytest.fixture(scope="module")
+def csv_55k(tmp_path_factory, classes_55k):
     path = tmp_path_factory.mktemp("csv") / "background.csv"
     with open(path, "w") as fh:
         fh.write("label,score\n")
-        fh.writelines(f"H1,{v!r}\n" for v in rng.normal(2.0, 1.0, 5_000).tolist())
-        fh.writelines(f"H2,{v!r}\n" for v in rng.normal(-2.0, 1.0, 50_000).tolist())
+        for label, scores in zip(("H1", "H2"), classes_55k):
+            fh.writelines(f"{label},{v!r}\n" for v in scores.tolist())
     return path
 
 
 def test_load_background_csv_55k(benchmark, csv_55k):
     data = benchmark(load_background_csv, csv_55k)
+    assert (data.n1, data.n2) == (5_000, 50_000)
+
+
+@pytest.mark.parametrize("route", ["plain", "numpy"])
+def test_background_data_55k(benchmark, classes_55k, route):
+    h1, h2 = (array("d", c.tolist()) if route == "plain" else c for c in classes_55k)
+    data = benchmark(BackgroundData, h1, h2)
     assert (data.n1, data.n2) == (5_000, 50_000)
 
 
@@ -259,5 +278,14 @@ def test_process_llr_36(benchmark, csv_36):
                    "--score", "1.0")
 
 
+def test_process_decide_55k(benchmark, csv_55k):
+    _fresh_process(benchmark, "-m", "bayescal.cli", "decide", "--background", str(csv_55k),
+                   "--score", "1.0", "--pi1", "0.3")
+
+
 def test_process_import_cli(benchmark):
     _fresh_process(benchmark, "-c", "import bayescal.cli")
+
+
+def test_process_import_bayescal(benchmark):
+    _fresh_process(benchmark, "-c", "import bayescal")

@@ -16,7 +16,7 @@ with its hex words. ``s_erf.c`` carries this notice:
 Only ``experiment._upper_tail`` imports this module.
 """
 
-import numpy as np
+from ._numpy import np
 
 # erx = (float)0.84506291151
 ERX = 8.45062911510467529297e-01  # 0x3FEB0AC1, 0x60000000

@@ -12,6 +12,7 @@ written), 5 verification tolerance breach.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -21,9 +22,8 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-import numpy as np
-
 from . import __version__
+from ._numpy import np
 from .conjugate import NONINFORMATIVE_PRIOR, NormalGammaParams
 from .errors import ScoreFileError, ValidationError, check_at_least, check_positive, check_utf8
 from .experiment import (
@@ -418,10 +418,11 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 2
     # these reject a non-finite log-LR, rate or mean anyway: numpy's warnings
-    # would precede the error line
-    quiet = args.func in (cmd_llr, cmd_decide, cmd_lr_distribution, cmd_simulate)
+    # would precede the error line. llr and decide compute with math, which
+    # warns of nothing, and so load no numpy.
+    quiet = args.func in (cmd_lr_distribution, cmd_simulate)
     try:
-        with np.errstate(all="ignore" if quiet else None):
+        with np.errstate(all="ignore") if quiet else contextlib.nullcontext():
             return args.func(args)
     except ScoreFileError as exc:
         print(f"error: {exc}", file=sys.stderr)

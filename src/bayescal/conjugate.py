@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import floats, np, xp
 from .errors import check_at_least, check_finite, check_positive
 from .scores import SufficientStats, _LOG_2PI, _scalar_like
 
@@ -110,8 +109,7 @@ def predictive(posterior: NormalGammaParams) -> StudentT:
     array-valued predictive.
     """
     var = posterior.b * (posterior.beta + 1.0) / (posterior.a * posterior.beta)
-    scale = math.sqrt(var) if np.ndim(var) == 0 else np.sqrt(var)
-    return StudentT(posterior.mu0, scale, 2.0 * posterior.a)
+    return StudentT(posterior.mu0, xp(var).sqrt(var), 2.0 * posterior.a)
 
 
 #: Stirling-series coefficients B_2k / (2k (2k - 1)) of log-gamma, k = 1..5.
@@ -137,23 +135,26 @@ def student_t_log_density(dist: StudentT, e):
     """Log density of a location-scale Student-t; vectorized over ``e``.
 
     An array-valued ``dist``, one predictive per trial of a block,
-    broadcasts against ``e``.
+    broadcasts against ``e``. A plain ``e`` and ``dist`` give a float
+    computed with ``math``.
     """
-    z = (np.asarray(e, dtype=float) - dist.location) / dist.scale
+    _, (x,) = floats(e)
+    z = (x - dist.location) / dist.scale
     return _scalar_like(_t_log_density(z, _t_log_normaliser(dist), dist.dof), e, dist.location)
 
 
 def _t_log_normaliser(dist: StudentT):
     """log Gamma((nu + 1)/2) - log Gamma(nu/2) - log(nu pi)/2 - log(scale)."""
     nu = dist.dof
-    return _log_gamma_half_ratio(0.5 * nu) - 0.5 * math.log(nu * math.pi) - np.log(dist.scale)
+    log_scale = xp(dist.scale).log(dist.scale)
+    return _log_gamma_half_ratio(0.5 * nu) - 0.5 * math.log(nu * math.pi) - log_scale
 
 
 def _t_log_density(z, log_normaliser, nu):
     """The Student-t log density at standardized offsets z, given its
     ``_t_log_normaliser``: the one expression behind ``student_t_log_density``
-    and the exact-rate engine's crossings, so both round alike."""
-    return log_normaliser - 0.5 * (nu + 1.0) * np.log1p(z * z / nu)
+    and the exact-rate engine's crossings, so both round alike on arrays."""
+    return log_normaliser - 0.5 * (nu + 1.0) * xp(z).log1p(z * z / nu)
 
 
 def _gamma_log_pdf(lam: np.ndarray, a: float, b: float) -> np.ndarray:

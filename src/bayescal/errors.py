@@ -7,7 +7,7 @@ the UTF-8 check of an input file, which raises ScoreFileError.
 import math
 from pathlib import Path
 
-import numpy as np
+from ._numpy import np
 
 
 class BayescalError(Exception):
@@ -52,13 +52,18 @@ def _check(rule: str, good, values: dict) -> None:
     """Raise ``NAME must be RULE, got V`` for the first value that ``good``
     rejects. ``good`` maps a value, or an array elementwise, to whether it
     obeys the rule, and NaN fails it. A Python int or float (numpy's float64
-    is one) is tested as it is; anything else as an array, and V is its
-    first bad element."""
+    is one) is tested as it is, and a tuple or list of Python floats one
+    element at a time, without numpy; anything else as an array. For a
+    sequence, V is its first bad element."""
     for name, value in values.items():
         if isinstance(value, (int, float)):
             if good(value):
                 continue
             shown = float(value) if isinstance(value, float) else value
+        elif type(value) in (tuple, list) and all(type(v) is float for v in value):
+            shown = next((v for v in value if not good(v)), None)
+            if shown is None:
+                continue
         else:
             arr = np.asarray(value)
             ok = good(arr)

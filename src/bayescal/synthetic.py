@@ -5,8 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import check_at_least, check_finite, check_positive
 from .scores import Hypothesis, SufficientStats
 

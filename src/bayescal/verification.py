@@ -58,8 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 
-import numpy as np
-
+from ._numpy import np
 from .conjugate import (
     NONINFORMATIVE_PRIOR,
     NormalGammaParams,

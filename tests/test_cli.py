@@ -784,6 +784,46 @@ def test_no_command_loads_scipy(tmp_path, background):
     assert scipy_modules == []
 
 
+def test_llr_and_decide_load_no_numpy(tmp_path, background):
+    """``import bayescal`` binds numpy lazily, and ``llr`` and ``decide``
+    compute with ``math``, so none of them loads ``numpy._core``, whatever
+    the method and with or without a config file. ``simulate``, ``verify``
+    and ``lr-distribution`` then load numpy and exit 0."""
+    cfg = tmp_path / "cfg.json"
+    config = {**TestSimulateCommand.SMALL_CONFIG, "prior": {"mu0": 0.5}, "variance_floor": 1e-6}
+    cfg.write_text(json.dumps(config))
+    common = ["--background", background, "--score", "1.0"]
+    cases = []
+    for config in ([], ["--config", str(cfg)]):
+        cases += [["llr", *common, "--method", m, *config] for m in ("plugin", "bayes", "both")]
+        cases += [["decide", *common, "--pi1", "0.3", "--method", m, *config]
+                  for m in ("plugin", "bayes")]
+    later = [
+        ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")],
+        TestVerifyCommand.QUICK,
+        ["lr-distribution", "--score", "1.0", "--trials", "5"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "def loaded():\n"
+        "    return 'numpy._core' in sys.modules\n"
+        "import bayescal\n"
+        "after_import = loaded()\n"
+        "import bayescal.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [bayescal.cli.main(argv) for argv in {cases!r}]\n"
+        "    after_cases = loaded()\n"
+        f"    later = [bayescal.cli.main(argv) for argv in {later!r}]\n"
+        "print(json.dumps([after_import, codes, after_cases, later, loaded()]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(bayescal.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [False, [0] * 10, False, [0, 0, 0], True]
+
+
 def test_hermite_rule_is_read_from_its_table(tmp_path):
     """``import bayescal.cli`` loads neither ``numpy.polynomial``, the
     stored Gauss-Hermite table nor the vectorized erfc, and a ``simulate``

@@ -20,7 +20,7 @@ from bayescal import (
     sample_params,
     student_t_log_density,
 )
-from bayescal.conjugate import NONINFORMATIVE_PRIOR
+from bayescal.conjugate import NONINFORMATIVE_PRIOR, _log_gamma_half_ratio
 
 finite_scores = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False),
@@ -192,6 +192,33 @@ class TestStudentTLogDensity:
             StudentT(0.0, 0.0, 1.0)
         with pytest.raises(ValidationError):
             StudentT(0.0, 1.0, -1.0)
+
+
+#: Measured worst |math route - numpy route| of ``student_t_log_density``,
+#: in units of eps (2^-52) times the sum of its terms' magnitudes: 1.70 over
+#: 20 000 random predictives and scores, 608 of which differ. ``np.log1p``
+#: and ``math.log1p`` round differently by an ulp on about 1 in 15 inputs.
+STUDENT_T_ROUTE_EPS = 4.0
+
+
+def test_student_t_log_density_routes_agree():
+    """A plain score and predictive take ``math.log``/``math.log1p``; numpy
+    scalars take numpy's, and the two agree within the stated bound."""
+    rng = np.random.default_rng(20261019)
+    worst = 0.0
+    for _ in range(5000):
+        loc, scale = rng.uniform(-10.0, 10.0), 10.0 ** rng.uniform(-3.0, 3.0)
+        dof = 10.0 ** rng.uniform(-1.7, 5.0)
+        e = loc + scale * rng.uniform(-50.0, 50.0)
+        plain = student_t_log_density(StudentT(loc, scale, dof), e)
+        scalars = StudentT(np.float64(loc), np.float64(scale), dof)
+        numpy = student_t_log_density(scalars, np.float64(e))
+        assert type(plain) is float
+        z = (e - loc) / scale
+        terms = (abs(_log_gamma_half_ratio(0.5 * dof)) + 0.5 * abs(math.log(dof * math.pi))
+                 + abs(math.log(scale)) + 0.5 * (dof + 1.0) * math.log1p(z * z / dof))
+        worst = max(worst, abs(plain - numpy) / (2.0**-52 * terms))
+    assert worst <= STUDENT_T_ROUTE_EPS
 
 
 class TestNormalGammaLogDensity:

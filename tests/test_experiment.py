@@ -368,12 +368,15 @@ class TestGoldenValues:
 
 
 def _one_trial(calibration, t):
-    """Trial ``t`` of a calibrated block, as scalar parameters."""
+    """Trial ``t`` of a calibrated block, as numpy scalar parameters, which
+    take the numpy route as the block does. Python floats would take the
+    ``math`` route, whose ``log1p`` can differ from numpy's by an ulp; that
+    route is bounded against numpy's in ``tests/test_scores.py``."""
     theta, preds = calibration
     fields = (theta.mu1, theta.mu2, theta.lambda1, theta.lambda2)
     return (
-        GaussianParams(*(float(v[t]) for v in fields)),
-        tuple(StudentT(float(p.location[t]), float(p.scale[t]), p.dof) for p in preds),
+        GaussianParams(*(v[t] for v in fields)),
+        tuple(StudentT(p.location[t], p.scale[t], p.dof) for p in preds),
     )
 
 

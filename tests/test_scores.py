@@ -2,6 +2,8 @@
 
 import math
 import struct
+import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from bayescal import (
     load_background_csv,
     parse_label,
 )
+from bayescal.scores import _PLAIN_MAX_SCORES, _plain_scores
 
 finite_scores = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False),
@@ -431,3 +434,126 @@ def test_generated_csv_reads_back_the_scores_written(tmp_path_factory, generated
     f.write_bytes(raw)
     data = load_background_csv(f)
     assert data.h1_scores == h1 and data.h2_scores == h2
+
+
+# The plain route: an array('d'), or a tuple or list of Python floats and
+# ints, is summarized by a pure-Python copy of numpy's pairwise sum.
+PLAIN_CONTAINERS = {"tuple": tuple, "list": list, "array": lambda v: array("d", v)}
+# around the 8-lane unroll and numpy's 128-value blocks, and the largest casework file
+PARITY_SIZES = [0, 1, 7, 8, 9, 127, 128, 129, 255, 256, 257, 55_000]
+
+
+def _spread_scores(n, seed):
+    """n scores of one class, at a scale drawn from 1e-5 to 1e4."""
+    rng = np.random.default_rng(seed)
+    scale = rng.uniform(0.1, 100.0) * 10.0 ** int(rng.integers(-5, 5))
+    return rng.normal(rng.uniform(-5.0, 5.0), 1.0, n) * scale
+
+
+class TestPlainRoute:
+    """``collect_stats`` and ``BackgroundData`` on plain sequences equal
+    their numpy route, given the same scores as a float64 array, bit for bit."""
+
+    @pytest.mark.parametrize("container", PLAIN_CONTAINERS)
+    @pytest.mark.parametrize("n", PARITY_SIZES)
+    def test_collect_stats_equals_numpy(self, n, container):
+        scores = _spread_scores(n, n)
+        plain = PLAIN_CONTAINERS[container](scores.tolist())
+        assert _plain_scores(plain)
+        assert _bits(collect_stats(plain)) == _bits(collect_stats(scores))
+
+    @pytest.mark.parametrize("container", PLAIN_CONTAINERS)
+    @pytest.mark.parametrize("n", PARITY_SIZES)
+    def test_background_data_equals_numpy(self, n, container):
+        h1, h2 = _spread_scores(n, n), _spread_scores(n + 3, n + 100_000)
+        plain = BackgroundData(*(PLAIN_CONTAINERS[container](s.tolist()) for s in (h1, h2)))
+        reference = BackgroundData(h1, h2)
+        assert plain == reference
+        assert _bits(plain.h1_stats) == _bits(reference.h1_stats)
+        assert _bits(plain.h2_stats) == _bits(reference.h2_stats)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 128, 129, 257])
+    def test_negative_zeros_sum_to_positive_zero(self, n):
+        """numpy adds a sum into its identity, +0.0, so a class of -0.0
+        alone has mean +0.0; summing from -0.0 alone would give -0.0."""
+        zeros = [-0.0] * n
+        for scores in (zeros, tuple(zeros), array("d", zeros)):
+            stats = collect_stats(scores)
+            assert _bits(stats) == _bits(collect_stats(np.array(zeros)))
+            assert math.copysign(1.0, stats.mean) == 1.0
+            assert _bits(BackgroundData(scores, ()).h1_stats) == _bits(stats)
+
+    def test_python_ints_are_taken_as_floats(self):
+        scores = [3, -1, 2.5, 2**60 + 1, 7, 0, 1, 4, 9]
+        assert _plain_scores(scores)
+        assert _bits(collect_stats(scores)) == _bits(collect_stats(np.array(scores, dtype=float)))
+        assert BackgroundData(scores, ()).h1_scores == tuple(float(v) for v in scores)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64,
+                              min_value=-1e150, max_value=1e150), max_size=300))
+    @example([-0.0] * 9)
+    @example([0.0, -0.0] * 70)
+    def test_any_finite_list(self, scores):
+        assert _bits(collect_stats(scores)) == _bits(collect_stats(np.array(scores)))
+
+    @pytest.mark.parametrize(
+        "h1, message",
+        [
+            ([0.0, math.nan, 1.0], r"^h1_scores\[1\] is not finite: nan$"),
+            ([0.0, 1.0, -math.inf], r"^h1_scores\[2\] is not finite: -inf$"),
+            # the mean overflows
+            ([1e308, 1e308, -1.0], r"^h1_scores overflow float range when summarized; "
+                                   r"the largest in magnitude is h1_scores\[0\] = 1e\+308$"),
+            # the mean is 0, the squared deviations overflow
+            ([-1.0, 1e200, -1e200], r"^h1_scores overflow float range when summarized; "
+                                    r"the largest in magnitude is h1_scores\[1\] = 1e\+200$"),
+        ],
+        ids=["nan", "inf", "mean", "squares"],
+    )
+    def test_refusals_match_numpy(self, h1, message):
+        """Both routes raise the same message, and the numpy route warns of nothing."""
+        for scores in (h1, tuple(h1), array("d", h1), np.array(h1)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match=message):
+                    BackgroundData(scores, ())
+        plain, numpy = [], []
+        for errors, scores in ((plain, h1), (numpy, np.array(h1))):
+            try:
+                collect_stats(scores)
+            except ValidationError as exc:
+                errors.append(str(exc))
+        assert plain == numpy and len(plain) == 1
+
+    def test_a_class_past_the_limit_takes_numpy(self):
+        """Past ``_PLAIN_MAX_SCORES`` scores, loading numpy and summing there
+        is faster; the stats are the same either way."""
+        assert _plain_scores(array("d", [0.0]) * _PLAIN_MAX_SCORES)
+        assert not _plain_scores(array("d", [0.0]) * (_PLAIN_MAX_SCORES + 1))
+        assert not _plain_scores([1.0, np.float64(2.0)])
+        assert not _plain_scores([1.0, True])
+        assert not _plain_scores(array("f", [1.0]))
+
+
+#: Measured worst |math route - numpy route| of ``gaussian_log_density``, in
+#: units of eps (2^-52) times the sum of its terms' magnitudes: 0.56 over
+#: 20 000 random (score, mean, precision), on the one input whose log rounds
+#: differently. The bound allows twice that, and more.
+GAUSSIAN_ROUTE_EPS = 2.0
+
+
+def test_gaussian_log_density_routes_agree():
+    """Plain floats take ``math.log``, numpy scalars ``np.log``, which can
+    round a precision's log differently by an ulp."""
+    rng = np.random.default_rng(20261019)
+    worst = 0.0
+    for _ in range(5000):
+        mean, precision = rng.uniform(-10.0, 10.0), 10.0 ** rng.uniform(-4.0, 4.0)
+        e = mean + rng.uniform(-12.0, 12.0) / math.sqrt(precision)
+        plain = gaussian_log_density(e, mean, precision)
+        numpy = gaussian_log_density(*map(np.float64, (e, mean, precision)))
+        assert type(plain) is float
+        z = e - mean
+        terms = 0.5 * (abs(math.log(precision)) + math.log(2 * math.pi) + precision * z * z)
+        worst = max(worst, abs(plain - numpy) / (2.0**-52 * terms))
+    assert worst <= GAUSSIAN_ROUTE_EPS
