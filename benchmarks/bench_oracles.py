@@ -7,9 +7,9 @@ decomposition sweep, the peak-only pitfall and a whole CLI process.
 Cases:
 
 - ``load_background_csv`` on a 55 000-row file (5 000 H1, 50 000 H2 scores);
-- ``BackgroundData`` on that file's two classes, as ``array('d')`` (the
-  plain route, a pure-Python pairwise sum) and as numpy arrays (numpy's
-  route, numpy already loaded);
+- ``BackgroundData`` on that file's two classes, as ``array('d')``
+  (``plain``) and as numpy arrays (``numpy``), both summarized by the one
+  correctly rounded route, numpy already loaded;
 - ``BackgroundData`` + ``fit_plugin`` + ``class_predictives`` on fresh draws
   at 9/27 and at 300/4 050 scores per class, the smallest and largest
   background of the fig1 confidence experiment;
@@ -128,9 +128,9 @@ def test_load_background_csv_55k(benchmark, csv_55k):
     assert (data.n1, data.n2) == (5_000, 50_000)
 
 
-@pytest.mark.parametrize("route", ["plain", "numpy"])
-def test_background_data_55k(benchmark, classes_55k, route):
-    h1, h2 = (array("d", c.tolist()) if route == "plain" else c for c in classes_55k)
+@pytest.mark.parametrize("container", ["plain", "numpy"])
+def test_background_data_55k(benchmark, classes_55k, container):
+    h1, h2 = (array("d", c.tolist()) if container == "plain" else c for c in classes_55k)
     data = benchmark(BackgroundData, h1, h2)
     assert (data.n1, data.n2) == (5_000, 50_000)
 

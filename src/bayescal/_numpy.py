@@ -10,7 +10,6 @@ are plain, and plain inputs take ``math``.
 import importlib.util
 import math
 import sys
-from array import array
 
 
 def lazy(name: str):
@@ -53,10 +52,3 @@ def floats(*values):
         return math, [float(v) for v in values]
     return np, [np.asarray(v, dtype=float) for v in values]
 
-
-def plain_sequence(values) -> bool:
-    """Whether ``values`` is an ``array('d')``, or a tuple or list of plain
-    values."""
-    if isinstance(values, array):
-        return values.typecode == "d"
-    return type(values) in (tuple, list) and PLAIN.issuperset(map(type, values))

@@ -291,13 +291,9 @@ def _plugin_exceedance(theta, thresholds, laws):
     )
 
 
-def _log_t_slope(dist: StudentT, e):
-    """d/de of ``student_t_log_density``: -(nu + 1) u / (nu scale^2 + u^2), u = e - location."""
-    return _t_slope(e - dist.location, dist.dof, dist.dof * dist.scale**2)
-
-
 def _t_slope(u, nu, spread):
-    """``_log_t_slope`` at offsets u from the location, given nu scale^2."""
+    """d/de of ``student_t_log_density`` at offsets u = e - location, given
+    spread = nu scale^2: -(nu + 1) u / (spread + u^2)."""
     return -(nu + 1.0) * u / (spread + u * u)
 
 

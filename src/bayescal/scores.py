@@ -12,11 +12,9 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 from pathlib import Path
 
-from ._numpy import floats, np, plain, plain_sequence
+from ._numpy import floats, np, plain
 from .errors import (
     ScoreFileError,
     ValidationError,
@@ -40,50 +38,24 @@ def _scalar_like(result, *inputs) -> float | np.ndarray:
     return result
 
 
-#: numpy sums a float64 run in blocks of at most this many values.
-_PAIRWISE_BLOCK = 128
-
-#: The most scores of one class that ``collect_stats`` and ``BackgroundData``
-#: sum in Python. Past it, loading numpy and summing there is faster: in a
-#: fresh process on a 2-core Xeon VM, ``BackgroundData`` summarizes a class
-#: in Python in 0.19 us a score, and through numpy in 34 ms, numpy's load,
-#: plus 0.045 us a score. Both routes give the same stats.
-_PLAIN_MAX_SCORES = 230_000
+def _floats(scores) -> list[float]:
+    """The values of a flat sequence of numbers, each as a Python float. A
+    container with a ``tolist``, such as an ``array('d')`` or a numpy array,
+    hands them over through it, so a nested array is refused, as is a string."""
+    if isinstance(scores, (str, bytes)):
+        raise TypeError(f"got {type(scores).__name__} {scores!r}")
+    return list(map(float, scores.tolist() if hasattr(scores, "tolist") else scores))
 
 
-def _plain_scores(scores) -> bool:
-    """Whether ``scores`` take the plain route: a ``plain_sequence`` of at
-    most ``_PLAIN_MAX_SCORES`` values."""
-    return plain_sequence(scores) and len(scores) <= _PLAIN_MAX_SCORES
-
-
-def _float_list(scores) -> list[float]:
-    """The values of a ``plain_sequence`` as a list of Python floats."""
-    return scores.tolist() if isinstance(scores, array) else list(map(float, scores))
-
-
-def _pairwise_sum(values, lo: int = 0, n: int | None = None) -> float:
-    """The sum of ``values[lo:lo + n]`` as numpy's pairwise summation adds a
-    contiguous float64 run, bit for bit: a run of fewer than 8 values in
-    order from -0.0; a run of at most ``_PAIRWISE_BLOCK`` in 8 strided
-    lanes, combined in pairs, then the rest in order; a longer run as the
-    sum of its halves, split at n/2 rounded down to a multiple of 8.
-    ``reduce(add, ...)`` adds in order, as ``sum()`` does not from Python
-    3.12, which compensates. numpy's reduction adds the whole into its
-    identity 0.0, so a run of -0.0 alone sums to +0.0."""
-    if n is None:
-        return 0.0 + _pairwise_sum(values, 0, len(values))
-    if n < 8:
-        return reduce(add, values[lo:lo + n], -0.0)
-    if n <= _PAIRWISE_BLOCK:
-        end = lo + n
-        rest = end - n % 8
-        r = [reduce(add, values[j:rest:8]) for j in range(lo, lo + 8)]
-        lanes = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return reduce(add, values[rest:end], lanes)
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values, lo, half) + _pairwise_sum(values, lo + half, n - half)
+def _fsum(values) -> float:
+    """The correctly rounded sum of ``values`` (Shewchuk's algorithm, as
+    ``math.fsum`` implements it), or inf where ``fsum`` raises, at partial
+    sums past the float range or inf + -inf, so a caller refuses it as it
+    refuses any sum that is not finite."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.inf
 
 
 class Hypothesis(enum.Enum):
@@ -123,8 +95,8 @@ class BackgroundData:
     Either class may be empty (the Bayesian path tolerates n=0); every score
     must be finite. Construction validates each class once and summarizes it
     once into ``h1_stats``/``h2_stats``, which every consumer reads instead of
-    recomputing them. A class given as an ``array('d')``, or as a tuple or
-    list of Python floats and ints, is summarized without numpy.
+    recomputing them. Each class may be any flat sequence of numbers; it is
+    kept as a tuple of Python floats and summarized by ``collect_stats``.
     """
 
     h1_scores: tuple[float, ...]
@@ -135,18 +107,12 @@ class BackgroundData:
     def __post_init__(self):
         for cls in ("h1", "h2"):
             name = f"{cls}_scores"
-            scores = getattr(self, name)
-            if _plain_scores(scores):
-                values = scores = tuple(_float_list(scores))
-            else:
-                scores = np.asarray(scores, dtype=float)
-                if scores.ndim != 1:
-                    raise TypeError(
-                        f"{name} must be a flat sequence of numbers, got shape {scores.shape}"
-                    )
-                values = tuple(scores.tolist())
             try:
-                stats = collect_stats(scores)
+                values = tuple(_floats(getattr(self, name)))
+            except TypeError as exc:
+                raise TypeError(f"{name} must be a flat sequence of numbers: {exc}") from None
+            try:
+                stats = collect_stats(values)
             except ValidationError:  # a score that is not finite, or sums that overflow
                 raise _class_error(name, values) from None
             object.__setattr__(self, name, values)
@@ -214,47 +180,23 @@ class GaussianParams:
 
 
 def collect_stats(scores) -> SufficientStats:
-    """Compress a sequence of scores into (n, mean, sum of squared deviations).
+    """Compress a flat sequence of scores into (n, mean, sum of squared
+    deviations), whatever its container.
 
-    Uses a two-pass scheme (mean first, then deviations) for numerical
-    stability. Rejects non-finite entries, naming the offending index. A
-    2-D array is a block of backgrounds, one per row: its stats hold one
-    mean and one sum per row, each bit for bit the value of that row alone.
-    An ``array('d')``, or a tuple or list of Python floats and ints, is
-    summed by ``_pairwise_sum`` instead of numpy, to the same bits.
+    Two passes, each a correctly rounded sum: the mean is the exact sum of
+    the scores, rounded once, over n, and ``sum_sq_dev`` the exact sum of
+    the float squared deviations from that mean, rounded once. Rejects
+    non-finite entries, naming the offending index; sums that overflow are
+    refused by ``SufficientStats``.
     """
-    if _plain_scores(scores):
-        values = _float_list(scores)
-        n = len(values)
-        mean = _pairwise_sum(values) / n if n else 0.0
-        if not math.isfinite(mean):
-            for i, v in enumerate(values):
-                if not math.isfinite(v):
-                    raise ValidationError(f"score [{i}] is not finite: {v!r}")
-        return SufficientStats(n, mean, _pairwise_sum([(v - mean) * (v - mean) for v in values]))
-    arr = np.array(scores, dtype=float)
-    if arr.ndim != 2:
-        arr = arr.reshape(-1)
-    n = arr.shape[-1]
-    # a sum that is not finite is refused, here or by SufficientStats, so
-    # numpy's warning would only precede the error
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = arr.mean(axis=-1) if n else np.zeros(arr.shape[:-1])
-        # a non-finite score makes its row's mean non-finite, so the scores
-        # are searched only then, without a mask as large as the block
-        if not np.isfinite(mean).all():
-            bad = np.flatnonzero(~np.isfinite(arr))
-            if bad.size:
-                i = np.unravel_index(bad[0], arr.shape)
-                raise ValidationError(
-                    f"score [{', '.join(map(str, i))}] is not finite: {arr[i].item()!r}"
-                )
-        # a single score deviates from itself by exactly 0.0
-        arr -= mean[..., None]
-        ssd = np.square(arr, out=arr).sum(axis=-1)
-    if arr.ndim == 2:
-        return SufficientStats(n, mean, ssd)
-    return SufficientStats(n, float(mean), float(ssd))
+    values = _floats(scores)
+    n = len(values)
+    mean = _fsum(values) / n if n else 0.0
+    if not math.isfinite(mean):
+        for i, v in enumerate(values):
+            if not math.isfinite(v):
+                raise ValidationError(f"score [{i}] is not finite: {v!r}")
+    return SufficientStats(n, mean, _fsum([(v - mean) * (v - mean) for v in values]))
 
 
 def fit_plugin(

@@ -20,9 +20,10 @@ double-exponential substitution of Takahasi and Mori (1974), on which the
 trapezoid rule converges exponentially for an analytic integrand. The span
 of s ends where the profile's log-density in t has fallen by
 ``lambda_tail_nats`` on each side of its mode, so the truncated mass is about
-exp(-lambda_tail_nats) of the integral. A block of lists that share a count,
-such as one posterior's e-grid, shares the profile's shape a, so one s-grid;
-each list's rate b places its own row of precision nodes.
+exp(-lambda_tail_nats) of the integral. Scores enter only through their
+sufficient statistics. Stats with array means and sums that share a count,
+such as one posterior's e-grid, each e's stats (1, e, 0), share the profile's
+shape a, so one s-grid; each element's rate b places its own precision row.
 
 Integrand. ``_log_joint_coefficients`` writes the log joint density out once,
 at mean = m0 + u/r with r = sqrt(beta*precision) of the profile, as a
@@ -80,6 +81,7 @@ from .scores import (
     BackgroundData,
     GaussianParams,
     Hypothesis,
+    SufficientStats,
     _LOG_2PI,
     collect_stats,
 )
@@ -198,16 +200,19 @@ def quadrature_predictive(
 
     Integrates Normal(e | mean, 1/precision) against the Normal-Gamma
     ``posterior`` over (mean, precision), accumulating in the log domain:
-    the evidence of the one score ``e`` under ``posterior``. The closed-form
-    counterpart is ``student_t_log_density(predictive(p), e)``. An array
-    ``e`` is one integration giving one value per element, each equal to
-    its float call bit for bit.
+    the evidence of the one score ``e`` under ``posterior``, whose stats are
+    (1, e, 0). The closed-form counterpart is
+    ``student_t_log_density(predictive(p), e)``. An array ``e`` is one
+    integration over a block of such stats, giving one value per element,
+    each equal to its float call bit for bit.
     """
     e = np.asarray(e, dtype=float)
     check_finite(e=e)
     if e.ndim == 0:
-        return _log_evidence(posterior, [float(e)], spec)
-    return _log_evidence(posterior, e.reshape(-1, 1), spec).reshape(e.shape)
+        return _log_evidence(posterior, SufficientStats(1, float(e), 0.0), spec)
+    flat = e.reshape(-1)
+    stats = SufficientStats(1, flat, np.zeros_like(flat))
+    return _log_evidence(posterior, stats, spec).reshape(e.shape)
 
 
 def quadrature_joint_evidence(
@@ -220,14 +225,14 @@ def quadrature_joint_evidence(
     gives that score's predictive density, so an exact Bayesian log-LR can be
     assembled from these without ever forming a parameter posterior.
     """
-    return _log_evidence(prior, scores, spec)
+    return _log_evidence(prior, collect_stats(scores), spec)
 
 
-def _log_evidence(prior, scores, spec) -> float | np.ndarray:
+def _log_evidence(prior, stats, spec) -> float | np.ndarray:
     """The log integral behind both oracles above: the prior density times
-    the likelihood of ``scores``, through their sufficient statistics; a
-    2-D block of lists that share a count gives one value per list."""
-    stats = collect_stats(scores)
+    the likelihood of scores with sufficient statistics ``stats``; stats
+    whose mean and sum are arrays, a block of score lists that share a
+    count, give one value per element."""
     profile = posterior_update(prior, stats)
     lam, log_row_scale = _profile_nodes(profile, spec)
     root = np.sqrt(profile.beta * lam)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bayescal import (
     NormalGammaParams,
     StudentT,
+    SufficientStats,
     ValidationError,
     collect_stats,
     gaussian_log_density,
@@ -110,10 +111,13 @@ class TestBlockOfTrials:
     @example(NormalGammaParams(2.251187326723537, 5.205078125, 1.0, 1.0), 17, 2**31)
     def test_update_and_predictive_match_each_trial_bit_for_bit(self, prior, n, seed):
         rows = np.random.default_rng(seed).normal(1.0, 3.0, size=(6, n))
-        block = predictive(posterior_update(prior, collect_stats(rows)))
-        for t, row in enumerate(rows):
-            post = posterior_update(prior, collect_stats(row))
-            one = predictive(post)
+        stats = [collect_stats(row) for row in rows]
+        stacked = SufficientStats(
+            n, np.array([s.mean for s in stats]), np.array([s.sum_sq_dev for s in stats])
+        )
+        block = predictive(posterior_update(prior, stacked))
+        for t, one_stats in enumerate(stats):
+            one = predictive(posterior_update(prior, one_stats))
             assert (block.location[t], block.scale[t], block.dof) == (
                 one.location, one.scale, one.dof
             )

@@ -37,11 +37,11 @@ from bayescal.experiment import (
     _block_stats,
     _calibrated_blocks,
     _hermite_rule,
-    _log_t_slope,
     _mean_log_lrs,
     _plugin_exceedance,
     _span,
     _stationary_points,
+    _t_slope,
     _upper_tail,
 )
 from bayescal.scores import DEFAULT_VARIANCE_FLOOR, SufficientStats
@@ -219,9 +219,10 @@ class TestCrossingSolver:
         points = _stationary_points(pred1, pred2)[:, 0]
         lo, hi = _span(DEFAULT_LAWS)
         assert np.all(np.isfinite(points)) and np.all((lo < points) & (points < hi))
-        np.testing.assert_allclose(
-            _log_t_slope(pred1, points) - _log_t_slope(pred2, points), 0.0, atol=1e-14
+        slope1, slope2 = (
+            _t_slope(points - p.location, p.dof, p.dof * p.scale**2) for p in (pred1, pred2)
         )
+        np.testing.assert_allclose(slope1 - slope2, 0.0, atol=1e-14)
         thresholds = np.linspace(-8.0, 8.0, 33)
         exact = _bayes_exceedance((pred1, pred2), thresholds, DEFAULT_LAWS)
         for i, c in enumerate(thresholds):

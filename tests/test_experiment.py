@@ -34,7 +34,7 @@ from bayescal.experiment import (
     _calibrated_blocks,
     _errors_over_grid,
 )
-from bayescal.scores import DEFAULT_VARIANCE_FLOOR
+from bayescal.scores import DEFAULT_VARIANCE_FLOOR, SufficientStats
 from bayescal.synthetic import background_stats
 from bayescal.verification import pitfall_divergence
 
@@ -42,10 +42,19 @@ from bayescal.verification import pitfall_divergence
 LAWS = [GeneratorConfig().test_law(h) for h in Hypothesis]
 
 
+def _stacked(rows):
+    """The stats of each row of scores, stacked into a block of one element
+    per row; the rows share a count."""
+    stats = [collect_stats(row) for row in rows]
+    return SufficientStats(
+        stats[0].n, np.array([s.mean for s in stats]), np.array([s.sum_sq_dev for s in stats])
+    )
+
+
 def _errors(h1, h2, grid, laws=LAWS):
     """Both methods' exact error rates, calibrated on one background, at
     each point of ``grid``."""
-    stats = _BlockStats(collect_stats([h1]), collect_stats([h2]))
+    stats = _BlockStats(_stacked([h1]), _stacked([h2]))
     calibration = (
         fit_plugin(stats, DEFAULT_VARIANCE_FLOOR), class_predictives(stats, NONINFORMATIVE_PRIOR)
     )
@@ -106,7 +115,7 @@ class TestBackgroundStats:
         trials = 5_000
         drawn, _ = background_stats(self.WORLD, n, 2, trials, 6, 0)
         scores = generate_scores(self.WORLD, Hypothesis.H1, n * trials, seed=7)
-        summarized = collect_stats(scores.reshape(trials, n))
+        summarized = _stacked(scores.reshape(trials, n))
         assert scipy.stats.ks_2samp(drawn.mean, summarized.mean).pvalue > 1e-3
         assert scipy.stats.ks_2samp(drawn.sum_sq_dev, summarized.sum_sq_dev).pvalue > 1e-3
 

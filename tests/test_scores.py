@@ -4,6 +4,7 @@ import math
 import struct
 import warnings
 from array import array
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from bayescal import (
     load_background_csv,
     parse_label,
 )
-from bayescal.scores import _PLAIN_MAX_SCORES, _plain_scores
 
 finite_scores = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False),
@@ -90,6 +90,19 @@ def test_collect_stats_merge_property(first, second):
     assert math.isclose(combined.mean, pooled_mean, rel_tol=1e-10, abs_tol=1e-10)
     assert math.isclose(combined.sum_sq_dev, pooled_ssd, rel_tol=1e-10, abs_tol=1e-8)
 
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64, min_value=-1e150,
+                          max_value=1e150), min_size=1, max_size=200))
+# summed in order, 1e16 + 1.0 rounds to 1e16 and the mean to 0.0; exactly, it is 1/3
+@example([1e16, 1.0, -1e16])
+def test_collect_stats_sums_are_correctly_rounded(scores):
+    """The mean is the exact sum of the scores, rounded once, over n, and
+    ``sum_sq_dev`` the exact sum of the float squared deviations, rounded once."""
+    stats = collect_stats(scores)
+    assert stats.mean == float(sum(map(Fraction, scores))) / len(scores)
+    squares = [(v - stats.mean) * (v - stats.mean) for v in scores]
+    assert stats.sum_sq_dev == float(sum(map(Fraction, squares)))
 
 class TestFitPlugin:
     def test_symmetric_example(self):
@@ -215,6 +228,13 @@ class TestBackgroundData:
         with pytest.raises(TypeError):
             BackgroundData(h1, ())
 
+    @pytest.mark.parametrize("h1", ["12", b"12"])
+    def test_rejects_a_string_class(self, h1):
+        with pytest.raises(TypeError, match=r"^h1_scores must be a flat sequence of numbers"):
+            BackgroundData(h1, ())
+        with pytest.raises(TypeError):
+            collect_stats(h1)
+
     def test_rejects_non_number(self):
         with pytest.raises(ValueError, match="could not convert"):
             BackgroundData((1.0,), ("abc",))
@@ -244,27 +264,6 @@ def test_background_stats_are_collect_stats_of_each_class(h1, h2):
     swapped = BackgroundData(data.h2_scores, data.h1_scores)
     assert _bits(swapped.h1_stats) == _bits(data.h2_stats)
     assert _bits(swapped.h2_stats) == _bits(data.h1_stats)
-
-
-@given(
-    st.integers(0, 40).flatmap(
-        lambda n: st.lists(
-            st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64, min_value=-1e150,
-                               max_value=1e150), min_size=n, max_size=n),
-            min_size=1, max_size=6,
-        )
-    )
-)
-def test_block_stats_are_collect_stats_of_each_row(rows):
-    block = collect_stats(np.array(rows, dtype=float).reshape(len(rows), -1))
-    for t, row in enumerate(rows):
-        one = collect_stats(row)
-        assert (block.n, struct.pack("<dd", block.mean[t], block.sum_sq_dev[t])) == _bits(one)
-
-
-def test_block_stats_name_the_first_non_finite_score():
-    with pytest.raises(ValidationError, match=r"^score \[1, 2\] is not finite: inf$"):
-        collect_stats(np.array([[0.0, 1.0, 2.0], [3.0, 4.0, math.inf]]))
 
 
 class TestLabelParsing:
@@ -436,10 +435,9 @@ def test_generated_csv_reads_back_the_scores_written(tmp_path_factory, generated
     assert data.h1_scores == h1 and data.h2_scores == h2
 
 
-# The plain route: an array('d'), or a tuple or list of Python floats and
-# ints, is summarized by a pure-Python copy of numpy's pairwise sum.
-PLAIN_CONTAINERS = {"tuple": tuple, "list": list, "array": lambda v: array("d", v)}
-# around the 8-lane unroll and numpy's 128-value blocks, and the largest casework file
+# Every container of scores is summarized one way, so each gives the same bits.
+CONTAINERS = {"tuple": tuple, "list": list, "array": lambda v: array("d", v)}
+# small, around powers of two, and the largest casework file
 PARITY_SIZES = [0, 1, 7, 8, 9, 127, 128, 129, 255, 256, 257, 55_000]
 
 
@@ -450,32 +448,32 @@ def _spread_scores(n, seed):
     return rng.normal(rng.uniform(-5.0, 5.0), 1.0, n) * scale
 
 
-class TestPlainRoute:
-    """``collect_stats`` and ``BackgroundData`` on plain sequences equal
-    their numpy route, given the same scores as a float64 array, bit for bit."""
+class TestContainers:
+    """``collect_stats`` and ``BackgroundData`` give the same stats, bit for
+    bit, for the same scores in a tuple, a list, an ``array('d')`` or a
+    float64 array."""
 
-    @pytest.mark.parametrize("container", PLAIN_CONTAINERS)
+    @pytest.mark.parametrize("container", CONTAINERS)
     @pytest.mark.parametrize("n", PARITY_SIZES)
-    def test_collect_stats_equals_numpy(self, n, container):
+    def test_collect_stats_agrees_across_containers(self, n, container):
         scores = _spread_scores(n, n)
-        plain = PLAIN_CONTAINERS[container](scores.tolist())
-        assert _plain_scores(plain)
-        assert _bits(collect_stats(plain)) == _bits(collect_stats(scores))
+        held = CONTAINERS[container](scores.tolist())
+        assert _bits(collect_stats(held)) == _bits(collect_stats(scores))
 
-    @pytest.mark.parametrize("container", PLAIN_CONTAINERS)
+    @pytest.mark.parametrize("container", CONTAINERS)
     @pytest.mark.parametrize("n", PARITY_SIZES)
-    def test_background_data_equals_numpy(self, n, container):
+    def test_background_data_agrees_across_containers(self, n, container):
         h1, h2 = _spread_scores(n, n), _spread_scores(n + 3, n + 100_000)
-        plain = BackgroundData(*(PLAIN_CONTAINERS[container](s.tolist()) for s in (h1, h2)))
+        held = BackgroundData(*(CONTAINERS[container](s.tolist()) for s in (h1, h2)))
         reference = BackgroundData(h1, h2)
-        assert plain == reference
-        assert _bits(plain.h1_stats) == _bits(reference.h1_stats)
-        assert _bits(plain.h2_stats) == _bits(reference.h2_stats)
+        assert held == reference
+        assert _bits(held.h1_stats) == _bits(reference.h1_stats)
+        assert _bits(held.h2_stats) == _bits(reference.h2_stats)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 128, 129, 257])
     def test_negative_zeros_sum_to_positive_zero(self, n):
-        """numpy adds a sum into its identity, +0.0, so a class of -0.0
-        alone has mean +0.0; summing from -0.0 alone would give -0.0."""
+        """``math.fsum`` keeps no zero partial, so a class of -0.0 alone has
+        mean +0.0, in every container."""
         zeros = [-0.0] * n
         for scores in (zeros, tuple(zeros), array("d", zeros)):
             stats = collect_stats(scores)
@@ -485,7 +483,6 @@ class TestPlainRoute:
 
     def test_python_ints_are_taken_as_floats(self):
         scores = [3, -1, 2.5, 2**60 + 1, 7, 0, 1, 4, 9]
-        assert _plain_scores(scores)
         assert _bits(collect_stats(scores)) == _bits(collect_stats(np.array(scores, dtype=float)))
         assert BackgroundData(scores, ()).h1_scores == tuple(float(v) for v in scores)
 
@@ -510,29 +507,18 @@ class TestPlainRoute:
         ],
         ids=["nan", "inf", "mean", "squares"],
     )
-    def test_refusals_match_numpy(self, h1, message):
-        """Both routes raise the same message, and the numpy route warns of nothing."""
+    def test_refusals_agree_across_containers(self, h1, message):
+        """Every container raises the same message, and none warns."""
+        errors = []
         for scores in (h1, tuple(h1), array("d", h1), np.array(h1)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValidationError, match=message):
                     BackgroundData(scores, ())
-        plain, numpy = [], []
-        for errors, scores in ((plain, h1), (numpy, np.array(h1))):
-            try:
-                collect_stats(scores)
-            except ValidationError as exc:
-                errors.append(str(exc))
-        assert plain == numpy and len(plain) == 1
-
-    def test_a_class_past_the_limit_takes_numpy(self):
-        """Past ``_PLAIN_MAX_SCORES`` scores, loading numpy and summing there
-        is faster; the stats are the same either way."""
-        assert _plain_scores(array("d", [0.0]) * _PLAIN_MAX_SCORES)
-        assert not _plain_scores(array("d", [0.0]) * (_PLAIN_MAX_SCORES + 1))
-        assert not _plain_scores([1.0, np.float64(2.0)])
-        assert not _plain_scores([1.0, True])
-        assert not _plain_scores(array("f", [1.0]))
+                with pytest.raises(ValidationError) as refused:
+                    collect_stats(scores)
+            errors.append(str(refused.value))
+        assert len(set(errors)) == 1
 
 
 #: Measured worst |math route - numpy route| of ``gaussian_log_density``, in
