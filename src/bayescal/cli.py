@@ -12,7 +12,6 @@ written), 5 verification tolerance breach.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import json
@@ -23,7 +22,6 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import __version__
-from ._numpy import np
 from .conjugate import NONINFORMATIVE_PRIOR, NormalGammaParams
 from .errors import ScoreFileError, ValidationError, check_at_least, check_positive, check_utf8
 from .experiment import (
@@ -48,7 +46,7 @@ from .verification import QuadratureSpec, run_verification_suite
 
 _LOG10 = math.log(10.0)
 
-_EXPERIMENT_DEFAULTS = dataclasses.asdict(ExperimentConfig(n1=9, n2=27))
+_EXPERIMENT_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 
 _CONFIDENCE_DEFAULTS = {
     "sizes": [[9, 27], [30, 405], [300, 4050]],
@@ -327,7 +325,6 @@ def cmd_lr_distribution(args) -> int:
         prior=NormalGammaParams(**cfg["prior"]),
         variance_floor=cfg["variance_floor"],
     )
-    bayes_vals = [float(v) for v in report.bayes_log_lr_per_trial]
     _print_json(
         {
             "score": float(args.score),
@@ -337,8 +334,8 @@ def cmd_lr_distribution(args) -> int:
             **runs,
             "mu": report.mu,
             "sigma": report.sigma,
-            "mean_bayes_log_lr": float(np.mean(bayes_vals)),
-            "bayes_log_lr_per_trial": bayes_vals,
+            "mean_bayes_log_lr": float(report.bayes_log_lr_per_trial.mean()),
+            "bayes_log_lr_per_trial": report.bayes_log_lr_per_trial.tolist(),
         }
     )
     return 0
@@ -417,13 +414,8 @@ def main(argv=None) -> int:
     if not hasattr(args, "func"):
         parser.print_help(sys.stderr)
         return 2
-    # these reject a non-finite log-LR, rate or mean anyway: numpy's warnings
-    # would precede the error line. llr and decide compute with math, which
-    # warns of nothing, and so load no numpy.
-    quiet = args.func in (cmd_lr_distribution, cmd_simulate)
     try:
-        with np.errstate(all="ignore") if quiet else contextlib.nullcontext():
-            return args.func(args)
+        return args.func(args)
     except ScoreFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ._numpy import floats, np, xp
 from .errors import check_at_least, check_finite, check_positive
-from .scores import SufficientStats, _LOG_2PI, _scalar_like
+from .scores import SufficientStats, _LOG_2PI
 
 #: The "much smaller than one" default used for beta, a and b in the
 #: non-informative prior. Small enough to stay diffuse at single-digit n
@@ -140,7 +140,7 @@ def student_t_log_density(dist: StudentT, e):
     """
     _, (x,) = floats(e)
     z = (x - dist.location) / dist.scale
-    return _scalar_like(_t_log_density(z, _t_log_normaliser(dist), dist.dof), e, dist.location)
+    return _t_log_density(z, _t_log_normaliser(dist), dist.dof)
 
 
 def _t_log_normaliser(dist: StudentT):
@@ -175,9 +175,7 @@ def normal_gamma_log_density(mean, precision, params: NormalGammaParams):
         0.5 * (math.log(params.beta) + np.log(lam) - _LOG_2PI)
         - 0.5 * params.beta * lam * np.square(mu - params.mu0)
     )
-    return _scalar_like(
-        _gamma_log_pdf(lam, params.a, params.b) + log_normal_part, mean, precision
-    )
+    return _gamma_log_pdf(lam, params.a, params.b) + log_normal_part
 
 
 def sample_params(

@@ -52,18 +52,13 @@ def _check(rule: str, good, values: dict) -> None:
     """Raise ``NAME must be RULE, got V`` for the first value that ``good``
     rejects. ``good`` maps a value, or an array elementwise, to whether it
     obeys the rule, and NaN fails it. A Python int or float (numpy's float64
-    is one) is tested as it is, and a tuple or list of Python floats one
-    element at a time, without numpy; anything else as an array. For a
-    sequence, V is its first bad element."""
+    is one) is tested as it is, without numpy; anything else, a sequence
+    too, as an array, whose first bad element is V."""
     for name, value in values.items():
         if isinstance(value, (int, float)):
             if good(value):
                 continue
             shown = float(value) if isinstance(value, float) else value
-        elif type(value) in (tuple, list) and all(type(v) is float for v in value):
-            shown = next((v for v in value if not good(v)), None)
-            if shown is None:
-                continue
         else:
             arr = np.asarray(value)
             ok = good(arr)

@@ -12,6 +12,8 @@ log-odds, or the mean log-LR. No test set is drawn. One loop, ``_block_stats``,
 hands the trials out ``_BLOCK`` at a time, as arrays with one element per
 trial, and a trial's numbers do not depend on its block. All three
 experiments here, and the peak-only pitfall of ``verification``, read it.
+Each of the three refuses a result that is not finite, so it computes under
+``np.errstate(all="ignore")``, whatever its caller's state, and restores it.
 
 Exact rates. Deciding at prior log-odds g convicts iff the log-LR exceeds
 c = -g. On [L, R], which holds all but 1e-300 of either test law's mass,
@@ -64,12 +66,12 @@ _BLOCK = 100
 #: either class mean; the normal mass beyond it, 4e-350, underflows to 0.
 _RANGE_SDS = 40.0
 
-#: Bisection steps before Newton's: fig1's solved range, 84 test-law sd
-#: wide, shrinks to 1.3 sd, and bracketed Newton does the rest. A bisection
-#: evaluates the log-LR at every crossing, a Newton step only at those still
-#: moving, so fewer bisections cost less: fig1 makes 678 580 evaluations
-#: with 6 and 1 029 012 with 12. With none, two fig1 roots still move after
-#: 60 Newton steps.
+#: Bisection steps before Newton's, at least: fig1's solved range, 84
+#: test-law sd wide, shrinks to 1.3 sd, and bracketed Newton does the rest.
+#: A bisection evaluates the log-LR at every crossing, a Newton step only at
+#: those still moving, so fewer bisections cost less: fig1 makes 678 580
+#: evaluations with 6 and 1 029 012 with 12. With none, two fig1 roots still
+#: move after 60 Newton steps. A wider range bisects more (``_bayes_exceedance``).
 _BISECTIONS = 6
 
 #: Newton steps at most; each stays inside the bracket, or bisects. The most
@@ -94,8 +96,8 @@ _HERMITE_NODES = 256
 class ExperimentConfig:
     """Sizes, trial count, prior grid and seeding for one error-curve run."""
 
-    n1: int
-    n2: int
+    n1: int = 9
+    n2: int = 27
     trials: int = 1000
     prior_grid: tuple[float, ...] = DEFAULT_PRIOR_GRID
     seed: int = 0
@@ -297,6 +299,13 @@ def _t_slope(u, nu, spread):
     return -(nu + 1.0) * u / (spread + u * u)
 
 
+def _half_gap_and_unit(pred1: StudentT, pred2: StudentT):
+    """Per trial, half the gap h of the locations and S = sqrt(h^2 + scale1^2
+    + scale2^2), the unit in which the Bayesian log-LR bends."""
+    half_gap = 0.5 * pred1.location - 0.5 * pred2.location
+    return half_gap, np.hypot(half_gap, np.hypot(pred1.scale, pred2.scale))
+
+
 def _stationary_points(pred1: StudentT, pred2: StudentT) -> np.ndarray:
     """The real stationary points of the Bayesian log-LR, (3, trials), NaN
     where there are fewer than three.
@@ -311,8 +320,7 @@ def _stationary_points(pred1: StudentT, pred2: StudentT) -> np.ndarray:
     none: equal dofs leave a quadratic.
     """
     k1, k2 = pred1.dof + 1.0, pred2.dof + 1.0
-    half_gap = 0.5 * pred1.location - 0.5 * pred2.location
-    unit = np.hypot(half_gap, np.hypot(pred1.scale, pred2.scale))
+    half_gap, unit = _half_gap_and_unit(pred1, pred2)
     h = half_gap / unit
     d1, d2 = (p.dof * (p.scale / unit) ** 2 for p in (pred1, pred2))
     coeffs = [
@@ -331,13 +339,13 @@ def _stationary_points(pred1: StudentT, pred2: StudentT) -> np.ndarray:
     return 0.5 * pred1.location + 0.5 * pred2.location + unit * y
 
 
-def _solve_monotone(f, slope, params, lo, hi, c, up):
+def _solve_monotone(f, slope, params, lo, hi, c, up, bisections):
     """x in [lo, hi] with f(x) = c, elementwise, for f monotone on each
     interval and crossing c there (rising if ``up``).
 
     ``f(x, *params)`` and ``slope(x, *params)`` evaluate at x, where each
     of the arrays ``params`` holds one element per point. Bisects
-    ``_BISECTIONS`` times, then takes Newton steps, each replaced by the
+    ``bisections`` times, then takes Newton steps, each replaced by the
     bracket's midpoint when it would leave the bracket. A point stays where
     its first step of at most 1e-10 (1 + |x|) put it: Newton's error after
     such a step is about its square, below the rounding of f itself. A NaN
@@ -347,7 +355,7 @@ def _solve_monotone(f, slope, params, lo, hi, c, up):
     ``_NEWTON_STEPS`` steps.
     """
     below, over = np.where(up, lo, hi), np.where(up, hi, lo)  # f <= c, f > c
-    for _ in range(_BISECTIONS):
+    for _ in range(bisections):
         mid = 0.5 * (below + over)
         hit = f(mid, *params) > c
         np.putmask(over, hit, mid)
@@ -358,8 +366,7 @@ def _solve_monotone(f, slope, params, lo, hi, c, up):
         gap = f(now, *params) - c
         hit = gap > 0
         below, over = np.where(hit, below, now), np.where(hit, now, over)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = now - gap / slope(now, *params)
+        step = now - gap / slope(now, *params)
         step = np.where((step - below) * (step - over) <= 0, step, 0.5 * (below + over))
         moving = np.abs(step - now) > 1e-10 * (1.0 + np.abs(now))
         x[rows] = step
@@ -374,8 +381,15 @@ def _solve_monotone(f, slope, params, lo, hi, c, up):
 
 def _bayes_exceedance(preds, thresholds, laws):
     """``_exceedance`` of the Bayesian log-LR: pieces split at its
-    stationary points inside [L, R], crossings solved by ``_solve_monotone``."""
+    stationary points inside [L, R], crossings solved by ``_solve_monotone``.
+    The crossings lie within a few units S of the locations however wide the
+    test law, so the brackets are bisected to below the block's least S:
+    e bisections, for ``frexp``'s least e with ratio < 2^e (0 if the ratio is
+    not finite), and at least ``_BISECTIONS``. fig1 and fig2 take 6, fig1
+    with ``--shift-scale 1e7`` 29."""
     lo, hi = _span(laws)
+    ratio = (hi - lo) / _half_gap_and_unit(*preds)[1].min()
+    bisections = max(_BISECTIONS, math.frexp(ratio)[1])
     points = _stationary_points(*preds)
     points = np.sort(np.where((points > lo) & (points < hi), points, hi), axis=0)
     trials = points.shape[1]
@@ -396,7 +410,7 @@ def _bayes_exceedance(preds, thresholds, laws):
     def crossing(g, k, t, up):
         return _solve_monotone(
             log_lr, slope, [a[t] for a in constants],
-            breaks[k, t], breaks[k + 1, t], thresholds[g], up,
+            breaks[k, t], breaks[k + 1, t], thresholds[g], up, bisections,
         )
 
     return _exceedance(bayes_log_lr_array(breaks, *preds), thresholds, crossing, laws)
@@ -463,16 +477,18 @@ def run_experiment(
     laws = [gen.test_law(h) for h in Hypothesis]
     blocks = _calibrated_blocks(gen, exp.n1, exp.n2, exp.trials, exp.seed, 0, prior, variance_floor)
     per_block = {method: [] for method in LrMethod}
-    for calibration in blocks:
-        for method, errors in _errors_over_grid(calibration, grid, laws).items():
-            check_finite(**{f"error_{method.value}": errors})
-            per_block[method].append(errors)
-    plugin_mat, bayes_mat = (np.hstack(per_block[method]) for method in LrMethod)
-    pi1 = _logistic(grid)
-    se_plugin, se_bayes = (
-        mat.std(axis=1, ddof=1) / math.sqrt(exp.trials) if exp.trials > 1 else np.zeros_like(grid)
-        for mat in (plugin_mat, bayes_mat)
-    )
+    with np.errstate(all="ignore"):
+        for calibration in blocks:
+            for method, errors in _errors_over_grid(calibration, grid, laws).items():
+                check_finite(**{f"error_{method.value}": errors})
+                per_block[method].append(errors)
+        plugin_mat, bayes_mat = (np.hstack(per_block[method]) for method in LrMethod)
+        pi1 = _logistic(grid)
+        se_plugin, se_bayes = (
+            mat.std(axis=1, ddof=1) / math.sqrt(exp.trials)
+            if exp.trials > 1 else np.zeros_like(grid)
+            for mat in (plugin_mat, bayes_mat)
+        )
     return ErrorCurve(
         prior_log_odds=grid,
         error_plugin=plugin_mat.mean(axis=1),
@@ -518,14 +534,15 @@ def confidence_curve(
     laws = [gen.test_law(h) for h in Hypothesis]
     rule = _hermite_rule()
     points: list[ConfidencePoint] = []
-    for k, (n1, n2) in enumerate(sizes):
-        blocks = _calibrated_blocks(gen, n1, n2, trials, seed, k, prior, variance_floor)
-        # one row per (method, hypothesis), one column per trial
-        trial_means = np.hstack([_mean_log_lrs(theta, preds, laws, rule) for theta, preds in blocks])
-        for (method, hyp), vals in zip(product(LrMethod, Hypothesis), trial_means):
-            mean, stderr = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
-            check_finite(mean_log_lr=mean, stderr=stderr)
-            points.append(ConfidencePoint(n1, n2, method, hyp, mean, stderr))
+    with np.errstate(all="ignore"):
+        for k, (n1, n2) in enumerate(sizes):
+            blocks = _calibrated_blocks(gen, n1, n2, trials, seed, k, prior, variance_floor)
+            # one row per (method, hypothesis), one column per trial
+            trial_means = np.hstack([_mean_log_lrs(*calibration, laws, rule) for calibration in blocks])
+            for (method, hyp), vals in zip(product(LrMethod, Hypothesis), trial_means):
+                mean, stderr = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
+                check_finite(mean_log_lr=mean, stderr=stderr)
+                points.append(ConfidencePoint(n1, n2, method, hyp, mean, stderr))
     return tuple(points)
 
 
@@ -564,11 +581,12 @@ def lr_distribution_demo(
     not finite, as an extreme score makes them.
     """
     check_at_least(2, trials=trials)
-    blocks = list(_calibrated_blocks(world, n1, n2, trials, seed, 0, prior, variance_floor))
-    plugin_vals = np.concatenate([plugin_log_lr_array(e, theta) for theta, _ in blocks])
-    bayes_vals = np.concatenate([bayes_log_lr_array(e, *preds) for _, preds in blocks])
-    mu, sigma = float(plugin_vals.mean()), float(plugin_vals.std(ddof=1))
-    summary = np.concatenate([plugin_vals, bayes_vals, [mu, sigma, bayes_vals.mean()]])
+    with np.errstate(all="ignore"):
+        blocks = list(_calibrated_blocks(world, n1, n2, trials, seed, 0, prior, variance_floor))
+        plugin_vals = np.concatenate([plugin_log_lr_array(e, theta) for theta, _ in blocks])
+        bayes_vals = np.concatenate([bayes_log_lr_array(e, *preds) for _, preds in blocks])
+        mu, sigma = float(plugin_vals.mean()), float(plugin_vals.std(ddof=1))
+        summary = np.concatenate([plugin_vals, bayes_vals, [mu, sigma, bayes_vals.mean()]])
     if not np.isfinite(summary).all():
         raise ValidationError(f"log-LRs at score {e!r} are not finite: mu={mu!r}, sigma={sigma!r}")
     return LrDistributionReport(

@@ -31,13 +31,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 DEFAULT_VARIANCE_FLOOR = 1e-12
 
 
-def _scalar_like(result, *inputs) -> float | np.ndarray:
-    """Return a bare float when every input was scalar, else the array."""
-    if type(result) is float or all(np.ndim(x) == 0 for x in inputs):
-        return float(result)
-    return result
-
-
 def _floats(scores) -> list[float]:
     """The values of a flat sequence of numbers, each as a Python float. A
     container with a ``tolist``, such as an ``array('d')`` or a numpy array,
@@ -229,8 +222,7 @@ def gaussian_log_density(e, mean, precision):
     check_positive(precision=precision)
     fn, (x, m, prec) = floats(e, mean, precision)
     z = x - m
-    out = 0.5 * (fn.log(prec) - _LOG_2PI) - 0.5 * prec * (z * z)
-    return _scalar_like(out, e, mean, precision)
+    return 0.5 * (fn.log(prec) - _LOG_2PI) - 0.5 * prec * (z * z)
 
 
 def load_background_csv(path) -> BackgroundData:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, exit codes, and reproducibility."""
 
 import csv
+import dataclasses
 import errno
 import importlib
 import inspect
@@ -19,7 +20,7 @@ import pytest
 
 import bayescal
 import bayescal.cli
-from bayescal import GeneratorConfig, LrDistributionReport, NormalGammaParams
+from bayescal import ExperimentConfig, GeneratorConfig, LrDistributionReport, NormalGammaParams
 from bayescal.cli import main
 from bayescal.conjugate import NONINFORMATIVE_PRIOR
 from bayescal.scores import DEFAULT_VARIANCE_FLOOR
@@ -494,6 +495,21 @@ class TestSimulateCommand:
         assert done.stderr == "error: error_plugin must be finite, got nan\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "shift_scale, code, err",
+        [("1e5", 0, ""), ("1e150", 3, "error: stderr must be finite, got inf\n")],
+    )
+    def test_test_law_far_wider_than_the_backgrounds(
+        self, shift_scale, code, err, tmp_path, capsys
+    ):
+        """The error curve's crossings converge however wide the test law;
+        at 1e150 the confidence run's spread overflows and is refused."""
+        got = run_cli(
+            capsys, "simulate", "--shift-scale", shift_scale, "--trials", "20",
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert (got[0], got[2]) == (code, err)
+
     def test_confidence_test_set_below_one_exits_3(self, tmp_path, capsys):
         confidence = {**self.SMALL_CONFIG["confidence"], "n_test_per_class": 0}
         cfg = tmp_path / "cfg.json"
@@ -525,6 +541,8 @@ class TestLrDistributionCommand:
         assert set(payload) >= {"mu", "sigma", "bayes_log_lr_per_trial"}
         assert len(payload["bayes_log_lr_per_trial"]) == 40
         assert payload["generator"]["mu1_true"] == 2.0
+        # the printed mean is the mean of the printed list, bit for bit
+        assert payload["mean_bayes_log_lr"] == float(np.mean(payload["bayes_log_lr_per_trial"]))
 
     def test_rerun_identical_stdout(self, capsys):
         args = ["lr-distribution", "--score", "4.0", "--trials", "10", "--seed", "3"]
@@ -543,10 +561,9 @@ class TestLrDistributionCommand:
     def test_non_finite_result_exits_3(self, score, capsys):
         # as llr does: a log-LR or summary that overflows is an error, never
         # a bare NaN or Infinity in the JSON
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run_cli(
-                capsys, "lr-distribution", "--score", score, "--trials", "5", "--seed", "0"
-            )
+        code, out, err = run_cli(
+            capsys, "lr-distribution", "--score", score, "--trials", "5", "--seed", "0"
+        )
         assert code == 3
         assert out == ""
         assert "not finite" in err
@@ -631,6 +648,10 @@ class TestFlagsReachLibrary:
         monkeypatch.setitem(bayescal.cli._EXPERIMENT_DEFAULTS, "trials", 7)
         assert run_cli(capsys, "lr-distribution", "--score", "1.0", "--n2", "5")[0] == 0
         assert (calls[-1]["n2"], calls[-1]["trials"]) == (5, 7)
+
+
+def test_experiment_defaults_are_the_dataclass_defaults():
+    assert bayescal.cli._EXPERIMENT_DEFAULTS == dataclasses.asdict(ExperimentConfig())
 
 
 class TestConfigFile:

@@ -171,10 +171,13 @@ class TestHermiteRule:
         assert np.array_equal(stored_weights, weights / math.sqrt(2.0 * math.pi))
 
 
-def _brute_force_exceedance(llr, c, laws, points=200_001):
+def _brute_force_exceedance(llr, c, laws, points=200_001, core=None):
     """P(llr > c) under each law from every sign change of llr - c on a dense
-    grid over the solved range, each refined by scipy's brentq."""
+    grid over the solved range, and over the interval ``core`` too when one
+    is given, each refined by scipy's brentq."""
     xs = np.linspace(*_span(laws), points)
+    if core is not None:
+        xs = np.union1d(xs, np.linspace(*core, points))
     above = llr(xs) > c
     flips = np.flatnonzero(np.diff(above.astype(int)))
     roots = [scipy.optimize.brentq(lambda x: llr(x) - c, xs[i], xs[i + 1], xtol=1e-15)
@@ -249,6 +252,26 @@ class TestCrossingSolver:
             expected = _brute_force_exceedance(lambda x: bayes_log_lr_array(x, *scalar), c, laws)
             for (p_above, _), p in zip(exact, expected):
                 assert abs(p_above[i, 0] - p) <= 1e-14
+
+    @pytest.mark.parametrize("shift_scale", [1e5, 1e7])
+    def test_test_law_far_wider_than_the_backgrounds(self, shift_scale):
+        # fig1's backgrounds under a test law 1e5 or 1e7 times wider: the
+        # solved range spans +-40 of its sd, but the crossings lie within a
+        # few units of the origin, where six bisections would leave brackets
+        # 1e4 wide and more; trials 0 and 3 have such crossings at 1e5
+        world = GeneratorConfig(shift_scale=shift_scale)
+        laws = [world.test_law(h) for h in Hypothesis]
+        stats = next(_block_stats(world, 9, 27, 4, 0, 0))
+        preds = class_predictives(stats, NONINFORMATIVE_PRIOR)
+        exact = _bayes_exceedance(preds, -GRID, laws)
+        for t in range(4):
+            scalar = [StudentT(p.location[t].item(), p.scale[t].item(), p.dof) for p in preds]
+            for i, c in enumerate(-GRID):
+                expected = _brute_force_exceedance(
+                    lambda x: bayes_log_lr_array(x, *scalar), c, laws, 50_001, (-100.0, 100.0)
+                )
+                for (p_above, _), p in zip(exact, expected):
+                    assert abs(p_above[i, t] - p) <= 1e-14
 
     def test_unsettled_roots_raise(self, monkeypatch):
         # no root settles on its first Newton step

@@ -168,9 +168,7 @@ class TestWeightedErrorRate:
     def test_non_finite_rate_rejected(self):
         # a test law too wide for floating point: the log-LRs at its range ends are NaN
         exp = ExperimentConfig(n1=9, n2=27, trials=2, seed=0)
-        with np.errstate(all="ignore"), pytest.raises(
-            ValidationError, match=r"^error_plugin must be finite, got nan$"
-        ):
+        with pytest.raises(ValidationError, match=r"^error_plugin must be finite, got nan$"):
             run_experiment(GeneratorConfig(shift_scale=1e300), exp)
 
     def test_vectorized_grid_matches_scalar_op(self):
@@ -298,7 +296,7 @@ class TestConfidenceCurve:
     )
     def test_non_finite_result_rejected(self, shift_scale, message):
         # log-LRs of order 1e300 are finite, but their spread is not
-        with np.errstate(all="ignore"), pytest.raises(ValidationError, match=message):
+        with pytest.raises(ValidationError, match=message):
             confidence_curve(GeneratorConfig(shift_scale=shift_scale), [(9, 27)], trials=3, seed=0)
 
     def test_size_validation(self):
@@ -437,6 +435,38 @@ EXPERIMENTS = {
         1.0, GeneratorConfig(), n1, n2, trials=3, seed=0, variance_floor=floor
     ),
 }
+
+
+#: each experiment at an input whose results are not finite, and its refusal
+NON_FINITE_CALLS = {
+    "run_experiment": (
+        lambda: run_experiment(GeneratorConfig(shift_scale=1e300), ExperimentConfig(trials=2)),
+        r"^error_plugin must be finite, got nan$",
+    ),
+    "confidence_curve": (
+        lambda: confidence_curve(GeneratorConfig(shift_scale=1e300), [(9, 27)], trials=3, seed=0),
+        r"^mean_log_lr must be finite, got nan$",
+    ),
+    "lr_distribution_demo": (
+        lambda: lr_distribution_demo(1e200, GeneratorConfig(), 9, 27, trials=3, seed=0),
+        r"^log-LRs at score 1e\+200 are not finite: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+@pytest.mark.parametrize("caller_state", ["warn", "raise"])
+def test_experiments_set_their_own_floating_point_state(name, caller_state):
+    """Each experiment refuses a result that is not finite with its
+    ValidationError, whatever numpy state its caller set, and leaves that
+    state as it found it. Under "warn" the suite's warning filter turns a
+    numpy warning into an error; under "raise" numpy raises FloatingPointError."""
+    call, message = NON_FINITE_CALLS[name]
+    with np.errstate(all=caller_state):
+        state = np.geterr()
+        with pytest.raises(ValidationError, match=message):
+            call()
+        assert np.geterr() == state
 
 
 class TestOneSizeCheck:

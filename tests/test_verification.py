@@ -72,9 +72,10 @@ class TestQuadratureSpec:
         assert predictive_oracle_sweep(50, 17) <= 1e-12
         assert joint_evidence_sweep(20) <= 1e-12
 
-    @pytest.mark.parametrize("grid_mu, grid_lambda", [(102, 101), (101, 200)])
+    @pytest.mark.parametrize("grid_mu, grid_lambda", [(101, 102), (101, 200)])
     def test_even_grids_are_exact_to_rounding(self, grid_mu, grid_lambda):
-        # no rule needs a centre node, so an even size is as exact as an odd one
+        # no rule needs a centre node, so an even size is as exact as an odd
+        # one; grid_mu places no node, so only grid_lambda is varied
         spec = QuadratureSpec(grid_mu=grid_mu, grid_lambda=grid_lambda)
         assert predictive_oracle_sweep(50, 17, spec=spec) <= 1e-12
         assert joint_evidence_sweep(20, spec=spec) <= 1e-12
