@@ -46,7 +46,7 @@ Cases:
   most; ``python -c "import bayescal.cli"``, the same start and imports
   ending through the interpreter's ordinary teardown, which ``cli.run``
   skips; and ``python -c "import bayescal"``, the package alone, which
-  loads no numpy.
+  loads no numpy and runs neither ``experiment`` nor ``verification``.
 
 Outside ``testpaths``, so the test suite never runs it. Uses pytest-benchmark.
 """
@@ -288,4 +288,7 @@ def test_process_import_cli(benchmark):
 
 
 def test_process_import_bayescal(benchmark):
+    """The package alone: it binds numpy, ``experiment`` and ``verification``
+    without running them, so this times the modules ``llr`` and ``decide``
+    run, apart from ``cli``."""
     _fresh_process(benchmark, "-c", "import bayescal")

@@ -9,6 +9,7 @@ reproduces small-data calibration experiments on synthetic scores.
 
 __version__ = "0.1.0"
 
+from ._numpy import lazy
 from .conjugate import (
     NONINFORMATIVE_WEIGHT,
     NormalGammaParams,
@@ -20,16 +21,6 @@ from .conjugate import (
     student_t_log_density,
 )
 from .errors import BayescalError, ConvergenceError, ScoreFileError, ValidationError
-from .experiment import (
-    DEFAULT_PRIOR_GRID,
-    ConfidencePoint,
-    ErrorCurve,
-    ExperimentConfig,
-    LrDistributionReport,
-    confidence_curve,
-    lr_distribution_demo,
-    run_experiment,
-)
 from .lr import (
     Decision,
     DecisionPolicy,
@@ -57,17 +48,29 @@ from .scores import (
     load_background_csv,
     parse_label,
 )
-from .synthetic import GeneratorConfig, generate_scores
-from .verification import (
-    PitfallReport,
-    QuadratureSpec,
-    VerificationReport,
-    approximate_posterior_pitfall,
-    joint_evidence_log_lr,
-    quadrature_joint_evidence,
-    quadrature_predictive,
-    run_verification_suite,
+from .synthetic import DEFAULT_PRIOR_GRID, ExperimentConfig, GeneratorConfig, generate_scores
+
+# The experiments and the oracles load at their first attribute read, as
+# numpy does (``_numpy.lazy``): ``llr`` and ``decide`` run neither.
+experiment = lazy(__name__ + ".experiment")
+verification = lazy(__name__ + ".verification")
+
+_DEFERRED = dict.fromkeys(
+    ["ConfidencePoint", "ErrorCurve", "LrDistributionReport", "confidence_curve",
+     "lr_distribution_demo", "run_experiment"], experiment,
+) | dict.fromkeys(
+    ["PitfallReport", "QuadratureSpec", "VerificationReport", "approximate_posterior_pitfall",
+     "joint_evidence_log_lr", "quadrature_joint_evidence", "quadrature_predictive",
+     "run_verification_suite"], verification,
 )
+
+
+def __getattr__(name: str):
+    """A public name of ``experiment`` or ``verification``, which loads it."""
+    if name in _DEFERRED:
+        return getattr(_DEFERRED[name], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

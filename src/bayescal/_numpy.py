@@ -4,7 +4,8 @@ Every bayescal module takes ``np`` from here. ``lazy`` registers numpy in
 ``sys.modules`` through ``importlib.util.LazyLoader``, which runs numpy's
 code at the first attribute read, such as ``np.asarray``. So ``import
 bayescal`` loads no numpy, and nor does ``llr`` or ``decide``: their inputs
-are plain, and plain inputs take ``math``.
+are plain, and plain inputs take ``math``. The package binds its
+``experiment`` and ``verification`` modules the same way.
 """
 
 import importlib.util

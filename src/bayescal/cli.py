@@ -21,16 +21,9 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from . import __version__
+from . import __version__, experiment, verification
 from .conjugate import NONINFORMATIVE_PRIOR, NormalGammaParams
 from .errors import ScoreFileError, ValidationError, check_at_least, check_positive, check_utf8
-from .experiment import (
-    ExperimentConfig,
-    check_confidence,
-    confidence_curve,
-    lr_distribution_demo,
-    run_experiment,
-)
 from .lr import (
     DecisionPolicy,
     LogLR,
@@ -41,8 +34,7 @@ from .lr import (
     posterior_log_odds,
 )
 from .scores import DEFAULT_VARIANCE_FLOOR, fit_plugin, load_background_csv
-from .synthetic import GeneratorConfig
-from .verification import QuadratureSpec, run_verification_suite
+from .synthetic import ExperimentConfig, GeneratorConfig
 
 _LOG10 = math.log(10.0)
 
@@ -247,9 +239,9 @@ def cmd_verify(args) -> int:
     # only the flags given are in ``args``; the rest keep the library defaults
     options = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     report_path = options.pop("report", None)
-    spec_fields = {f.name for f in dataclasses.fields(QuadratureSpec)}
-    spec = QuadratureSpec(**{k: options.pop(k) for k in spec_fields & options.keys()})
-    report = run_verification_suite(spec=spec, **options)
+    spec_fields = {f.name for f in dataclasses.fields(verification.QuadratureSpec)}
+    spec = verification.QuadratureSpec(**{k: options.pop(k) for k in spec_fields & options.keys()})
+    report = verification.run_verification_suite(spec=spec, **options)
     text = _print_json(report.to_dict())
     if report_path is not None:
         with open(report_path, "w") as fh:
@@ -271,10 +263,12 @@ def cmd_simulate(args) -> int:
     exp = ExperimentConfig(**cfg["experiment"])
     prior = NormalGammaParams(**cfg["prior"])
     # the whole confidence section is checked before the curve's trials run
-    check_confidence(**cfg["confidence"])
+    experiment.check_confidence(**cfg["confidence"])
 
-    curve = run_experiment(gen, exp, prior, floor)
-    points = confidence_curve(gen, **cfg["confidence"], prior=prior, variance_floor=floor)
+    curve = experiment.run_experiment(gen, exp, prior, floor)
+    points = experiment.confidence_curve(
+        gen, **cfg["confidence"], prior=prior, variance_floor=floor
+    )
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -318,7 +312,7 @@ def cmd_lr_distribution(args) -> int:
     # section belongs to simulate alone
     exp = _resolve(_EXPERIMENT_DEFAULTS, {}, vars(args), "")
     runs = {k: exp[k] for k in ("n1", "n2", "trials", "seed")}
-    report = lr_distribution_demo(
+    report = experiment.lr_distribution_demo(
         e=args.score,
         world=GeneratorConfig(**cfg["generator"]),
         **runs,

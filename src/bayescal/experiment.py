@@ -50,11 +50,7 @@ from .scores import (
     SufficientStats,
     fit_plugin,
 )
-from .synthetic import GeneratorConfig, background_stats
-
-#: 41 prior log-odds points spanning -10..+10 natural-log units, 0.5 apart:
-#: ``numpy.linspace(-10.0, 10.0, 41)``, each value exact.
-DEFAULT_PRIOR_GRID = tuple(-10.0 + 0.5 * i for i in range(41))
+from .synthetic import DEFAULT_PRIOR_GRID, ExperimentConfig, GeneratorConfig, background_stats
 
 #: Trials solved together. Larger blocks spread numpy's per-call cost
 #: further but raise the peak memory: fig1 ``simulate`` peaks at 39.1 MB
@@ -90,26 +86,6 @@ _NEWTON_STEPS = 20
 #: is 1e-299 at 360), so 256 is also near the ceiling. The rule is stored in
 #: ``_hermite_table``, and a test checks it against ``hermegauss`` bit for bit.
 _HERMITE_NODES = 256
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Sizes, trial count, prior grid and seeding for one error-curve run."""
-
-    n1: int = 9
-    n2: int = 27
-    trials: int = 1000
-    prior_grid: tuple[float, ...] = DEFAULT_PRIOR_GRID
-    seed: int = 0
-
-    def __post_init__(self):
-        check_at_least(0, n1=self.n1, n2=self.n2, seed=self.seed)
-        check_at_least(1, trials=self.trials)
-        grid = tuple(float(g) for g in self.prior_grid)
-        if not grid:
-            raise ValidationError("prior_grid must not be empty")
-        check_finite(prior_grid=grid)
-        object.__setattr__(self, "prior_grid", grid)
 
 
 @dataclass(frozen=True)
@@ -540,7 +516,11 @@ def confidence_curve(
             # one row per (method, hypothesis), one column per trial
             trial_means = np.hstack([_mean_log_lrs(*calibration, laws, rule) for calibration in blocks])
             for (method, hyp), vals in zip(product(LrMethod, Hypothesis), trial_means):
-                mean, stderr = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
+                # the spread of the values over a power of two, which scales
+                # exactly, so deviations of order 1e200 square without overflow
+                exponent = math.frexp(np.abs(vals).max())[1]
+                spread = np.ldexp(np.ldexp(vals, -exponent).std(ddof=1), exponent)
+                mean, stderr = float(vals.mean()), float(spread / math.sqrt(trials))
                 check_finite(mean_log_lr=mean, stderr=stderr)
                 points.append(ConfidencePoint(n1, n2, method, hyp, mean, stderr))
     return tuple(points)

@@ -1,4 +1,5 @@
-"""Synthetic two-class Gaussian score worlds for simulation studies."""
+"""Synthetic two-class Gaussian score worlds, and the sizes and seeding of
+the experiments run on them."""
 
 from __future__ import annotations
 
@@ -6,8 +7,12 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .errors import check_at_least, check_finite, check_positive
+from .errors import ValidationError, check_at_least, check_finite, check_positive
 from .scores import Hypothesis, SufficientStats
+
+#: 41 prior log-odds points spanning -10..+10 natural-log units, 0.5 apart:
+#: ``numpy.linspace(-10.0, 10.0, 41)``, each value exact.
+DEFAULT_PRIOR_GRID = tuple(-10.0 + 0.5 * i for i in range(41))
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,27 @@ class GeneratorConfig:
         (shift_scale * sigma)^2)."""
         mu, sigma = self._class_law(hypothesis)
         return self.shift_scale * mu + self.shift_location, self.shift_scale * sigma
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Sizes, trial count, prior grid and seeding for one error-curve run
+    (``experiment.run_experiment``)."""
+
+    n1: int = 9
+    n2: int = 27
+    trials: int = 1000
+    prior_grid: tuple[float, ...] = DEFAULT_PRIOR_GRID
+    seed: int = 0
+
+    def __post_init__(self):
+        check_at_least(0, n1=self.n1, n2=self.n2, seed=self.seed)
+        check_at_least(1, trials=self.trials)
+        grid = tuple(float(g) for g in self.prior_grid)
+        if not grid:
+            raise ValidationError("prior_grid must not be empty")
+        check_finite(prior_grid=grid)
+        object.__setattr__(self, "prior_grid", grid)
 
 
 def generate_scores(

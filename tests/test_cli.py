@@ -371,7 +371,7 @@ class TestVerifyCommand:
             calls.append(kwargs)
             return VerificationReport(checks=(), config={})
 
-        monkeypatch.setattr(bayescal.cli, "run_verification_suite", fake_suite)
+        monkeypatch.setattr(bayescal.verification, "run_verification_suite", fake_suite)
         code, _, _ = run_cli(capsys, "verify", *flags)
         assert code == 0
         assert calls == [expected]
@@ -497,13 +497,15 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "shift_scale, code, err",
-        [("1e5", 0, ""), ("1e150", 3, "error: stderr must be finite, got inf\n")],
+        [("1e5", 0, ""), ("1e150", 0, ""),
+         ("1e153", 3, "error: error_plugin must be finite, got nan\n")],
     )
     def test_test_law_far_wider_than_the_backgrounds(
         self, shift_scale, code, err, tmp_path, capsys
     ):
-        """The error curve's crossings converge however wide the test law;
-        at 1e150 the confidence run's spread overflows and is refused."""
+        """The error curve's crossings converge however wide the test law,
+        and the confidence run's spread of means near 1e300 is finite; at
+        1e153 the error rates overflow and are refused."""
         got = run_cli(
             capsys, "simulate", "--shift-scale", shift_scale, "--trials", "20",
             "--out-dir", str(tmp_path / "out"),
@@ -575,16 +577,17 @@ class TestFlagsReachLibrary:
 
     @staticmethod
     def _record(monkeypatch, name, result=None):
-        """Replace ``bayescal.cli.<name>`` by a recorder of its bound arguments
-        that returns ``result``, or the real function's result if None."""
-        real = getattr(bayescal.cli, name)
+        """Replace ``bayescal.experiment.<name>``, which the CLI calls, by a
+        recorder of its bound arguments that returns ``result``, or the real
+        function's result if None."""
+        real = getattr(bayescal.experiment, name)
         calls = []
 
         def recorder(*args, **kwargs):
             calls.append(inspect.signature(real).bind(*args, **kwargs).arguments)
             return real(*args, **kwargs) if result is None else result
 
-        monkeypatch.setattr(bayescal.cli, name, recorder)
+        monkeypatch.setattr(bayescal.experiment, name, recorder)
         return calls
 
     def test_simulate_flags_reach_experiment_not_confidence(self, tmp_path, monkeypatch, capsys):
@@ -805,11 +808,13 @@ def test_no_command_loads_scipy(tmp_path, background):
     assert scipy_modules == []
 
 
-def test_llr_and_decide_load_no_numpy(tmp_path, background):
-    """``import bayescal`` binds numpy lazily, and ``llr`` and ``decide``
-    compute with ``math``, so none of them loads ``numpy._core``, whatever
-    the method and with or without a config file. ``simulate``, ``verify``
-    and ``lr-distribution`` then load numpy and exit 0."""
+def _load_states(tmp_path, background, loaded):
+    """Run ``llr`` and ``decide`` (every method, with and without a config
+    file), then ``simulate``, ``verify`` and ``lr-distribution``, in one fresh
+    process; ``loaded`` is the source of an expression that reads what the
+    process has loaded. Returns its value after ``import bayescal``, the
+    ``llr``/``decide`` exit codes, its value after them, the later exit codes
+    and its value at the end."""
     cfg = tmp_path / "cfg.json"
     config = {**TestSimulateCommand.SMALL_CONFIG, "prior": {"mu0": 0.5}, "variance_floor": 1e-6}
     cfg.write_text(json.dumps(config))
@@ -825,9 +830,9 @@ def test_llr_and_decide_load_no_numpy(tmp_path, background):
         ["lr-distribution", "--score", "1.0", "--trials", "5"],
     ]
     script = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, json, sys, types\n"
         "def loaded():\n"
-        "    return 'numpy._core' in sys.modules\n"
+        f"    return {loaded}\n"
         "import bayescal\n"
         "after_import = loaded()\n"
         "import bayescal.cli\n"
@@ -842,7 +847,43 @@ def test_llr_and_decide_load_no_numpy(tmp_path, background):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [False, [0] * 10, False, [0, 0, 0], True]
+    return json.loads(done.stdout)
+
+
+def test_llr_and_decide_load_no_numpy(tmp_path, background):
+    """``import bayescal`` binds numpy lazily, and ``llr`` and ``decide``
+    compute with ``math``, so none of them loads ``numpy._core``, whatever
+    the method and with or without a config file. ``simulate``, ``verify``
+    and ``lr-distribution`` then load numpy and exit 0."""
+    states = _load_states(tmp_path, background, "'numpy._core' in sys.modules")
+    assert states == [False, [0] * 10, False, [0, 0, 0], True]
+
+
+def test_llr_and_decide_run_no_experiment_or_oracle(tmp_path, background):
+    """``import bayescal`` and ``import bayescal.cli`` bind ``experiment``
+    and ``verification`` lazily, and ``llr`` and ``decide`` read neither, so
+    neither module body runs until ``simulate``, ``verify`` or
+    ``lr-distribution`` does: until then each is still LazyLoader's module
+    type, which becomes ``types.ModuleType`` when the body has run."""
+    ran = ("[type(sys.modules[f'bayescal.{m}']) is types.ModuleType"
+           " for m in ('experiment', 'verification')]")
+    states = _load_states(tmp_path, background, ran)
+    assert states == [[False, False], [0] * 10, [False, False], [0, 0, 0], [True, True]]
+
+
+def test_every_public_name_resolves():
+    """The names ``bayescal`` binds lazily resolve, each to the object of
+    the module that defines it, and ``from bayescal import *`` binds all of
+    ``__all__``."""
+    namespace = {}
+    exec("from bayescal import *", namespace)
+    for name in bayescal.__all__:
+        assert namespace[name] is getattr(bayescal, name)
+    assert bayescal.run_experiment is bayescal.experiment.run_experiment
+    assert bayescal.run_verification_suite is bayescal.verification.run_verification_suite
+    assert bayescal.experiment.ExperimentConfig is bayescal.ExperimentConfig
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        bayescal.no_such_name
 
 
 def test_hermite_rule_is_read_from_its_table(tmp_path):

@@ -292,12 +292,24 @@ class TestConfidenceCurve:
 
     @pytest.mark.parametrize(
         "shift_scale, message",
-        [(1e150, r"^stderr must be finite, got inf$"), (1e300, r"^mean_log_lr must be finite, got nan$")],
+        [(1e152, r"^mean_log_lr must be finite, got -inf$"),
+         (1e300, r"^mean_log_lr must be finite, got nan$")],
     )
     def test_non_finite_result_rejected(self, shift_scale, message):
-        # log-LRs of order 1e300 are finite, but their spread is not
         with pytest.raises(ValidationError, match=message):
             confidence_curve(GeneratorConfig(shift_scale=shift_scale), [(9, 27)], trials=3, seed=0)
+
+    def test_spread_of_huge_means_is_finite(self):
+        """Plugin means of order 1e201 and 1e301 have a finite spread, which
+        grows with them as shift_scale ** 2."""
+        rows = [
+            confidence_curve(GeneratorConfig(shift_scale=s), [(9, 27)], trials=3, seed=0)
+            for s in (1e100, 1e150)
+        ]
+        for narrow, wide in zip(*rows):
+            assert math.isfinite(wide.mean_log_lr) and math.isfinite(wide.stderr)
+            if narrow.method is LrMethod.PLUGIN:
+                assert wide.stderr / narrow.stderr == pytest.approx(1e100, rel=1e-12)
 
     def test_size_validation(self):
         with pytest.raises(ValidationError):
