@@ -2,19 +2,22 @@
 """A/B runs of perfbench: a parent tree against a changed tree, in pairs.
 
     python3 benchmarks/ab.py PARENT_TREE CHANGE_TREE --workloads casework simulate verify \\
-        --pairs 10 --seconds 20 --seed 2901 --out BENCH_29.json
+        --seed 2901 --out BENCH_29.json
 
-Each pair runs ``perfbench/run.py --trace 0`` of both trees on one workload
-seed, one after the other: the parent first in odd pairs, the change first
-in even ones. Each tree runs its own perfbench against its own source, so
-both trees should hold the same perfbench files. Pair k of the i-th
+Each of ``PAIRS`` pairs runs ``perfbench/run.py --trace 0`` of both trees on
+one workload seed, one after the other: the parent first in odd pairs, the
+change first in even ones. Each tree runs its own perfbench against its own
+source for the ``run_seconds`` of its own BENCHMARK.json; the runner refuses
+trees whose perfbench files or ``run_seconds`` differ. Pair k of the i-th
 workload takes seed ``SEED + i * PAIRS + k``.
 
-The JSON written holds the environment, each tree's commit and a hash of
-its ``src/``, one row per pair (each side's metrics, operations attempted
-and failed) and, per workload and metric, each side's median and
-quartiles, the distance between the parent's quartiles, and in how many
-pairs the change read lower and higher (a tie counts for neither).
+The JSON written holds the environment, each tree's git commit (``-dirty``
+when its work tree differs from it) and a hash of its ``src/``, one row per
+pair (each side's metrics, ``correct`` flag, operations attempted and
+failed) and, per workload and metric, each side's median and quartiles, the
+distance between the parent's quartiles, and in how many pairs the change
+read lower and higher (a tie counts for neither). A run that reports
+``correct: false`` is counted per side, and the runner then exits 1.
 """
 
 from __future__ import annotations
@@ -28,14 +31,16 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def summarize(rows: list[dict]) -> dict:
     """``operations``: each side's operations attempted and failed, summed
     over ``rows`` (one per pair, each side's ``metrics`` mapping a name to
-    ``{"value", "unit"}``). ``metrics``: per metric, the unit, each side's
-    median and quartiles, the parent's quartile distance, and in how many
-    pairs the change read lower and higher than the parent."""
+    ``{"value", "unit"}``), and its runs not ``correct``. ``metrics``: per
+    metric, the unit, each side's median and quartiles, the parent's
+    quartile distance, and in how many pairs the change read lower and
+    higher than the parent."""
     n = len(rows)
     metrics = {}
     for name, first in rows[0]["parent"]["metrics"].items():
@@ -52,19 +57,34 @@ def summarize(rows: list[dict]) -> dict:
         entry["change_higher_in"] = f"{sum(b > a for a, b in pairs)} of {n}"
         metrics[name] = entry
     operations = {
-        side: {key: sum(row[side][key] for row in rows) for key in ("attempted", "failed")}
+        side: {"attempted": sum(row[side]["attempted"] for row in rows),
+               "failed": sum(row[side]["failed"] for row in rows),
+               "runs_not_correct": sum(not row[side]["correct"] for row in rows)}
         for side in SIDES
     }
     return {"operations": operations, "metrics": metrics}
 
 
-def src_digest(tree: Path) -> str:
-    """sha256 over the relative paths and bytes of the tree's ``src/*.py``."""
-    digest = hashlib.sha256()
-    src = tree / "src"
-    for path in sorted(src.rglob("*.py")):
-        digest.update(str(path.relative_to(src)).encode() + b"\0" + path.read_bytes())
-    return digest.hexdigest()
+def digest(folder: Path, pattern: str) -> str:
+    """sha256 over the relative paths and bytes of the files in ``folder``
+    matching ``pattern``, outside ``__pycache__``."""
+    sha = hashlib.sha256()
+    for path in sorted(folder.rglob(pattern)):
+        if path.is_file() and "__pycache__" not in path.parts:
+            sha.update(str(path.relative_to(folder)).encode() + b"\0" + path.read_bytes())
+    return sha.hexdigest()
+
+
+def commit(tree: Path) -> str | None:
+    """The tree's git HEAD, with ``-dirty`` when its work tree differs."""
+    if not (tree / ".git").exists():
+        return None
+    git = ["git", "-C", str(tree)]
+    head = subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True, text=True)
+    status = subprocess.run([*git, "status", "--porcelain"], capture_output=True, text=True)
+    if head.returncode != 0:
+        return None
+    return head.stdout.strip() + ("-dirty" if status.stdout.strip() else "")
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
@@ -88,28 +108,31 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="the parent tree")
     parser.add_argument("change", type=Path, help="the changed tree")
     parser.add_argument("--workloads", nargs="+", required=True)
-    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload, >= 10")
-    parser.add_argument("--seconds", type=int, default=20, help="perfbench --seconds")
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--out", type=Path, required=True, help="the JSON file to write")
     args = parser.parse_args(argv)
-    if args.pairs < 10:
-        parser.error("--pairs must be >= 10")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
         if not (tree / "perfbench" / "run.py").is_file():
             parser.error(f"{tree} holds no perfbench/run.py")
+    if len({digest(tree / "perfbench", "*") for tree in trees.values()}) > 1:
+        parser.error("the two trees hold different perfbench files")
+    run_seconds = {json.loads((tree / "BENCHMARK.json").read_text())["run_seconds"]
+                   for tree in trees.values()}
+    if len(run_seconds) > 1:
+        parser.error(f"the two trees' BENCHMARK.json differ in run_seconds: {sorted(run_seconds)}")
+    seconds = run_seconds.pop()
 
     environments: dict = {}
     workloads: dict = {}
     for i, workload in enumerate(args.workloads):
         rows = []
-        for k in range(args.pairs):
-            seed = args.seed + i * args.pairs + k
+        for k in range(PAIRS):
+            seed = args.seed + i * PAIRS + k
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             row = {"pair": k + 1, "seed": seed, "first": order[0]}
             for side in order:
-                row[side], environments[side] = run_side(trees[side], workload, seed, args.seconds)
+                row[side], environments[side] = run_side(trees[side], workload, seed, seconds)
                 values = {m: round(v["value"], 4) for m, v in row[side]["metrics"].items()}
                 print(f"{workload} pair {k + 1} {side}: {json.dumps(values)}", file=sys.stderr)
             rows.append(row)
@@ -118,11 +141,11 @@ def main(argv=None) -> int:
     host = environments["parent"]
     result = {
         "script": "benchmarks/ab.py",
-        "method": f"perfbench/run.py --trace 0 --seconds {args.seconds}, {args.pairs} pairs per "
+        "method": f"perfbench/run.py --trace 0 --seconds {seconds}, {PAIRS} pairs per "
                   "workload on a shared seed, the parent first in odd pairs",
         "environment": {key: host.get(key) for key in ("cpu", "nproc", "python", "numpy", "scipy")},
         "trees": {
-            side: {"commit": environments[side].get("commit"), "src_sha256": src_digest(tree)}
+            side: {"commit": commit(tree), "src_sha256": digest(tree / "src", "*.py")}
             for side, tree in trees.items()
         },
         "workloads": workloads,
@@ -133,6 +156,11 @@ def main(argv=None) -> int:
             print(f"{workload:<9} {name:<12} parent {entry['parent_median']:.6g} "
                   f"change {entry['change_median']:.6g} {entry['unit']}, "
                   f"lower in {entry['change_lower_in']}, parent IQR {entry['parent_iqr']:.3g}")
+    not_correct = {side: sum(body["operations"][side]["runs_not_correct"]
+                             for body in workloads.values()) for side in SIDES}
+    if any(not_correct.values()):
+        print(f"runs not correct: {not_correct}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -9,7 +9,7 @@ reproduces small-data calibration experiments on synthetic scores.
 
 __version__ = "0.1.0"
 
-from ._numpy import lazy
+from ._numpy import lazy as _lazy
 from .conjugate import (
     NONINFORMATIVE_WEIGHT,
     NormalGammaParams,
@@ -52,8 +52,8 @@ from .synthetic import DEFAULT_PRIOR_GRID, ExperimentConfig, GeneratorConfig, ge
 
 # The experiments and the oracles load at their first attribute read, as
 # numpy does (``_numpy.lazy``): ``llr`` and ``decide`` run neither.
-experiment = lazy(__name__ + ".experiment")
-verification = lazy(__name__ + ".verification")
+experiment = _lazy(__name__ + ".experiment")
+verification = _lazy(__name__ + ".verification")
 
 _DEFERRED = dict.fromkeys(
     ["ConfidencePoint", "ErrorCurve", "LrDistributionReport", "confidence_curve",
@@ -70,6 +70,10 @@ def __getattr__(name: str):
     if name in _DEFERRED:
         return getattr(_DEFERRED[name], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() | _DEFERRED.keys())
 
 
 __all__ = [

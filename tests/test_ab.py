@@ -29,8 +29,10 @@ def test_summary_of_fixed_pairs(ab):
              "parent": _side(p), "change": _side(c, failed=int(k == 3))}
             for k, (p, c) in enumerate(zip(parent, change))]
     summary = ab.summarize(rows)
-    assert summary["operations"] == {"parent": {"attempted": 225, "failed": 0},
-                                     "change": {"attempted": 225, "failed": 1}}
+    assert summary["operations"] == {
+        "parent": {"attempted": 225, "failed": 0, "runs_not_correct": 0},
+        "change": {"attempted": 225, "failed": 1, "runs_not_correct": 1},
+    }
     assert summary["metrics"] == {"call_ms_p50": {
         "unit": "ms",
         # inclusive quartiles of 70, 71, 72, 73, 75 and of 64, 65, 66, 72, 76
@@ -41,9 +43,22 @@ def test_summary_of_fixed_pairs(ab):
     }}
 
 
-def test_fewer_than_ten_pairs_refused(ab, capsys):
+def _tree(root, run_py, run_seconds):
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(run_py)
+    (root / "BENCHMARK.json").write_text(f'{{"run_seconds": {run_seconds}}}')
+    return str(root)
+
+
+@pytest.mark.parametrize("change, message", [
+    (("# changed\n", 20), "the two trees hold different perfbench files"),
+    (("", 25), "the two trees' BENCHMARK.json differ in run_seconds: [20, 25]"),
+])
+def test_trees_that_would_not_compare_refused(ab, tmp_path, capsys, change, message):
+    parent = _tree(tmp_path / "parent", "", 20)
+    changed = _tree(tmp_path / "change", *change)
     with pytest.raises(SystemExit) as exit_:
-        ab.main([".", ".", "--workloads", "casework", "--pairs", "9", "--seed", "1",
-                 "--out", "unused.json"])
+        ab.main([parent, changed, "--workloads", "casework", "--seed", "1",
+                 "--out", str(tmp_path / "unused.json")])
     assert exit_.value.code == 2
-    assert "--pairs must be >= 10" in capsys.readouterr().err
+    assert message in capsys.readouterr().err

@@ -873,8 +873,8 @@ def test_llr_and_decide_run_no_experiment_or_oracle(tmp_path, background):
 
 def test_every_public_name_resolves():
     """The names ``bayescal`` binds lazily resolve, each to the object of
-    the module that defines it, and ``from bayescal import *`` binds all of
-    ``__all__``."""
+    the module that defines it, ``from bayescal import *`` binds all of
+    ``__all__``, and ``dir(bayescal)`` lists them."""
     namespace = {}
     exec("from bayescal import *", namespace)
     for name in bayescal.__all__:
@@ -882,6 +882,8 @@ def test_every_public_name_resolves():
     assert bayescal.run_experiment is bayescal.experiment.run_experiment
     assert bayescal.run_verification_suite is bayescal.verification.run_verification_suite
     assert bayescal.experiment.ExperimentConfig is bayescal.ExperimentConfig
+    assert set(bayescal.__all__) <= set(dir(bayescal))
+    assert "lazy" not in dir(bayescal)
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         bayescal.no_such_name
 
