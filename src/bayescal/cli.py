@@ -23,7 +23,9 @@ from typing import NoReturn
 
 from . import __version__, experiment, verification
 from .conjugate import NONINFORMATIVE_PRIOR, NormalGammaParams
-from .errors import ScoreFileError, ValidationError, check_at_least, check_positive, check_utf8
+from .errors import (
+    ScoreFileError, ValidationError, check_at_least, check_finite, check_positive, check_utf8,
+)
 from .lr import (
     DecisionPolicy,
     LogLR,
@@ -183,6 +185,7 @@ def _add_generator_flags(p: argparse.ArgumentParser) -> None:
 
 def _log_lr(method: str, score: float, data, cfg: dict) -> LogLR:
     """The ``method`` ("plugin" or "bayes") log-LR of ``score`` against ``data``."""
+    check_finite(score=score)
     if method == "plugin":
         return plugin_log_lr(score, fit_plugin(data, cfg["variance_floor"]))
     return bayes_log_lr(score, data, NormalGammaParams(**cfg["prior"]))

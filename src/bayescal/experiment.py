@@ -187,6 +187,18 @@ def _upper_tail(z: np.ndarray) -> np.ndarray:
     return 0.5 * erfc(np.abs(z).ravel() * math.sqrt(0.5)).reshape(np.shape(z))
 
 
+def _spread(values: np.ndarray) -> np.ndarray:
+    """The sample standard deviation (ddof 1) along the last axis, 0 for one
+    value. Each row is scaled by the power of two above its largest |value|,
+    which is exact, so deviations of order 1e200 square without overflow, and
+    the result is the plain one's bit for bit where that does not over- or
+    underflow."""
+    if values.shape[-1] < 2:
+        return np.zeros(values.shape[:-1])
+    exponent = np.frexp(np.abs(values).max(axis=-1, keepdims=True))[1]
+    return np.ldexp(np.ldexp(values, -exponent).std(axis=-1, ddof=1), exponent[..., 0])
+
+
 def _quadratic_roots(a, b, c):
     """The roots (lower, upper) of a x^2 + b x + c, elementwise.
 
@@ -460,11 +472,7 @@ def run_experiment(
                 per_block[method].append(errors)
         plugin_mat, bayes_mat = (np.hstack(per_block[method]) for method in LrMethod)
         pi1 = _logistic(grid)
-        se_plugin, se_bayes = (
-            mat.std(axis=1, ddof=1) / math.sqrt(exp.trials)
-            if exp.trials > 1 else np.zeros_like(grid)
-            for mat in (plugin_mat, bayes_mat)
-        )
+        se_plugin, se_bayes = (_spread(m) / math.sqrt(exp.trials) for m in (plugin_mat, bayes_mat))
     return ErrorCurve(
         prior_log_odds=grid,
         error_plugin=plugin_mat.mean(axis=1),
@@ -516,11 +524,7 @@ def confidence_curve(
             # one row per (method, hypothesis), one column per trial
             trial_means = np.hstack([_mean_log_lrs(*calibration, laws, rule) for calibration in blocks])
             for (method, hyp), vals in zip(product(LrMethod, Hypothesis), trial_means):
-                # the spread of the values over a power of two, which scales
-                # exactly, so deviations of order 1e200 square without overflow
-                exponent = math.frexp(np.abs(vals).max())[1]
-                spread = np.ldexp(np.ldexp(vals, -exponent).std(ddof=1), exponent)
-                mean, stderr = float(vals.mean()), float(spread / math.sqrt(trials))
+                mean, stderr = float(vals.mean()), float(_spread(vals) / math.sqrt(trials))
                 check_finite(mean_log_lr=mean, stderr=stderr)
                 points.append(ConfidencePoint(n1, n2, method, hyp, mean, stderr))
     return tuple(points)
@@ -565,13 +569,8 @@ def lr_distribution_demo(
         blocks = list(_calibrated_blocks(world, n1, n2, trials, seed, 0, prior, variance_floor))
         plugin_vals = np.concatenate([plugin_log_lr_array(e, theta) for theta, _ in blocks])
         bayes_vals = np.concatenate([bayes_log_lr_array(e, *preds) for _, preds in blocks])
-        mu, sigma = float(plugin_vals.mean()), float(plugin_vals.std(ddof=1))
-        summary = np.concatenate([plugin_vals, bayes_vals, [mu, sigma, bayes_vals.mean()]])
-    if not np.isfinite(summary).all():
+        mu, sigma = float(plugin_vals.mean()), float(_spread(plugin_vals))
+        summary = (mu, sigma, float(bayes_vals.mean()))
+    if not all(map(math.isfinite, summary)):
         raise ValidationError(f"log-LRs at score {e!r} are not finite: mu={mu!r}, sigma={sigma!r}")
-    return LrDistributionReport(
-        mu=mu,
-        sigma=sigma,
-        plugin_log_lr_per_trial=plugin_vals,
-        bayes_log_lr_per_trial=bayes_vals,
-    )
+    return LrDistributionReport(mu, sigma, plugin_vals, bayes_vals)

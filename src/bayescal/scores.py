@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -237,9 +236,7 @@ def load_background_csv(path) -> BackgroundData:
     the file. A UTF-8 byte-order mark before the header is skipped.
     """
     path = Path(path)
-    # packed doubles, not lists of float objects: BackgroundData makes its own
-    h1 = array("d")
-    h2 = array("d")
+    h1, h2 = [], []
     classes = {}  # each label, exactly as written, -> its class's scores
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import runpy
 import shutil
 import subprocess
@@ -273,6 +274,23 @@ def test_overflowing_score_prints_only_the_error_line(argv, background):
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr.startswith("error: ")
     assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["llr", "decide"])
+@pytest.mark.parametrize(
+    "score, message",
+    [("nan", "score must be finite, got nan"), ("inf", "score must be finite, got inf"),
+     ("-inf", "score must be finite, got -inf"),
+     # a finite score whose log-LR overflows: the result is at fault
+     ("1e308", "log-LR must be finite, got nan")],
+)
+def test_non_finite_score_is_blamed_on_the_score(command, score, message, background, capsys):
+    extra = ["--pi1", "0.5"] if command == "decide" else []
+    code, out, err = run_cli(
+        capsys, command, "--background", background, f"--score={score}", *extra
+    )
+    assert (code, out) == (3, "")
+    assert err == f"error: {message}\n"
 
 
 class TestVerifyCommand:
@@ -559,7 +577,7 @@ class TestLrDistributionCommand:
         )
         assert code == 3
 
-    @pytest.mark.parametrize("score", ["1e150", "1e200"])
+    @pytest.mark.parametrize("score", ["1e154", "1e200"])
     def test_non_finite_result_exits_3(self, score, capsys):
         # as llr does: a log-LR or summary that overflows is an error, never
         # a bare NaN or Infinity in the JSON
@@ -569,6 +587,21 @@ class TestLrDistributionCommand:
         assert code == 3
         assert out == ""
         assert "not finite" in err
+
+    def test_finite_up_to_about_1e152_at_the_default_trials(self, capsys):
+        """The plugin log-LRs at score 1e150, of order 1e299, have a finite
+        mu and sigma; at 1e153 their mean overflows, and the refusal shows
+        both summaries as plain floats."""
+        code, out, _ = run_cli(capsys, "lr-distribution", "--score", "1e150")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["mu"] == pytest.approx(-2.12884e299, rel=1e-5)
+        assert payload["sigma"] == pytest.approx(7.75938e299, rel=1e-5)
+        code, out, err = run_cli(capsys, "lr-distribution", "--score", "1e153")
+        assert (code, out) == (3, "")
+        assert re.fullmatch(
+            r"error: log-LRs at score 1e\+153 are not finite: mu=-inf, sigma=\d\.\d+e\+305\n", err
+        )
 
 
 class TestFlagsReachLibrary:

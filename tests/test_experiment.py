@@ -1,11 +1,14 @@
 """Synthetic generator, the exact error-rate grid, and the resampling experiments."""
 
 import math
+import statistics
 from itertools import product
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 import bayescal.experiment
@@ -33,6 +36,7 @@ from bayescal.experiment import (
     _BlockStats,
     _calibrated_blocks,
     _errors_over_grid,
+    _spread,
 )
 from bayescal.scores import DEFAULT_VARIANCE_FLOOR, SufficientStats
 from bayescal.synthetic import background_stats
@@ -431,6 +435,46 @@ class TestLrDistributionDemoPerTrial:
         assert report.mu == float(np.mean(plugin))
         assert report.sigma == float(np.std(plugin, ddof=1))
         assert report.bayes_log_lr_per_trial.tolist() == bayes
+
+
+#: a value of magnitude 0 or in [1e-100, 1e100], either sign
+MODERATE = st.tuples(
+    st.sampled_from([1.0, -1.0]),
+    st.one_of(
+        st.just(0.0),
+        st.floats(1e-100, 1e100),
+        st.floats(-100.0, 100.0).map(lambda k: min(max(10.0**k, 1e-100), 1e100)),
+    ),
+).map(lambda pair: pair[0] * pair[1])
+
+
+class TestSpread:
+    """``_spread``, the one sample standard deviation of the experiments."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(MODERATE, min_size=2, max_size=300))
+    def test_equals_plain_std_bit_for_bit(self, values):
+        """Where no squared deviation over- or underflows, scaling by a power
+        of two changes no bit: so curve.csv and confidence.csv, whose rates
+        and mean log-LRs are of moderate size, keep every digit."""
+        row = np.array(values)
+        rows = np.stack([row, row[::-1]])
+        assert _spread(row).tobytes() == np.std(row, ddof=1).tobytes()
+        assert _spread(rows).tobytes() == np.std(rows, axis=1, ddof=1).tobytes()
+
+    def test_one_value_has_no_spread(self):
+        assert _spread(np.array([5.0])) == 0.0
+        assert _spread(np.array([[3.0], [-4.0]])).tolist() == [0.0, 0.0]
+
+    def test_lr_distribution_at_a_huge_score(self):
+        """At score 1e150 the 1,000 plugin log-LRs are of order 1e299, whose
+        squared deviations overflow; mu and sigma are those of the values
+        scaled by 2**-994, scaled back."""
+        report = lr_distribution_demo(1e150, GeneratorConfig(), 9, 27, 1000, 0)
+        scaled = [math.ldexp(v, -994) for v in report.plugin_log_lr_per_trial.tolist()]
+        assert math.isfinite(report.mu) and math.isfinite(report.sigma)
+        assert math.ldexp(report.mu, -994) == pytest.approx(statistics.fmean(scaled), rel=1e-12)
+        assert math.ldexp(report.sigma, -994) == pytest.approx(statistics.stdev(scaled), rel=1e-12)
 
 
 # each experiment called at one (n1, n2) size with ``variance_floor``

@@ -1,5 +1,6 @@
 """Likelihood-ratio operations, decisions, and the decomposition identity."""
 
+import dataclasses
 import math
 import sys
 
@@ -14,6 +15,7 @@ from bayescal import (
     DecisionPolicy,
     GaussianParams,
     GeneratorConfig,
+    Hypothesis,
     LogLR,
     LrMethod,
     StudentT,
@@ -25,6 +27,7 @@ from bayescal import (
     decide,
     decomposition_residual,
     fit_plugin,
+    generate_scores,
     lr_distribution_demo,
     plugin_log_lr,
     plugin_log_lr_array,
@@ -34,6 +37,7 @@ from bayescal import (
     collect_stats,
 )
 from bayescal.conjugate import NONINFORMATIVE_PRIOR
+from bayescal.scores import DEFAULT_VARIANCE_FLOOR
 
 MIRROR_DATA = BackgroundData((1.0, 2.0, 3.0), (-3.0, -2.0, -1.0))
 
@@ -155,6 +159,100 @@ def test_each_background_is_summarized_once(monkeypatch):
     class_predictives(data, NONINFORMATIVE_PRIOR)
     bayes_log_lr(0.5, data)
     assert calls == [3, 4]
+
+
+def _background(seed, n1, n2):
+    """n1 H1 and n2 H2 scores of the default world, drawn in that order
+    from one generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    world = GeneratorConfig()
+    return (generate_scores(world, Hypothesis.H1, n1, rng),
+            generate_scores(world, Hypothesis.H2, n2, rng))
+
+
+def _log_lrs(h1, h2, e, mu0=NONINFORMATIVE_PRIOR.mu0, b=NONINFORMATIVE_PRIOR.b,
+             floor=DEFAULT_VARIANCE_FLOOR):
+    """(Bayesian, plugin) log-LR of ``e``; the default prior with ``mu0`` and ``b``."""
+    data = BackgroundData(h1, h2)
+    prior = dataclasses.replace(NONINFORMATIVE_PRIOR, mu0=mu0, b=b)
+    return np.array([bayes_log_lr(e, data, prior).value, plugin_log_lr(e, fit_plugin(data, floor)).value])
+
+
+def _rounding_bound(h1, h2, e, c=0.0):
+    """Per method, how far rounding alone may move ``_log_lrs`` when every
+    position p (each score, e and mu0) becomes p + c, or p s with b s^2.
+
+    Both maps leave the log-LR unchanged in exact arithmetic. The shifted
+    position is stored within eps (|p| + |c|), a scaled one within eps |p|,
+    and each value the calibration forms from positions (a class mean, a
+    deviation, e's offset from a predictive location) adds a few roundings
+    of that size. To first order they move the log-LR f by at most eps
+    times sum_p |df/dp| (|p| + |c|), the rounding of b s^2 by eps |b df/db|,
+    and f's own arithmetic by eps (1 + |f|). The partial derivatives are
+    central differences on the unmoved background. 16 covers the handful of
+    roundings per position: over 3,000 random draws the worst gap was 1.9
+    eps times that sum.
+    """
+    n1, b = len(h1), NONINFORMATIVE_PRIOR.b
+    points = np.concatenate([h1, h2, [e, NONINFORMATIVE_PRIOR.mu0]])
+
+    def at(p, b=b):
+        return _log_lrs(p[:n1], p[n1:-2], p[-2], p[-1], b)
+
+    total = 1.0 + np.abs(at(points))
+    for i, p in enumerate(points):
+        step = 1e-6 * max(1.0, abs(p))
+        up, down = points.copy(), points.copy()
+        up[i] += step
+        down[i] -= step
+        total += np.abs(at(up) - at(down)) / (2.0 * step) * (abs(p) + abs(c))
+    total += np.abs(at(points, (1.0 + 1e-6) * b) - at(points, (1.0 - 1e-6) * b)) / 2e-6
+    return 16.0 * sys.float_info.epsilon * total
+
+
+#: a seeded background of 2 to 30 scores per class and a score within it
+SEEDED_CASE = dict(
+    seed=st.integers(0, 2**32 - 1), n1=st.integers(2, 30), n2=st.integers(2, 30),
+    e=st.floats(-6.0, 6.0),
+)
+
+
+class TestScoreOriginAndUnit:
+    """Both log-LRs are equivariant when the prior moves with the scores:
+    shifting scores, e and mu0 by c, or scaling them by s and b by s^2,
+    leaves them unchanged up to rounding. The default prior holds mu0 at 0,
+    so on its own it pulls a shifted background's Bayesian log-LR."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(**SEEDED_CASE, c=st.floats(-1e6, 1e6))
+    def test_shift_of_scores_e_and_mu0(self, seed, n1, n2, e, c):
+        h1, h2 = _background(seed, n1, n2)
+        moved = _log_lrs(h1 + c, h2 + c, e + c, mu0=NONINFORMATIVE_PRIOR.mu0 + c)
+        gap = np.abs(moved - _log_lrs(h1, h2, e))
+        assert (gap <= _rounding_bound(h1, h2, e, c)).all()
+
+    @settings(max_examples=50, deadline=None)
+    @given(**SEEDED_CASE, log10_s=st.floats(-3.0, 3.0))
+    def test_scale_of_scores_e_mu0_and_b(self, seed, n1, n2, e, log10_s):
+        """The variance floor, a variance, scales with b."""
+        h1, h2 = _background(seed, n1, n2)
+        s = 10.0**log10_s
+        prior = NONINFORMATIVE_PRIOR
+        moved = _log_lrs(
+            h1 * s, h2 * s, e * s, mu0=prior.mu0 * s, b=prior.b * s * s,
+            floor=DEFAULT_VARIANCE_FLOOR * s * s,
+        )
+        gap = np.abs(moved - _log_lrs(h1, h2, e))
+        assert (gap <= _rounding_bound(h1, h2, e)).all()
+
+    def test_fixed_default_prior_pulls_shifted_scores(self):
+        """mu0 held at 0: the Bayesian log-LR of a 9/27 background at e = 1.3
+        falls as background and score move away from it; the plugin's stays."""
+        h1, h2 = _background(0, 9, 27)
+        shifts = (0.0, 10.0, 100.0, 1e3)
+        bayes, plugin = np.array([_log_lrs(h1 + c, h2 + c, 1.3 + c) for c in shifts]).T
+        assert bayes.tolist() == pytest.approx([6.840, 6.789, 0.840, -0.584], abs=5e-4)
+        assert np.abs(plugin - plugin[0]).max() <= _rounding_bound(h1, h2, 1.3, 1e3)[1]
 
 
 class TestPosteriorOddsAndDecision:
