@@ -175,7 +175,9 @@ def _log_lrs(h1, h2, e, mu0=NONINFORMATIVE_PRIOR.mu0, b=NONINFORMATIVE_PRIOR.b,
     """(Bayesian, plugin) log-LR of ``e``; the default prior with ``mu0`` and ``b``."""
     data = BackgroundData(h1, h2)
     prior = dataclasses.replace(NONINFORMATIVE_PRIOR, mu0=mu0, b=b)
-    return np.array([bayes_log_lr(e, data, prior).value, plugin_log_lr(e, fit_plugin(data, floor)).value])
+    return np.array(
+        [bayes_log_lr(e, data, prior).value, plugin_log_lr(e, fit_plugin(data, floor)).value]
+    )
 
 
 def _rounding_bound(h1, h2, e, c=0.0):
