@@ -10,6 +10,7 @@ reproduces small-data calibration experiments on synthetic scores.
 __version__ = "0.1.0"
 
 from ._numpy import lazy as _lazy
+from ._record import asdict, fields, replace
 from .conjugate import (
     NONINFORMATIVE_WEIGHT,
     NormalGammaParams,
@@ -131,4 +132,7 @@ __all__ = [
     "PitfallReport",
     "run_verification_suite",
     "VerificationReport",
+    "asdict",
+    "fields",
+    "replace",
 ]

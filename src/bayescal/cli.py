@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -22,6 +21,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import __version__, experiment, verification
+from ._record import asdict, fields
 from .conjugate import NONINFORMATIVE_PRIOR, NormalGammaParams
 from .errors import (
     ScoreFileError, ValidationError, check_at_least, check_finite, check_positive, check_utf8,
@@ -40,7 +40,7 @@ from .synthetic import ExperimentConfig, GeneratorConfig
 
 _LOG10 = math.log(10.0)
 
-_EXPERIMENT_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+_EXPERIMENT_DEFAULTS = {n: getattr(ExperimentConfig, n) for n in fields(ExperimentConfig)}
 
 _CONFIDENCE_DEFAULTS = {
     "sizes": [[9, 27], [30, 405], [300, 4050]],
@@ -54,8 +54,8 @@ _CONFIDENCE_DEFAULTS = {
 _IGNORED_KEY = "n_test_per_class"
 
 _SECTIONS = {
-    "prior": dataclasses.asdict(NONINFORMATIVE_PRIOR),
-    "generator": dataclasses.asdict(GeneratorConfig()),
+    "prior": asdict(NONINFORMATIVE_PRIOR),
+    "generator": asdict(GeneratorConfig()),
     "experiment": _EXPERIMENT_DEFAULTS,
     "confidence": _CONFIDENCE_DEFAULTS,
 }
@@ -214,7 +214,7 @@ def cmd_llr(args) -> int:
 def cmd_decide(args) -> int:
     cfg = _configure(args)
     trial_prior = TrialPrior(args.pi1)
-    policy = DecisionPolicy(**_resolve(dataclasses.asdict(DecisionPolicy()), {}, vars(args), ""))
+    policy = DecisionPolicy(**_resolve(asdict(DecisionPolicy()), {}, vars(args), ""))
     data = load_background_csv(args.background)
     llr = _log_lr(args.method, args.score, data, cfg)
     post = posterior_log_odds(llr, trial_prior)
@@ -242,8 +242,8 @@ def cmd_verify(args) -> int:
     # only the flags given are in ``args``; the rest keep the library defaults
     options = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     report_path = options.pop("report", None)
-    spec_fields = {f.name for f in dataclasses.fields(verification.QuadratureSpec)}
-    spec = verification.QuadratureSpec(**{k: options.pop(k) for k in spec_fields & options.keys()})
+    spec_fields = options.keys() & fields(verification.QuadratureSpec)
+    spec = verification.QuadratureSpec(**{k: options.pop(k) for k in spec_fields})
     report = verification.run_verification_suite(spec=spec, **options)
     text = _print_json(report.to_dict())
     if report_path is not None:
@@ -311,6 +311,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_lr_distribution(args) -> int:
     cfg = _configure(args)
+    check_finite(score=args.score)
     # simulate's experiment defaults, then flags; the file's experiment
     # section belongs to simulate alone
     exp = _resolve(_EXPERIMENT_DEFAULTS, {}, vars(args), "")

@@ -15,9 +15,9 @@ the predictive density of a single new score has a closed Student-t form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._numpy import floats, np, xp
+from ._record import record
 from .errors import check_at_least, check_finite, check_positive
 from .scores import SufficientStats, _LOG_2PI
 
@@ -27,7 +27,7 @@ from .scores import SufficientStats, _LOG_2PI
 NONINFORMATIVE_WEIGHT = 0.01
 
 
-@dataclass(frozen=True)
+@record
 class NormalGammaParams:
     """Normal-Gamma hyperparameters (gamma in shape/rate form).
 
@@ -45,7 +45,7 @@ class NormalGammaParams:
         check_positive(beta=self.beta, a=self.a, b=self.b)
 
 
-@dataclass(frozen=True)
+@record
 class StudentT:
     """Location / scale / degrees-of-freedom triple (scale, not variance).
 

@@ -30,11 +30,11 @@ with + where the log-LR rises through c and - where it falls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
 from ._numpy import np
+from ._record import record
 from .conjugate import (
     NONINFORMATIVE_PRIOR,
     NormalGammaParams,
@@ -88,7 +88,7 @@ _NEWTON_STEPS = 20
 _HERMITE_NODES = 256
 
 
-@dataclass(frozen=True)
+@record
 class ErrorCurve:
     """Mean error rates over trials at each prior log-odds grid point.
 
@@ -110,7 +110,7 @@ class ErrorCurve:
     degenerate_trials: int
 
 
-@dataclass(frozen=True)
+@record
 class ConfidencePoint:
     """Mean hypothesis-conditional log-LR for one method at one data size."""
 
@@ -530,7 +530,7 @@ def confidence_curve(
     return tuple(points)
 
 
-@dataclass(frozen=True)
+@record
 class LrDistributionReport:
     """Summary of plugin log-LRs over resampled background databases.
 

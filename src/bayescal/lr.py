@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .conjugate import (
     NONINFORMATIVE_PRIOR,
     NormalGammaParams,
@@ -36,7 +36,7 @@ class Decision(enum.Enum):
     ACQUIT = "acquit"
 
 
-@dataclass(frozen=True)
+@record
 class LogLR:
     """A natural-log likelihood-ratio tagged with the method that produced it."""
 
@@ -51,7 +51,7 @@ class LogLR:
         return self.value / math.log(10.0)
 
 
-@dataclass(frozen=True)
+@record
 class TrialPrior:
     """Probability of the same-source hypothesis before the score is seen."""
 
@@ -66,7 +66,7 @@ class TrialPrior:
         return math.log(self.pi1) - math.log1p(-self.pi1)
 
 
-@dataclass(frozen=True)
+@record
 class DecisionPolicy:
     """Relative costs of the two possible wrong decisions."""
 

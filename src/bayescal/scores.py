@@ -10,10 +10,10 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from ._numpy import floats, np, plain
+from ._record import DERIVED, record
 from .errors import (
     ScoreFileError,
     ValidationError,
@@ -80,7 +80,7 @@ def parse_label(label: str) -> Hypothesis:
         ) from None
 
 
-@dataclass(frozen=True)
+@record
 class BackgroundData:
     """Labeled background scores, one sequence per hypothesis class.
 
@@ -93,8 +93,8 @@ class BackgroundData:
 
     h1_scores: tuple[float, ...]
     h2_scores: tuple[float, ...]
-    h1_stats: SufficientStats = field(init=False, compare=False, repr=False)
-    h2_stats: SufficientStats = field(init=False, compare=False, repr=False)
+    h1_stats: SufficientStats = DERIVED
+    h2_stats: SufficientStats = DERIVED
 
     def __post_init__(self):
         for cls in ("h1", "h2"):
@@ -133,7 +133,7 @@ def _class_error(name: str, scores: tuple[float, ...]) -> ValidationError:
     )
 
 
-@dataclass(frozen=True)
+@record
 class SufficientStats:
     """Count, mean and summed squared deviation of one class's scores.
 
@@ -150,7 +150,7 @@ class SufficientStats:
         check_at_least(0, n=self.n, sum_sq_dev=self.sum_sq_dev)
 
 
-@dataclass(frozen=True)
+@record
 class GaussianParams:
     """Point-estimate Gaussian score model: a (mean, precision) pair per class.
 

@@ -4,9 +4,9 @@ the experiments run on them."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._numpy import np
+from ._record import record
 from .errors import ValidationError, check_at_least, check_finite, check_positive
 from .scores import Hypothesis, SufficientStats
 
@@ -15,7 +15,7 @@ from .scores import Hypothesis, SufficientStats
 DEFAULT_PRIOR_GRID = tuple(-10.0 + 0.5 * i for i in range(41))
 
 
-@dataclass(frozen=True)
+@record
 class GeneratorConfig:
     """True score distributions for a synthetic world.
 
@@ -55,7 +55,7 @@ class GeneratorConfig:
         return self.shift_scale * mu + self.shift_location, self.shift_scale * sigma
 
 
-@dataclass(frozen=True)
+@record
 class ExperimentConfig:
     """Sizes, trial count, prior grid and seeding for one error-curve run
     (``experiment.run_experiment``)."""

@@ -57,9 +57,9 @@ its check.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
 
 from ._numpy import np
+from ._record import asdict, record, replace
 from .conjugate import (
     NONINFORMATIVE_PRIOR,
     NormalGammaParams,
@@ -91,7 +91,7 @@ from .synthetic import GeneratorConfig, generate_scores
 SUITE_SEED = 20260810
 
 
-@dataclass(frozen=True)
+@record
 class QuadratureSpec:
     """Discretization of the precision integration domain.
 
@@ -266,7 +266,7 @@ def joint_evidence_log_lr(
     return gain(data.h1_scores) - gain(data.h2_scores)
 
 
-@dataclass(frozen=True)
+@record
 class PitfallReport:
     """Exact vs point-mass-approximated Bayesian log-LR across a score grid."""
 
@@ -477,7 +477,7 @@ def pitfall_divergence(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     name: str
     value: float
@@ -486,7 +486,7 @@ class CheckResult:
     passed: bool
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     checks: tuple[CheckResult, ...]
     config: dict

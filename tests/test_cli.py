@@ -1,7 +1,6 @@
 """End-to-end CLI behavior: outputs, exit codes, and reproducibility."""
 
 import csv
-import dataclasses
 import errno
 import importlib
 import inspect
@@ -577,6 +576,13 @@ class TestLrDistributionCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_is_blamed_on_the_score(self, score, capsys):
+        # as llr does: the input is at fault, not a result computed from it
+        code, out, err = run_cli(capsys, "lr-distribution", f"--score={score}", "--trials", "5")
+        assert (code, out) == (3, "")
+        assert err == f"error: score must be finite, got {score}\n"
+
     @pytest.mark.parametrize("score", ["1e154", "1e200"])
     def test_non_finite_result_exits_3(self, score, capsys):
         # as llr does: a log-LR or summary that overflows is an error, never
@@ -687,7 +693,7 @@ class TestFlagsReachLibrary:
 
 
 def test_experiment_defaults_are_the_dataclass_defaults():
-    assert bayescal.cli._EXPERIMENT_DEFAULTS == dataclasses.asdict(ExperimentConfig())
+    assert bayescal.cli._EXPERIMENT_DEFAULTS == bayescal.asdict(ExperimentConfig())
 
 
 class TestConfigFile:
@@ -902,6 +908,17 @@ def test_llr_and_decide_run_no_experiment_or_oracle(tmp_path, background):
            " for m in ('experiment', 'verification')]")
     states = _load_states(tmp_path, background, ran)
     assert states == [[False, False], [0] * 10, [False, False], [0, 0, 0], [True, True]]
+
+
+def test_llr_and_decide_load_no_dataclasses_or_inspect(tmp_path, background):
+    """The record types are built without ``dataclasses`` (``_record``), so
+    ``import bayescal``, ``llr`` and ``decide`` load neither it nor
+    ``inspect``, which it imports. The later commands still exit 0; numpy,
+    which they load, may import ``inspect`` itself."""
+    states = _load_states(
+        tmp_path, background, "[m in sys.modules for m in ('dataclasses', 'inspect')]"
+    )
+    assert states[:4] == [[False, False], [0] * 10, [False, False], [0, 0, 0]]
 
 
 def test_every_public_name_resolves():

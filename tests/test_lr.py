@@ -1,6 +1,5 @@
 """Likelihood-ratio operations, decisions, and the decomposition identity."""
 
-import dataclasses
 import math
 import sys
 
@@ -35,6 +34,7 @@ from bayescal import (
     sample_params,
     posterior_update,
     collect_stats,
+    replace,
 )
 from bayescal.conjugate import NONINFORMATIVE_PRIOR
 from bayescal.scores import DEFAULT_VARIANCE_FLOOR
@@ -174,7 +174,7 @@ def _log_lrs(h1, h2, e, mu0=NONINFORMATIVE_PRIOR.mu0, b=NONINFORMATIVE_PRIOR.b,
              floor=DEFAULT_VARIANCE_FLOOR):
     """(Bayesian, plugin) log-LR of ``e``; the default prior with ``mu0`` and ``b``."""
     data = BackgroundData(h1, h2)
-    prior = dataclasses.replace(NONINFORMATIVE_PRIOR, mu0=mu0, b=b)
+    prior = replace(NONINFORMATIVE_PRIOR, mu0=mu0, b=b)
     return np.array(
         [bayes_log_lr(e, data, prior).value, plugin_log_lr(e, fit_plugin(data, floor)).value]
     )

@@ -3,7 +3,6 @@
 import json
 import math
 import sys
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,6 +23,7 @@ from bayescal import (
     predictive,
     quadrature_joint_evidence,
     quadrature_predictive,
+    replace,
     student_t_log_density,
 )
 from bayescal.conjugate import NONINFORMATIVE_PRIOR, StudentT, posterior_update
