@@ -4,9 +4,9 @@ Structured results go to stdout as JSON (or CSV files for curves); every run
 echoes its fully resolved configuration so outputs are regenerable. Config
 precedence is flags > config file > built-in defaults.
 
-Exit codes: 0 success, 2 input parsing, 3 validation or precondition,
-4 file I/O (an input that cannot be read or an output that cannot be
-written), 5 verification tolerance breach.
+Exit codes: 0 success, 2 input parsing, 3 validation, precondition or a
+solve that did not converge, 4 file I/O (an input that cannot be read or an
+output that cannot be written), 5 verification tolerance breach.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from . import __version__, experiment, verification
 from ._record import asdict, fields
 from .conjugate import NONINFORMATIVE_PRIOR, NormalGammaParams
 from .errors import (
-    ScoreFileError, ValidationError, check_at_least, check_finite, check_positive, check_utf8,
+    BayescalError, ScoreFileError, ValidationError,
+    check_at_least, check_finite, check_positive, check_utf8,
 )
 from .lr import (
     DecisionPolicy,
@@ -40,7 +41,13 @@ from .synthetic import ExperimentConfig, GeneratorConfig
 
 _LOG10 = math.log(10.0)
 
+#: the exit code of each error a command reports; the first kind that matches wins
+_EXIT_CODES = {ScoreFileError: 2, BayescalError: 3, OSError: 4}
+
 _EXPERIMENT_DEFAULTS = {n: getattr(ExperimentConfig, n) for n in fields(ExperimentConfig)}
+
+#: the experiment keys that simulate and lr-distribution also take as flags
+_RUN_FLAGS = ("n1", "n2", "trials", "seed")
 
 _CONFIDENCE_DEFAULTS = {
     "sizes": [[9, 27], [30, 405], [300, 4050]],
@@ -64,10 +71,10 @@ _SECTIONS = {
 _CONFIG_DEFAULTS = {**_SECTIONS, "variance_floor": DEFAULT_VARIANCE_FLOOR}
 
 
-def _print_json(payload: dict) -> str:
-    """Print ``payload`` as strict JSON (no bare NaN) and return the text."""
+def _print_json(payload: dict, out=None) -> str:
+    """Write ``payload`` as strict JSON (no bare NaN) to ``out`` or stdout; return the text."""
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    sys.stdout.write(text)
+    (out or sys.stdout).write(text)
     return text
 
 
@@ -183,6 +190,11 @@ def _add_generator_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shift-scale", type=float, help="test-set shift scale")
 
 
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    for name in _RUN_FLAGS:
+        p.add_argument(f"--{name}", type=int)
+
+
 def _log_lr(method: str, score: float, data, cfg: dict) -> LogLR:
     """The ``method`` ("plugin" or "bayes") log-LR of ``score`` against ``data``."""
     check_finite(score=score)
@@ -253,10 +265,11 @@ def cmd_verify(args) -> int:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write ``rows`` under ``header``, each float cell (numpy's too) as its repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in r] for r in rows)
 
 
 def cmd_simulate(args) -> int:
@@ -279,33 +292,19 @@ def cmd_simulate(args) -> int:
         out_dir / "curve.csv",
         ["prior_log_odds", "prior_log10_odds", "error_plugin", "error_bayes",
          "error_prior_only", "stderr_plugin", "stderr_bayes"],
-        (
-            [repr(float(plo)), repr(float(plo) / _LOG10), repr(float(ep)), repr(float(eb)),
-             repr(float(e0)), repr(float(sp)), repr(float(sb))]
-            for plo, ep, eb, e0, sp, sb in zip(
-                curve.prior_log_odds, curve.error_plugin, curve.error_bayes,
-                curve.error_prior_only, curve.stderr_plugin, curve.stderr_bayes,
-            )
-        ),
+        zip(curve.prior_log_odds, curve.prior_log_odds / _LOG10, curve.error_plugin,
+            curve.error_bayes, curve.error_prior_only, curve.stderr_plugin, curve.stderr_bayes),
     )
     _write_csv(
         out_dir / "confidence.csv",
         ["n1", "n2", "method", "hypothesis", "mean_log_lr", "mean_log10_lr", "stderr"],
-        (
-            [p.n1, p.n2, p.method.value, p.hypothesis.value,
-             repr(p.mean_log_lr), repr(p.mean_log_lr / _LOG10), repr(p.stderr)]
-            for p in points
-        ),
+        ([p.n1, p.n2, p.method.value, p.hypothesis.value,
+          p.mean_log_lr, p.mean_log_lr / _LOG10, p.stderr] for p in points),
     )
-    meta = {
-        "version": __version__,
-        **cfg,
-        "trials_used": curve.trials_used,
-        "degenerate_trials": curve.degenerate_trials,
-    }
+    meta = {"version": __version__, **cfg, "trials_used": curve.trials_used,
+            "degenerate_trials": curve.degenerate_trials}
     with open(out_dir / "run_meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _print_json(meta, fh)
     return 0
 
 
@@ -314,8 +313,7 @@ def cmd_lr_distribution(args) -> int:
     check_finite(score=args.score)
     # simulate's experiment defaults, then flags; the file's experiment
     # section belongs to simulate alone
-    exp = _resolve(_EXPERIMENT_DEFAULTS, {}, vars(args), "")
-    runs = {k: exp[k] for k in ("n1", "n2", "trials", "seed")}
+    runs = _resolve({k: _EXPERIMENT_DEFAULTS[k] for k in _RUN_FLAGS}, {}, vars(args), "")
     report = experiment.lr_distribution_demo(
         e=args.score,
         world=GeneratorConfig(**cfg["generator"]),
@@ -382,10 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="error-rate and confidence experiments")
     p.add_argument("--out-dir", required=True, help="directory for curve.csv etc.")
-    p.add_argument("--n1", type=int)
-    p.add_argument("--n2", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
+    _add_run_flags(p)
     _add_generator_flags(p)
     _add_prior_flags(p)
     p.set_defaults(func=cmd_simulate)
@@ -395,10 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="plugin log-LR spread over resampled backgrounds vs Bayesian log-LR",
     )
     p.add_argument("--score", type=float, required=True)
-    p.add_argument("--n1", type=int)
-    p.add_argument("--n2", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
+    _add_run_flags(p)
     _add_generator_flags(p)
     _add_prior_flags(p)
     p.set_defaults(func=cmd_lr_distribution)
@@ -414,15 +406,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except ScoreFileError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def run(argv=None) -> NoReturn:

@@ -72,7 +72,8 @@ class ExperimentConfig:
         grid = tuple(float(g) for g in self.prior_grid)
         if not grid:
             raise ValidationError("prior_grid must not be empty")
-        check_finite(prior_grid=grid)
+        for g in grid:  # each a Python float, so the check loads no numpy
+            check_finite(prior_grid=g)
         object.__setattr__(self, "prior_grid", grid)
 
 

@@ -208,11 +208,9 @@ def quadrature_predictive(
     """
     e = np.asarray(e, dtype=float)
     check_finite(e=e)
-    if e.ndim == 0:
-        return _log_evidence(posterior, SufficientStats(1, float(e), 0.0), spec)
-    flat = e.reshape(-1)
-    stats = SufficientStats(1, flat, np.zeros_like(flat))
-    return _log_evidence(posterior, stats, spec).reshape(e.shape)
+    flat = e.reshape(-1)  # a 0-d e is a one-element block
+    logs = _log_evidence(posterior, SufficientStats(1, flat, np.zeros_like(flat)), spec)
+    return logs.reshape(e.shape) if e.ndim else float(logs[0])
 
 
 def quadrature_joint_evidence(

@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import hashlib
 import importlib
 import inspect
 import io
@@ -548,6 +549,19 @@ class TestSimulateCommand:
         )
         assert code == 4
 
+    def test_unconverged_solve_exits_3_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        """A crossing solve still moving at its step cap raises
+        ConvergenceError, which exits 3 with its one line before any output
+        is written. No Newton step at all stands in for a world whose solve
+        does not converge."""
+        monkeypatch.setattr(bayescal.experiment, "_NEWTON_STEPS", 0)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "simulate", "--out-dir", str(out_dir), "--trials", "3")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "after 0 Newton steps" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestLrDistributionCommand:
     def test_output_contract(self, capsys):
@@ -919,6 +933,60 @@ def test_llr_and_decide_load_no_dataclasses_or_inspect(tmp_path, background):
         tmp_path, background, "[m in sys.modules for m in ('dataclasses', 'inspect')]"
     )
     assert states[:4] == [[False, False], [0] * 10, [False, False], [0, 0, 0]]
+
+
+def test_experiment_config_loads_no_numpy():
+    """``ExperimentConfig`` checks its prior grid point by point, as Python
+    floats, so building one, with the default grid or a given one, loads no
+    numpy."""
+    script = (
+        "import sys, bayescal\n"
+        "bayescal.ExperimentConfig()\n"
+        "bayescal.ExperimentConfig(prior_grid=[-1, 0.5])\n"
+        "print('numpy._core' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(bayescal.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+#: sha256 of each output whose bytes must not move. A change that moves one
+#: on purpose updates its digest here and names the change in CHANGES.md.
+PINNED_OUTPUTS = {
+    "fig1 curve.csv": "7f05709dad864171ad334b0f0a24c894cff533a14a581034d4596ea7072721f1",
+    "fig1 confidence.csv": "1cd771cdb3fdd563f6790a4bf4dd476281018685cc49c6dec763c78903f7b2ac",
+    "fig1 run_meta.json": "b80b121965d8b1ab35209838e599fbfff881135bf078730e9148267659538f5a",
+    "fig2 curve.csv": "8f83488b02f4ba626b5661a43b442187f5c2a831e23f1327bbd5488c366a09f3",
+    "fig2 confidence.csv": "1cd771cdb3fdd563f6790a4bf4dd476281018685cc49c6dec763c78903f7b2ac",
+    "fig2 run_meta.json": "f2f54d306c5432dcd83d14525501c01ed6042babc2994b3615d4c361642990a6",
+    "lr-distribution --score 6.0":
+        "0daed45d35d6d5504d1a02e04531be3720f53889745f418f1dd315d84e319747",
+    "verify": "923b354eb7f566cd9d437d9d33f9d4f73a62b85da0684996ea66c2da502d075a",
+    "verify --grid-mu 401 --grid-lambda 401":
+        "c286e449b81a6bf081cd7856812d5e0143fc1ab679502f82a7171856ad1d176d",
+}
+
+
+def test_pinned_outputs_keep_their_bytes(tmp_path, capsys):
+    """The bundled fig1 and fig2 runs' three files, and the stdout of
+    ``lr-distribution`` and of ``verify`` at the default grid and at 401 x 401,
+    each hash to its pinned digest."""
+    got = {}
+    for fig in ("fig1", "fig2"):
+        config, out_dir = REPO_ROOT / "configs" / f"{fig}.json", tmp_path / fig
+        code, _, err = run_cli(capsys, "simulate", "--config", str(config), "--out-dir", str(out_dir))
+        assert code == 0, err
+        for name in ("curve.csv", "confidence.csv", "run_meta.json"):
+            got[f"{fig} {name}"] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+    for argv in (["lr-distribution", "--score", "6.0"], ["verify"],
+                 ["verify", "--grid-mu", "401", "--grid-lambda", "401"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        got[" ".join(argv)] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == PINNED_OUTPUTS
 
 
 def test_every_public_name_resolves():
