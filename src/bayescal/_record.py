@@ -1,10 +1,9 @@
 """Frozen records: bayescal's value classes, as ``dataclass(frozen=True)`` makes
-them, without importing ``dataclasses`` and so ``inspect``. An annotation whose
-class-level value is ``DERIVED`` is no field: ``__post_init__`` sets it."""
+them, without importing ``dataclasses`` and so ``inspect``. A record's fields
+are exactly its annotations; an attribute that ``__post_init__`` sets, such as
+``BackgroundData.h1_stats``, is a plain attribute, not a field."""
 
 from operator import attrgetter
-
-DERIVED = object()
 
 
 def _refuse(self, name, *value):
@@ -16,10 +15,8 @@ def record(cls):
     the class-level values as defaults, that then calls ``__post_init__``;
     ``__eq__`` (within one class), ``__hash__`` and ``__repr__`` over the
     fields; and ``AttributeError`` on assignment or deletion."""
-    names = tuple(n for n in cls.__annotations__ if cls.__dict__.get(n) is not DERIVED)
+    names = tuple(cls.__annotations__)
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
-    for name in cls.__annotations__.keys() - names:
-        delattr(cls, name)
     post_init, key = getattr(cls, "__post_init__", lambda self: None), attrgetter(*names)
 
     def __init__(self, *args, **kwargs):

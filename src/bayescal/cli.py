@@ -82,7 +82,7 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScoreFileError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None

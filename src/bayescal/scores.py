@@ -13,7 +13,7 @@ import math
 from pathlib import Path
 
 from ._numpy import floats, np, plain
-from ._record import DERIVED, record
+from ._record import record
 from .errors import (
     ScoreFileError,
     ValidationError,
@@ -85,16 +85,14 @@ class BackgroundData:
     """Labeled background scores, one sequence per hypothesis class.
 
     Either class may be empty (the Bayesian path tolerates n=0); every score
-    must be finite. Construction validates each class once and summarizes it
-    once into ``h1_stats``/``h2_stats``, which every consumer reads instead of
-    recomputing them. Each class may be any flat sequence of numbers; it is
-    kept as a tuple of Python floats and summarized by ``collect_stats``.
+    must be finite. Construction validates each class and summarizes it once,
+    by ``collect_stats``, into the plain attributes (not fields) ``h1_stats``
+    and ``h2_stats``, which every consumer reads instead of recomputing them.
+    Each class may be any flat sequence of numbers, kept as a tuple of floats.
     """
 
     h1_scores: tuple[float, ...]
     h2_scores: tuple[float, ...]
-    h1_stats: SufficientStats = DERIVED
-    h2_stats: SufficientStats = DERIVED
 
     def __post_init__(self):
         for cls in ("h1", "h2"):

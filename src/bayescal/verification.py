@@ -223,14 +223,14 @@ def quadrature_joint_evidence(
     gives that score's predictive density, so an exact Bayesian log-LR can be
     assembled from these without ever forming a parameter posterior.
     """
-    return _log_evidence(prior, collect_stats(scores), spec)
+    return float(_log_evidence(prior, collect_stats(scores), spec))
 
 
-def _log_evidence(prior, stats, spec) -> float | np.ndarray:
+def _log_evidence(prior, stats, spec) -> np.ndarray:
     """The log integral behind both oracles above: the prior density times
     the likelihood of scores with sufficient statistics ``stats``; stats
     whose mean and sum are arrays, a block of score lists that share a
-    count, give one value per element."""
+    count, give one value per element, and float stats a numpy scalar."""
     profile = posterior_update(prior, stats)
     lam, log_row_scale = _profile_nodes(profile, spec)
     root = np.sqrt(profile.beta * lam)
@@ -239,8 +239,7 @@ def _log_evidence(prior, stats, spec) -> float | np.ndarray:
     # each row's Gaussian integral over the whole mean line
     rows = c2 - c1 * c1 / (4.0 * c0) + 0.5 * np.log(math.pi / -c0) + log_row_scale
     top = rows.max(axis=-1)
-    logs = top + np.log(np.sum(np.exp(rows - top[..., None]), axis=-1))
-    return float(logs) if lam.ndim == 1 else logs
+    return top + np.log(np.sum(np.exp(rows - top[..., None]), axis=-1))
 
 
 def joint_evidence_log_lr(

@@ -96,8 +96,16 @@ class TestLlrCommand:
                 "field larger than field limit (131072)",
             ),
             ("--config", b'{\n  "prior":\n    {"a": "\xe9"}\n}\n', "byte 0xe9 is not UTF-8"),
+            (
+                "--config",
+                b'\xef\xbb\xbf{\n  "prior":\n    {"a": "\xe9"}\n}\n',
+                "byte 0xe9 is not UTF-8",
+            ),
         ],
-        ids=["background_not_utf8", "background_field_too_long", "config_not_utf8"],
+        ids=[
+            "background_not_utf8", "background_field_too_long", "config_not_utf8",
+            "config_bom_not_utf8",
+        ],
     )
     def test_unreadable_input_exits_2_naming_line_3(
         self, flag, raw, message, background, tmp_path, capsys
@@ -167,6 +175,15 @@ class TestLlrCommand:
         assert code == 0
         prior = json.loads(out)["prior"]
         assert prior["a"] == 5.0 and prior["b"] == 7.0
+
+    def test_config_file_may_start_with_a_byte_order_mark(self, background, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"prior": {"mu0": 0.5}}).encode())
+        code, out, _ = run_cli(
+            capsys, "llr", "--background", background, "--score", "0.5", "--config", str(cfg)
+        )
+        assert code == 0
+        assert json.loads(out)["prior"]["mu0"] == 0.5
 
 
 class TestDecideCommand:

@@ -63,7 +63,7 @@ def _errors(h1, h2, grid, laws=LAWS):
         fit_plugin(stats, DEFAULT_VARIANCE_FLOOR), class_predictives(stats, NONINFORMATIVE_PRIOR)
     )
     errors = _errors_over_grid(calibration, np.asarray(grid, dtype=float), laws)
-    return {method: rates[:, 0] for method, rates in errors.items()}
+    return {method: rates[:, 0] for method, rates in zip(LrMethod, errors)}
 
 
 class TestGenerateScores:
@@ -165,7 +165,7 @@ class TestWeightedErrorRate:
         tau = -grid / 4.0
         pi1 = expit(grid)
         analytic = pi1 * scipy.stats.norm.cdf(tau - 2.0) + (1 - pi1) * scipy.stats.norm.sf(tau + 2.0)
-        for rates in _errors_over_grid((truth, t_truth), grid, LAWS).values():
+        for rates in _errors_over_grid((truth, t_truth), grid, LAWS):
             np.testing.assert_allclose(rates[:, 0], analytic, rtol=1e-12)
         assert math.isclose(analytic[20], scipy.stats.norm.cdf(-2.0), rel_tol=1e-12)
 
@@ -174,6 +174,23 @@ class TestWeightedErrorRate:
         exp = ExperimentConfig(n1=9, n2=27, trials=2, seed=0)
         with pytest.raises(ValidationError, match=r"^error_plugin must be finite, got nan$"):
             run_experiment(GeneratorConfig(shift_scale=1e300), exp)
+
+    def test_non_finite_bayes_rate_rejected(self, monkeypatch):
+        exceedance = bayescal.experiment._bayes_exceedance
+        blocks = []
+
+        def trial_0_nan(*args):
+            # each law's (P(llr > c), P(llr <= c)) pair; the first block holds trial 0
+            pairs = exceedance(*args)
+            if not blocks:
+                for p_above, p_below in pairs:
+                    p_above[:, 0] = p_below[:, 0] = np.nan
+            blocks.append(pairs)
+            return pairs
+
+        monkeypatch.setattr(bayescal.experiment, "_bayes_exceedance", trial_0_nan)
+        with pytest.raises(ValidationError, match=r"^error_bayes must be finite, got nan$"):
+            run_experiment(GeneratorConfig(), ExperimentConfig(trials=150, seed=0))
 
     def test_vectorized_grid_matches_scalar_op(self):
         rng = np.random.default_rng(0)

@@ -2,9 +2,10 @@
 
 ``perfbench/tracer.py`` looks each name of its ``_layers`` up in its
 ``bayescal`` module and binds the oracles' ``spec`` argument to count
-quadrature nodes. A rename would break only ``--trace 1`` runs, so it is
-caught here. The tracer's source is read and executed in a namespace of its
-own; nothing is written next to it.
+quadrature nodes; its count functions read the results' trial fields. A
+rename would break only ``--trace 1`` runs, so it is caught here. The
+tracer's source is read and executed in a namespace of its own; nothing is
+written next to it.
 """
 
 import importlib
@@ -38,3 +39,25 @@ def test_every_traced_name_resolves(tracer):
 @pytest.mark.parametrize("oracle", ["quadrature_predictive", "quadrature_joint_evidence"])
 def test_oracles_keep_their_spec_parameter(oracle):
     assert "spec" in inspect.signature(getattr(verification, oracle)).parameters
+
+
+def test_work_counts_on_real_results(tracer, tmp_path):
+    """Each count function, applied to a tiny real call, counts its work, so a
+    change to the fields or parameters it reads fails here and not only in a
+    traced run."""
+    from bayescal import ExperimentConfig, GeneratorConfig, NormalGammaParams
+
+    background = tmp_path / "bg.csv"
+    background.write_text("label,score\nH1,0.0\nH1,2.0\nH2,-2.0\nH2,0.0\n")
+    posterior = NormalGammaParams(0.0, 2.0, 3.0, 2.0)
+    calls = {
+        "experiment.run_experiment": ((GeneratorConfig(), ExperimentConfig(trials=3)), [3, 3]),
+        "experiment.confidence_curve": ((GeneratorConfig(), [(9, 27), (30, 405)], 3, 0), [6]),
+        "verification.quadrature_predictive": ((posterior, 0.5), [10201]),
+        "scores.load_background_csv": ((background,), [4]),
+    }
+    layers = tracer["_layers"](np)
+    for name, (args, counts) in calls.items():
+        module_name, attr = name.split(".")
+        fn = getattr(importlib.import_module(f"bayescal.{module_name}"), attr)
+        assert layers[name](fn, args, {}, fn(*args)) == counts, name

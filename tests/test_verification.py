@@ -160,6 +160,11 @@ class TestJointEvidenceOracle:
         prior = NormalGammaParams(0.0, 1.0, 2.0, 1.0)
         assert abs(quadrature_joint_evidence(prior, [], FAST)) < 1e-7
 
+    @pytest.mark.parametrize("scores", [[1.0, 2.0], []])
+    def test_returns_a_python_float(self, scores):
+        prior = NormalGammaParams(0.0, 1.0, 2.0, 1.0)
+        assert type(quadrature_joint_evidence(prior, scores)) is float
+
     @pytest.mark.parametrize("e", [-3.0, 0.5, 4.0])
     def test_predictive_is_the_evidence_of_one_score(self, e):
         post = NormalGammaParams(-1.2, 12.0, 6.5, 9.0)
