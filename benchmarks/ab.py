@@ -2,7 +2,8 @@
 """A/B runs of perfbench: a parent tree against a changed tree, in pairs.
 
     python3 benchmarks/ab.py PARENT_TREE CHANGE_TREE --workloads casework simulate verify \\
-        --seed 2901 --out BENCH_29.json
+        --seed 2901 --out BENCH_29.json \\
+        --oracle-rows predictive_oracle_sweep_401 pitfall_divergence_200
 
 Each of ``PAIRS`` pairs runs ``perfbench/run.py --trace 0`` of both trees on
 one workload seed, one after the other: the parent first in odd pairs, the
@@ -18,6 +19,13 @@ failed) and, per workload and metric, each side's median and quartiles, the
 distance between the parent's quartiles, and in how many pairs the change
 read lower and higher (a tie counts for neither). A run that reports
 ``correct: false`` is counted per side, and the runner then exits 1.
+
+``--oracle-rows`` names rows of ``benchmarks/bench_oracles.py`` without
+their ``test_`` prefix (``quadrature_predictive[401]``, say). Each tree
+runs its own file on its own source in ``ORACLE_INVOCATIONS`` pytest
+invocations, alternating as the pairs do; the JSON then holds, under
+``bench_oracles_rows``, each invocation's pytest-benchmark min and median
+per row, and per row each tree's median and quartiles of those medians.
 """
 
 from __future__ import annotations
@@ -25,13 +33,33 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
 PAIRS = 10
+ORACLE_INVOCATIONS = 5
+
+
+def spread(values_by_side: dict) -> dict:
+    """Each side's median and quartiles of its values (one per pair, in
+    order), the parent's quartile distance, and in how many pairs the
+    change read lower and higher than the parent."""
+    entry = {}
+    for side in SIDES:
+        q1, median, q3 = statistics.quantiles(values_by_side[side], n=4, method="inclusive")
+        entry[f"{side}_median"] = median
+        entry[f"{side}_quartiles"] = [q1, q3]
+    q1, q3 = entry["parent_quartiles"]
+    entry["parent_iqr"] = q3 - q1
+    pairs = list(zip(values_by_side["parent"], values_by_side["change"]))
+    entry["change_lower_in"] = f"{sum(b < a for a, b in pairs)} of {len(pairs)}"
+    entry["change_higher_in"] = f"{sum(b > a for a, b in pairs)} of {len(pairs)}"
+    return entry
 
 
 def summarize(rows: list[dict]) -> dict:
@@ -41,21 +69,10 @@ def summarize(rows: list[dict]) -> dict:
     metric, the unit, each side's median and quartiles, the parent's
     quartile distance, and in how many pairs the change read lower and
     higher than the parent."""
-    n = len(rows)
     metrics = {}
     for name, first in rows[0]["parent"]["metrics"].items():
         values = {side: [row[side]["metrics"][name]["value"] for row in rows] for side in SIDES}
-        entry = {"unit": first["unit"]}
-        for side in SIDES:
-            q1, median, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
-            entry[f"{side}_median"] = median
-            entry[f"{side}_quartiles"] = [q1, q3]
-        q1, q3 = entry["parent_quartiles"]
-        entry["parent_iqr"] = q3 - q1
-        pairs = list(zip(values["parent"], values["change"]))
-        entry["change_lower_in"] = f"{sum(b < a for a, b in pairs)} of {n}"
-        entry["change_higher_in"] = f"{sum(b > a for a, b in pairs)} of {n}"
-        metrics[name] = entry
+        metrics[name] = {"unit": first["unit"], **spread(values)}
     operations = {
         side: {"attempted": sum(row[side]["attempted"] for row in rows),
                "failed": sum(row[side]["failed"] for row in rows),
@@ -103,13 +120,66 @@ def run_side(tree: Path, workload: str, seed: int, seconds: int) -> tuple[dict, 
     return json.loads(lines[-1]), environment
 
 
+#: pytest, run in a tree, on the bench_oracles.py node of each row; the
+#: tree's ``pythonpath`` setting puts its own source first.
+ORACLE_PYTEST = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
+
+
+def run_oracle_rows(tree: Path, rows: list[str], out: Path) -> dict:
+    """One pytest invocation of ``tree``'s own bench_oracles.py selecting
+    ``rows``: each row's pytest-benchmark min and median in ms and rounds."""
+    nodes = [f"benchmarks/bench_oracles.py::test_{row}" for row in rows]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, *ORACLE_PYTEST, *nodes, "--benchmark-json", str(out)],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(f"bench_oracles.py in {tree} exited {done.returncode}: "
+                           f"{done.stdout[-2000:]}{done.stderr[-2000:]}")
+    stats = {b["name"]: b["stats"] for b in json.loads(out.read_text())["benchmarks"]}
+    return {row: {"min": round(stats[f"test_{row}"]["min"] * 1e3, 4),
+                  "median": round(stats[f"test_{row}"]["median"] * 1e3, 4),
+                  "rounds": stats[f"test_{row}"]["rounds"]} for row in rows}
+
+
+def oracle_rows(trees: dict, rows: list[str], scratch: Path) -> dict:
+    """``ORACLE_INVOCATIONS`` invocations per tree of ``run_oracle_rows``,
+    the parent first in odd invocations, and per row each tree's median
+    and quartiles of the invocation medians."""
+    samples = {side: [] for side in SIDES}
+    for k in range(ORACLE_INVOCATIONS):
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            got = run_oracle_rows(trees[side], rows, scratch / f"{side}-{k + 1}.json")
+            samples[side].append(got)
+            medians = {row: got[row]["median"] for row in rows}
+            print(f"bench_oracles invocation {k + 1} {side}: {json.dumps(medians)}",
+                  file=sys.stderr)
+    summary = {}
+    for row in rows:
+        runs = {side: [{"invocation": k + 1, **got[row]} for k, got in enumerate(samples[side])]
+                for side in SIDES}
+        medians = {side: [run["median"] for run in runs[side]] for side in SIDES}
+        summary[row] = {"unit": "ms", **runs, **spread(medians)}
+    return {
+        "command": "PYTHONDONTWRITEBYTECODE=1 OPENBLAS_NUM_THREADS=1 python "
+                   + " ".join(ORACLE_PYTEST)
+                   + " benchmarks/bench_oracles.py::test_ROW ... --benchmark-json OUT",
+        "method": f"{ORACLE_INVOCATIONS} invocations per tree, alternating, the parent first "
+                  "in odd invocations; each invocation's pytest-benchmark min and median per row",
+        "rows": summary,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="the parent tree")
     parser.add_argument("change", type=Path, help="the changed tree")
-    parser.add_argument("--workloads", nargs="+", required=True)
+    parser.add_argument("--workloads", nargs="*", default=[])
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--out", type=Path, required=True, help="the JSON file to write")
+    parser.add_argument("--oracle-rows", nargs="*", default=[],
+                        help="bench_oracles.py rows to repeat, without the test_ prefix")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
@@ -138,7 +208,12 @@ def main(argv=None) -> int:
             rows.append(row)
         workloads[workload] = {**summarize(rows), "pairs": rows}
 
-    host = environments["parent"]
+    bench_rows = None
+    if args.oracle_rows:
+        with tempfile.TemporaryDirectory() as scratch:
+            bench_rows = oracle_rows(trees, args.oracle_rows, Path(scratch))
+
+    host = environments.get("parent", {})
     result = {
         "script": "benchmarks/ab.py",
         "method": f"perfbench/run.py --trace 0 --seconds {seconds}, {PAIRS} pairs per "
@@ -150,12 +225,17 @@ def main(argv=None) -> int:
         },
         "workloads": workloads,
     }
+    if bench_rows is not None:
+        result["bench_oracles_rows"] = bench_rows
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for workload, body in workloads.items():
         for name, entry in body["metrics"].items():
             print(f"{workload:<9} {name:<12} parent {entry['parent_median']:.6g} "
                   f"change {entry['change_median']:.6g} {entry['unit']}, "
                   f"lower in {entry['change_lower_in']}, parent IQR {entry['parent_iqr']:.3g}")
+    for row, entry in (bench_rows or {"rows": {}})["rows"].items():
+        print(f"{row}: parent {entry['parent_median']:.6g} change {entry['change_median']:.6g} ms, "
+              f"lower in {entry['change_lower_in']}, parent IQR {entry['parent_iqr']:.3g}")
     not_correct = {side: sum(body["operations"][side]["runs_not_correct"]
                              for body in workloads.values()) for side in SIDES}
     if any(not_correct.values()):

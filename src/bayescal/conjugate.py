@@ -31,8 +31,10 @@ NONINFORMATIVE_WEIGHT = 0.01
 class NormalGammaParams:
     """Normal-Gamma hyperparameters (gamma in shape/rate form).
 
-    ``mu0`` and ``b`` may be arrays, one posterior per background of a
-    block; ``beta`` and ``a`` depend only on the count, which a block shares.
+    Any field may be an array, one law per element of a block. A block of
+    backgrounds shares its count, so only ``mu0`` and ``b`` vary in its
+    posterior; the quadrature oracle's block of posteriors may also hold a
+    ``beta`` and an ``a`` per row.
     """
 
     mu0: float

@@ -24,6 +24,8 @@ exp(-lambda_tail_nats) of the integral. Scores enter only through their
 sufficient statistics. Stats with array means and sums that share a count,
 such as one posterior's e-grid, each e's stats (1, e, 0), share the profile's
 shape a, so one s-grid; each element's rate b places its own precision row.
+A block of posteriors, one per row of such stats, gives each row its own
+shape a and s-grid.
 
 Integrand. ``_log_joint_coefficients`` writes the log joint density out once,
 at mean = m0 + u/r with r = sqrt(beta*precision) of the profile, as a
@@ -51,7 +53,14 @@ rounding. ``QuadratureSpec.grid_mu`` places no node.
 
 Sweeps. Each sweep reports its largest absolute discrepancy. A NaN
 discrepancy is not dropped: it makes the sweep's result NaN, which fails
-its check.
+its check. The sweeps integrate in blocks, each value bit for bit as its
+own call would give it: the predictive sweep and the two convergence
+checks pass a few posteriors per ``quadrature_predictive`` call, one per
+row of e, and the joint-evidence sweep draws every case first, then makes
+one ``quadrature_joint_evidence`` call per list length; a call holds at
+most ``_BLOCK_NODES`` nodes. The pitfall sweep takes its medians by
+sorting, to numpy's median bit for bit, without the NaN check by which
+numpy's median imports ``numpy.ma``.
 """
 
 from __future__ import annotations
@@ -116,9 +125,10 @@ class QuadratureSpec:
         return replace(self, lambda_tail_nats=2.0 * self.lambda_tail_nats)
 
 
-def _trapezoid_weights(step: float, count: int) -> np.ndarray:
-    w = np.full(count, step)
-    w[0] = w[-1] = 0.5 * step
+def _trapezoid_weights(step, count: int) -> np.ndarray:
+    """Trapezoid weights of ``count`` nodes at each ``step``, along a last axis."""
+    w = np.full(np.shape(step) + (count,), _col(step))
+    w[..., 0] = w[..., -1] = 0.5 * step
     return w
 
 
@@ -142,54 +152,106 @@ def _tail_ends(a: float, nats: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _profile_nodes(profile: NormalGammaParams, spec: QuadratureSpec):
+def _by_math(fn, x):
+    """``fn`` of each element of ``x`` by ``math``, as a lone float takes it
+    (numpy's log can differ by an ulp), in the shape of ``x``."""
+    return np.array([fn(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
+def _span(a: float, nats: float) -> tuple[float, float, float, float]:
+    """log(a), w = 1/sqrt(a) and the ends of the s-span of a shape-``a`` profile."""
+    w = 1.0 / math.sqrt(a)
+    lo, hi = (math.asinh(d / w) for d in _tail_ends(a, nats))
+    return math.log(a), w, lo, hi
+
+
+def _col(x) -> np.ndarray:
+    """``x`` with a last axis of length 1, so it broadcasts against nodes."""
+    return np.asarray(x)[..., None]
+
+
+def _node_shape(profile: NormalGammaParams, spec: QuadratureSpec) -> tuple[int, ...]:
+    """The shape of a profile's node arrays: its block's, then the nodes."""
+    return np.broadcast_shapes(np.shape(profile.a), np.shape(profile.b)) + (spec.grid_lambda,)
+
+
+def _profile_nodes(profile: NormalGammaParams, spec: QuadratureSpec, out=None):
     """Precision nodes and their log scales, laid out against a profile.
 
     Returns the precision nodes and the per-node log scale: the Jacobians of
     lam = exp(t), of t = log(a/b) + w*sinh(s) and of the mean's
-    standardization, plus the trapezoid weights in s.
+    standardization, plus the trapezoid weights in s. The nodes run along a
+    last axis. A block's shape ``a`` holds one value per leading row (a
+    block of posteriors) or one for all (lists that share a count), and
+    each value its own s-grid. ``out``, two arrays of ``_node_shape``,
+    receives the two results.
     """
-    a = profile.a
-    w = 1.0 / math.sqrt(a)
-    lo, hi = (math.asinh(d / w) for d in _tail_ends(a, spec.lambda_tail_nats))
-    s = np.linspace(lo, hi, spec.grid_lambda)
-    # math.log of each rate, as a lone list takes it; np.log can differ by an ulp
-    log_b = np.array([math.log(b) for b in np.ravel(profile.b).tolist()])
-    t = (math.log(a) - log_b.reshape(np.shape(profile.b)))[..., None] + w * np.sinh(s)
+    shapes = np.ravel(profile.a).tolist()
+    spans = np.array([_span(a, spec.lambda_tail_nats) for a in shapes])
+    log_a, w, lo, hi = spans.T.reshape((4, *np.shape(profile.a)))
+    s = np.linspace(lo, hi, spec.grid_lambda, axis=np.ndim(lo))  # the last axis
+    lam, t = np.empty((2,) + _node_shape(profile, spec)) if out is None else out
+    np.add(_col(log_a - _by_math(math.log, profile.b)), _col(w) * np.sinh(s), out=t)
     with np.errstate(over="ignore"):  # refused just below, without a warning
-        lam = np.exp(t)
+        np.exp(t, out=lam)
     # a small shape's tail can reach past float range, where no node is usable
-    check_positive(**{f"precision node for gamma shape {a!r}": lam[..., [0, -1]]})
-    log_row_scale = (
-        t
-        + np.log(w * np.cosh(s))
-        - 0.5 * np.log(profile.beta * lam)
-        + np.log(_trapezoid_weights(s[1] - s[0], s.size))
-    )
-    return lam, log_row_scale
+    for a, ends in zip(shapes, lam[..., [0, -1]].reshape(len(shapes), -1)):
+        check_positive(**{f"precision node for gamma shape {a!r}": ends})
+    # the log scale, its terms added to t in place, in the order written above
+    t += np.log(_col(w) * np.cosh(s))
+    term = np.multiply(_col(profile.beta), lam)
+    np.log(term, out=term)
+    term *= 0.5
+    t -= term
+    t += np.log(_trapezoid_weights(s[..., 1] - s[..., 0], spec.grid_lambda))
+    return lam, t
 
 
-def _log_joint_coefficients(lam, root, center, prior: NormalGammaParams, stats):
+def _log_joint_coefficients(lam, root, center, prior: NormalGammaParams, stats, out=None):
     """The oracles' log joint density of (mean, lam) at mean = center + u/root,
-    as one row of (u^2, u, 1) coefficients per entry of ``lam`` and ``root``.
+    as the (u^2, u, 1) coefficients c0, c1, c2, each an array shaped like
+    ``lam`` and ``root``, stacked first; ``out`` receives them if given.
     Each Gaussian factor in the mean (beta at mu0, n at the scores' mean)
     adds -lam/2 * weight * (u/root + d)^2, d = center - its own center.
-    A block's ``center`` and ``stats`` hold one value per row of ``lam``."""
-    factors = [(prior.mu0, prior.beta)]
+    A block's ``center`` and ``stats`` hold one value per row of ``lam``, and
+    a block ``prior`` one law per leading row."""
+    centers, weights = [prior.mu0], [prior.beta]
     if stats.n > 0:
-        factors.append((stats.mean, stats.n))
-    # vecdot takes each list's sums as a lone list's 1-D product; a matmul would not
-    d = np.array([center - c for c, _ in factors]).T
-    w = np.array([weight for _, weight in factors])
-    coef = np.empty(lam.shape + (3,))
-    coef[..., 0] = -0.5 * lam * w.sum() / root**2
-    coef[..., 1] = -lam * np.vecdot(w, d)[..., None] / root
-    coef[..., 2] = (
-        _gamma_log_pdf(lam, prior.a, prior.b)
-        + 0.5 * (1 + stats.n) * (np.log(lam) - _LOG_2PI)
-        + 0.5 * math.log(prior.beta)
-        - 0.5 * lam * (stats.sum_sq_dev + np.vecdot(w, d**2))[..., None]
-    )
+        centers.append(stats.mean)
+        weights.append(stats.n)
+    # the factors along a last axis: vecdot takes each list's sums as a lone
+    # list's 1-D product; a matmul would not
+    d = np.array([center - c for c in centers])
+    d = d.transpose(*range(1, d.ndim), 0)
+    w = np.empty(np.shape(prior.beta) + (len(weights),))
+    for i, weight in enumerate(weights):
+        w[..., i] = weight
+    if np.ndim(prior.a):
+        # a block prior: each law's gamma density, with lgamma and log(b) by
+        # math, as a lone law's
+        rows = zip(lam, np.ravel(prior.a).tolist(), np.ravel(prior.b).tolist())
+        gamma = np.stack([_gamma_log_pdf(row, a, b) for row, a, b in rows])
+    else:
+        gamma = _gamma_log_pdf(lam, prior.a, prior.b)
+    coef = np.empty((3,) + lam.shape) if out is None else out
+    c0, c1, c2 = coef
+    # each coefficient computed in place, its products and terms in the order
+    # of -0.5*lam*W/root**2, -lam*(w.d)/root and
+    # gamma + 0.5*(1+n)*(log(lam) - log(2 pi)) + 0.5*log(beta) - 0.5*lam*(S + w.d^2)
+    np.multiply(-0.5, lam, out=c0)
+    c0 *= _col(w.sum(axis=-1))
+    c0 /= root**2
+    np.negative(lam, out=c1)
+    c1 *= _col(np.vecdot(w, d))
+    c1 /= root
+    term = np.log(lam)
+    term -= _LOG_2PI
+    term *= 0.5 * (1 + stats.n)
+    np.add(gamma, term, out=c2)
+    c2 += 0.5 * _col(_by_math(math.log, prior.beta))
+    np.multiply(0.5, lam, out=term)
+    term *= _col(stats.sum_sq_dev + np.vecdot(w, d**2))
+    c2 -= term
     return coef
 
 
@@ -204,42 +266,85 @@ def quadrature_predictive(
     (1, e, 0). The closed-form counterpart is
     ``student_t_log_density(predictive(p), e)``. An array ``e`` is one
     integration over a block of such stats, giving one value per element,
-    each equal to its float call bit for bit.
+    each equal to its float call bit for bit. A ``posterior`` whose fields
+    are arrays, one value per row of ``e`` (a float is shared), is a block
+    of posteriors: each row of ``e`` is probed under its own, again bit for
+    bit as its float calls.
     """
     e = np.asarray(e, dtype=float)
     check_finite(e=e)
-    flat = e.reshape(-1)  # a 0-d e is a one-element block
+    laws = (posterior.mu0, posterior.beta, posterior.a, posterior.b)
+    if any(np.ndim(v) for v in laws):
+        # each law a column against its row of e
+        posterior = NormalGammaParams(*(_col(np.broadcast_to(v, e.shape[:1])) for v in laws))
+        flat = e.reshape(e.shape[0], -1)
+    else:
+        flat = e.reshape(-1)  # a 0-d e is a one-element block
     logs = _log_evidence(posterior, SufficientStats(1, flat, np.zeros_like(flat)), spec)
     return logs.reshape(e.shape) if e.ndim else float(logs[0])
 
 
 def quadrature_joint_evidence(
     prior: NormalGammaParams, scores, spec: QuadratureSpec = QuadratureSpec()
-) -> float:
+) -> float | np.ndarray:
     """Log marginal likelihood of ``scores`` under ``prior``.
 
     Integrates the Gaussian likelihood of every score times the Normal-Gamma
     prior density. A class's evidence with and without a trial score appended
     gives that score's predictive density, so an exact Bayesian log-LR can be
-    assembled from these without ever forming a parameter posterior.
+    assembled from these without ever forming a parameter posterior. A block
+    of equal-length score lists (a 2-D ``scores``) is one integration, giving
+    one value per list, each equal to that list's own call bit for bit.
     """
-    return float(_log_evidence(prior, collect_stats(scores), spec))
+    if np.ndim(scores) < 2:
+        return float(_log_evidence(prior, collect_stats(scores), spec))
+    lists = [collect_stats(s) for s in scores]
+    if lists[0].n == 0:  # each list is the bare prior's
+        return np.full(len(lists), _log_evidence(prior, lists[0], spec))
+    means, spreads = (np.array(v) for v in zip(*((s.mean, s.sum_sq_dev) for s in lists)))
+    return _log_evidence(prior, SufficientStats(lists[0].n, means, spreads), spec)
 
 
 def _log_evidence(prior, stats, spec) -> np.ndarray:
     """The log integral behind both oracles above: the prior density times
     the likelihood of scores with sufficient statistics ``stats``; stats
     whose mean and sum are arrays, a block of score lists that share a
-    count, give one value per element, and float stats a numpy scalar."""
+    count, give one value per element, and float stats a numpy scalar. A
+    block ``prior``, fields of shape (rows, 1), holds one law per row of
+    such stats.
+
+    A call's six node arrays (lam, the log scale, root and the three
+    coefficients) are one allocation, and each step works in place, each
+    product and sum in the order of the formulas. So the largest block of
+    memory that a call frees is most of what it used, and the C library
+    keeps it for the next call rather than returning it to the system:
+    with six separate arrays, at 401 nodes, every call of the predictive
+    sweep faulted its memory back in, about 5,800 page faults per ``verify``.
+    """
     profile = posterior_update(prior, stats)
-    lam, log_row_scale = _profile_nodes(profile, spec)
-    root = np.sqrt(profile.beta * lam)
-    coef = _log_joint_coefficients(lam, root, profile.mu0, prior, stats)
-    c0, c1, c2 = np.moveaxis(coef, -1, 0)
-    # each row's Gaussian integral over the whole mean line
-    rows = c2 - c1 * c1 / (4.0 * c0) + 0.5 * np.log(math.pi / -c0) + log_row_scale
+    nodes = np.empty((6,) + _node_shape(profile, spec))
+    lam, log_row_scale = _profile_nodes(profile, spec, out=nodes[:2])
+    root = np.multiply(_col(profile.beta), lam, out=nodes[2])
+    np.sqrt(root, out=root)
+    c0, c1, c2 = _log_joint_coefficients(lam, root, profile.mu0, prior, stats, out=nodes[3:])
+    # each row's Gaussian integral over the whole mean line,
+    # c2 - c1*c1/(4*c0) + 0.5*log(pi/-c0) + log scale, in the arrays of lam
+    # and root, which are read no more
+    rows, term = nodes[0], nodes[2]
+    np.multiply(c1, c1, out=rows)
+    np.multiply(4.0, c0, out=term)
+    rows /= term
+    np.subtract(c2, rows, out=rows)
+    np.negative(c0, out=term)
+    np.divide(math.pi, term, out=term)
+    np.log(term, out=term)
+    term *= 0.5
+    rows += term
+    rows += log_row_scale
     top = rows.max(axis=-1)
-    return top + np.log(np.sum(np.exp(rows - top[..., None]), axis=-1))
+    rows -= top[..., None]
+    np.exp(rows, out=rows)
+    return top + np.log(np.sum(rows, axis=-1))
 
 
 def joint_evidence_log_lr(
@@ -337,6 +442,26 @@ def _random_dataset(rng: np.random.Generator) -> BackgroundData:
     return BackgroundData(*(generate_scores(world, h, n, rng) for h, n in zip(Hypothesis, counts)))
 
 
+#: Nodes that one block call of a sweep integrates at most: 64 KiB per
+#: float64 node array. Measured on ``verify`` at 401 nodes per row, two of
+#: the predictive sweep's posteriors per call took the same time as one
+#: (6,817 nodes) and raised peak RSS by 0.25 MB.
+_BLOCK_NODES = 2**13
+
+
+def _blocks(items: list, rows_each: int, spec: QuadratureSpec) -> list[list]:
+    """``items`` in runs of at most ``_BLOCK_NODES`` nodes, ``rows_each`` rows each."""
+    size = max(1, _BLOCK_NODES // (rows_each * spec.grid_lambda))
+    return [items[i : i + size] for i in range(0, len(items), size)]
+
+
+def _block_posterior(run: list[NormalGammaParams]) -> NormalGammaParams:
+    """The posteriors of ``run`` as one, a law per row: a lone one as it is."""
+    if len(run) == 1:
+        return run[0]
+    return NormalGammaParams(*np.array([[p.mu0, p.beta, p.a, p.b] for p in run]).T)
+
+
 def _max_abs(gaps) -> float:
     """Largest |gap|; NaN if any gap is NaN, so a broken evaluation fails its check."""
     return float(np.max(np.abs(gaps), initial=0.0))
@@ -351,18 +476,21 @@ def predictive_oracle_sweep(
     """Max |closed-form - quadrature| log predictive density over a sweep.
 
     Each posterior is probed on an e-grid spanning 8 predictive scales each
-    side of the predictive location.
+    side of the predictive location; the quadrature takes a few posteriors
+    per call, each row bit for bit as its own call.
     """
     rng = np.random.default_rng(seed)
     gaps = []
-    for post in _random_posteriors(rng, n_posteriors):
-        pred = predictive(post)
-        e_grid = np.linspace(
-            pred.location - 8.0 * pred.scale, pred.location + 8.0 * pred.scale, n_e
-        )
-        closed = student_t_log_density(pred, e_grid)
-        gaps.append(closed - quadrature_predictive(post, e_grid, spec))
-    return _max_abs(gaps)
+    for run in _blocks(_random_posteriors(rng, n_posteriors), n_e, spec):
+        preds = [predictive(post) for post in run]
+        e_grids = np.array([
+            np.linspace(pred.location - 8.0 * pred.scale, pred.location + 8.0 * pred.scale, n_e)
+            for pred in preds
+        ])
+        closed = [student_t_log_density(pred, e_grid) for pred, e_grid in zip(preds, e_grids)]
+        quadrature = quadrature_predictive(_block_posterior(run), e_grids, spec)
+        gaps.append(np.ravel(closed - quadrature))
+    return _max_abs(np.concatenate(gaps))
 
 
 def joint_evidence_sweep(
@@ -371,17 +499,38 @@ def joint_evidence_sweep(
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Max |predictive-ratio route - joint-evidence route| log-LR discrepancy,
-    under the fixed ``NONINFORMATIVE_PRIOR``."""
+    under the fixed ``NONINFORMATIVE_PRIOR``.
+
+    Every case is drawn first. Each case's four evidences, each class with
+    and without the trial score, then come from one block call per list
+    length, and its log-LR is assembled as ``joint_evidence_log_lr`` does.
+    """
     rng = np.random.default_rng(seed)
-    gaps = []
+    cases = []
     for _ in range(n_cases):
         data = _random_dataset(rng)
         pred1 = predictive(posterior_update(NONINFORMATIVE_PRIOR, data.h1_stats))
         e = float(rng.uniform(pred1.location - 8.0 * pred1.scale, pred1.location + 8.0 * pred1.scale))
-        via_joint = joint_evidence_log_lr(data, NONINFORMATIVE_PRIOR, e, spec)
-        via_predictive = bayes_log_lr(e, data, NONINFORMATIVE_PRIOR).value
-        gaps.append(via_joint - via_predictive)
-    return _max_abs(gaps)
+        cases.append((data, e))
+    lists = [
+        scores
+        for data, e in cases
+        for cls in (data.h1_scores, data.h2_scores)
+        for scores in ([*cls, e], cls)
+    ]
+    by_length = {}
+    for i, scores in enumerate(lists):
+        by_length.setdefault(len(scores), []).append(i)
+    evidence = np.empty(len(lists))
+    for same_length in by_length.values():
+        for index in _blocks(same_length, 1, spec):
+            block = [lists[i] for i in index]
+            evidence[index] = quadrature_joint_evidence(NONINFORMATIVE_PRIOR, block, spec)
+    by_case = evidence.reshape(n_cases, 2, 2)  # [case, class, with or without e]
+    gain = by_case[..., 0] - by_case[..., 1]
+    via_joint = gain[:, 0] - gain[:, 1]
+    via_predictive = [bayes_log_lr(e, data, NONINFORMATIVE_PRIOR).value for data, e in cases]
+    return _max_abs(via_joint - via_predictive)
 
 
 def empty_evidence_normalization(spec: QuadratureSpec = QuadratureSpec()) -> float:
@@ -404,15 +553,19 @@ def _spec_shift(
     """Max |quadrature_predictive under ``spec`` minus under ``other``|.
 
     Probed at e = location + k * scale of each random posterior's predictive,
-    for k in ``offsets``.
+    for k in ``offsets``, a few posteriors per call.
     """
     rng = np.random.default_rng(seed)
+    posteriors = _random_posteriors(rng, n_posteriors)
+    finer = max(spec, other, key=lambda q: q.grid_lambda)
     gaps = []
-    for post in _random_posteriors(rng, n_posteriors):
-        pred = predictive(post)
-        e = pred.location + np.array(offsets) * pred.scale
-        gaps.append(quadrature_predictive(post, e, spec) - quadrature_predictive(post, e, other))
-    return _max_abs(gaps)
+    for run in _blocks(posteriors, len(offsets), finer):
+        preds = [predictive(post) for post in run]
+        e = np.array([pred.location + np.array(offsets) * pred.scale for pred in preds])
+        block = _block_posterior(run)
+        shift = quadrature_predictive(block, e, spec) - quadrature_predictive(block, e, other)
+        gaps.append(np.ravel(shift))
+    return _max_abs(np.concatenate(gaps))
 
 
 def grid_convergence(seed: int = SUITE_SEED, spec: QuadratureSpec = QuadratureSpec()) -> float:
@@ -465,8 +618,18 @@ def pitfall_divergence(
             approximate_posterior_pitfall(stats, NONINFORMATIVE_PRIOR, e_tail).abs_divergence
             for stats in _block_stats(world, n1, n2, n_trials, seed, k)
         ]
-        medians.append(float(np.median(np.concatenate(divs))))
+        medians.append(_median(np.concatenate(divs)))
     return tuple(medians)
+
+
+def _median(values: np.ndarray) -> float:
+    """The median of a nonempty array, numpy's median bit for bit without
+    its NaN check, which imports ``numpy.ma``: a NaN anywhere gives NaN."""
+    x = np.sort(values)  # NaN sorts last
+    n = x.size
+    if math.isnan(x[-1]):
+        return math.nan
+    return float(x[n // 2] if n % 2 else 0.5 * (x[(n - 1) // 2] + x[n // 2]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
-"""``benchmarks/ab.py``'s summary of paired perfbench runs, on fixed rows."""
+"""``benchmarks/ab.py``'s summary of paired perfbench runs, on fixed rows,
+and its repeats of bench_oracles.py rows, with pytest stubbed."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -62,3 +65,53 @@ def test_trees_that_would_not_compare_refused(ab, tmp_path, capsys, change, mess
                  "--out", str(tmp_path / "unused.json")])
     assert exit_.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def _stub_pytest(monkeypatch, ab, medians):
+    """Replace the runner's pytest call by one that writes pytest-benchmark's
+    JSON for the requested nodes: each side's next median in ms, from
+    ``medians``, for every row. Returns the sides in the order called."""
+    calls = []
+    values = {side: iter(ms) for side, ms in medians.items()}
+
+    def run(cmd, cwd, **kwargs):
+        side = Path(cwd).name
+        calls.append(side)
+        seconds = next(values[side]) / 1e3
+        benchmarks = [{"name": node.split("::")[1],
+                       "stats": {"min": 0.5 * seconds, "median": seconds, "rounds": 7}}
+                      for node in cmd if "::" in node]
+        out = Path(cmd[cmd.index("--benchmark-json") + 1])
+        out.write_text(json.dumps({"benchmarks": benchmarks}))
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(ab.subprocess, "run", run)
+    return calls
+
+
+def test_oracle_rows_alternate_and_summarize(ab, tmp_path, monkeypatch, capsys):
+    parent = [20.0, 21.0, 19.0, 22.0, 20.5]
+    change = [15.0, 16.0, 14.0, 23.0, 15.5]
+    calls = _stub_pytest(monkeypatch, ab, {"parent": parent, "change": change})
+    trees = {side: _tree(tmp_path / side, "", 20) for side in ("parent", "change")}
+    out = tmp_path / "bench.json"
+    assert ab.main([trees["parent"], trees["change"], "--seed", "1", "--out", str(out),
+                    "--oracle-rows", "pitfall_divergence_200", "quadrature_predictive[401]"]) == 0
+    assert calls == ["parent", "change", "change", "parent"] * 2 + ["parent", "change"]
+    written = json.loads(out.read_text())
+    assert written["workloads"] == {}
+    rows = written["bench_oracles_rows"]["rows"]
+    assert list(rows) == ["pitfall_divergence_200", "quadrature_predictive[401]"]
+    for entry in rows.values():
+        assert [run["median"] for run in entry["parent"]] == parent
+        assert entry["change"][0] == {"invocation": 1, "min": 7.5, "median": 15.0, "rounds": 7}
+        # inclusive quartiles of 19, 20, 20.5, 21, 22 and of 14, 15, 15.5, 16, 23
+        assert {k: v for k, v in entry.items() if k not in ("parent", "change")} == {
+            "unit": "ms",
+            "parent_median": 20.5, "parent_quartiles": [20.0, 21.0],
+            "change_median": 15.5, "change_quartiles": [15.0, 16.0],
+            "parent_iqr": 1.0,
+            "change_lower_in": "4 of 5", "change_higher_in": "1 of 5",
+        }
+    printed = capsys.readouterr().out
+    assert "pitfall_divergence_200: parent 20.5 change 15.5 ms, lower in 4 of 5" in printed

@@ -789,6 +789,23 @@ class TestConfigFile:
         assert (code, out) == (3, "")
         assert err == f"error: {path}: experiment.trials: expected an integer, got true\n"
 
+    @pytest.mark.parametrize(
+        "cfg, expected",
+        [
+            ({"prior": {"mu0": "0.5"}}, 'prior.mu0: expected a number, got "0.5"'),
+            ({"experiment": {"trials": "7"}}, 'experiment.trials: expected an integer, got "7"'),
+            ({"variance_floor": "1e-6"}, 'variance_floor: expected a number, got "1e-6"'),
+        ],
+    )
+    def test_numeric_string_is_not_a_number(self, cfg, expected, tmp_path, background, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(
+            capsys, "llr", "--background", background, "--score", "1.0", "--config", str(path)
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: {path}: {expected}\n"
+
     def test_integral_float_in_integer_field_runs(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(TestSimulateCommand.SMALL_CONFIG))
         cfg["experiment"]["trials"] = 4.0
@@ -927,6 +944,13 @@ def test_llr_and_decide_load_no_numpy(tmp_path, background):
     and ``lr-distribution`` then load numpy and exit 0."""
     states = _load_states(tmp_path, background, "'numpy._core' in sys.modules")
     assert states == [False, [0] * 10, False, [0, 0, 0], True]
+
+
+def test_no_command_loads_numpy_ma(tmp_path, background):
+    """No command loads ``numpy.ma``: ``verify`` takes the pitfall medians by
+    sorting, since ``np.median``'s NaN check imports it."""
+    states = _load_states(tmp_path, background, "'numpy.ma' in sys.modules")
+    assert states == [False, [0] * 10, False, [0, 0, 0], False]
 
 
 def test_llr_and_decide_run_no_experiment_or_oracle(tmp_path, background):

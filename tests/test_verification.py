@@ -208,7 +208,7 @@ class TestIntegrand:
         coef = verification._log_joint_coefficients(
             lam, root, 2.3, prior, collect_stats(scores)
         )
-        got = coef @ np.stack((u * u, u, np.ones_like(u)))
+        got = np.moveaxis(coef, 0, -1) @ np.stack((u * u, u, np.ones_like(u)))
         mu = 2.3 + u / root[:, None]
         lam = lam[:, None]
         ref = conjugate.normal_gamma_log_density(mu, lam, prior)
@@ -406,6 +406,24 @@ class TestPitfallDivergence:
             assert report.exact_log_lr[t] == one.exact_log_lr
 
 
+class TestMedian:
+    """``verification._median`` sorts: ``np.median``'s bits without ``numpy.ma``."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 199, 200, 400, 401])
+    def test_equals_np_median_bit_for_bit(self, size):
+        rng = np.random.default_rng(size)
+        for values in (rng.lognormal(0.0, 3.0, size), rng.integers(0, 3, size) * 0.1):
+            assert verification._median(values) == float(np.median(values))
+            assert type(verification._median(values)) is float
+
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_nan_anywhere_gives_nan(self, where):
+        values = np.arange(7.0)
+        values[where] = np.nan
+        assert math.isnan(verification._median(values))
+        assert math.isnan(verification._median(np.append(values, 7.0)))
+
+
 class TestSuiteRunner:
     def test_small_scale_suite_is_green(self):
         report = run_verification_suite(
@@ -467,7 +485,7 @@ class TestMeanIntegral:
         root = np.sqrt(profile.beta * lam)
         c0, c1, c2 = verification._log_joint_coefficients(
             lam, root, profile.mu0, prior, stats
-        ).T
+        )
         z = np.linspace(-12.0, 12.0, 801)
         sd = 1.0 / np.sqrt(-2.0 * c0)
         u = (-c1 / (2.0 * c0))[:, None] + sd[:, None] * z
@@ -562,6 +580,49 @@ class TestPredictiveBatch:
         assert got.shape == (2, 3)
         assert got.ravel().tolist() == quadrature_predictive(post, e.ravel(), SMALL).tolist()
 
+    # the predictive sweep's first posteriors, a block per call
+    @pytest.mark.parametrize("grid", [101, 401])
+    def test_posterior_block_equals_float_calls(self, grid):
+        spec = QuadratureSpec(grid_mu=grid, grid_lambda=grid)
+        rng = np.random.default_rng(verification.SUITE_SEED)
+        posteriors = verification._random_posteriors(rng, 5)
+        e = np.array([
+            np.linspace(pred.location - 8.0 * pred.scale, pred.location + 8.0 * pred.scale, 17)
+            for pred in map(predictive, posteriors)
+        ])
+        block = NormalGammaParams(*np.array([[p.mu0, p.beta, p.a, p.b] for p in posteriors]).T)
+        got = quadrature_predictive(block, e, spec)
+        assert got.shape == e.shape
+        for post, row, e_row in zip(posteriors, got.tolist(), e.tolist()):
+            assert row == [quadrature_predictive(post, x, spec) for x in e_row]
+
+    def test_posterior_block_shares_its_float_fields(self):
+        # mu0 and a per row, beta and b shared; one e per row
+        block = NormalGammaParams(np.array([-1.0, 0.5, 2.0]), 12.0, np.array([1.5, 6.5, 30.0]), 9.0)
+        e = np.array([0.3, -2.0, 4.0])
+        got = quadrature_predictive(block, e, SMALL)
+        assert got.shape == (3,)
+        for i, (mu0, a) in enumerate([(-1.0, 1.5), (0.5, 6.5), (2.0, 30.0)]):
+            post = NormalGammaParams(mu0, 12.0, a, 9.0)
+            assert got[i] == quadrature_predictive(post, e[i], SMALL)
+
+    def test_posterior_block_refuses_another_row_count(self):
+        block = NormalGammaParams(np.zeros(2), np.ones(2), np.full(2, 2.0), np.ones(2))
+        with pytest.raises(ValueError):
+            quadrature_predictive(block, np.zeros((3, 4)), SMALL)
+
+    @pytest.mark.parametrize("grid", [101, 401])
+    @pytest.mark.parametrize("length", [0, 1, 2, 13])
+    def test_joint_evidence_block_equals_float_calls(self, grid, length):
+        spec = QuadratureSpec(grid_mu=grid, grid_lambda=grid)
+        rng = np.random.default_rng(length)
+        lists = rng.normal(1.5, 2.0, size=(6, length)).tolist()
+        # the weak prior alone puts precision nodes past float range
+        prior = NONINFORMATIVE_PRIOR if length else NormalGammaParams(0.0, 1.0, 2.0, 1.0)
+        got = quadrature_joint_evidence(prior, lists, spec)
+        assert got.shape == (6,)
+        assert got.tolist() == [quadrature_joint_evidence(prior, scores, spec) for scores in lists]
+
     @pytest.mark.parametrize(
         "params, bad, good",
         [
@@ -586,19 +647,27 @@ class TestPredictiveBatch:
 
 
 def _poison_one_value(monkeypatch, name):
-    """Make ``verification.<name>`` return NaN in place of its second value.
+    """Make ``verification.<name>`` return NaN in place of its second value;
+    for ``<name>.<field>``, in the field of the record that it returns.
 
     Counts values, not calls, so one NaN lands in an array result too.
     """
+    name, _, field = name.partition(".")
     original = getattr(verification, name)
     seen = [0]
 
-    def poisoned(*args, **kwargs):
-        out = np.array(original(*args, **kwargs), dtype=float)
+    def poison(values):
+        out = np.array(values, dtype=float)
         if seen[0] <= 1 < seen[0] + out.size:
             out.flat[1 - seen[0]] = np.nan
         seen[0] += out.size
         return out if out.ndim else float(out)
+
+    def poisoned(*args, **kwargs):
+        result = original(*args, **kwargs)
+        if not field:
+            return poison(result)
+        return replace(result, **{field: poison(getattr(result, field))})
 
     monkeypatch.setattr(verification, name, poisoned)
 
@@ -614,8 +683,9 @@ class TestNonFiniteDiscrepancies:
             ("quadrature_predictive", lambda: grid_convergence(1, spec=SMALL)),
             ("quadrature_predictive", lambda: lambda_tail_convergence(1, spec=SMALL)),
             ("decomposition_residual", lambda: decomposition_sweep(100, 2)),
+            ("approximate_posterior_pitfall.exact_log_lr", lambda: pitfall_divergence(10, 1)[0]),
         ],
-        ids=["predictive", "joint", "grid", "lambda_tail", "decomposition"],
+        ids=["predictive", "joint", "grid", "lambda_tail", "decomposition", "pitfall"],
     )
     def test_sweep_propagates_nan(self, monkeypatch, poisoned, sweep):
         _poison_one_value(monkeypatch, poisoned)
@@ -627,6 +697,7 @@ class TestNonFiniteDiscrepancies:
             ("quadrature_predictive", "predictive_closed_form_vs_quadrature"),
             ("quadrature_joint_evidence", "joint_evidence_route_vs_predictive_route"),
             ("decomposition_residual", "plugin_plus_correction_identity"),
+            ("approximate_posterior_pitfall.exact_log_lr", "peak_only_posterior_tail_divergence"),
         ],
     )
     def test_verify_exits_5(self, monkeypatch, capsys, tmp_path, poisoned, check):
@@ -688,13 +759,14 @@ def _gamma_rate_as_scale(lam, a, b):
 _PROFILE_NODES = verification._profile_nodes
 
 
-def _without_sinh_jacobian(profile, spec):
+def _without_sinh_jacobian(profile, spec, out=None):
     """The node layout with log(w cosh s) left out of each row's scale; with
     w = 1/sqrt(a) and d = w sinh s, w cosh s = sqrt(1/a + d^2). The rate b
-    may hold one value per list of a block, each with its row of nodes."""
-    lam, log_row_scale = _PROFILE_NODES(profile, spec)
+    may hold one value per list of a block, each with its row of nodes, and
+    the shape a one value per posterior of a block, each with its rows."""
+    lam, log_row_scale = _PROFILE_NODES(profile, spec, out)
     d = np.log(lam) - np.log(profile.a / profile.b)[..., None]
-    return lam, log_row_scale - 0.5 * np.log(1.0 / profile.a + d * d)
+    return lam, log_row_scale - 0.5 * np.log(1.0 / np.expand_dims(profile.a, -1) + d * d)
 
 
 _PREDICTIVE, _JOINT, _DECOMPOSITION = (
@@ -748,9 +820,9 @@ class TestMutations:
         # the scores lose their Gaussian normalizers, a trial score among them
         original = verification._log_joint_coefficients
 
-        def unnormalized_scores(lam, root, center, prior, stats):
-            coef = original(lam, root, center, prior, stats)
-            coef[..., 2] -= 0.5 * stats.n * (np.log(lam) - _LOG_2PI)
+        def unnormalized_scores(lam, root, center, prior, stats, out=None):
+            coef = original(lam, root, center, prior, stats, out)
+            coef[2] -= 0.5 * stats.n * (np.log(lam) - _LOG_2PI)
             return coef
 
         monkeypatch.setattr(verification, "_log_joint_coefficients", unnormalized_scores)
