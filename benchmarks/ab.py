@@ -10,22 +10,29 @@ one workload seed, one after the other: the parent first in odd pairs, the
 change first in even ones. Each tree runs its own perfbench against its own
 source for the ``run_seconds`` of its own BENCHMARK.json; the runner refuses
 trees whose perfbench files or ``run_seconds`` differ. Pair k of the i-th
-workload takes seed ``SEED + i * PAIRS + k``.
+workload takes seed ``SEED + i * PAIRS + k``. After a workload's pairs,
+``TRACE_RUNS`` runs of ``perfbench/run.py --trace 1`` per tree give its
+per-layer metrics, alternating in the same way on the seeds of its first
+pairs.
 
 The JSON written holds the environment, each tree's git commit (``-dirty``
 when its work tree differs from it) and a hash of its ``src/``, one row per
-pair (each side's metrics, ``correct`` flag, operations attempted and
-failed) and, per workload and metric, each side's median and quartiles, the
-distance between the parent's quartiles, and in how many pairs the change
-read lower and higher (a tie counts for neither). A run that reports
+pair and per traced run (each side's metrics, ``correct`` flag, operations
+attempted and failed) and, per workload and metric, untraced and traced
+apart, each side's median and quartiles, the distance between the parent's
+quartiles, and in how many runs the change read lower and higher (a tie
+counts for neither). A metric that some run of a side did not report is
+listed as missing on that side instead. A run that reports
 ``correct: false`` is counted per side, and the runner then exits 1.
 
 ``--oracle-rows`` names rows of ``benchmarks/bench_oracles.py`` without
-their ``test_`` prefix (``quadrature_predictive[401]``, say). Each tree
-runs its own file on its own source in ``ORACLE_INVOCATIONS`` pytest
-invocations, alternating as the pairs do; the JSON then holds, under
-``bench_oracles_rows``, each invocation's pytest-benchmark min and median
-per row, and per row each tree's median and quartiles of those medians.
+their ``test_`` prefix (``quadrature_predictive[401]``, say). Before the
+first pair, the runner refuses a row that pytest does not collect from
+either tree's file. Each tree runs its own file on its own source in
+``ORACLE_INVOCATIONS`` pytest invocations, alternating as the pairs do; the
+JSON then holds, under ``bench_oracles_rows``, each invocation's
+pytest-benchmark min and median per row, and per row each tree's median and
+quartiles of those medians.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 PAIRS = 10
+TRACE_RUNS = 5
 ORACLE_INVOCATIONS = 5
 
 
@@ -64,15 +72,23 @@ def spread(values_by_side: dict) -> dict:
 
 def summarize(rows: list[dict]) -> dict:
     """``operations``: each side's operations attempted and failed, summed
-    over ``rows`` (one per pair, each side's ``metrics`` mapping a name to
-    ``{"value", "unit"}``), and its runs not ``correct``. ``metrics``: per
-    metric, the unit, each side's median and quartiles, the parent's
-    quartile distance, and in how many pairs the change read lower and
-    higher than the parent."""
+    over ``rows`` (one per pair or traced run, each side's ``metrics``
+    mapping a name to ``{"value", "unit"}``), and its runs not ``correct``.
+    ``metrics``: per metric, the unit, each side's median and quartiles, the
+    parent's quartile distance, and in how many rows the change read lower
+    and higher than the parent; or, for a metric that some row of a side
+    lacks, the sides it is ``missing_on``."""
     metrics = {}
-    for name, first in rows[0]["parent"]["metrics"].items():
-        values = {side: [row[side]["metrics"][name]["value"] for row in rows] for side in SIDES}
-        metrics[name] = {"unit": first["unit"], **spread(values)}
+    names = dict.fromkeys(name for row in rows for side in SIDES for name in row[side]["metrics"])
+    for name in names:
+        found = {side: [row[side]["metrics"].get(name) for row in rows] for side in SIDES}
+        unit = next(m["unit"] for side in SIDES for m in found[side] if m is not None)
+        missing = [side for side in SIDES if None in found[side]]
+        if missing:
+            metrics[name] = {"unit": unit, "missing_on": missing}
+        else:
+            values = {side: [m["value"] for m in found[side]] for side in SIDES}
+            metrics[name] = {"unit": unit, **spread(values)}
     operations = {
         side: {"attempted": sum(row[side]["attempted"] for row in rows),
                "failed": sum(row[side]["failed"] for row in rows),
@@ -80,6 +96,15 @@ def summarize(rows: list[dict]) -> dict:
         for side in SIDES
     }
     return {"operations": operations, "metrics": metrics}
+
+
+def describe(entry: dict) -> str:
+    """One line for a metric's entry of ``summarize`` or ``oracle_rows``."""
+    if "missing_on" in entry:
+        return f"missing on {' and '.join(entry['missing_on'])}"
+    return (f"parent {entry['parent_median']:.6g} change {entry['change_median']:.6g} "
+            f"{entry['unit']}, lower in {entry['change_lower_in']}, "
+            f"parent IQR {entry['parent_iqr']:.3g}")
 
 
 def digest(folder: Path, pattern: str) -> str:
@@ -104,12 +129,12 @@ def commit(tree: Path) -> str | None:
     return head.stdout.strip() + ("-dirty" if status.stdout.strip() else "")
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
-    """One ``--trace 0`` perfbench run of ``tree``: its result (the last
-    stdout line) and the environment line it printed."""
+def run_side(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> tuple[dict, dict]:
+    """One perfbench run of ``tree``, ``--trace`` 0 or 1: its result (the
+    last stdout line) and the environment line it printed."""
     done = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True,
     )
     lines = done.stdout.strip().splitlines()
@@ -120,20 +145,50 @@ def run_side(tree: Path, workload: str, seed: int, seconds: int) -> tuple[dict, 
     return json.loads(lines[-1]), environment
 
 
-#: pytest, run in a tree, on the bench_oracles.py node of each row; the
-#: tree's ``pythonpath`` setting puts its own source first.
+def alternate(trees: dict, workload: str, seeds: list[int], seconds: int, trace: int,
+              environments: dict) -> list[dict]:
+    """One ``run_side`` of each tree per seed, the parent first in odd runs:
+    a row per seed with each side's result. ``environments`` receives each
+    side's environment line."""
+    key = "traced run" if trace else "pair"
+    rows = []
+    for k, seed in enumerate(seeds):
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        row = {key: k + 1, "seed": seed, "first": order[0]}
+        for side in order:
+            row[side], environments[side] = run_side(trees[side], workload, seed, seconds, trace)
+            values = {m: round(v["value"], 4) for m, v in row[side]["metrics"].items()}
+            print(f"{workload} {key} {k + 1} {side}: {json.dumps(values)}", file=sys.stderr)
+        rows.append(row)
+    return rows
+
+
+#: pytest, run in a tree, on its bench_oracles.py; the tree's
+#: ``pythonpath`` setting puts its own source first.
 ORACLE_PYTEST = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
+ORACLE_FILE = "benchmarks/bench_oracles.py"
+
+
+def pytest_in(tree: Path, args: list[str]) -> subprocess.CompletedProcess:
+    """``ORACLE_PYTEST`` with ``args``, run in ``tree``."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *ORACLE_PYTEST, *args],
+                          cwd=tree, env=env, capture_output=True, text=True)
+
+
+def collected_rows(tree: Path) -> set[str]:
+    """The rows that ``pytest --collect-only`` finds in ``tree``'s
+    bench_oracles.py: its node ids without the file and ``test_`` prefix."""
+    prefix = f"{ORACLE_FILE}::test_"
+    lines = pytest_in(tree, ["--collect-only", ORACLE_FILE]).stdout.splitlines()
+    return {line[len(prefix):] for line in lines if line.startswith(prefix)}
 
 
 def run_oracle_rows(tree: Path, rows: list[str], out: Path) -> dict:
     """One pytest invocation of ``tree``'s own bench_oracles.py selecting
     ``rows``: each row's pytest-benchmark min and median in ms and rounds."""
-    nodes = [f"benchmarks/bench_oracles.py::test_{row}" for row in rows]
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
-    done = subprocess.run(
-        [sys.executable, *ORACLE_PYTEST, *nodes, "--benchmark-json", str(out)],
-        cwd=tree, env=env, capture_output=True, text=True,
-    )
+    nodes = [f"{ORACLE_FILE}::test_{row}" for row in rows]
+    done = pytest_in(tree, [*nodes, "--benchmark-json", str(out)])
     if done.returncode != 0:
         raise RuntimeError(f"bench_oracles.py in {tree} exited {done.returncode}: "
                            f"{done.stdout[-2000:]}{done.stderr[-2000:]}")
@@ -192,21 +247,21 @@ def main(argv=None) -> int:
     if len(run_seconds) > 1:
         parser.error(f"the two trees' BENCHMARK.json differ in run_seconds: {sorted(run_seconds)}")
     seconds = run_seconds.pop()
+    # checked before any pair: the rows run last, and a missing one would lose the run
+    for side, tree in trees.items() if args.oracle_rows else ():
+        found = collected_rows(tree)
+        missing = [row for row in args.oracle_rows if row not in found]
+        if missing:
+            parser.error(f"the {side} tree's {ORACLE_FILE} has no row {', '.join(missing)}")
 
     environments: dict = {}
     workloads: dict = {}
     for i, workload in enumerate(args.workloads):
-        rows = []
-        for k in range(PAIRS):
-            seed = args.seed + i * PAIRS + k
-            order = SIDES if k % 2 == 0 else SIDES[::-1]
-            row = {"pair": k + 1, "seed": seed, "first": order[0]}
-            for side in order:
-                row[side], environments[side] = run_side(trees[side], workload, seed, seconds)
-                values = {m: round(v["value"], 4) for m, v in row[side]["metrics"].items()}
-                print(f"{workload} pair {k + 1} {side}: {json.dumps(values)}", file=sys.stderr)
-            rows.append(row)
-        workloads[workload] = {**summarize(rows), "pairs": rows}
+        seeds = [args.seed + i * PAIRS + k for k in range(PAIRS)]
+        pairs = alternate(trees, workload, seeds, seconds, 0, environments)
+        traced = alternate(trees, workload, seeds[:TRACE_RUNS], seconds, 1, environments)
+        workloads[workload] = {**summarize(pairs), "pairs": pairs,
+                               "traced": {**summarize(traced), "runs": traced}}
 
     bench_rows = None
     if args.oracle_rows:
@@ -217,7 +272,8 @@ def main(argv=None) -> int:
     result = {
         "script": "benchmarks/ab.py",
         "method": f"perfbench/run.py --trace 0 --seconds {seconds}, {PAIRS} pairs per "
-                  "workload on a shared seed, the parent first in odd pairs",
+                  "workload on a shared seed, the parent first in odd pairs; then, under "
+                  f"'traced', --trace 1 on the seeds of its first {TRACE_RUNS} pairs, alike",
         "environment": {key: host.get(key) for key in ("cpu", "nproc", "python", "numpy", "scipy")},
         "trees": {
             side: {"commit": commit(tree), "src_sha256": digest(tree / "src", "*.py")}
@@ -229,15 +285,13 @@ def main(argv=None) -> int:
         result["bench_oracles_rows"] = bench_rows
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for workload, body in workloads.items():
-        for name, entry in body["metrics"].items():
-            print(f"{workload:<9} {name:<12} parent {entry['parent_median']:.6g} "
-                  f"change {entry['change_median']:.6g} {entry['unit']}, "
-                  f"lower in {entry['change_lower_in']}, parent IQR {entry['parent_iqr']:.3g}")
+        for name, entry in [*body["metrics"].items(), *body["traced"]["metrics"].items()]:
+            print(f"{workload:<9} {name:<12} {describe(entry)}")
     for row, entry in (bench_rows or {"rows": {}})["rows"].items():
-        print(f"{row}: parent {entry['parent_median']:.6g} change {entry['change_median']:.6g} ms, "
-              f"lower in {entry['change_lower_in']}, parent IQR {entry['parent_iqr']:.3g}")
-    not_correct = {side: sum(body["operations"][side]["runs_not_correct"]
-                             for body in workloads.values()) for side in SIDES}
+        print(f"{row}: {describe(entry)}")
+    not_correct = {side: sum(summary["operations"][side]["runs_not_correct"]
+                             for body in workloads.values() for summary in (body, body["traced"]))
+                   for side in SIDES}
     if any(not_correct.values()):
         print(f"runs not correct: {not_correct}", file=sys.stderr)
         return 1

@@ -21,11 +21,14 @@ trapezoid rule converges exponentially for an analytic integrand. The span
 of s ends where the profile's log-density in t has fallen by
 ``lambda_tail_nats`` on each side of its mode, so the truncated mass is about
 exp(-lambda_tail_nats) of the integral. Scores enter only through their
-sufficient statistics. Stats with array means and sums that share a count,
-such as one posterior's e-grid, each e's stats (1, e, 0), share the profile's
-shape a, so one s-grid; each element's rate b places its own precision row.
-A block of posteriors, one per row of such stats, gives each row its own
-shape a and s-grid.
+sufficient statistics, and every call integrates one block of them, stats
+of shape (rows, elements) that share a count, such as a posterior's e-grid,
+each e's stats (1, e, 0); a lone call is a one-row block. Each law (the
+prior, or a posterior per row) has its own shape a, so its own s-grid, and
+each element's rate b places its own precision row. numpy gives an element
+the same bits in a block as alone, so a block's values equal its lone calls
+bit for bit. Only each law's scalar steps run in ``math``: the span's Newton
+steps, and lgamma and log(b) in the gamma density.
 
 Integrand. ``_log_joint_coefficients`` writes the log joint density out once,
 at mean = m0 + u/r with r = sqrt(beta*precision) of the profile, as a
@@ -51,16 +54,14 @@ precision nodes finishes the integral. The formula holds whatever center and
 scale the profile gives u, so a wrong profile moves the result only by
 rounding. ``QuadratureSpec.grid_mu`` places no node.
 
-Sweeps. Each sweep reports its largest absolute discrepancy. A NaN
-discrepancy is not dropped: it makes the sweep's result NaN, which fails
-its check. The sweeps integrate in blocks, each value bit for bit as its
-own call would give it: the predictive sweep and the two convergence
-checks pass a few posteriors per ``quadrature_predictive`` call, one per
-row of e, and the joint-evidence sweep draws every case first, then makes
-one ``quadrature_joint_evidence`` call per list length; a call holds at
-most ``_BLOCK_NODES`` nodes. The pitfall sweep takes its medians by
-sorting, to numpy's median bit for bit, without the NaN check by which
-numpy's median imports ``numpy.ma``.
+Sweeps. Each sweep reports its largest absolute discrepancy; a NaN one makes
+the result NaN, which fails its check. The sweeps integrate in blocks of at
+most ``_BLOCK_NODES`` nodes: the predictive sweep and the two convergence
+checks pass a few posteriors per ``quadrature_predictive`` call, one per row
+of e, and the joint-evidence sweep draws every case first, then makes one
+``quadrature_joint_evidence`` call per list length. The pitfall sweep takes
+its medians by sorting, numpy's median bit for bit without the NaN check by
+which numpy's median imports ``numpy.ma``.
 """
 
 from __future__ import annotations
@@ -125,13 +126,6 @@ class QuadratureSpec:
         return replace(self, lambda_tail_nats=2.0 * self.lambda_tail_nats)
 
 
-def _trapezoid_weights(step, count: int) -> np.ndarray:
-    """Trapezoid weights of ``count`` nodes at each ``step``, along a last axis."""
-    w = np.full(np.shape(step) + (count,), _col(step))
-    w[..., 0] = w[..., -1] = 0.5 * step
-    return w
-
-
 #: Newton steps for each end of the precision span.
 _TAIL_NEWTON_STEPS = 8
 
@@ -152,12 +146,6 @@ def _tail_ends(a: float, nats: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _by_math(fn, x):
-    """``fn`` of each element of ``x`` by ``math``, as a lone float takes it
-    (numpy's log can differ by an ulp), in the shape of ``x``."""
-    return np.array([fn(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
-
-
 def _span(a: float, nats: float) -> tuple[float, float, float, float]:
     """log(a), w = 1/sqrt(a) and the ends of the s-span of a shape-``a`` profile."""
     w = 1.0 / math.sqrt(a)
@@ -170,28 +158,29 @@ def _col(x) -> np.ndarray:
     return np.asarray(x)[..., None]
 
 
-def _node_shape(profile: NormalGammaParams, spec: QuadratureSpec) -> tuple[int, ...]:
-    """The shape of a profile's node arrays: its block's, then the nodes."""
-    return np.broadcast_shapes(np.shape(profile.a), np.shape(profile.b)) + (spec.grid_lambda,)
-
-
 def _profile_nodes(profile: NormalGammaParams, spec: QuadratureSpec, out=None):
     """Precision nodes and their log scales, laid out against a profile.
 
     Returns the precision nodes and the per-node log scale: the Jacobians of
     lam = exp(t), of t = log(a/b) + w*sinh(s) and of the mean's
     standardization, plus the trapezoid weights in s. The nodes run along a
-    last axis. A block's shape ``a`` holds one value per leading row (a
-    block of posteriors) or one for all (lists that share a count), and
-    each value its own s-grid. ``out``, two arrays of ``_node_shape``,
-    receives the two results.
+    last axis. The shape ``a`` holds one value per leading row (a block of
+    posteriors) or one for all, and each value its own s-grid. ``out``, two
+    arrays of the block's shape and then the nodes, receives the two results.
     """
     shapes = np.ravel(profile.a).tolist()
     spans = np.array([_span(a, spec.lambda_tail_nats) for a in shapes])
     log_a, w, lo, hi = spans.T.reshape((4, *np.shape(profile.a)))
-    s = np.linspace(lo, hi, spec.grid_lambda, axis=np.ndim(lo))  # the last axis
-    lam, t = np.empty((2,) + _node_shape(profile, spec)) if out is None else out
-    np.add(_col(log_a - _by_math(math.log, profile.b)), _col(w) * np.sinh(s), out=t)
+    # np.linspace(lo, hi, ...) along a last axis, by its own arithmetic
+    # without its overhead: lo + k * step, then hi as the last node
+    s = np.arange(spec.grid_lambda) * _col((hi - lo) / (spec.grid_lambda - 1))
+    s += _col(lo)
+    s[..., -1] = hi
+    if out is None:
+        block = np.broadcast_shapes(np.shape(profile.a), np.shape(profile.b))
+        out = np.empty((2, *block, spec.grid_lambda))
+    lam, t = out
+    np.add(_col(log_a - np.log(profile.b)), _col(w) * np.sinh(s), out=t)
     with np.errstate(over="ignore"):  # refused just below, without a warning
         np.exp(t, out=lam)
     # a small shape's tail can reach past float range, where no node is usable
@@ -203,7 +192,10 @@ def _profile_nodes(profile: NormalGammaParams, spec: QuadratureSpec, out=None):
     np.log(term, out=term)
     term *= 0.5
     t -= term
-    t += np.log(_trapezoid_weights(s[..., 1] - s[..., 0], spec.grid_lambda))
+    step = s[..., 1] - s[..., 0]  # the trapezoid weights: step, halved at each end
+    weights = np.full(np.shape(step) + (spec.grid_lambda,), _col(step))
+    weights[..., 0] = weights[..., -1] = 0.5 * step
+    t += np.log(weights)
     return lam, t
 
 
@@ -214,7 +206,7 @@ def _log_joint_coefficients(lam, root, center, prior: NormalGammaParams, stats, 
     Each Gaussian factor in the mean (beta at mu0, n at the scores' mean)
     adds -lam/2 * weight * (u/root + d)^2, d = center - its own center.
     A block's ``center`` and ``stats`` hold one value per row of ``lam``, and
-    a block ``prior`` one law per leading row."""
+    ``prior`` one law for all rows or one per leading row."""
     centers, weights = [prior.mu0], [prior.beta]
     if stats.n > 0:
         centers.append(stats.mean)
@@ -226,13 +218,6 @@ def _log_joint_coefficients(lam, root, center, prior: NormalGammaParams, stats, 
     w = np.empty(np.shape(prior.beta) + (len(weights),))
     for i, weight in enumerate(weights):
         w[..., i] = weight
-    if np.ndim(prior.a):
-        # a block prior: each law's gamma density, with lgamma and log(b) by
-        # math, as a lone law's
-        rows = zip(lam, np.ravel(prior.a).tolist(), np.ravel(prior.b).tolist())
-        gamma = np.stack([_gamma_log_pdf(row, a, b) for row, a, b in rows])
-    else:
-        gamma = _gamma_log_pdf(lam, prior.a, prior.b)
     coef = np.empty((3,) + lam.shape) if out is None else out
     c0, c1, c2 = coef
     # each coefficient computed in place, its products and terms in the order
@@ -240,15 +225,20 @@ def _log_joint_coefficients(lam, root, center, prior: NormalGammaParams, stats, 
     # gamma + 0.5*(1+n)*(log(lam) - log(2 pi)) + 0.5*log(beta) - 0.5*lam*(S + w.d^2)
     np.multiply(-0.5, lam, out=c0)
     c0 *= _col(w.sum(axis=-1))
-    c0 /= root**2
+    term = np.square(root)
+    c0 /= term
     np.negative(lam, out=c1)
     c1 *= _col(np.vecdot(w, d))
     c1 /= root
-    term = np.log(lam)
+    np.log(lam, out=term)
     term -= _LOG_2PI
     term *= 0.5 * (1 + stats.n)
-    np.add(gamma, term, out=c2)
-    c2 += 0.5 * _col(_by_math(math.log, prior.beta))
+    # each law's gamma density over its rows of lam, from float a and b
+    laws = np.broadcast(prior.a, prior.b)
+    rows = zip(*(x.reshape(laws.size, -1) for x in (lam, term, c2)))
+    for (lam_rows, term_rows, c2_rows), (a, b) in zip(rows, laws):
+        np.add(_gamma_log_pdf(lam_rows, float(a), float(b)), term_rows, out=c2_rows)
+    c2 += 0.5 * _col(np.log(prior.beta))
     np.multiply(0.5, lam, out=term)
     term *= _col(stats.sum_sq_dev + np.vecdot(w, d**2))
     c2 -= term
@@ -264,24 +254,24 @@ def quadrature_predictive(
     ``posterior`` over (mean, precision), accumulating in the log domain:
     the evidence of the one score ``e`` under ``posterior``, whose stats are
     (1, e, 0). The closed-form counterpart is
-    ``student_t_log_density(predictive(p), e)``. An array ``e`` is one
-    integration over a block of such stats, giving one value per element,
-    each equal to its float call bit for bit. A ``posterior`` whose fields
-    are arrays, one value per row of ``e`` (a float is shared), is a block
-    of posteriors: each row of ``e`` is probed under its own, again bit for
-    bit as its float calls.
+    ``student_t_log_density(predictive(p), e)``. Every call is one
+    integration over a block of such stats, its rows along the first axis
+    of ``e``: a float ``e`` is a one-row block and gives a float, an array
+    gives one value per element, each equal to its float call bit for bit.
+    A ``posterior`` whose fields are arrays, one value per row of ``e`` as
+    a vector or a column (a float is shared), is a block of posteriors:
+    each row of ``e`` is probed under its own, again bit for bit as its
+    float calls.
     """
     e = np.asarray(e, dtype=float)
     check_finite(e=e)
+    # the rows are e's first axis; a lone e is one row
+    flat = e.reshape(len(e) if e.ndim else 1, math.prod(e.shape[1:]))
     laws = (posterior.mu0, posterior.beta, posterior.a, posterior.b)
-    if any(np.ndim(v) for v in laws):
-        # each law a column against its row of e
-        posterior = NormalGammaParams(*(_col(np.broadcast_to(v, e.shape[:1])) for v in laws))
-        flat = e.reshape(e.shape[0], -1)
-    else:
-        flat = e.reshape(-1)  # a 0-d e is a one-element block
-    logs = _log_evidence(posterior, SufficientStats(1, flat, np.zeros_like(flat)), spec)
-    return logs.reshape(e.shape) if e.ndim else float(logs[0])
+    if any(np.ndim(v) == 1 for v in laws):  # a block's vectors become columns
+        posterior = NormalGammaParams(*(_col(v) if np.ndim(v) == 1 else v for v in laws))
+    logs = _log_evidence(posterior, SufficientStats(1, flat, 0.0), spec)
+    return logs.reshape(e.shape) if e.ndim else logs.item()
 
 
 def quadrature_joint_evidence(
@@ -294,24 +284,22 @@ def quadrature_joint_evidence(
     gives that score's predictive density, so an exact Bayesian log-LR can be
     assembled from these without ever forming a parameter posterior. A block
     of equal-length score lists (a 2-D ``scores``) is one integration, giving
-    one value per list, each equal to that list's own call bit for bit.
+    one value per list, each equal to that list's own call bit for bit; a
+    lone list is a block of one and gives a float.
     """
-    if np.ndim(scores) < 2:
-        return float(_log_evidence(prior, collect_stats(scores), spec))
-    lists = [collect_stats(s) for s in scores]
-    if lists[0].n == 0:  # each list is the bare prior's
-        return np.full(len(lists), _log_evidence(prior, lists[0], spec))
-    means, spreads = (np.array(v) for v in zip(*((s.mean, s.sum_sq_dev) for s in lists)))
-    return _log_evidence(prior, SufficientStats(lists[0].n, means, spreads), spec)
+    block = np.ndim(scores) == 2
+    lists = [collect_stats(s) for s in (scores if block else [scores])]
+    means, spreads = (np.array([v]) for v in zip(*((s.mean, s.sum_sq_dev) for s in lists)))
+    logs = _log_evidence(prior, SufficientStats(lists[0].n, means, spreads), spec)
+    return logs[0] if block else logs.item()
 
 
 def _log_evidence(prior, stats, spec) -> np.ndarray:
     """The log integral behind both oracles above: the prior density times
-    the likelihood of scores with sufficient statistics ``stats``; stats
-    whose mean and sum are arrays, a block of score lists that share a
-    count, give one value per element, and float stats a numpy scalar. A
-    block ``prior``, fields of shape (rows, 1), holds one law per row of
-    such stats.
+    the likelihood of scores with sufficient statistics ``stats``, whose
+    mean has the shape (rows, elements) of a block of score lists that
+    share a count, one value per element in that shape. ``prior`` holds
+    one law for all rows, or fields of shape (rows, 1), one law per row.
 
     A call's six node arrays (lam, the log scale, root and the three
     coefficients) are one allocation, and each step works in place, each
@@ -322,7 +310,7 @@ def _log_evidence(prior, stats, spec) -> np.ndarray:
     sweep faulted its memory back in, about 5,800 page faults per ``verify``.
     """
     profile = posterior_update(prior, stats)
-    nodes = np.empty((6,) + _node_shape(profile, spec))
+    nodes = np.empty((6, *np.shape(stats.mean), spec.grid_lambda))
     lam, log_row_scale = _profile_nodes(profile, spec, out=nodes[:2])
     root = np.multiply(_col(profile.beta), lam, out=nodes[2])
     np.sqrt(root, out=root)
@@ -424,15 +412,8 @@ def _random_posteriors(rng: np.random.Generator, count: int) -> list[NormalGamma
     """Posterior-like Normal-Gamma draws spanning realistic fitted ranges."""
     out = []
     for _ in range(count):
-        a = rng.uniform(1.2, 30.0)
-        out.append(
-            NormalGammaParams(
-                mu0=rng.uniform(-3.0, 3.0),
-                beta=rng.uniform(1.5, 60.0),
-                a=a,
-                b=a * rng.uniform(0.05, 20.0),
-            )
-        )
+        a, mu0, beta = rng.uniform(1.2, 30.0), rng.uniform(-3.0, 3.0), rng.uniform(1.5, 60.0)
+        out.append(NormalGammaParams(mu0, beta, a, a * rng.uniform(0.05, 20.0)))
     return out
 
 
@@ -456,10 +437,8 @@ def _blocks(items: list, rows_each: int, spec: QuadratureSpec) -> list[list]:
 
 
 def _block_posterior(run: list[NormalGammaParams]) -> NormalGammaParams:
-    """The posteriors of ``run`` as one, a law per row: a lone one as it is."""
-    if len(run) == 1:
-        return run[0]
-    return NormalGammaParams(*np.array([[p.mu0, p.beta, p.a, p.b] for p in run]).T)
+    """The posteriors of ``run`` as one, a law per row, each field a column."""
+    return NormalGammaParams(*_col(np.array([[p.mu0, p.beta, p.a, p.b] for p in run]).T))
 
 
 def _max_abs(gaps) -> float:

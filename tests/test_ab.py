@@ -67,15 +67,39 @@ def test_trees_that_would_not_compare_refused(ab, tmp_path, capsys, change, mess
     assert message in capsys.readouterr().err
 
 
-def _stub_pytest(monkeypatch, ab, medians):
+ROWS = ("pitfall_divergence_200", "quadrature_predictive[401]")
+
+
+def test_oracle_row_missing_from_a_tree_refused_before_the_first_pair(
+        ab, tmp_path, monkeypatch, capsys):
+    calls = _stub_pytest(monkeypatch, ab, {"parent": [], "change": []},
+                         collected={"parent": ROWS, "change": ROWS[:1]})
+    trees = {side: _tree(tmp_path / side, "", 20) for side in ("parent", "change")}
+    out = tmp_path / "unused.json"
+    with pytest.raises(SystemExit) as exit_:
+        ab.main([trees["parent"], trees["change"], "--workloads", "casework", "--seed", "1",
+                 "--out", str(out), "--oracle-rows", *ROWS])
+    assert exit_.value.code == 2
+    assert ("the change tree's benchmarks/bench_oracles.py has no row quadrature_predictive[401]"
+            in capsys.readouterr().err)
+    assert calls == [] and not out.exists()
+
+
+def _stub_pytest(monkeypatch, ab, medians, collected=None):
     """Replace the runner's pytest call by one that writes pytest-benchmark's
     JSON for the requested nodes: each side's next median in ms, from
-    ``medians``, for every row. Returns the sides in the order called."""
+    ``medians``, for every row. A ``--collect-only`` call lists the side's
+    rows in ``collected``, by default ``ROWS``. Returns the sides of the
+    benchmark calls in the order called."""
     calls = []
     values = {side: iter(ms) for side, ms in medians.items()}
+    collected = collected or {side: ROWS for side in medians}
 
     def run(cmd, cwd, **kwargs):
         side = Path(cwd).name
+        if "--collect-only" in cmd:
+            nodes = "".join(f"benchmarks/bench_oracles.py::test_{row}\n" for row in collected[side])
+            return subprocess.CompletedProcess(cmd, 0, nodes + "\n2 tests collected\n", "")
         calls.append(side)
         seconds = next(values[side]) / 1e3
         benchmarks = [{"name": node.split("::")[1],
@@ -96,7 +120,7 @@ def test_oracle_rows_alternate_and_summarize(ab, tmp_path, monkeypatch, capsys):
     trees = {side: _tree(tmp_path / side, "", 20) for side in ("parent", "change")}
     out = tmp_path / "bench.json"
     assert ab.main([trees["parent"], trees["change"], "--seed", "1", "--out", str(out),
-                    "--oracle-rows", "pitfall_divergence_200", "quadrature_predictive[401]"]) == 0
+                    "--oracle-rows", *ROWS]) == 0
     assert calls == ["parent", "change", "change", "parent"] * 2 + ["parent", "change"]
     written = json.loads(out.read_text())
     assert written["workloads"] == {}
@@ -115,3 +139,45 @@ def test_oracle_rows_alternate_and_summarize(ab, tmp_path, monkeypatch, capsys):
         }
     printed = capsys.readouterr().out
     assert "pitfall_divergence_200: parent 20.5 change 15.5 ms, lower in 4 of 5" in printed
+
+
+def test_traced_runs_alternate_and_summarize(ab, tmp_path, monkeypatch, capsys):
+    # each tree's traced runs read these, one per seed; trace.wall_ratio is
+    # missing on the change side
+    traced = {"parent": [30.0, 32.0, 31.0, 35.0, 29.0], "change": [28.0, 30.0, 29.0, 33.0, 27.0]}
+    calls = []
+
+    def run_side(tree, workload, seed, seconds, trace):
+        side = Path(tree).name
+        calls.append((side, seed, trace))
+        if not trace:
+            return _side(50.0), {"cpu": "stub"}
+        metrics = {"lr.bayes_log_lr.us_per_call": {"value": traced[side][seed - 1], "unit": "us/call"}}
+        if side == "parent":
+            metrics["trace.wall_ratio"] = {"value": 1.1, "unit": "ratio"}
+        return {"correct": True, "attempted": 2, "failed": 0, "metrics": metrics}, {"cpu": "stub"}
+
+    monkeypatch.setattr(ab, "run_side", run_side)
+    trees = {side: _tree(tmp_path / side, "", 20) for side in ("parent", "change")}
+    out = tmp_path / "bench.json"
+    assert ab.main([trees["parent"], trees["change"], "--workloads", "casework", "--seed", "1",
+                    "--out", str(out)]) == 0
+    assert [trace for _, _, trace in calls] == [0] * 2 * ab.PAIRS + [1] * 2 * ab.TRACE_RUNS
+    assert [(side, seed) for side, seed, trace in calls if trace] == [
+        ("parent", 1), ("change", 1), ("change", 2), ("parent", 2), ("parent", 3),
+        ("change", 3), ("change", 4), ("parent", 4), ("parent", 5), ("change", 5),
+    ]
+    written = json.loads(out.read_text())["workloads"]["casework"]["traced"]
+    assert [run["traced run"] for run in written["runs"]] == [1, 2, 3, 4, 5]
+    assert written["metrics"] == {
+        # inclusive quartiles of 29, 30, 31, 32, 35 and of 27, 28, 29, 30, 33
+        "lr.bayes_log_lr.us_per_call": {
+            "unit": "us/call",
+            "parent_median": 31.0, "parent_quartiles": [30.0, 32.0],
+            "change_median": 29.0, "change_quartiles": [28.0, 30.0],
+            "parent_iqr": 2.0,
+            "change_lower_in": "5 of 5", "change_higher_in": "0 of 5",
+        },
+        "trace.wall_ratio": {"unit": "ratio", "missing_on": ["change"]},
+    }
+    assert "trace.wall_ratio missing on change" in capsys.readouterr().out

@@ -580,21 +580,24 @@ class TestPredictiveBatch:
         assert got.shape == (2, 3)
         assert got.ravel().tolist() == quadrature_predictive(post, e.ravel(), SMALL).tolist()
 
-    # the predictive sweep's first posteriors, a block per call
+    # the predictive sweep's first posteriors, a block per call: 5, and 1 as
+    # the sweep passes each at 401^2
     @pytest.mark.parametrize("grid", [101, 401])
     def test_posterior_block_equals_float_calls(self, grid):
         spec = QuadratureSpec(grid_mu=grid, grid_lambda=grid)
         rng = np.random.default_rng(verification.SUITE_SEED)
-        posteriors = verification._random_posteriors(rng, 5)
-        e = np.array([
-            np.linspace(pred.location - 8.0 * pred.scale, pred.location + 8.0 * pred.scale, 17)
-            for pred in map(predictive, posteriors)
-        ])
-        block = NormalGammaParams(*np.array([[p.mu0, p.beta, p.a, p.b] for p in posteriors]).T)
-        got = quadrature_predictive(block, e, spec)
-        assert got.shape == e.shape
-        for post, row, e_row in zip(posteriors, got.tolist(), e.tolist()):
-            assert row == [quadrature_predictive(post, x, spec) for x in e_row]
+        five = verification._random_posteriors(rng, 5)
+        for posteriors in (five, five[:1]):
+            e = np.array([
+                np.linspace(pred.location - 8.0 * pred.scale, pred.location + 8.0 * pred.scale, 17)
+                for pred in map(predictive, posteriors)
+            ])
+            vectors = np.array([[p.mu0, p.beta, p.a, p.b] for p in posteriors]).T
+            for block in (NormalGammaParams(*vectors), verification._block_posterior(posteriors)):
+                got = quadrature_predictive(block, e, spec)
+                assert got.shape == e.shape
+                for post, row, e_row in zip(posteriors, got.tolist(), e.tolist()):
+                    assert row == [quadrature_predictive(post, x, spec) for x in e_row]
 
     def test_posterior_block_shares_its_float_fields(self):
         # mu0 and a per row, beta and b shared; one e per row
@@ -620,8 +623,10 @@ class TestPredictiveBatch:
         # the weak prior alone puts precision nodes past float range
         prior = NONINFORMATIVE_PRIOR if length else NormalGammaParams(0.0, 1.0, 2.0, 1.0)
         got = quadrature_joint_evidence(prior, lists, spec)
-        assert got.shape == (6,)
-        assert got.tolist() == [quadrature_joint_evidence(prior, scores, spec) for scores in lists]
+        assert type(got) is np.ndarray and got.shape == (6,)
+        singles = [quadrature_joint_evidence(prior, scores, spec) for scores in lists]
+        assert all(type(single) is float for single in singles)
+        assert got.tolist() == singles
 
     @pytest.mark.parametrize(
         "params, bad, good",
