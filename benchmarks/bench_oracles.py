@@ -30,8 +30,10 @@ Cases:
 - the full fig1 ``confidence_curve`` (200 trials at each of 9/27, 30/405 and
   300/4 050, exact mean log-LRs);
 - one ``quadrature_predictive`` at 401^2 and 1201^2, one at 401^2 with the
-  17-point e-grid that the oracle sweep probes for a posterior, and one
-  ``quadrature_joint_evidence`` of 9 class scores and a trial score at 401^2;
+  17-point e-grid that the oracle sweep probes for a posterior, one
+  ``quadrature_joint_evidence`` of 9 class scores and a trial score at 401^2,
+  and one of a block of 7 lists of 10 scores at 401^2, about the size of one
+  block call of the joint-evidence sweep;
 - ``predictive_oracle_sweep(50, 17)`` and ``joint_evidence_sweep(20)`` at
   401^2, as ``verify`` runs them there;
 - ``decomposition_sweep(10_000, 5)``, as ``verify`` runs it;
@@ -230,6 +232,12 @@ def test_quadrature_joint_evidence_401(benchmark):
     # nine class scores and the trial score 2.5
     scores = (-0.3, 1.9, 0.4, 2.2, -1.1, 0.8, 1.5, 0.2, 1.1, 2.5)
     benchmark(quadrature_joint_evidence, NONINFORMATIVE_PRIOR, scores, GRID_401)
+
+
+def test_quadrature_joint_evidence_block_401(benchmark):
+    lists = np.random.default_rng(710).normal(1.5, 2.0, size=(7, 10))
+    got = benchmark(quadrature_joint_evidence, NONINFORMATIVE_PRIOR, lists, GRID_401)
+    assert got.shape == (7,)
 
 
 def test_predictive_oracle_sweep_401(benchmark):

@@ -159,9 +159,10 @@ def _t_log_density(z, log_normaliser, nu):
     return log_normaliser - 0.5 * (nu + 1.0) * xp(z).log1p(z * z / nu)
 
 
-def _gamma_log_pdf(lam: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Gamma(a, rate=b) log density, the Normal-Gamma's precision marginal."""
-    return a * math.log(b) - math.lgamma(a) + (a - 1.0) * np.log(lam) - b * lam
+def _gamma_log_pdf(lam: np.ndarray, log_lam: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Gamma(a, rate=b) log density, the Normal-Gamma's precision marginal,
+    at ``lam`` whose log the caller passes as ``log_lam``."""
+    return a * math.log(b) - math.lgamma(a) + (a - 1.0) * log_lam - b * lam
 
 
 def normal_gamma_log_density(mean, precision, params: NormalGammaParams):
@@ -172,12 +173,13 @@ def normal_gamma_log_density(mean, precision, params: NormalGammaParams):
     """
     check_positive(precision=precision)
     lam = np.asarray(precision, dtype=float)
+    log_lam = np.log(lam)
     mu = np.asarray(mean, dtype=float)
     log_normal_part = (
-        0.5 * (math.log(params.beta) + np.log(lam) - _LOG_2PI)
+        0.5 * (math.log(params.beta) + log_lam - _LOG_2PI)
         - 0.5 * params.beta * lam * np.square(mu - params.mu0)
     )
-    return _gamma_log_pdf(lam, params.a, params.b) + log_normal_part
+    return _gamma_log_pdf(lam, log_lam, params.a, params.b) + log_normal_part
 
 
 def sample_params(

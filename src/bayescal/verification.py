@@ -32,19 +32,20 @@ steps, and lgamma and log(b) in the gamma density.
 
 Integrand. ``_log_joint_coefficients`` writes the log joint density out once,
 at mean = m0 + u/r with r = sqrt(beta*precision) of the profile, as a
-quadratic in u per precision node. It has two Gaussian factors in the mean,
-the prior's (weight beta at mu0) and the scores' mean (weight n); each
-(center c, weight w) contributes -precision/2 * w * (u/r + d)^2 with
-d = m0 - c, expanded, and the gamma marginal, the scores' spread and every
-normalizer go into the constant. Sum(w*d) is computed, never assumed zero,
-so the quadratic is the model's joint density whatever center and scale the
+quadratic in u per precision node. Its two Gaussian factors in the mean, the
+prior's (weight beta, offset d0 = m0 - mu0) and the scores' (weight n, offset
+d1 = m0 - their mean; n = 0 adds zeros), each contribute
+-precision/2 * weight * (u/r + d)^2, expanded; the gamma marginal, the
+scores' spread and every normalizer go into the constant, all from one log
+of each precision node. beta*d0 + n*d1 is computed, never assumed zero, so
+the quadratic is the model's joint density whatever center and scale the
 profile gives u. It never forms the completed square about the profile's
 mean, which is ``posterior_update``, under test, so the profile only places
-the precision nodes and cannot inject the closed-form answer. Carrying d
-rather than forming m0 + u/r avoids rounding the mean at eps*|m0|, which
-matters when |m0| dwarfs the profile's spread. Accuracy is established by the
-grid-convergence and lambda-tail-convergence checks in the suite rather
-than asserted.
+the precision nodes and cannot inject the closed-form answer. Carrying d0
+and d1 rather than forming m0 + u/r avoids rounding the mean at eps*|m0|,
+which matters when |m0| dwarfs the profile's spread. Accuracy is established
+by the grid-convergence and lambda-tail-convergence checks in the suite
+rather than asserted.
 
 Mean integral. A precision node's row c0*u^2 + c1*u + c2 has c0 < 0, so its
 integral over the whole mean line is the Gaussian one,
@@ -158,7 +159,7 @@ def _col(x) -> np.ndarray:
     return np.asarray(x)[..., None]
 
 
-def _profile_nodes(profile: NormalGammaParams, spec: QuadratureSpec, out=None):
+def _profile_nodes(profile: NormalGammaParams, spec: QuadratureSpec, out):
     """Precision nodes and their log scales, laid out against a profile.
 
     Returns the precision nodes and the per-node log scale: the Jacobians of
@@ -166,7 +167,7 @@ def _profile_nodes(profile: NormalGammaParams, spec: QuadratureSpec, out=None):
     standardization, plus the trapezoid weights in s. The nodes run along a
     last axis. The shape ``a`` holds one value per leading row (a block of
     posteriors) or one for all, and each value its own s-grid. ``out``, two
-    arrays of the block's shape and then the nodes, receives the two results.
+    arrays of the block's shape and then the nodes, receives both results.
     """
     shapes = np.ravel(profile.a).tolist()
     spans = np.array([_span(a, spec.lambda_tail_nats) for a in shapes])
@@ -176,9 +177,6 @@ def _profile_nodes(profile: NormalGammaParams, spec: QuadratureSpec, out=None):
     s = np.arange(spec.grid_lambda) * _col((hi - lo) / (spec.grid_lambda - 1))
     s += _col(lo)
     s[..., -1] = hi
-    if out is None:
-        block = np.broadcast_shapes(np.shape(profile.a), np.shape(profile.b))
-        out = np.empty((2, *block, spec.grid_lambda))
     lam, t = out
     np.add(_col(log_a - np.log(profile.b)), _col(w) * np.sinh(s), out=t)
     with np.errstate(over="ignore"):  # refused just below, without a warning
@@ -199,50 +197,41 @@ def _profile_nodes(profile: NormalGammaParams, spec: QuadratureSpec, out=None):
     return lam, t
 
 
-def _log_joint_coefficients(lam, root, center, prior: NormalGammaParams, stats, out=None):
+def _log_joint_coefficients(lam, root, center, prior: NormalGammaParams, stats, out):
     """The oracles' log joint density of (mean, lam) at mean = center + u/root,
     as the (u^2, u, 1) coefficients c0, c1, c2, each an array shaped like
-    ``lam`` and ``root``, stacked first; ``out`` receives them if given.
-    Each Gaussian factor in the mean (beta at mu0, n at the scores' mean)
-    adds -lam/2 * weight * (u/root + d)^2, d = center - its own center.
+    ``lam`` and ``root``, written into ``out`` stacked first and returned.
+    The prior's Gaussian factor in the mean (weight beta, offset
+    d0 = center - mu0) and the scores' (weight n, offset d1 = center - their
+    mean) each add -lam/2 * weight * (u/root + d)^2; n = 0 adds zeros.
     A block's ``center`` and ``stats`` hold one value per row of ``lam``, and
     ``prior`` one law for all rows or one per leading row."""
-    centers, weights = [prior.mu0], [prior.beta]
-    if stats.n > 0:
-        centers.append(stats.mean)
-        weights.append(stats.n)
-    # the factors along a last axis: vecdot takes each list's sums as a lone
-    # list's 1-D product; a matmul would not
-    d = np.array([center - c for c in centers])
-    d = d.transpose(*range(1, d.ndim), 0)
-    w = np.empty(np.shape(prior.beta) + (len(weights),))
-    for i, weight in enumerate(weights):
-        w[..., i] = weight
-    coef = np.empty((3,) + lam.shape) if out is None else out
-    c0, c1, c2 = coef
-    # each coefficient computed in place, its products and terms in the order
-    # of -0.5*lam*W/root**2, -lam*(w.d)/root and
-    # gamma + 0.5*(1+n)*(log(lam) - log(2 pi)) + 0.5*log(beta) - 0.5*lam*(S + w.d^2)
+    d0, d1 = center - prior.mu0, center - stats.mean
+    c0, c1, c2 = out
+    # each coefficient computed in place, its products and terms in the order of
+    # -0.5*lam*(beta + n)/root**2, -lam*(beta*d0 + n*d1)/root and, S the scores' spread,
+    # gamma + 0.5*(1+n)*(log(lam) - log(2 pi)) + 0.5*log(beta) - 0.5*lam*(S + beta*d0^2 + n*d1^2)
     np.multiply(-0.5, lam, out=c0)
-    c0 *= _col(w.sum(axis=-1))
+    c0 *= _col(prior.beta + stats.n)
     term = np.square(root)
     c0 /= term
     np.negative(lam, out=c1)
-    c1 *= _col(np.vecdot(w, d))
+    c1 *= _col(prior.beta * d0 + stats.n * d1)
     c1 /= root
+    # log(lam) once, in term; each law's gamma density over its rows of lam
     np.log(lam, out=term)
-    term -= _LOG_2PI
-    term *= 0.5 * (1 + stats.n)
-    # each law's gamma density over its rows of lam, from float a and b
     laws = np.broadcast(prior.a, prior.b)
     rows = zip(*(x.reshape(laws.size, -1) for x in (lam, term, c2)))
-    for (lam_rows, term_rows, c2_rows), (a, b) in zip(rows, laws):
-        np.add(_gamma_log_pdf(lam_rows, float(a), float(b)), term_rows, out=c2_rows)
+    for (lam_rows, log_rows, c2_rows), (a, b) in zip(rows, laws):
+        c2_rows[...] = _gamma_log_pdf(lam_rows, log_rows, float(a), float(b))
+    term -= _LOG_2PI
+    term *= 0.5 * (1 + stats.n)
+    c2 += term
     c2 += 0.5 * _col(np.log(prior.beta))
     np.multiply(0.5, lam, out=term)
-    term *= _col(stats.sum_sq_dev + np.vecdot(w, d**2))
+    term *= _col(stats.sum_sq_dev + (prior.beta * (d0 * d0) + stats.n * (d1 * d1)))
     c2 -= term
-    return coef
+    return out
 
 
 def quadrature_predictive(
@@ -285,12 +274,14 @@ def quadrature_joint_evidence(
     assembled from these without ever forming a parameter posterior. A block
     of equal-length score lists (a 2-D ``scores``) is one integration, giving
     one value per list, each equal to that list's own call bit for bit; a
-    lone list is a block of one and gives a float.
+    lone list is a block of one and gives a float, and a block of no lists
+    an empty array.
     """
     block = np.ndim(scores) == 2
     lists = [collect_stats(s) for s in (scores if block else [scores])]
-    means, spreads = (np.array([v]) for v in zip(*((s.mean, s.sum_sq_dev) for s in lists)))
-    logs = _log_evidence(prior, SufficientStats(lists[0].n, means, spreads), spec)
+    means = np.array([[s.mean for s in lists]])
+    spreads = np.array([[s.sum_sq_dev for s in lists]])
+    logs = _log_evidence(prior, SufficientStats(np.shape(scores)[-1], means, spreads), spec)
     return logs[0] if block else logs.item()
 
 

@@ -1,7 +1,9 @@
 """Quadrature oracles versus the closed forms, and the peak-only pitfall."""
 
+import hashlib
 import json
 import math
+import platform
 import sys
 from types import SimpleNamespace
 
@@ -206,7 +208,7 @@ class TestIntegrand:
         root = np.sqrt(3.7 * lam)
         u = rng.normal(0.0, 4.0, size=5)
         coef = verification._log_joint_coefficients(
-            lam, root, 2.3, prior, collect_stats(scores)
+            lam, root, 2.3, prior, collect_stats(scores), np.empty((3, 7))
         )
         got = np.moveaxis(coef, 0, -1) @ np.stack((u * u, u, np.ones_like(u)))
         mu = 2.3 + u / root[:, None]
@@ -283,6 +285,51 @@ class TestKernelRegression:
         prior = NormalGammaParams(0.0, *params)
         expected = _log_marginal_likelihood((0.0, *params), scores)
         assert abs(quadrature_joint_evidence(prior, scores, PIN_SPEC) - expected) <= 1e-12
+
+    def test_values_keep_their_bits(self):
+        # numpy's exp and log round per build and per SIMD path, so the
+        # digest holds where it was taken
+        if _bits_environment() != BITS_ENVIRONMENT:
+            pytest.skip(f"oracle digest taken under {BITS_ENVIRONMENT}")
+        values = []
+        for grid in (101, 401):
+            spec = QuadratureSpec(grid_mu=grid, grid_lambda=grid)
+            rng = np.random.default_rng(37)
+            posteriors = verification._random_posteriors(rng, 5)
+            e = np.array([
+                np.linspace(pred.location - 8.0 * pred.scale, pred.location + 8.0 * pred.scale, 17)
+                for pred in map(predictive, posteriors)
+            ])
+            values += [quadrature_predictive(p, row[3], spec) for p, row in zip(posteriors, e)]
+            values += [quadrature_predictive(posteriors[0], e[0], spec)]
+            values += [quadrature_predictive(verification._block_posterior(posteriors), e, spec)]
+            # the weak prior alone puts precision nodes past float range
+            for prior, counts in [
+                (NONINFORMATIVE_PRIOR, (1, 2, 5, 13)),
+                (NormalGammaParams(0.0, 1.0, 2.0, 1.0), (0, 1, 2, 5, 13)),
+            ]:
+                for n in counts:
+                    lists = rng.normal(0.7, 1.9, size=(3, n))
+                    values += [quadrature_joint_evidence(prior, lists[0], spec)]
+                    values += [quadrature_joint_evidence(prior, lists, spec)]
+        bits = np.concatenate([np.ravel(v) for v in values]).astype(np.float64).tobytes()
+        assert hashlib.sha256(bits).hexdigest() == BITS_SHA256
+
+
+def _bits_environment():
+    """What an oracle value's bits depend on besides the code: numpy's
+    version, the machine, and whether numpy's exp and log take their
+    AVX-512 paths."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as cpu
+    except ImportError:
+        cpu = {}
+    return np.__version__, platform.machine(), bool(cpu.get("AVX512F"))
+
+
+#: ``test_values_keep_their_bits``: the environment of its digest, and the digest
+BITS_ENVIRONMENT = ("2.4.6", "x86_64", True)
+BITS_SHA256 = "3c5608c80e6c7ade3bb41069f631ae4119ea6c274f36122de02a0390aa6d976b"
 
 
 class TestExtremeLocations:
@@ -481,10 +528,11 @@ class TestMeanIntegral:
         about exp(-72) of the row."""
         stats = collect_stats(scores)
         profile = update(prior, stats)
-        lam, log_row_scale = verification._profile_nodes(profile, spec)
+        nodes = np.empty((5, spec.grid_lambda))
+        lam, log_row_scale = verification._profile_nodes(profile, spec, nodes[:2])
         root = np.sqrt(profile.beta * lam)
         c0, c1, c2 = verification._log_joint_coefficients(
-            lam, root, profile.mu0, prior, stats
+            lam, root, profile.mu0, prior, stats, nodes[2:]
         )
         z = np.linspace(-12.0, 12.0, 801)
         sd = 1.0 / np.sqrt(-2.0 * c0)
@@ -628,6 +676,11 @@ class TestPredictiveBatch:
         assert all(type(single) is float for single in singles)
         assert got.tolist() == singles
 
+    @pytest.mark.parametrize("length", [0, 3])
+    def test_joint_evidence_block_of_no_lists_is_empty(self, length):
+        got = quadrature_joint_evidence(NONINFORMATIVE_PRIOR, np.zeros((0, length)), SMALL)
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (0,)
+
     @pytest.mark.parametrize(
         "params, bad, good",
         [
@@ -757,8 +810,8 @@ def _beta_one_too_many(prior, stats):
     return replace(good, beta=good.beta + 1.0)
 
 
-def _gamma_rate_as_scale(lam, a, b):
-    return -a * math.log(b) - math.lgamma(a) + (a - 1.0) * np.log(lam) - lam / b
+def _gamma_rate_as_scale(lam, log_lam, a, b):
+    return -a * math.log(b) - math.lgamma(a) + (a - 1.0) * log_lam - lam / b
 
 
 _PROFILE_NODES = verification._profile_nodes
