@@ -24,7 +24,11 @@ once, at a root r, so under N(mu, sd^2)
 
     P(llr > c) = [llr(L) > c] + sum over crossings of +-sf((r - mu) / sd),
 
-with + where the log-LR rises through c and - where it falls.
+with + where the log-LR rises through c and - where it falls. A Bayesian
+root is bisected, then finished by bracketed Newton steps; the thresholds
+that cross one piece, about 32 of fig1's 41, share its first bisections, so
+each of those midpoints' log-LR is evaluated once, and only further levels
+run per crossing.
 """
 
 from __future__ import annotations
@@ -64,10 +68,10 @@ _RANGE_SDS = 40.0
 
 #: Bisection steps before Newton's, at least: fig1's solved range, 84
 #: test-law sd wide, shrinks to 1.3 sd, and bracketed Newton does the rest.
-#: A bisection evaluates the log-LR at every crossing, a Newton step only at
-#: those still moving, so fewer bisections cost less: fig1 makes 678 580
-#: evaluations with 6 and 1 029 012 with 12. With none, two fig1 roots still
-#: move after 60 Newton steps. A wider range bisects more (``_bayes_exceedance``).
+#: They are the depth of each crossed piece's shared tree, 63 log-LR
+#: evaluations however many thresholds cross it: fig1 makes 135 198 of them,
+#: and 266 140 in Newton steps. With none, two fig1 roots still move after 60
+#: Newton steps. A wider range bisects further, per crossing (``_bayes_exceedance``).
 _BISECTIONS = 6
 
 #: Newton steps at most; each stays inside the bracket, or bisects. The most
@@ -327,9 +331,31 @@ def _stationary_points(pred1: StudentT, pred2: StudentT) -> np.ndarray:
     return 0.5 * pred1.location + 0.5 * pred2.location + unit * y
 
 
-def _solve_monotone(f, slope, params, lo, hi, c, up, bisections):
-    """x in [lo, hi] with f(x) = c, elementwise, for f monotone on each
-    interval and crossing c there (rising if ``up``).
+def _tree_brackets(f, params, lo, hi, piece, c, up):
+    """Each crossing's bracket (below, over), f <= c at below and f > c at
+    over, after ``_BISECTIONS`` bisections of piece p = ``piece[j]``, [lo[p],
+    hi[p]]: ``params`` hold one element per piece, ``c`` and ``up`` one per
+    crossing. The midpoints, each 0.5 * (left + right) as a crossing's own
+    bisection forms it (IEEE addition commutes), are evaluated once per piece,
+    and each crossing walks down them to its own bisections' bracket, bit for bit."""
+    leaves = 2**_BISECTIONS
+    edges = np.empty((lo.size, leaves + 1))  # level d fills every 2^(B - d)-th column
+    edges[:, 0], edges[:, -1] = lo, hi
+    for level in range(_BISECTIONS):
+        gap = leaves >> level
+        edges[:, gap // 2::gap] = 0.5 * (edges[:, :-1:gap] + edges[:, gap::gap])
+    values = np.empty_like(edges)  # f at each midpoint, under it in edges
+    values[:, 1:-1] = f(edges[:, 1:-1], *(p[:, None] for p in params))
+    at = piece * (leaves + 1)  # each bracket's left end, a flat index of edges
+    for level in range(_BISECTIONS):
+        half = leaves >> (level + 1)
+        at += half * ((values.ravel()[at + half] > c) != up)
+    return edges.ravel()[at + ~up], edges.ravel()[at + up]
+
+
+def _solve_monotone(f, slope, params, below, over, c, bisections):
+    """x with f(x) = c, elementwise, for f monotone between below, where
+    f <= c, and over, where f > c, as ``_tree_brackets`` leaves them.
 
     ``f(x, *params)`` and ``slope(x, *params)`` evaluate at x, where each
     of the arrays ``params`` holds one element per point. Bisects
@@ -338,11 +364,10 @@ def _solve_monotone(f, slope, params, lo, hi, c, up, bisections):
     its first step of at most 1e-10 (1 + |x|) put it: Newton's error after
     such a step is about its square, below the rounding of f itself. A NaN
     point, from a NaN log-LR, stays NaN. Only the points still moving take
-    the next step, so no point depends on the others. Raises
-    ConvergenceError, with their count, if points are still moving after
-    ``_NEWTON_STEPS`` steps.
+    the next step, gathered by their indices when some have stopped, so no
+    point depends on the others. Raises ConvergenceError, with their count,
+    if points are still moving after ``_NEWTON_STEPS`` steps.
     """
-    below, over = np.where(up, lo, hi), np.where(up, hi, lo)  # f <= c, f > c
     for _ in range(bisections):
         mid = 0.5 * (below + over)
         hit = f(mid, *params) > c
@@ -356,12 +381,14 @@ def _solve_monotone(f, slope, params, lo, hi, c, up, bisections):
         below, over = np.where(hit, below, now), np.where(hit, now, over)
         step = now - gap / slope(now, *params)
         step = np.where((step - below) * (step - over) <= 0, step, 0.5 * (below + over))
-        moving = np.abs(step - now) > 1e-10 * (1.0 + np.abs(now))
+        moving = np.flatnonzero(np.abs(step - now) > 1e-10 * (1.0 + np.abs(now)))
         x[rows] = step
-        rows, now, c, below, over = (a[moving] for a in (rows, step, c, below, over))
-        params = [p[moving] for p in params]
-        if not rows.size:
+        if not moving.size:
             return x
+        if moving.size < rows.size:
+            rows, step, c, below, over = (a[moving] for a in (rows, step, c, below, over))
+            params = [p[moving] for p in params]
+        now = step
     raise ConvergenceError(
         f"{rows.size} crossing(s) still moving after {_NEWTON_STEPS} Newton steps"
     )
@@ -369,12 +396,13 @@ def _solve_monotone(f, slope, params, lo, hi, c, up, bisections):
 
 def _bayes_exceedance(preds, thresholds, laws):
     """``_exceedance`` of the Bayesian log-LR: pieces split at its
-    stationary points inside [L, R], crossings solved by ``_solve_monotone``.
+    stationary points inside [L, R], crossings bracketed by their piece's
+    shared tree (``_tree_brackets``) and solved by ``_solve_monotone``.
     The crossings lie within a few units S of the locations however wide the
     test law, so the brackets are bisected to below the block's least S:
     e bisections, for ``frexp``'s least e with ratio < 2^e (0 if the ratio is
-    not finite), and at least ``_BISECTIONS``. fig1 and fig2 take 6, fig1
-    with ``--shift-scale 1e7`` 29."""
+    not finite), and at least ``_BISECTIONS``. fig1 and fig2 take 6, all in
+    the tree; fig1 with ``--shift-scale 1e7`` 29, 23 of them per crossing."""
     lo, hi = _span(laws)
     ratio = (hi - lo) / _half_gap_and_unit(*preds)[1].min()
     bisections = max(_BISECTIONS, math.frexp(ratio)[1])
@@ -396,9 +424,15 @@ def _bayes_exceedance(preds, thresholds, laws):
         return _t_slope(x - loc1, nu1, spread1) - _t_slope(x - loc2, nu2, spread2)
 
     def crossing(g, k, t, up):
+        cell, crossed = k * trials + t, np.zeros(breaks.size, dtype=bool)  # cell: left end
+        crossed[cell] = True
+        pieces, ends, c = np.flatnonzero(crossed), breaks.ravel(), thresholds[g]
+        below, over = _tree_brackets(
+            log_lr, [a[pieces % trials] for a in constants], ends[pieces],
+            ends[pieces + trials], np.cumsum(crossed)[cell] - 1, c, up,
+        )
         return _solve_monotone(
-            log_lr, slope, [a[t] for a in constants],
-            breaks[k, t], breaks[k + 1, t], thresholds[g], up, bisections,
+            log_lr, slope, [a[t] for a in constants], below, over, c, bisections - _BISECTIONS
         )
 
     return _exceedance(bayes_log_lr_array(breaks, *preds), thresholds, crossing, laws)

@@ -80,7 +80,7 @@ from .conjugate import (
     sample_params,
     student_t_log_density,
 )
-from .errors import check_at_least, check_finite, check_positive
+from .errors import ValidationError, check_at_least, check_finite, check_positive
 from .experiment import _block_stats
 from .lr import (
     bayes_log_lr,
@@ -275,13 +275,22 @@ def quadrature_joint_evidence(
     of equal-length score lists (a 2-D ``scores``) is one integration, giving
     one value per list, each equal to that list's own call bit for bit; a
     lone list is a block of one and gives a float, and a block of no lists
-    an empty array.
+    an empty array. Any other shape, a ragged block among them, raises
+    ValidationError.
     """
-    block = np.ndim(scores) == 2
+    try:
+        shape = np.shape(scores)
+    except ValueError:  # numpy refuses lists of unequal lengths: name each one's shape
+        shape = [np.shape(s) for s in scores]
+    if not isinstance(shape, tuple) or len(shape) not in (1, 2):
+        raise ValidationError(
+            f"scores must be a list or a block of equal-length lists, got shape {shape}"
+        )
+    block = len(shape) == 2
     lists = [collect_stats(s) for s in (scores if block else [scores])]
     means = np.array([[s.mean for s in lists]])
     spreads = np.array([[s.sum_sq_dev for s in lists]])
-    logs = _log_evidence(prior, SufficientStats(np.shape(scores)[-1], means, spreads), spec)
+    logs = _log_evidence(prior, SufficientStats(shape[-1], means, spreads), spec)
     return logs[0] if block else logs.item()
 
 

@@ -114,14 +114,14 @@ def _stub_pytest(monkeypatch, ab, medians, collected=None):
 
 
 def test_oracle_rows_alternate_and_summarize(ab, tmp_path, monkeypatch, capsys):
-    parent = [20.0, 21.0, 19.0, 22.0, 20.5]
-    change = [15.0, 16.0, 14.0, 23.0, 15.5]
+    parent = [20.0, 21.0, 19.0, 22.0, 20.5, 19.5, 21.5, 20.0, 22.5, 18.5, 21.0]
+    change = [15.0, 16.0, 14.0, 23.0, 15.5, 14.5, 16.5, 15.0, 17.0, 13.5, 21.5]
     calls = _stub_pytest(monkeypatch, ab, {"parent": parent, "change": change})
     trees = {side: _tree(tmp_path / side, "", 20) for side in ("parent", "change")}
     out = tmp_path / "bench.json"
     assert ab.main([trees["parent"], trees["change"], "--seed", "1", "--out", str(out),
                     "--oracle-rows", *ROWS]) == 0
-    assert calls == ["parent", "change", "change", "parent"] * 2 + ["parent", "change"]
+    assert calls == ["parent", "change", "change", "parent"] * 5 + ["parent", "change"]
     written = json.loads(out.read_text())
     assert written["workloads"] == {}
     rows = written["bench_oracles_rows"]["rows"]
@@ -129,16 +129,18 @@ def test_oracle_rows_alternate_and_summarize(ab, tmp_path, monkeypatch, capsys):
     for entry in rows.values():
         assert [run["median"] for run in entry["parent"]] == parent
         assert entry["change"][0] == {"invocation": 1, "min": 7.5, "median": 15.0, "rounds": 7}
-        # inclusive quartiles of 19, 20, 20.5, 21, 22 and of 14, 15, 15.5, 16, 23
+        # inclusive quartiles, between the 3rd and 4th and the 8th and 9th of
+        # 18.5 19 19.5 20 20 20.5 21 21 21.5 22 22.5 and of
+        # 13.5 14 14.5 15 15 15.5 16 16.5 17 21.5 23
         assert {k: v for k, v in entry.items() if k not in ("parent", "change")} == {
             "unit": "ms",
-            "parent_median": 20.5, "parent_quartiles": [20.0, 21.0],
-            "change_median": 15.5, "change_quartiles": [15.0, 16.0],
-            "parent_iqr": 1.0,
-            "change_lower_in": "4 of 5", "change_higher_in": "1 of 5",
+            "parent_median": 20.5, "parent_quartiles": [19.75, 21.25],
+            "change_median": 15.5, "change_quartiles": [14.75, 16.75],
+            "parent_iqr": 1.5,
+            "change_lower_in": "9 of 11", "change_higher_in": "2 of 11",
         }
     printed = capsys.readouterr().out
-    assert "pitfall_divergence_200: parent 20.5 change 15.5 ms, lower in 4 of 5" in printed
+    assert "pitfall_divergence_200: parent 20.5 change 15.5 ms, lower in 9 of 11" in printed
 
 
 def test_traced_runs_alternate_and_summarize(ab, tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@
 checked against a million sampled test scores, against independent root
 finding, and for the shape every probability must have."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from bayescal import (
     run_experiment,
 )
 from bayescal import _erfc, experiment
-from bayescal.conjugate import NONINFORMATIVE_PRIOR
+from bayescal.conjugate import NONINFORMATIVE_PRIOR, NormalGammaParams
 from bayescal.errors import ConvergenceError
 from bayescal.experiment import (
     DEFAULT_PRIOR_GRID,
@@ -46,6 +47,7 @@ from bayescal.experiment import (
 )
 from bayescal.scores import DEFAULT_VARIANCE_FLOOR, SufficientStats
 from bayescal.synthetic import background_stats
+from test_verification import BITS_ENVIRONMENT, _bits_environment
 
 GRID = np.asarray(DEFAULT_PRIOR_GRID)
 DEFAULT_LAWS = [GeneratorConfig().test_law(h) for h in Hypothesis]
@@ -57,6 +59,10 @@ WORLDS = {
     "shifted": (GeneratorConfig(shift_location=0.5, shift_scale=1.3), 9, 27),
 }
 N_SAMPLED = 10**6
+
+#: ``TestCrossingSolver.test_values_keep_their_bits``: the digest, taken under
+#: ``BITS_ENVIRONMENT``
+ENGINE_SHA256 = "96fdc1b242ab3a50941c8669827938c4e017e742c95e76d1937449e165926303"
 
 
 def _one(value):
@@ -272,6 +278,39 @@ class TestCrossingSolver:
                 )
                 for (p_above, _), p in zip(exact, expected):
                     assert abs(p_above[i, t] - p) <= 1e-14
+
+    #: (world, n1, n2, trials, prior) of each block whose exceedances
+    #: ``test_values_keep_their_bits`` hashes, all at seed 101: fig1; test
+    #: laws 1e7 and 1e150 times wider (29 and 504 bisections); a class far
+    #: wider than the other; a shifted narrow test law; narrow against wide
+    #: classes; and two-score backgrounds, also under an informative prior
+    BIT_BLOCKS = [
+        (GeneratorConfig(), 9, 27, 100, NONINFORMATIVE_PRIOR),
+        (GeneratorConfig(shift_scale=1e7), 9, 27, 20, NONINFORMATIVE_PRIOR),
+        (GeneratorConfig(shift_scale=1e150), 9, 27, 5, NONINFORMATIVE_PRIOR),
+        (GeneratorConfig(sigma1_true=1e5), 9, 27, 20, NONINFORMATIVE_PRIOR),
+        (GeneratorConfig(shift_location=0.5, shift_scale=0.3), 3, 40, 30, NONINFORMATIVE_PRIOR),
+        (GeneratorConfig(sigma1_true=0.2, sigma2_true=3.0), 9, 27, 30, NONINFORMATIVE_PRIOR),
+        (GeneratorConfig(), 2, 2, 50, NONINFORMATIVE_PRIOR),
+        (GeneratorConfig(), 2, 2, 50, NormalGammaParams(0.0, 1.0, 3.0, 3.0)),
+    ]
+
+    def test_values_keep_their_bits(self):
+        # the log-LR goes through numpy's log and log1p, the tails through
+        # its exp, so the digest holds where it was taken
+        if _bits_environment() != BITS_ENVIRONMENT:
+            pytest.skip(f"engine digest taken under {BITS_ENVIRONMENT}")
+        values = []
+        for world, n1, n2, trials, prior in self.BIT_BLOCKS:
+            laws = [world.test_law(h) for h in Hypothesis]
+            theta, preds = next(
+                _calibrated_blocks(world, n1, n2, trials, 101, 0, prior, DEFAULT_VARIANCE_FLOOR)
+            )
+            for result in (_plugin_exceedance(theta, -GRID, laws),
+                           _bayes_exceedance(preds, -GRID, laws)):
+                values += [p for pair in result for p in pair]
+        bits = np.concatenate([np.ravel(v) for v in values]).astype(np.float64).tobytes()
+        assert hashlib.sha256(bits).hexdigest() == ENGINE_SHA256
 
     def test_unsettled_roots_raise(self, monkeypatch):
         # no root settles on its first Newton step

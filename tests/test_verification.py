@@ -682,6 +682,15 @@ class TestPredictiveBatch:
         assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (0,)
 
     @pytest.mark.parametrize(
+        "scores, shape",
+        [([[1.0, 2.0], [1.0]], r"\[\(2,\), \(1,\)\]"), (np.zeros((2, 3, 4)), r"\(2, 3, 4\)")],
+        ids=["ragged", "3-D"],
+    )
+    def test_joint_evidence_refuses_a_block_of_another_shape(self, scores, shape):
+        with pytest.raises(ValidationError, match=f"equal-length lists, got shape {shape}$"):
+            quadrature_joint_evidence(NONINFORMATIVE_PRIOR, scores, SMALL)
+
+    @pytest.mark.parametrize(
         "params, bad, good",
         [
             # shape 0.52: a rate near 1e300 puts the left tail below float range
