@@ -51,7 +51,7 @@ SIDES = ("parent", "change")
 PAIRS = 10
 TRACE_RUNS = 5
 #: pytest invocations per tree for ``--oracle-rows``: a row's medians shift as
-#: a whole between invocations on a shared host, so 5 could not resolve a 5% move
+#: a whole between invocations on a shared host, so a 5% move needs this many
 ORACLE_INVOCATIONS = 11
 
 

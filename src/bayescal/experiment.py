@@ -424,7 +424,7 @@ def _bayes_exceedance(preds, thresholds, laws):
         return _t_slope(x - loc1, nu1, spread1) - _t_slope(x - loc2, nu2, spread2)
 
     def crossing(g, k, t, up):
-        cell, crossed = k * trials + t, np.zeros(breaks.size, dtype=bool)  # cell: left end
+        cell, crossed = k * trials + t, np.zeros(breaks.size, dtype=bool)  # pieces by left end
         crossed[cell] = True
         pieces, ends, c = np.flatnonzero(crossed), breaks.ravel(), thresholds[g]
         below, over = _tree_brackets(
