@@ -28,11 +28,13 @@ listed as missing on that side instead. A run that reports
 ``--oracle-rows`` names rows of ``benchmarks/bench_oracles.py`` without
 their ``test_`` prefix (``quadrature_predictive[401]``, say). Before the
 first pair, the runner refuses a row that pytest does not collect from
-either tree's file. Each tree runs its own file on its own source in
-``ORACLE_INVOCATIONS`` pytest invocations, alternating as the pairs do; the
-JSON then holds, under ``bench_oracles_rows``, each invocation's
-pytest-benchmark min and median per row, and per row each tree's median and
-quartiles of those medians.
+either tree's file. Each tree runs its own file on its own source, each row
+in a pytest invocation of its own, so that no row runs on a heap that other
+rows left: ``ORACLE_INVOCATIONS`` rounds, in each of which every row runs
+on both trees back to back, alternating as the pairs do. The JSON then
+holds, under ``bench_oracles_rows``, each invocation's pytest-benchmark min
+and median per row, and per row each tree's median and quartiles of those
+medians.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ from pathlib import Path
 SIDES = ("parent", "change")
 PAIRS = 10
 TRACE_RUNS = 5
-#: pytest invocations per tree for ``--oracle-rows``: a row's medians shift as
-#: a whole between invocations on a shared host, so a 5% move needs this many
+#: pytest invocations per tree and row for ``--oracle-rows``: a row's medians shift
+#: as a whole between invocations on a shared host, so a 5% move needs this many
 ORACLE_INVOCATIONS = 11
 
 
@@ -186,44 +188,41 @@ def collected_rows(tree: Path) -> set[str]:
     return {line[len(prefix):] for line in lines if line.startswith(prefix)}
 
 
-def run_oracle_rows(tree: Path, rows: list[str], out: Path) -> dict:
+def run_oracle_row(tree: Path, row: str, out: Path) -> dict:
     """One pytest invocation of ``tree``'s own bench_oracles.py selecting
-    ``rows``: each row's pytest-benchmark min and median in ms and rounds."""
-    nodes = [f"{ORACLE_FILE}::test_{row}" for row in rows]
-    done = pytest_in(tree, [*nodes, "--benchmark-json", str(out)])
+    ``row`` alone: its pytest-benchmark min and median in ms and rounds."""
+    done = pytest_in(tree, [f"{ORACLE_FILE}::test_{row}", "--benchmark-json", str(out)])
     if done.returncode != 0:
         raise RuntimeError(f"bench_oracles.py in {tree} exited {done.returncode}: "
                            f"{done.stdout[-2000:]}{done.stderr[-2000:]}")
-    stats = {b["name"]: b["stats"] for b in json.loads(out.read_text())["benchmarks"]}
-    return {row: {"min": round(stats[f"test_{row}"]["min"] * 1e3, 4),
-                  "median": round(stats[f"test_{row}"]["median"] * 1e3, 4),
-                  "rounds": stats[f"test_{row}"]["rounds"]} for row in rows}
+    stats = json.loads(out.read_text())["benchmarks"][0]["stats"]
+    return {"min": round(stats["min"] * 1e3, 4), "median": round(stats["median"] * 1e3, 4),
+            "rounds": stats["rounds"]}
 
 
 def oracle_rows(trees: dict, rows: list[str], scratch: Path) -> dict:
-    """``ORACLE_INVOCATIONS`` invocations per tree of ``run_oracle_rows``,
-    the parent first in odd invocations, and per row each tree's median
-    and quartiles of the invocation medians."""
-    samples = {side: [] for side in SIDES}
+    """``ORACLE_INVOCATIONS`` rounds of ``run_oracle_row``, each row on both
+    trees back to back, the parent first in odd rounds, and per row each
+    tree's median and quartiles of the invocation medians."""
+    runs = {row: {side: [] for side in SIDES} for row in rows}
     for k in range(ORACLE_INVOCATIONS):
-        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-            got = run_oracle_rows(trees[side], rows, scratch / f"{side}-{k + 1}.json")
-            samples[side].append(got)
-            medians = {row: got[row]["median"] for row in rows}
-            print(f"bench_oracles invocation {k + 1} {side}: {json.dumps(medians)}",
-                  file=sys.stderr)
+        for i, row in enumerate(rows):
+            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                got = run_oracle_row(trees[side], row, scratch / f"{side}-{k + 1}-{i}.json")
+                runs[row][side].append({"invocation": k + 1, **got})
+                print(f"bench_oracles invocation {k + 1} {side} {row}: {got['median']} ms",
+                      file=sys.stderr)
     summary = {}
     for row in rows:
-        runs = {side: [{"invocation": k + 1, **got[row]} for k, got in enumerate(samples[side])]
-                for side in SIDES}
-        medians = {side: [run["median"] for run in runs[side]] for side in SIDES}
-        summary[row] = {"unit": "ms", **runs, **spread(medians)}
+        medians = {side: [run["median"] for run in runs[row][side]] for side in SIDES}
+        summary[row] = {"unit": "ms", **runs[row], **spread(medians)}
     return {
         "command": "PYTHONDONTWRITEBYTECODE=1 OPENBLAS_NUM_THREADS=1 python "
                    + " ".join(ORACLE_PYTEST)
-                   + " benchmarks/bench_oracles.py::test_ROW ... --benchmark-json OUT",
-        "method": f"{ORACLE_INVOCATIONS} invocations per tree, alternating, the parent first "
-                  "in odd invocations; each invocation's pytest-benchmark min and median per row",
+                   + " benchmarks/bench_oracles.py::test_ROW --benchmark-json OUT",
+        "method": f"{ORACLE_INVOCATIONS} rounds, each row in its own pytest invocation per "
+                  "tree, its two trees back to back, the parent first in odd rounds; each "
+                  "invocation's pytest-benchmark min and median",
         "rows": summary,
     }
 

@@ -56,13 +56,13 @@ scale the profile gives u, so a wrong profile moves the result only by
 rounding. ``QuadratureSpec.grid_mu`` places no node.
 
 Sweeps. Each sweep reports its largest absolute discrepancy; a NaN one makes
-the result NaN, which fails its check. The sweeps integrate in blocks of at
-most ``_BLOCK_NODES`` nodes: the predictive sweep and the two convergence
-checks pass a few posteriors per ``quadrature_predictive`` call, one per row
-of e, and the joint-evidence sweep draws every case first, then makes one
-``quadrature_joint_evidence`` call per list length. The pitfall sweep takes
-its medians by sorting, numpy's median bit for bit without the NaN check by
-which numpy's median imports ``numpy.ma``.
+the result NaN, which fails its check. Oracle calls integrate at most
+``_BLOCK_NODES`` nodes: ``_posterior_blocks`` hands the predictive sweep and
+the two convergence checks a few posteriors per ``quadrature_predictive``
+call, and ``joint_evidence_log_lr`` makes one ``quadrature_joint_evidence``
+call per list length. The pitfall sweep takes its medians by sorting,
+numpy's median bit for bit without the NaN check by which numpy's median
+imports ``numpy.ma``.
 """
 
 from __future__ import annotations
@@ -131,27 +131,22 @@ class QuadratureSpec:
 _TAIL_NEWTON_STEPS = 8
 
 
-def _tail_ends(a: float, nats: float) -> tuple[float, float]:
-    """The offsets d from the mode of log-precision, one each side, where a
-    shape-``a`` profile's log-density a*d - a*(e^d - 1) has fallen by ``nats``.
+def _span(a: float, nats: float) -> tuple[float, float, float, float]:
+    """log(a), w = 1/sqrt(a) and the ends of the s-span of a shape-``a`` profile.
 
-    Both solve e^d - 1 - d = nats / a, the right one written as
-    d = log(1 + d + nats / a). Newton starts outside each root of a convex
-    function, so no step crosses it and a short run only widens the span."""
+    The span ends at s = asinh(d / w), d the offsets from the mode of
+    log-precision where the profile's log-density a*d - a*(e^d - 1) has
+    fallen by ``nats``. Both solve e^d - 1 - d = nats / a, the right one
+    written as d = log(1 + d + nats / a). Newton starts outside each root of
+    a convex function, so no step crosses it and a short run only widens it."""
     c = nats / a
     lo = -1.0 - c if 2.0 * math.e * c > 1.0 else -math.sqrt(2.0 * math.e * c)
     hi = math.sqrt(2.0 * c)
     for _ in range(_TAIL_NEWTON_STEPS):
         lo -= (math.expm1(lo) - lo - c) / math.expm1(lo)
         hi -= (hi - math.log1p(hi + c)) * (1.0 + hi + c) / (hi + c)
-    return lo, hi
-
-
-def _span(a: float, nats: float) -> tuple[float, float, float, float]:
-    """log(a), w = 1/sqrt(a) and the ends of the s-span of a shape-``a`` profile."""
     w = 1.0 / math.sqrt(a)
-    lo, hi = (math.asinh(d / w) for d in _tail_ends(a, nats))
-    return math.log(a), w, lo, hi
+    return math.log(a), w, math.asinh(lo / w), math.asinh(hi / w)
 
 
 def _col(x) -> np.ndarray:
@@ -250,13 +245,19 @@ def quadrature_predictive(
     A ``posterior`` whose fields are arrays, one value per row of ``e`` as
     a vector or a column (a float is shared), is a block of posteriors:
     each row of ``e`` is probed under its own, again bit for bit as its
-    float calls.
+    float calls; a block of another row count raises ValidationError.
     """
     e = np.asarray(e, dtype=float)
     check_finite(e=e)
     # the rows are e's first axis; a lone e is one row
-    flat = e.reshape(len(e) if e.ndim else 1, math.prod(e.shape[1:]))
+    rows = len(e) if e.ndim else 1
+    flat = e.reshape(rows, math.prod(e.shape[1:]))
     laws = (posterior.mu0, posterior.beta, posterior.a, posterior.b)
+    for shape in map(np.shape, laws):
+        if shape not in ((), (rows,), (rows, 1)):
+            raise ValidationError(
+                f"posterior fields need one law per row of e, of shape {e.shape}, got shape {shape}"
+            )
     if any(np.ndim(v) == 1 for v in laws):  # a block's vectors become columns
         posterior = NormalGammaParams(*(_col(v) if np.ndim(v) == 1 else v for v in laws))
     logs = _log_evidence(posterior, SufficientStats(1, flat, 0.0), spec)
@@ -336,24 +337,30 @@ def _log_evidence(prior, stats, spec) -> np.ndarray:
 
 
 def joint_evidence_log_lr(
-    data: BackgroundData,
+    cases: list[tuple[BackgroundData, float]],
     prior: NormalGammaParams,
-    e: float,
     spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Bayesian log-LR assembled purely from quadrature evidence terms.
-
-    log P(e | H1 data) - log P(e | H2 data), each obtained as the difference
-    between the class evidence with and without the trial score appended.
-    Must agree with the closed-form predictive-ratio route.
-    """
-
-    def gain(scores):
-        return quadrature_joint_evidence(prior, [*scores, e], spec) - (
-            quadrature_joint_evidence(prior, scores, spec)
-        )
-
-    return gain(data.h1_scores) - gain(data.h2_scores)
+) -> np.ndarray:
+    """Bayesian log-LRs assembled purely from quadrature evidence terms, one
+    per ``(data, e)`` case: log P(e | H1 data) - log P(e | H2 data), each the
+    difference between the class evidence with and without e appended. Must
+    agree with the closed-form predictive-ratio route. The score lists of one
+    length, over all cases, are integrated in blocks."""
+    lists = [
+        scores
+        for data, e in cases
+        for cls in (data.h1_scores, data.h2_scores)
+        for scores in ([*cls, e], cls)
+    ]
+    by_length = {}
+    for i, scores in enumerate(lists):
+        by_length.setdefault(len(scores), []).append(i)
+    evidence = np.empty(len(lists))
+    for same_length in by_length.values():
+        for index in _blocks(same_length, 1, spec):
+            evidence[index] = quadrature_joint_evidence(prior, [lists[i] for i in index], spec)
+    gain = evidence[0::2] - evidence[1::2]  # per case and class: with e minus without
+    return gain[0::2] - gain[1::2]  # per case: H1's minus H2's
 
 
 @record
@@ -423,7 +430,7 @@ def _random_dataset(rng: np.random.Generator) -> BackgroundData:
     return BackgroundData(*(generate_scores(world, h, n, rng) for h, n in zip(Hypothesis, counts)))
 
 
-#: Nodes that one block call of a sweep integrates at most: 64 KiB per
+#: Nodes that one block call of an oracle integrates at most: 64 KiB per
 #: float64 node array. Measured on ``verify`` at 401 nodes per row, two of
 #: the predictive sweep's posteriors per call took the same time as one
 #: (6,817 nodes) and raised peak RSS by 0.25 MB.
@@ -441,6 +448,14 @@ def _block_posterior(run: list[NormalGammaParams]) -> NormalGammaParams:
     return NormalGammaParams(*_col(np.array([[p.mu0, p.beta, p.a, p.b] for p in run]).T))
 
 
+def _posterior_blocks(n_posteriors: int, seed: int, rows_each: int, spec: QuadratureSpec):
+    """``n_posteriors`` random posteriors drawn from ``seed``, in ``_blocks``:
+    per block, the posteriors as one and each one's predictive."""
+    rng = np.random.default_rng(seed)
+    for run in _blocks(_random_posteriors(rng, n_posteriors), rows_each, spec):
+        yield _block_posterior(run), [predictive(post) for post in run]
+
+
 def _max_abs(gaps) -> float:
     """Largest |gap|; NaN if any gap is NaN, so a broken evaluation fails its check."""
     return float(np.max(np.abs(gaps), initial=0.0))
@@ -455,20 +470,16 @@ def predictive_oracle_sweep(
     """Max |closed-form - quadrature| log predictive density over a sweep.
 
     Each posterior is probed on an e-grid spanning 8 predictive scales each
-    side of the predictive location; the quadrature takes a few posteriors
-    per call, each row bit for bit as its own call.
+    side of the predictive location, a few posteriors per oracle call.
     """
-    rng = np.random.default_rng(seed)
     gaps = []
-    for run in _blocks(_random_posteriors(rng, n_posteriors), n_e, spec):
-        preds = [predictive(post) for post in run]
+    for block, preds in _posterior_blocks(n_posteriors, seed, n_e, spec):
         e_grids = np.array([
             np.linspace(pred.location - 8.0 * pred.scale, pred.location + 8.0 * pred.scale, n_e)
             for pred in preds
         ])
         closed = [student_t_log_density(pred, e_grid) for pred, e_grid in zip(preds, e_grids)]
-        quadrature = quadrature_predictive(_block_posterior(run), e_grids, spec)
-        gaps.append(np.ravel(closed - quadrature))
+        gaps.append(np.ravel(closed - quadrature_predictive(block, e_grids, spec)))
     return _max_abs(np.concatenate(gaps))
 
 
@@ -478,12 +489,7 @@ def joint_evidence_sweep(
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Max |predictive-ratio route - joint-evidence route| log-LR discrepancy,
-    under the fixed ``NONINFORMATIVE_PRIOR``.
-
-    Every case is drawn first. Each case's four evidences, each class with
-    and without the trial score, then come from one block call per list
-    length, and its log-LR is assembled as ``joint_evidence_log_lr`` does.
-    """
+    under the fixed ``NONINFORMATIVE_PRIOR``, every case drawn first."""
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(n_cases):
@@ -491,23 +497,7 @@ def joint_evidence_sweep(
         pred1 = predictive(posterior_update(NONINFORMATIVE_PRIOR, data.h1_stats))
         e = float(rng.uniform(pred1.location - 8.0 * pred1.scale, pred1.location + 8.0 * pred1.scale))
         cases.append((data, e))
-    lists = [
-        scores
-        for data, e in cases
-        for cls in (data.h1_scores, data.h2_scores)
-        for scores in ([*cls, e], cls)
-    ]
-    by_length = {}
-    for i, scores in enumerate(lists):
-        by_length.setdefault(len(scores), []).append(i)
-    evidence = np.empty(len(lists))
-    for same_length in by_length.values():
-        for index in _blocks(same_length, 1, spec):
-            block = [lists[i] for i in index]
-            evidence[index] = quadrature_joint_evidence(NONINFORMATIVE_PRIOR, block, spec)
-    by_case = evidence.reshape(n_cases, 2, 2)  # [case, class, with or without e]
-    gain = by_case[..., 0] - by_case[..., 1]
-    via_joint = gain[:, 0] - gain[:, 1]
+    via_joint = joint_evidence_log_lr(cases, NONINFORMATIVE_PRIOR, spec)
     via_predictive = [bayes_log_lr(e, data, NONINFORMATIVE_PRIOR).value for data, e in cases]
     return _max_abs(via_joint - via_predictive)
 
@@ -534,14 +524,10 @@ def _spec_shift(
     Probed at e = location + k * scale of each random posterior's predictive,
     for k in ``offsets``, a few posteriors per call.
     """
-    rng = np.random.default_rng(seed)
-    posteriors = _random_posteriors(rng, n_posteriors)
     finer = max(spec, other, key=lambda q: q.grid_lambda)
     gaps = []
-    for run in _blocks(posteriors, len(offsets), finer):
-        preds = [predictive(post) for post in run]
+    for block, preds in _posterior_blocks(n_posteriors, seed, len(offsets), finer):
         e = np.array([pred.location + np.array(offsets) * pred.scale for pred in preds])
-        block = _block_posterior(run)
         shift = quadrature_predictive(block, e, spec) - quadrature_predictive(block, e, other)
         gaps.append(np.ravel(shift))
     return _max_abs(np.concatenate(gaps))

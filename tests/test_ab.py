@@ -87,12 +87,12 @@ def test_oracle_row_missing_from_a_tree_refused_before_the_first_pair(
 
 def _stub_pytest(monkeypatch, ab, medians, collected=None):
     """Replace the runner's pytest call by one that writes pytest-benchmark's
-    JSON for the requested nodes: each side's next median in ms, from
-    ``medians``, for every row. A ``--collect-only`` call lists the side's
-    rows in ``collected``, by default ``ROWS``. Returns the sides of the
-    benchmark calls in the order called."""
+    JSON for the requested nodes: each node's next median in ms on that
+    side, from ``medians``. A ``--collect-only`` call lists the side's
+    rows in ``collected``, by default ``ROWS``. Returns each benchmark
+    call's side and the rows it selects, in the order called."""
     calls = []
-    values = {side: iter(ms) for side, ms in medians.items()}
+    values = {}
     collected = collected or {side: ROWS for side in medians}
 
     def run(cmd, cwd, **kwargs):
@@ -100,11 +100,13 @@ def _stub_pytest(monkeypatch, ab, medians, collected=None):
         if "--collect-only" in cmd:
             nodes = "".join(f"benchmarks/bench_oracles.py::test_{row}\n" for row in collected[side])
             return subprocess.CompletedProcess(cmd, 0, nodes + "\n2 tests collected\n", "")
-        calls.append(side)
-        seconds = next(values[side]) / 1e3
-        benchmarks = [{"name": node.split("::")[1],
-                       "stats": {"min": 0.5 * seconds, "median": seconds, "rounds": 7}}
-                      for node in cmd if "::" in node]
+        nodes = [node for node in cmd if "::" in node]
+        calls.append((side, *(node.split("::test_")[1] for node in nodes)))
+        benchmarks = []
+        for node in nodes:
+            seconds = next(values.setdefault((side, node), iter(medians[side]))) / 1e3
+            benchmarks.append({"name": node.split("::")[1],
+                               "stats": {"min": 0.5 * seconds, "median": seconds, "rounds": 7}})
         out = Path(cmd[cmd.index("--benchmark-json") + 1])
         out.write_text(json.dumps({"benchmarks": benchmarks}))
         return subprocess.CompletedProcess(cmd, 0, "", "")
@@ -121,7 +123,10 @@ def test_oracle_rows_alternate_and_summarize(ab, tmp_path, monkeypatch, capsys):
     out = tmp_path / "bench.json"
     assert ab.main([trees["parent"], trees["change"], "--seed", "1", "--out", str(out),
                     "--oracle-rows", *ROWS]) == 0
-    assert calls == ["parent", "change", "change", "parent"] * 5 + ["parent", "change"]
+    # each row in an invocation of its own, on both trees back to back
+    odd, even = ([(side, row) for row in ROWS for side in order]
+                 for order in (("parent", "change"), ("change", "parent")))
+    assert calls == (odd + even) * 5 + odd
     written = json.loads(out.read_text())
     assert written["workloads"] == {}
     rows = written["bench_oracles_rows"]["rows"]

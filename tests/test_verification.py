@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bayescal import cli, conjugate, verification
+from bayescal import cli, conjugate, lr, verification
 from bayescal import (
     BackgroundData,
     GeneratorConfig,
@@ -175,7 +175,7 @@ class TestJointEvidenceOracle:
     def test_route_equivalence_on_mirror_data(self):
         prior = NONINFORMATIVE_PRIOR
         for e in (-2.0, 0.0, 2.0, 5.0):
-            via_joint = joint_evidence_log_lr(MIRROR_DATA, prior, e, FAST)
+            via_joint = joint_evidence_log_lr([(MIRROR_DATA, e)], prior, FAST)[0]
             via_predictive = bayes_log_lr(e, MIRROR_DATA, prior).value
             assert abs(via_joint - via_predictive) < 1e-6
 
@@ -189,9 +189,35 @@ class TestJointEvidenceOracle:
             )
             e = float(rng.uniform(-6, 6))
             assert abs(
-                joint_evidence_log_lr(data, prior, e, FAST)
+                joint_evidence_log_lr([(data, e)], prior, FAST)[0]
                 - bayes_log_lr(e, data, prior).value
             ) < 1e-6
+
+    def test_route_equivalence_under_an_informative_prior(self, monkeypatch):
+        # a prior that weighs the mean shift, unlike the sweep's weak one;
+        # every case in one block call
+        prior = NormalGammaParams(0.0, 1.0, 3.0, 3.0)
+        rng = np.random.default_rng(39)
+        cases = [
+            (
+                BackgroundData(
+                    rng.normal(rng.uniform(-3, 3), rng.uniform(0.5, 2), 3),
+                    rng.normal(rng.uniform(-3, 3), rng.uniform(0.5, 2), 9),
+                ),
+                float(rng.uniform(-4, 4)),
+            )
+            for _ in range(8)
+        ]
+
+        def gap():
+            via_joint = joint_evidence_log_lr(cases, prior, SMALL)
+            via_predictive = [bayes_log_lr(e, data, prior).value for data, e in cases]
+            return np.max(np.abs(via_joint - via_predictive))
+
+        assert gap() <= 1e-6
+        for module in (lr, verification):
+            monkeypatch.setattr(module, "posterior_update", _update_without_mean_shift)
+        assert gap() >= 1e-3
 
 
 class TestIntegrand:
@@ -658,9 +684,19 @@ class TestPredictiveBatch:
             assert got[i] == quadrature_predictive(post, e[i], SMALL)
 
     def test_posterior_block_refuses_another_row_count(self):
-        block = NormalGammaParams(np.zeros(2), np.ones(2), np.full(2, 2.0), np.ones(2))
-        with pytest.raises(ValueError):
-            quadrature_predictive(block, np.zeros((3, 4)), SMALL)
+        vectors = NormalGammaParams(np.zeros(2), np.ones(2), np.full(2, 2.0), np.ones(2))
+        columns = verification._block_posterior([NormalGammaParams(0.0, 1.0, 2.0, 1.0)] * 2)
+        # a vector beside shared floats, a law too many
+        shared = NormalGammaParams(np.zeros(3), 1.0, np.full(3, 2.0), 1.0)
+        for block, e, message in [
+            (vectors, np.zeros((3, 4)), r"of shape \(3, 4\), got shape \(2,\)$"),
+            (columns, np.zeros((3, 4)), r"of shape \(3, 4\), got shape \(2, 1\)$"),
+            (shared, np.zeros((2, 3)), r"of shape \(2, 3\), got shape \(3,\)$"),
+        ]:
+            with pytest.raises(
+                ValidationError, match=r"^posterior fields need one law per row of e, " + message
+            ):
+                quadrature_predictive(block, e, SMALL)
 
     @pytest.mark.parametrize("grid", [101, 401])
     @pytest.mark.parametrize("length", [0, 1, 2, 13])
