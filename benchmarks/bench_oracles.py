@@ -241,11 +241,11 @@ def test_quadrature_joint_evidence_block_401(benchmark):
 
 
 def test_predictive_oracle_sweep_401(benchmark):
-    benchmark.pedantic(predictive_oracle_sweep, (50, 17), {"spec": GRID_401}, rounds=5)
+    benchmark.pedantic(predictive_oracle_sweep, (50, 17), {"spec": GRID_401}, rounds=20)
 
 
 def test_joint_evidence_sweep_401(benchmark):
-    benchmark.pedantic(joint_evidence_sweep, (20,), {"spec": GRID_401}, rounds=5)
+    benchmark.pedantic(joint_evidence_sweep, (20,), {"spec": GRID_401}, rounds=20)
 
 
 def test_decomposition_sweep(benchmark):

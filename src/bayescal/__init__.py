@@ -49,7 +49,13 @@ from .scores import (
     load_background_csv,
     parse_label,
 )
-from .synthetic import DEFAULT_PRIOR_GRID, ExperimentConfig, GeneratorConfig, generate_scores
+from .synthetic import (
+    DEFAULT_PRIOR_GRID,
+    ConfidenceConfig,
+    ExperimentConfig,
+    GeneratorConfig,
+    generate_scores,
+)
 
 # The experiments and the oracles load at their first attribute read, as
 # numpy does (``_numpy.lazy``): ``llr`` and ``decide`` run neither.
@@ -119,6 +125,7 @@ __all__ = [
     "GeneratorConfig",
     "generate_scores",
     "ExperimentConfig",
+    "ConfidenceConfig",
     "ErrorCurve",
     "ConfidencePoint",
     "run_experiment",

@@ -37,38 +37,29 @@ from .lr import (
     posterior_log_odds,
 )
 from .scores import DEFAULT_VARIANCE_FLOOR, fit_plugin, load_background_csv
-from .synthetic import ExperimentConfig, GeneratorConfig
+from .synthetic import ConfidenceConfig, ExperimentConfig, GeneratorConfig
 
 _LOG10 = math.log(10.0)
 
 #: the exit code of each error a command reports; the first kind that matches wins
 _EXIT_CODES = {ScoreFileError: 2, BayescalError: 3, OSError: 4}
 
-_EXPERIMENT_DEFAULTS = {n: getattr(ExperimentConfig, n) for n in fields(ExperimentConfig)}
-
 #: the experiment keys that simulate and lr-distribution also take as flags
 _RUN_FLAGS = ("n1", "n2", "trials", "seed")
-
-_CONFIDENCE_DEFAULTS = {
-    "sizes": [[9, 27], [30, 405], [300, 4050]],
-    "trials": 200,
-    "seed": 1,
-}
 
 #: The test-set size the experiment and confidence sections once took. The
 #: rates and means are now exact, so no test set is drawn; a config file
 #: that still sets it must give an integer >= 1, which is then ignored.
 _IGNORED_KEY = "n_test_per_class"
 
-_SECTIONS = {
-    "prior": asdict(NONINFORMATIVE_PRIOR),
-    "generator": asdict(GeneratorConfig()),
-    "experiment": _EXPERIMENT_DEFAULTS,
-    "confidence": _CONFIDENCE_DEFAULTS,
-}
+#: each config section's defaults, as its record
+_SECTIONS = {"prior": NONINFORMATIVE_PRIOR, "generator": GeneratorConfig(),
+             "experiment": ExperimentConfig(), "confidence": ConfidenceConfig()}
 
 # the top level of a config file: one object per section, and the floor
-_CONFIG_DEFAULTS = {**_SECTIONS, "variance_floor": DEFAULT_VARIANCE_FLOOR}
+_CONFIG_DEFAULTS = {**{n: asdict(r) for n, r in _SECTIONS.items()},
+                    "variance_floor": DEFAULT_VARIANCE_FLOOR}
+_EXPERIMENT_DEFAULTS = _CONFIG_DEFAULTS["experiment"]
 
 
 def _print_json(payload: dict, out=None) -> str:
@@ -96,22 +87,29 @@ def _load_config(path: str | None) -> dict:
 
 def _coerce(default, value):
     """``value`` as the type of ``default``: a section stays an object, a
-    sequence is coerced element by element (inner lists keep the default's
-    length), a number is converted; an integer must be integral (9.0, not
-    9.5), and neither a boolean nor a string is a number. Raises TypeError,
-    ValueError or OverflowError."""
+    tuple is coerced element by element (inner tuples, the pairs, keep the
+    default's length), a number is converted; an integer must be integral
+    (9.0, not 9.5), and neither a boolean nor a string is a number. Raises
+    TypeError, ValueError or OverflowError."""
     if isinstance(default, dict) and isinstance(value, dict):
         return value
-    if isinstance(default, (list, tuple)) and isinstance(value, (list, tuple)):
-        items = [_coerce(default[0], v) for v in value]
-        if all(len(v) == len(default[0]) for v in items if isinstance(v, list)):
-            return type(default)(items)
+    if isinstance(default, tuple) and isinstance(value, (list, tuple)):
+        items = tuple(_coerce(default[0], v) for v in value)
+        if all(len(v) == len(default[0]) for v in items if isinstance(v, tuple)):
+            return items
     if isinstance(default, (int, float)) and type(value) in (int, float):
         number = type(default)(value)
         if isinstance(default, int) and isinstance(value, float) and number != value:
             raise ValueError(value)  # a fraction in an integer field
         return number
     raise TypeError(value)
+
+
+def _kind(default) -> str:
+    """What a config value must be, as its error message names it."""
+    if isinstance(default, tuple):
+        return "a list of [n1, n2] pairs" if isinstance(default[0], tuple) else "a list of numbers"
+    return {dict: "a JSON object", int: "an integer"}.get(type(default), "a number")
 
 
 def _resolve(defaults: dict, given: dict, flags: dict, where: str) -> dict:
@@ -132,11 +130,8 @@ def _resolve(defaults: dict, given: dict, flags: dict, where: str) -> dict:
         try:
             out[key] = _coerce(defaults[key], value)
         except (TypeError, ValueError, OverflowError):
-            kind = {dict: "a JSON object", list: "a list of [n1, n2] pairs",
-                    tuple: "a list of numbers", int: "an integer"}
             raise ValidationError(
-                f"{where}{key}: expected {kind.get(type(defaults[key]), 'a number')}, "
-                f"got {json.dumps(value)}"
+                f"{where}{key}: expected {_kind(defaults[key])}, got {json.dumps(value)}"
             ) from None
     return out
 
@@ -152,24 +147,25 @@ def _without_ignored_key(name: str, given: dict, where: str) -> dict:
     return given
 
 
-def _configure(args) -> dict:
+def _configure(args) -> tuple[dict, dict]:
     """Every section and the variance floor: defaults < config file < flags.
 
-    The whole file is checked, whichever sections the command reads, and
-    so are the prior and the floor, which every command echoes. Flag dests
-    are the keys they set; no flag sets ``confidence`` (simulate's --seed
-    and --trials are the experiment's).
+    Returns the resolved values, which a command echoes, and each section's
+    record, built from them. The whole file is checked, whichever sections
+    the command reads: each section's keys and types, its record's rules,
+    and the floor. Flag dests are the keys they set; no flag sets
+    ``confidence`` (simulate's --seed and --trials are the experiment's).
     """
     where = f"{args.config}: "
     flags = vars(args)
     cfg = _resolve(_CONFIG_DEFAULTS, _load_config(args.config), flags, where)
-    for name, defaults in _SECTIONS.items():
+    for name in _SECTIONS:
         section_flags = {} if name == "confidence" else flags
         given = _without_ignored_key(name, cfg[name], f"{where}{name}.")
-        cfg[name] = _resolve(defaults, given, section_flags, f"{where}{name}.")
-    NormalGammaParams(**cfg["prior"])
+        cfg[name] = _resolve(_CONFIG_DEFAULTS[name], given, section_flags, f"{where}{name}.")
+    records = {name: type(default)(**cfg[name]) for name, default in _SECTIONS.items()}
     check_positive(variance_floor=cfg["variance_floor"])
-    return cfg
+    return cfg, records
 
 
 def _add_prior_flags(p: argparse.ArgumentParser) -> None:
@@ -195,16 +191,16 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(f"--{name}", type=int)
 
 
-def _log_lr(method: str, score: float, data, cfg: dict) -> LogLR:
+def _log_lr(method: str, score: float, data, prior: NormalGammaParams, floor: float) -> LogLR:
     """The ``method`` ("plugin" or "bayes") log-LR of ``score`` against ``data``."""
     check_finite(score=score)
     if method == "plugin":
-        return plugin_log_lr(score, fit_plugin(data, cfg["variance_floor"]))
-    return bayes_log_lr(score, data, NormalGammaParams(**cfg["prior"]))
+        return plugin_log_lr(score, fit_plugin(data, floor))
+    return bayes_log_lr(score, data, prior)
 
 
 def cmd_llr(args) -> int:
-    cfg = _configure(args)
+    cfg, records = _configure(args)
     data = load_background_csv(args.background)
     payload: dict = {
         "score": float(args.score),
@@ -216,7 +212,7 @@ def cmd_llr(args) -> int:
     }
     for method in ("plugin", "bayes"):
         if args.method in (method, "both"):
-            llr = _log_lr(method, args.score, data, cfg)
+            llr = _log_lr(method, args.score, data, records["prior"], cfg["variance_floor"])
             payload[f"log_lr_{method}"] = llr.value
             payload[f"log10_lr_{method}"] = llr.log10
     _print_json(payload)
@@ -224,11 +220,11 @@ def cmd_llr(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    cfg = _configure(args)
+    cfg, records = _configure(args)
     trial_prior = TrialPrior(args.pi1)
     policy = DecisionPolicy(**_resolve(asdict(DecisionPolicy()), {}, vars(args), ""))
     data = load_background_csv(args.background)
-    llr = _log_lr(args.method, args.score, data, cfg)
+    llr = _log_lr(args.method, args.score, data, records["prior"], cfg["variance_floor"])
     post = posterior_log_odds(llr, trial_prior)
     verdict = decide(post, policy)
     _print_json(
@@ -273,18 +269,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _configure(args)
-    floor = cfg["variance_floor"]
-    gen = GeneratorConfig(**cfg["generator"])
-    exp = ExperimentConfig(**cfg["experiment"])
-    prior = NormalGammaParams(**cfg["prior"])
-    # the whole confidence section is checked before the curve's trials run
-    experiment.check_confidence(**cfg["confidence"])
-
-    curve = experiment.run_experiment(gen, exp, prior, floor)
-    points = experiment.confidence_curve(
-        gen, **cfg["confidence"], prior=prior, variance_floor=floor
-    )
+    cfg, records = _configure(args)
+    floor, gen, prior = cfg["variance_floor"], records["generator"], records["prior"]
+    curve = experiment.run_experiment(gen, records["experiment"], prior, floor)
+    conf = records["confidence"]
+    points = experiment.confidence_curve(gen, conf.sizes, conf.trials, conf.seed, prior, floor)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -309,16 +298,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_lr_distribution(args) -> int:
-    cfg = _configure(args)
+    cfg, records = _configure(args)
     check_finite(score=args.score)
     # simulate's experiment defaults, then flags; the file's experiment
     # section belongs to simulate alone
     runs = _resolve({k: _EXPERIMENT_DEFAULTS[k] for k in _RUN_FLAGS}, {}, vars(args), "")
     report = experiment.lr_distribution_demo(
         e=args.score,
-        world=GeneratorConfig(**cfg["generator"]),
+        world=records["generator"],
         **runs,
-        prior=NormalGammaParams(**cfg["prior"]),
+        prior=records["prior"],
         variance_floor=cfg["variance_floor"],
     )
     _print_json(

@@ -1,7 +1,8 @@
-"""Exception types shared across the package, the three parameter checks
-that raise ValidationError, one wording each: ``NAME must be finite, got V``,
-``NAME must be finite and > 0, got V`` and ``NAME must be >= K, got V``, and
-the UTF-8 check of an input file, which raises ScoreFileError.
+"""Exception types shared across the package, the parameter checks that
+raise ValidationError, one wording each: ``NAME must be finite, got V``,
+``NAME must be finite and > 0, got V``, ``NAME must be >= K, got V`` and, for
+a count, ``NAME must be an integer, got V``, and the UTF-8 check of an input
+file, which raises ScoreFileError.
 """
 
 import math
@@ -78,7 +79,26 @@ def check_positive(**values) -> None:
     _check("finite and > 0", lambda v: (0.0 < v) & (v < math.inf), values)
 
 
+def check_not_below(minimum, **values) -> None:
+    """Raise ValidationError unless every value (or array element) is >=
+    ``minimum``; NaN is not."""
+    _check(f">= {minimum}", lambda v: v >= minimum, values)
+
+
+def _integral(v):
+    """Whether a number, or each element of an array, is an integer: 9.0
+    is, 9.5 and inf are not."""
+    if isinstance(v, int):
+        return True
+    if isinstance(v, float):
+        return v.is_integer()
+    with np.errstate(invalid="ignore"):  # inf % 1 is NaN
+        return v % 1 == 0
+
+
 def check_at_least(minimum: int, **counts) -> None:
-    """Raise ValidationError unless every count (or value, or array element)
-    is >= ``minimum``; NaN is not."""
-    _check(f">= {minimum}", lambda v: v >= minimum, counts)
+    """Raise ValidationError unless every count (or array element) is >=
+    ``minimum``, as ``check_not_below`` words it, and then an integer, of
+    any type: 9, 9.0 and a numpy integer are, 9.5 and inf are not."""
+    check_not_below(minimum, **counts)
+    _check("an integer", _integral, counts)

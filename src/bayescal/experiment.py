@@ -54,7 +54,9 @@ from .scores import (
     SufficientStats,
     fit_plugin,
 )
-from .synthetic import DEFAULT_PRIOR_GRID, ExperimentConfig, GeneratorConfig, background_stats
+from .synthetic import (
+    DEFAULT_PRIOR_GRID, ConfidenceConfig, ExperimentConfig, GeneratorConfig, background_stats,
+)
 
 #: Trials solved together. Larger blocks spread numpy's per-call cost
 #: further but raise the peak memory: fig1 ``simulate`` peaks at 39.1 MB
@@ -512,20 +514,6 @@ def run_experiment(
     )
 
 
-def check_confidence(sizes, trials: int, seed: int) -> list[tuple[int, int]]:
-    """The checks ``confidence_curve`` makes before its first draw: at least
-    one size, each with n1, n2 >= 2, trials >= 2 and seed >= 0. Returns the
-    sizes as (int, int) pairs."""
-    sizes = [(int(n1), int(n2)) for n1, n2 in sizes]
-    if not sizes:
-        raise ValidationError("sizes must not be empty")
-    check_at_least(2, trials=trials)
-    check_at_least(0, seed=seed)
-    for n1, n2 in sizes:
-        check_at_least(2, n1=n1, n2=n2)
-    return sizes
-
-
 def confidence_curve(
     gen: GeneratorConfig,
     sizes,
@@ -538,10 +526,11 @@ def confidence_curve(
 
     For each (n1, n2) size, averages each trial's exact E[log LR | H1] and
     E[log LR | H2] under the test law over ``trials`` resampled backgrounds.
-    Every argument is checked before the first draw (``check_confidence``).
-    Raises ValidationError if a mean or its standard error is not finite.
+    ``sizes``, ``trials`` and ``seed`` are checked as a ``ConfidenceConfig``
+    before the first draw. Raises ValidationError if a mean or its standard
+    error is not finite.
     """
-    sizes = check_confidence(sizes, trials, seed)
+    sizes = ConfidenceConfig(sizes, trials, seed).sizes
     laws = [gen.test_law(h) for h in Hypothesis]
     rule = _hermite_rule()
     points: list[ConfidencePoint] = []

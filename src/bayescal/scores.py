@@ -19,6 +19,7 @@ from .errors import (
     ValidationError,
     check_at_least,
     check_finite,
+    check_not_below,
     check_positive,
     check_utf8,
 )
@@ -145,7 +146,8 @@ class SufficientStats:
 
     def __post_init__(self):
         check_finite(mean=self.mean, sum_sq_dev=self.sum_sq_dev)
-        check_at_least(0, n=self.n, sum_sq_dev=self.sum_sq_dev)
+        check_at_least(0, n=self.n)
+        check_not_below(0, sum_sq_dev=self.sum_sq_dev)
 
 
 @record

@@ -77,6 +77,27 @@ class ExperimentConfig:
         object.__setattr__(self, "prior_grid", grid)
 
 
+@record
+class ConfidenceConfig:
+    """Background sizes, trial count and seeding for one confidence table
+    (``experiment.confidence_curve``): at least one (n1, n2) size, each with
+    n1, n2 >= 2, held as a pair of ints, trials >= 2 and seed >= 0."""
+
+    sizes: tuple[tuple[int, int], ...] = ((9, 27), (30, 405), (300, 4050))
+    trials: int = 200
+    seed: int = 1
+
+    def __post_init__(self):
+        sizes = [(n1, n2) for n1, n2 in self.sizes]
+        if not sizes:
+            raise ValidationError("sizes must not be empty")
+        check_at_least(2, trials=self.trials)
+        check_at_least(0, seed=self.seed)
+        for n1, n2 in sizes:
+            check_at_least(2, n1=n1, n2=n2)
+        object.__setattr__(self, "sizes", tuple((int(n1), int(n2)) for n1, n2 in sizes))
+
+
 def generate_scores(
     config: GeneratorConfig, hypothesis: Hypothesis, count: int, seed
 ) -> np.ndarray:

@@ -844,6 +844,33 @@ class TestConfigFile:
         assert payload["prior"]["a"] == 0.01
         assert payload["variance_floor"] == DEFAULT_VARIANCE_FLOOR
 
+    UNREAD_SECTIONS = {
+        "generator": ({"sigma1_true": -1}, "sigma1_true must be finite and > 0, got -1.0"),
+        "experiment": ({"trials": 0}, "trials must be >= 1, got 0"),
+        "confidence": ({"sizes": [[1, 9]]}, "n1 must be >= 2, got 1"),
+    }
+
+    @pytest.mark.parametrize(
+        "command, section",
+        [(c, s) for s in UNREAD_SECTIONS for c in ("llr", "decide", "lr-distribution")
+         if (c, s) != ("lr-distribution", "generator")],
+    )
+    def test_every_command_refuses_an_invalid_unread_section(
+        self, command, section, tmp_path, background, capsys
+    ):
+        """Every command builds every section's record, so a value that
+        breaks its record's rule exits 3 even in a section the command does
+        not read (``lr-distribution`` reads the generator's)."""
+        given, message = self.UNREAD_SECTIONS[section]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({section: given}))
+        argv = {"llr": ["llr", "--background", background],
+                "decide": ["decide", "--background", background, "--pi1", "0.5"],
+                "lr-distribution": ["lr-distribution"]}[command]
+        code, out, err = run_cli(capsys, *argv, "--score", "1.0", "--config", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"error: {message}\n"
+
 
 class TestTopLevel:
     def test_no_subcommand_exits_2(self, capsys):
@@ -866,46 +893,30 @@ class TestTopLevel:
         assert "missing" in err
 
 
-def test_no_command_loads_scipy(tmp_path, background):
-    """bayescal needs numpy and the standard library only: no command loads scipy."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(TestSimulateCommand.SMALL_CONFIG))
-    runs = [
-        ["llr", "--background", background, "--score", "1.0"],
-        ["decide", "--background", background, "--score", "1.0", "--pi1", "0.5"],
-        ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")],
-        ["lr-distribution", "--score", "1.0", "--trials", "5"],
-        ["verify", "--posteriors", "2", "--e-points", "3", "--joint-cases", "1",
-         "--theta-samples", "40", "--theta-datasets", "1", "--pitfall-trials", "8"],
-    ]
-    script = (
-        "import contextlib, io, json, sys\n"
-        "import bayescal.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    codes = [bayescal.cli.main(argv) for argv in {runs!r}]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(bayescal.__file__).resolve().parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    codes, scipy_modules = json.loads(done.stdout)
-    assert codes == [0, 0, 0, 0, 0]
-    assert scipy_modules == []
+#: what the load-state child reports at each checkpoint: whether each module is loaded
+PROBED_MODULES = ("numpy._core", "numpy.ma", "numpy.polynomial", "scipy", "dataclasses",
+                  "inspect", "bayescal._hermite_table", "bayescal._erfc")
 
 
-def _load_states(tmp_path, background, loaded):
-    """Run ``llr`` and ``decide`` (every method, with and without a config
-    file), then ``simulate``, ``verify`` and ``lr-distribution``, in one fresh
-    process; ``loaded`` is the source of an expression that reads what the
-    process has loaded. Returns its value after ``import bayescal``, the
-    ``llr``/``decide`` exit codes, its value after them, the later exit codes
-    and its value at the end."""
+@pytest.fixture(scope="module")
+def load_states(tmp_path_factory):
+    """Run every command in one fresh process and record what it has loaded
+    at four checkpoints: after ``import bayescal`` and two ``ExperimentConfig``s
+    (one with the default grid, one with a given grid), after ``import
+    bayescal.cli``, after ``llr`` and ``decide`` (every method, with and without
+    a config file), and after ``simulate``, ``verify`` and ``lr-distribution``.
+    At each, every ``PROBED_MODULES`` entry maps to whether it is loaded, and
+    ``ran`` to whether the ``experiment`` and ``verification`` bodies have run:
+    until then each is still LazyLoader's module type, which becomes
+    ``types.ModuleType`` when the body has run. Returns the checkpoints by
+    name and the exit codes of the ``cases`` and the ``later`` commands."""
+    tmp_path = tmp_path_factory.mktemp("load_states")
+    background = tmp_path / "bg.csv"
+    background.write_text(SYMMETRIC_CSV)
     cfg = tmp_path / "cfg.json"
     config = {**TestSimulateCommand.SMALL_CONFIG, "prior": {"mu0": 0.5}, "variance_floor": 1e-6}
     cfg.write_text(json.dumps(config))
-    common = ["--background", background, "--score", "1.0"]
+    common = ["--background", str(background), "--score", "1.0"]
     cases = []
     for config in ([], ["--config", str(cfg)]):
         cases += [["llr", *common, "--method", m, *config] for m in ("plugin", "bayes", "both")]
@@ -919,15 +930,22 @@ def _load_states(tmp_path, background, loaded):
     script = (
         "import contextlib, io, json, sys, types\n"
         "def loaded():\n"
-        f"    return {loaded}\n"
+        f"    state = {{m: m in sys.modules for m in {PROBED_MODULES!r}}}\n"
+        "    state['ran'] = [type(sys.modules[f'bayescal.{m}']) is types.ModuleType\n"
+        "                    for m in ('experiment', 'verification')]\n"
+        "    return state\n"
         "import bayescal\n"
-        "after_import = loaded()\n"
+        "bayescal.ExperimentConfig()\n"
+        "bayescal.ExperimentConfig(prior_grid=[-1, 0.5])\n"
+        "states = {'import': loaded()}\n"
         "import bayescal.cli\n"
+        "states['cli'] = loaded()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    codes = [bayescal.cli.main(argv) for argv in {cases!r}]\n"
-        "    after_cases = loaded()\n"
-        f"    later = [bayescal.cli.main(argv) for argv in {later!r}]\n"
-        "print(json.dumps([after_import, codes, after_cases, later, loaded()]))\n"
+        f"    codes = {{'cases': [bayescal.cli.main(argv) for argv in {cases!r}]}}\n"
+        "    states['cases'] = loaded()\n"
+        f"    codes['later'] = [bayescal.cli.main(argv) for argv in {later!r}]\n"
+        "    states['later'] = loaded()\n"
+        "print(json.dumps([states, codes]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(bayescal.__file__).resolve().parents[1]))
     done = subprocess.run(
@@ -937,61 +955,64 @@ def _load_states(tmp_path, background, loaded):
     return json.loads(done.stdout)
 
 
-def test_llr_and_decide_load_no_numpy(tmp_path, background):
+def _load_states(load_states, probe):
+    """``probe`` of the state after ``import bayescal``, the ``llr``/``decide``
+    exit codes, ``probe`` of the state after them, the later exit codes and
+    ``probe`` of the state at the end."""
+    states, codes = load_states
+    return [probe(states["import"]), codes["cases"], probe(states["cases"]), codes["later"],
+            probe(states["later"])]
+
+
+def test_no_command_loads_scipy(load_states):
+    """bayescal needs numpy and the standard library only: no command loads scipy."""
+    states, codes = load_states
+    assert codes["cases"] + codes["later"] == [0] * 13
+    assert [state["scipy"] for state in states.values()] == [False] * 4
+
+
+def test_llr_and_decide_load_no_numpy(load_states):
     """``import bayescal`` binds numpy lazily, and ``llr`` and ``decide``
     compute with ``math``, so none of them loads ``numpy._core``, whatever
     the method and with or without a config file. ``simulate``, ``verify``
     and ``lr-distribution`` then load numpy and exit 0."""
-    states = _load_states(tmp_path, background, "'numpy._core' in sys.modules")
+    states = _load_states(load_states, lambda state: state["numpy._core"])
     assert states == [False, [0] * 10, False, [0, 0, 0], True]
 
 
-def test_no_command_loads_numpy_ma(tmp_path, background):
+def test_no_command_loads_numpy_ma(load_states):
     """No command loads ``numpy.ma``: ``verify`` takes the pitfall medians by
     sorting, since ``np.median``'s NaN check imports it."""
-    states = _load_states(tmp_path, background, "'numpy.ma' in sys.modules")
+    states = _load_states(load_states, lambda state: state["numpy.ma"])
     assert states == [False, [0] * 10, False, [0, 0, 0], False]
 
 
-def test_llr_and_decide_run_no_experiment_or_oracle(tmp_path, background):
+def test_llr_and_decide_run_no_experiment_or_oracle(load_states):
     """``import bayescal`` and ``import bayescal.cli`` bind ``experiment``
     and ``verification`` lazily, and ``llr`` and ``decide`` read neither, so
     neither module body runs until ``simulate``, ``verify`` or
-    ``lr-distribution`` does: until then each is still LazyLoader's module
-    type, which becomes ``types.ModuleType`` when the body has run."""
-    ran = ("[type(sys.modules[f'bayescal.{m}']) is types.ModuleType"
-           " for m in ('experiment', 'verification')]")
-    states = _load_states(tmp_path, background, ran)
+    ``lr-distribution`` does."""
+    states = _load_states(load_states, lambda state: state["ran"])
     assert states == [[False, False], [0] * 10, [False, False], [0, 0, 0], [True, True]]
 
 
-def test_llr_and_decide_load_no_dataclasses_or_inspect(tmp_path, background):
+def test_llr_and_decide_load_no_dataclasses_or_inspect(load_states):
     """The record types are built without ``dataclasses`` (``_record``), so
     ``import bayescal``, ``llr`` and ``decide`` load neither it nor
     ``inspect``, which it imports. The later commands still exit 0; numpy,
     which they load, may import ``inspect`` itself."""
     states = _load_states(
-        tmp_path, background, "[m in sys.modules for m in ('dataclasses', 'inspect')]"
+        load_states, lambda state: [state[m] for m in ("dataclasses", "inspect")]
     )
     assert states[:4] == [[False, False], [0] * 10, [False, False], [0, 0, 0]]
 
 
-def test_experiment_config_loads_no_numpy():
+def test_experiment_config_loads_no_numpy(load_states):
     """``ExperimentConfig`` checks its prior grid point by point, as Python
     floats, so building one, with the default grid or a given one, loads no
     numpy."""
-    script = (
-        "import sys, bayescal\n"
-        "bayescal.ExperimentConfig()\n"
-        "bayescal.ExperimentConfig(prior_grid=[-1, 0.5])\n"
-        "print('numpy._core' in sys.modules)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(bayescal.__file__).resolve().parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    states, _ = load_states
+    assert states["import"]["numpy._core"] is False
 
 
 #: sha256 of each output whose bytes must not move. A change that moves one
@@ -1047,31 +1068,16 @@ def test_every_public_name_resolves():
         bayescal.no_such_name
 
 
-def test_hermite_rule_is_read_from_its_table(tmp_path):
+def test_hermite_rule_is_read_from_its_table(load_states):
     """``import bayescal.cli`` loads neither ``numpy.polynomial``, the
-    stored Gauss-Hermite table nor the vectorized erfc, and a ``simulate``
-    run, whose confidence means read the table and whose error curves take
-    the erfc, still loads no ``numpy.polynomial``."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(TestSimulateCommand.SMALL_CONFIG))
-    argv = ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
-    script = (
-        "import contextlib, io, json, sys\n"
-        "def loaded():\n"
-        "    modules = ('numpy.polynomial', 'bayescal._hermite_table', 'bayescal._erfc')\n"
-        "    return [m in sys.modules for m in modules]\n"
-        "import bayescal.cli\n"
-        "after_import = loaded()\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = bayescal.cli.main({argv!r})\n"
-        "print(json.dumps([after_import, code, loaded()]))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(bayescal.__file__).resolve().parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[False, False, False], 0, [False, True, True]]
+    stored Gauss-Hermite table nor the vectorized erfc, and the ``simulate``,
+    ``verify`` and ``lr-distribution`` runs, whose confidence means read the
+    table and whose error curves take the erfc, still load no
+    ``numpy.polynomial``."""
+    states, codes = load_states
+    modules = ("numpy.polynomial", "bayescal._hermite_table", "bayescal._erfc")
+    loaded = [[states[at][m] for m in modules] for at in ("cli", "later")]
+    assert [loaded[0], codes["later"][0], loaded[1]] == [[False, False, False], 0, [False, True, True]]
 
 
 def test_perfbench_tracer_reaches_every_traced_layer(tmp_path, background):

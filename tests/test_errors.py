@@ -12,6 +12,7 @@ import bayescal.cli
 import bayescal.errors
 from bayescal import (
     BackgroundData,
+    ConfidenceConfig,
     ExperimentConfig,
     GaussianParams,
     GeneratorConfig,
@@ -132,7 +133,13 @@ AT_LEAST = [
     ),
     ("confidence_curve.trials", lambda k: confidence_curve(WORLD, [(9, 27)], k, 0), "trials", 2),
     ("confidence_curve.seed", lambda k: confidence_curve(WORLD, [(9, 27)], 2, k), "seed", 0),
+    ("confidence_curve.n1", lambda k: confidence_curve(WORLD, [(k, 27)], 2, 0), "n1", 2),
+    ("ConfidenceConfig.n1", lambda k: ConfidenceConfig(((9, 27), (k, 27))), "n1", 2),
+    ("ConfidenceConfig.n2", lambda k: ConfidenceConfig(((9, k),)), "n2", 2),
+    ("ConfidenceConfig.trials", lambda k: ConfidenceConfig(trials=k), "trials", 2),
+    ("ConfidenceConfig.seed", lambda k: ConfidenceConfig(seed=k), "seed", 0),
     ("lr_distribution_demo.trials", lambda k: lr_distribution_demo(0.0, WORLD, 9, 27, k, 0), "trials", 2),
+    ("lr_distribution_demo.n1", lambda k: lr_distribution_demo(0.0, WORLD, k, 27, 2, 0), "n1", 2),
     (
         "approximate_posterior_pitfall.n1",
         lambda k: approximate_posterior_pitfall(
@@ -166,6 +173,16 @@ AT_LEAST = [
         )
     ),
 ]
+
+
+#: AT_LEAST rows whose value cannot be a fraction of a count: a summed squared
+#: deviation, which is no count; config values, which the CLI refuses first as
+#: "expected an integer"; and counts that are the length of a score list
+NOT_COUNTED = {
+    "SufficientStats.sum_sq_dev", "simulate.experiment.n_test_per_class",
+    "simulate.confidence.n_test_per_class", "approximate_posterior_pitfall.n1",
+    "fit_plugin.n1", "fit_plugin.n2",
+}
 
 
 def _cases(table, values):
@@ -204,6 +221,19 @@ class TestEveryRecordUsesTheOneWording:
             call(count)
         shown = float(count) if name == "sum_sq_dev" else count
         assert str(info.value) == f"{name} must be >= {minimum}, got {shown!r}"
+
+    @pytest.mark.parametrize(
+        "call, name, count",
+        [
+            pytest.param(call, name, minimum + 0.5, id=f"{label}-{minimum + 0.5}")
+            for label, call, name, minimum in AT_LEAST
+            if label not in NOT_COUNTED
+        ],
+    )
+    def test_integer(self, call, name, count):
+        with pytest.raises(ValidationError) as info:
+            call(count)
+        assert str(info.value) == f"{name} must be an integer, got {count!r}"
 
 
 class TestChecks:
@@ -256,6 +286,22 @@ class TestChecks:
         check_at_least(0, n=np.array([0.0, 3.0]))
         with pytest.raises(ValidationError, match=r"^n must be >= 0, got -2.5$"):
             check_at_least(0, n=np.array([[1.0, -2.5], [math.nan, 4.0]]))
+
+    def test_integral_counts_of_any_type_pass(self):
+        check_at_least(2, a=9, b=9.0, c=np.int64(9), d=np.float32(9.0), e=np.array([2, 3]), f=10**400)
+        assert ConfidenceConfig([[9.0, np.int64(27)]], 2.0, 0).sizes == ((9, 27),)
+        assert all(type(n) is int for n in ConfidenceConfig([[9.0, np.int64(27)]]).sizes[0])
+
+    @pytest.mark.parametrize(
+        "count, shown",
+        [(math.inf, "inf"), (np.float64(2.5), "2.5"), (np.array([2.0, 3.5, math.inf]), "3.5"),
+         (np.array([2.0, math.inf]), "inf")],
+        ids=["inf", "float64", "array", "array-inf"],
+    )
+    def test_fraction_or_infinity_is_not_a_count(self, count, shown):
+        with pytest.raises(ValidationError) as info:
+            check_at_least(0, n=count)
+        assert str(info.value) == f"n must be an integer, got {shown}"
 
     def test_nan_count_is_rejected(self):
         with pytest.raises(ValidationError, match=r"^n must be >= 0, got nan$"):
