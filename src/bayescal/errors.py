@@ -92,8 +92,7 @@ def _integral(v):
         return True
     if isinstance(v, float):
         return v.is_integer()
-    with np.errstate(invalid="ignore"):  # inf % 1 is NaN
-        return v % 1 == 0
+    return np.isfinite(v) & (v == np.floor(v))
 
 
 def check_at_least(minimum: int, **counts) -> None:

@@ -1,6 +1,7 @@
-"""The three parameter checks, and the one wording each record and function
-gets from them: ``NAME must be finite, got V``, ``NAME must be finite and > 0,
-got V`` and ``NAME must be >= K, got V``."""
+"""The parameter checks, and the one wording each record and function gets
+from them: ``NAME must be finite, got V``, ``NAME must be finite and > 0, got
+V``, ``NAME must be >= K, got V`` and, for a count, ``NAME must be an integer,
+got V``."""
 
 import functools
 import math
@@ -175,9 +176,10 @@ AT_LEAST = [
 ]
 
 
-#: AT_LEAST rows whose value cannot be a fraction of a count: a summed squared
-#: deviation, which is no count; config values, which the CLI refuses first as
-#: "expected an integer"; and counts that are the length of a score list
+#: AT_LEAST rows that ``test_integer`` skips: a summed squared deviation, which
+#: is no count; config values, which the CLI's coercion refuses first as
+#: "expected an integer"; and counts taken as the length of a score list, which
+#: a fraction cannot set
 NOT_COUNTED = {
     "SufficientStats.sum_sq_dev", "simulate.experiment.n_test_per_class",
     "simulate.confidence.n_test_per_class", "approximate_posterior_pitfall.n1",
